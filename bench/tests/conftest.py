@@ -1,0 +1,12 @@
+"""Put the benchmark's modules, its trace hook and the program on ``sys.path``.
+
+Run with ``python -m pytest bench/tests`` from the repository root.
+"""
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for path in (BENCH, os.path.join(BENCH, "trace"), os.path.join(os.path.dirname(BENCH), "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
