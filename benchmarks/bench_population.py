@@ -51,7 +51,6 @@ from repro.core import (
     make_study,
 )
 from repro.metrics.reliability import reliability
-from repro.parallel import make_parallel_study
 
 N_CHIPS = 50
 SEED = 20140324
@@ -145,22 +144,12 @@ class TestPopulationEngine:
 
 @pytest.mark.slow
 class TestFusedKernel:
-    """The fused single-pass kernel: sink identity plus the dtype tiers.
+    """The fused single-pass kernel's sink identity at paper scale.
 
-    ``test_fused_sinks_bit_identical`` pins the fusion contract — bits
-    and histogram counts taken from the streaming pass's block sinks
-    equal a full-tensor re-read of the very frequencies the pass
-    memoised.  ``test_dtype_tier_roofline`` first proves the float32
-    tier's response-bit identity at anchor scale through the
-    :mod:`repro.kernel.validate` harness (the precondition for the tier
-    gating anything), then measures both tiers' E2-sweep throughput in
-    chips x years per second.  Both tiers land in the artefact's
-    ``roofline`` section: the perf ledger tracks the float64 number
-    longitudinally (CI's perf gate fails on a drop), and the float32
-    tier must beat float64 by >= 1.5x here and now.
+    Bits and histogram counts taken from the streaming pass's block
+    sinks equal a full-tensor re-read of the very frequencies the pass
+    memoised.
     """
-
-    FLOAT32_SPEEDUP_FLOOR = 1.5
 
     def test_fused_sinks_bit_identical(self):
         from repro.core.readout import compare_pairs
@@ -190,52 +179,6 @@ class TestFusedKernel:
                 counts,
                 margin_histogram(relative_margins(freqs, pairs), edges),
             )
-
-    def test_dtype_tier_roofline(self):
-        from repro.kernel import validate_response_identity
-
-        design = aro_design()
-        years = list(DEFAULT_YEARS)
-
-        report = validate_response_identity(
-            design, N_CHIPS, seed=SEED, years=tuple(years)
-        )
-        assert report.ok, report.summary()
-
-        b64 = make_batch_study(design, n_chips=N_CHIPS, rng=SEED)
-        b32 = make_batch_study(
-            design, n_chips=N_CHIPS, rng=SEED, dtype="float32"
-        )
-        t64 = best_of(lambda: _sweep_batched(b64, years), rounds=15)
-        t32 = best_of(lambda: _sweep_batched(b32, years), rounds=15)
-        speedup = t64 / t32
-        cy64 = chips_years_per_s(N_CHIPS, years, t64)
-        cy32 = chips_years_per_s(N_CHIPS, years, t32)
-        emit(
-            "fused_dtype_tiers",
-            f"E2 aging sweep, {N_CHIPS} chips x {design.n_ros} ROs, "
-            f"{len(years)} year points (aro-puf)\n"
-            f"  float64 tier: {t64 * 1e3:8.2f} ms "
-            f"({cy64:10.0f} chip-years/s)\n"
-            f"  float32 tier: {t32 * 1e3:8.2f} ms "
-            f"({cy32:10.0f} chip-years/s)\n"
-            f"  tier speedup: {speedup:8.2f} x\n"
-            f"  {report.summary()}",
-            values={
-                "float64_s": t64,
-                "float32_s": t32,
-                "float32_speedup": speedup,
-            },
-            roofline={
-                "chips_years_per_s": cy64,
-                "chips_years_per_s_float32": cy32,
-            },
-        )
-        assert speedup >= self.FLOAT32_SPEEDUP_FLOOR, (
-            f"float32 tier only {speedup:.2f}x over float64 "
-            f"({t32 * 1e3:.2f} ms vs {t64 * 1e3:.2f} ms); "
-            f"need >= {self.FLOAT32_SPEEDUP_FLOOR}x"
-        )
 
 
 @pytest.mark.slow
@@ -599,9 +542,8 @@ class TestParallelScaling:
     population large enough (192 chips) for fabrication to dominate, so
     the measured ratio is the one a real ``repro run --jobs 4`` user sees
     (pool start-up and result pickling count *against* the parallel
-    engine).  ``jobs=1`` goes through :func:`make_parallel_study` too,
-    which returns the plain serial :class:`BatchStudy` — the honest
-    baseline.  The whole curve is emitted so ``tools/bench_compare.py``
+    engine).  ``jobs=1`` goes through the same :func:`make_batch_study`
+    call, which then builds no pool — the honest baseline.  The whole curve is emitted so ``tools/bench_compare.py``
     tracks scaling shape, not just the gated endpoint.
     """
 
@@ -627,7 +569,7 @@ class TestParallelScaling:
 
         def run_at(jobs):
             def run():
-                study = make_parallel_study(
+                study = make_batch_study(
                     design, self.N_CHIPS_PARALLEL, rng=SEED, jobs=jobs
                 )
                 try:
@@ -674,8 +616,8 @@ class TestParallelScaling:
         """
         design = aro_design()
         n_chips = 24
-        serial = make_parallel_study(design, n_chips, rng=SEED, jobs=1)
-        parallel = make_parallel_study(design, n_chips, rng=SEED, jobs=4)
+        serial = make_batch_study(design, n_chips, rng=SEED, jobs=1)
+        parallel = make_batch_study(design, n_chips, rng=SEED, jobs=4)
         try:
             for t in (0.0, 10.0):
                 assert np.array_equal(
@@ -696,13 +638,15 @@ import json, sys, time
 from repro.analysis import DEFAULT_YEARS
 from repro.core import aro_design
 from repro.metrics.reliability import reliability
-from repro.store import make_store_study
+from repro.core import make_batch_study
 from repro.telemetry import peak_rss_bytes
 
 n_chips, n_ros, block_size = (int(x) for x in sys.argv[1:4])
 design = aro_design(n_ros=n_ros)
 t0 = time.perf_counter()
-with make_store_study(design, n_chips, block_size=block_size) as study:
+with make_batch_study(
+    design, n_chips, store="mmap", block_size=block_size
+) as study:
     goldens = study.responses()
     flips = [
         reliability(goldens, study.responses(t_years=t)).mean_flip_fraction
@@ -761,13 +705,13 @@ class TestStoreOutOfCore:
 
     def test_store_bit_identical_sweep(self):
         """Dense and streamed sweeps agree bit-for-bit at paper scale."""
-        from repro.store import make_store_study
-
         design = aro_design()
         years = list(DEFAULT_YEARS)
         batch = make_batch_study(design, n_chips=N_CHIPS, rng=SEED)
         g_ram, r_ram = _sweep_batched(batch, years)
-        with make_store_study(design, N_CHIPS, rng=SEED, block_size=7) as store:
+        with make_batch_study(
+            design, N_CHIPS, rng=SEED, store="mmap", block_size=7
+        ) as store:
             g_mm = store.responses()
             r_mm = [
                 reliability(g_mm, store.responses(t_years=t)) for t in years
@@ -779,15 +723,13 @@ class TestStoreOutOfCore:
 
     def test_store_overhead(self):
         """The streamed sweep stays near the dense one where both fit."""
-        from repro.store import make_store_study
-
         design = aro_design()
         years = list(DEFAULT_YEARS)
         n_chips = self.OVERHEAD_N_CHIPS
         batch = make_batch_study(design, n_chips=n_chips, rng=SEED)
         t_ram = best_of(lambda: _sweep_batched(batch, years), rounds=5)
 
-        with make_store_study(design, n_chips, rng=SEED) as store:
+        with make_batch_study(design, n_chips, rng=SEED, store="mmap") as store:
 
             def sweep_store():
                 store.drop_cached_corners()

@@ -485,61 +485,7 @@ class PopulationAging:
             self.delta_component(t, "hci"),
         )
 
-    def direction_tensors(self) -> tuple:
-        """``(bti_dir, hci_dir)`` factored stress-direction tensors.
-
-        The fully-factored form behind :meth:`subtract_delta_into`
-        (``delta(t) = t**n * bti_dir + t**m * hci_dir``, clips aside).
-        Exposed for the kernel tiers that pre-cast population tensors to
-        a different dtype/backend; treat the returned arrays as
-        read-only.
-        """
-        return self._bti_dir, self._hci_dir
-
-    def block_subtracter(self, t_years: float, directions: tuple, xp):
-        """A per-block ``od -= delta(t_years)[rows]`` closure.
-
-        ``directions`` carries the (possibly dtype-cast, possibly
-        device-resident) pair from :meth:`direction_tensors`; ``xp`` is
-        the :class:`repro.kernel.backend.ArrayBackend` the block buffers
-        live on.  Semantics — factored grouping, exact clip decisions
-        proved from float64 scalar maxima, per-block telemetry counters —
-        mirror :meth:`subtract_delta_into`; only the arithmetic precision
-        follows the tensors passed in.
-        """
-        if t_years < 0:
-            raise ValueError("t_years must be non-negative")
-        t = float(t_years)
-        bti_dir, hci_dir = directions
-        bti_t = t ** self.tech.nbti.n
-        hci_t = t ** self.tech.hci.m
-        cap_bti = self.tech.nbti.max_shift
-        cap_hci = self.tech.hci.max_shift
-        clip_bti = self._bti_dir_max * bti_t > cap_bti
-        clip_hci = self._hci_dir_max * hci_t > cap_hci
-
-        def subtract(od, scratch, rows):
-            telemetry.count("aging.subtract_blocks")
-            xp.multiply(bti_dir[rows], bti_t, out=scratch)
-            if clip_bti:
-                telemetry.count("aging.clip_applied")
-                xp.minimum(scratch, cap_bti, out=scratch)
-            else:
-                telemetry.count("aging.clip_skipped")
-            od -= scratch
-            xp.multiply(hci_dir[rows], hci_t, out=scratch)
-            if clip_hci:
-                telemetry.count("aging.clip_applied")
-                xp.minimum(scratch, cap_hci, out=scratch)
-            else:
-                telemetry.count("aging.clip_skipped")
-            od -= scratch
-
-        return subtract
-
-    def component_subtracter(
-        self, t_years: float, mechanism: str, *, xp=np, dtype=None
-    ):
+    def component_subtracter(self, t_years: float, mechanism: str):
         """A per-block ``od -= delta_component(t_years, mechanism)[rows]``.
 
         The blocked counterfactual-frequency path subtracts one
@@ -547,23 +493,18 @@ class PopulationAging:
         materialising the full :meth:`delta_components` pair — same
         coefficient grouping, same population-wide clip decision, so the
         result is bit-identical to the full-tensor subtraction while
-        allocating nothing population-sized.  ``dtype`` (with its
-        backend ``xp``) casts the coefficient tensor once for off-native
-        kernel tiers; ``None`` keeps the float64 originals.
+        allocating nothing population-sized.
         """
         if t_years < 0:
             raise ValueError("t_years must be non-negative")
         coeff, pow_mech, clip, cap = self._component_terms(
             float(t_years), mechanism
         )
-        if dtype is not None:
-            coeff = xp.asarray(coeff, dtype)
-            pow_mech = xp.asarray(pow_mech, dtype)
 
         def subtract(od, scratch, rows):
-            xp.multiply(coeff[rows], pow_mech, out=scratch)
+            np.multiply(coeff[rows], pow_mech, out=scratch)
             if clip:
-                xp.minimum(scratch, cap, out=scratch)
+                np.minimum(scratch, cap, out=scratch)
             od -= scratch
 
         return subtract

@@ -15,7 +15,7 @@ import functools
 import re
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,9 +45,6 @@ from ..metrics.reliability import ReliabilityReport, reliability
 from ..metrics.uniformity import UniformityReport, uniformity
 from ..metrics.uniqueness import UniquenessReport, hd_histogram, uniqueness
 from .sweep import DEFAULT_YEARS, Series
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..parallel import ParallelBatchStudy
 
 
 def _slug(label: str) -> str:
@@ -100,23 +97,16 @@ class ExperimentConfig:
 
     ``jobs`` shards the batched engine's chip axis over that many worker
     processes (``jobs=1`` stays in-process).  ``store`` selects the
-    population backing: ``"ram"`` (default) is the dense in-RAM engine
-    and the bit-identity reference; ``"mmap"`` streams the population
-    through the out-of-core :mod:`repro.store` segments with bounded
-    RSS, ``block_size`` chips at a time, under ``store_dir`` (a temp
-    directory when unset).  All four knobs change wall-clock and memory
-    only: every experiment that goes through :meth:`batch_study_for`
-    (E1, E2, E3, E5, E13) returns bit-identical numbers for any worker
-    count, store backing or block size, so none of them is part of the
-    result-defining config the ledger and cache key digest.
-
-    ``dtype`` is different: it selects the kernel arithmetic tier
-    (``"float64"`` default, ``"float32"`` opt-in) and *is*
-    result-defining — float32 frequencies differ at ~1e-7 relative, so
-    the tier stays in the config digest, and the CLI only lets float32
-    gate anchors after :func:`repro.kernel.validate.validate_response_identity`
-    has proven bit identity at the run's scale.  RAM engines only
-    (``store="mmap"`` is float64 by construction).
+    population backing: ``"ram"`` (default) holds the dense tensors in
+    memory; ``"mmap"`` streams the population through the out-of-core
+    :mod:`repro.store` segments with bounded RSS, under ``store_dir`` (a
+    temp directory when unset).  ``block_size`` is the source block in
+    chips (see :func:`~repro.core.population.make_batch_study`).  All
+    four knobs change wall-clock and memory only: every experiment that
+    goes through :meth:`batch_study_for` (E1, E2, E3, E5, E13) returns
+    bit-identical numbers for any worker count, store backing or block
+    size, so none of them is part of the result-defining config the
+    ledger and cache key digest.
     """
 
     n_chips: int = 50
@@ -128,7 +118,6 @@ class ExperimentConfig:
     store: str = "ram"
     block_size: Optional[int] = None
     store_dir: Optional[str] = None
-    dtype: str = "float64"
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -141,12 +130,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"block_size must be >= 1, got {self.block_size}"
             )
-        if self.dtype not in ("float64", "float32"):
-            raise ValueError(
-                f"dtype must be 'float64' or 'float32', got {self.dtype!r}"
-            )
-        if self.store == "mmap" and self.dtype != "float64":
-            raise ValueError("store='mmap' supports dtype='float64' only")
 
     def designs(self) -> Dict[str, PufDesign]:
         """The two contenders, keyed by their registry names."""
@@ -161,42 +144,22 @@ class ExperimentConfig:
             design, self.n_chips, mission=self.mission, rng=self.seed
         )
 
-    def batch_study_for(
-        self, design: PufDesign
-    ) -> Union[BatchStudy, "ParallelBatchStudy"]:
+    def batch_study_for(self, design: PufDesign) -> BatchStudy:
         """Batched counterpart of :meth:`study_for` (same seed, same
-        silicon: responses are bit-identical to the per-chip path).
-
-        With ``jobs > 1`` the study is the chip-sharded parallel engine;
-        with ``store="mmap"`` it is out-of-core (the serial
-        :class:`~repro.store.study.StoreStudy`, or the parallel engine
-        with workers attached to one shared store).  Callers should
+        silicon: responses are bit-identical to the per-chip path),
+        built with this config's execution knobs.  Callers should
         ``closing(...)`` the returned study so worker pools and owned
-        store directories are released promptly (the dense serial
-        engine's ``close`` is a no-op, so the pattern is
-        engine-agnostic).
+        store directories are released promptly.
         """
-        if self.jobs > 1 or self.store == "mmap":
-            from ..parallel import make_parallel_study
-
-            return make_parallel_study(
-                design,
-                self.n_chips,
-                mission=self.mission,
-                rng=self.seed,
-                jobs=self.jobs,
-                store=self.store,
-                block_size=self.block_size,
-                store_dir=self.store_dir,
-                dtype=self.dtype,
-            )
         return make_batch_study(
             design,
             self.n_chips,
             mission=self.mission,
             rng=self.seed,
-            dtype=self.dtype,
+            jobs=self.jobs,
+            store=self.store,
             block_size=self.block_size,
+            store_dir=self.store_dir,
         )
 
 

@@ -66,8 +66,10 @@ Execution flags:
   fabricated memory-mapped column segments and is streamed block by
   block, bounding peak RSS at any chip count (million-chip sweeps in a
   few GB); responses are bit-identical to the in-RAM default.
-  ``--block-size`` sets the fabrication block in chips and
   ``--store-dir`` persists the segments for re-attachment;
+* ``--block-size CHIPS`` sets the chip block the population is
+  fabricated (``mmap``) and streamed through the kernel in, for either
+  store; block boundaries never change a result;
 * ``--cache DIR`` (``run`` / ``check-anchors``) reuses stored results
   when the content-addressed (experiment, config, version) key matches,
   printing an explicit ``cache hit:`` marker and recording hits/misses
@@ -243,8 +245,11 @@ def _add_scale_args(parser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=None,
         metavar="CHIPS",
-        help="chips per store fabrication block with --store mmap "
-        "(default: sized for ~2M elements per column block)",
+        help="chips per population block, for either --store: the unit "
+        "in which rows are fabricated (mmap) and streamed through the "
+        "kernel, which never works on more at once; results are "
+        "identical for any value (default: ~2M elements per column "
+        "block with mmap, the whole population with ram)",
     )
     parser.add_argument(
         "--store-dir",
@@ -253,17 +258,6 @@ def _add_scale_args(parser: argparse.ArgumentParser) -> None:
         help="directory for --store mmap segments (default: a temporary "
         "directory, removed when the run ends; a named directory persists "
         "and is re-attached by later runs of the same design+seed)",
-    )
-    parser.add_argument(
-        "--dtype",
-        choices=["float64", "float32"],
-        default="float64",
-        help="kernel arithmetic tier (default float64, the reference). "
-        "float32 roughly halves kernel time and memory traffic; it is "
-        "result-defining (frequencies shift at ~1e-7 relative), so "
-        "check-anchors first proves response-bit identity against "
-        "float64 at the run's scale and refuses to gate on a mismatch. "
-        "RAM engines only (--store mmap is float64 by construction)",
     )
 
 
@@ -919,7 +913,6 @@ def _collect_manifest(
             "command": args.command,
             "n_chips": config.n_chips,
             "n_ros": config.n_ros,
-            "dtype": config.dtype,
             "experiment": getattr(args, "experiment", None)
             or getattr(args, "experiments", None),
         },
@@ -939,9 +932,7 @@ def _result_config(config: exp.ExperimentConfig) -> Dict[str, Any]:
     Everything that changes the numbers is in; ``jobs``, ``store``,
     ``block_size`` and ``store_dir`` — all bit-identical by construction
     — are excluded, so a result computed at any worker count or store
-    mode satisfies a request at any other.  ``dtype`` stays in: float32
-    frequencies are *not* bit-identical to float64, so the tiers must
-    never share a cache entry.
+    mode satisfies a request at any other.
     """
     cfg = dataclasses.asdict(config)
     for key in ("jobs", "store", "block_size", "store_dir"):
@@ -1319,27 +1310,6 @@ def _perf_command(args: argparse.Namespace) -> int:
 def _check_anchors_command(
     args: argparse.Namespace, config: exp.ExperimentConfig
 ) -> int:
-    if not args.from_ledger and config.dtype != "float64":
-        # a reduced-precision tier may only gate anchors after proving
-        # response-bit identity against the float64 reference at this
-        # run's exact scale — the contract of repro.kernel.validate
-        from .kernel.validate import validate_response_identity
-
-        for name, design in sorted(config.designs().items()):
-            report = validate_response_identity(
-                design,
-                config.n_chips,
-                seed=config.seed,
-                mission=config.mission,
-                candidate_dtype=config.dtype,
-            )
-            print(f"[{name}] {report.summary()}")
-            if not report.ok:
-                print(
-                    f"refusing to gate anchors on dtype={config.dtype}: "
-                    "response bits diverge from float64 at this scale"
-                )
-                return 1
     if args.from_ledger:
         entries = telemetry.RunLedger(args.from_ledger).entries()
         scalars = telemetry.latest_scalars(entries)
@@ -1712,8 +1682,6 @@ def main(argv: Optional[list] = None) -> int:
         kwargs["block_size"] = args.block_size
     if getattr(args, "store_dir", None) is not None:
         kwargs["store_dir"] = args.store_dir
-    if getattr(args, "dtype", None) is not None:
-        kwargs["dtype"] = args.dtype
     if getattr(args, "eval_duty", None) is not None:
         kwargs["mission"] = MissionProfile(eval_duty=args.eval_duty)
     config = exp.ExperimentConfig(**kwargs)

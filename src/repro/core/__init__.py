@@ -13,7 +13,7 @@ from .pairing import (
 from .population import (
     BatchStudy,
     PopulationView,
-    batch_frequencies_from_overdrive,
+    RamColumns,
     make_batch_study,
 )
 from .readout import ReadoutConfig, compare_pairs, voted_response
@@ -31,13 +31,13 @@ __all__ = [
     "PairingScheme",
     "PopulationView",
     "PufDesign",
+    "RamColumns",
     "RandomDisjointPairing",
     "ReadoutConfig",
     "RoPufInstance",
     "StaticPairing",
     "Study",
     "aro_design",
-    "batch_frequencies_from_overdrive",
     "compare_pairs",
     "conventional_design",
     "design_by_name",

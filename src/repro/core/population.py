@@ -1,30 +1,33 @@
-"""Batched population evaluation: the engine behind the experiment suite.
+"""Batched population evaluation: the one engine behind the experiment suite.
 
 Every experiment in the paper's evaluation is a population × time-grid
 Monte-Carlo.  The per-chip :class:`~repro.core.base.RoPufInstance` API
 evaluates that one chip and one year at a time — clear for examples, but
 the Python loop around it dominates wall-clock at paper scale.  This
-module stacks a whole :class:`~repro.variation.chip.ChipPopulation` into
-one ``(n_chips, n_ros, n_stages, 2)`` threshold tensor and pushes the
-entire population through the delay model in a single numpy pass per
+module streams a whole population through the fused block kernel
+(:func:`~repro.kernel.fused.frequency_block_kernel`) in one pass per
 (year, corner):
 
 * :class:`PopulationView` — the stacked threshold/`tc_scale` tensors plus
   thin per-chip :class:`~repro.variation.chip.Chip` views;
-* :class:`BatchStudy` — the batched counterpart of
-  :class:`~repro.core.factory.Study`: one
-  :class:`~repro.aging.simulator.PopulationAging` for the whole
-  population, one ``ring_frequency``-equivalent call per (year, corner),
-  and chip-axis-aware readout;
-* :func:`make_batch_study` — drop-in for
-  :func:`~repro.core.factory.make_study`; consumes the RNG identically,
-  so the same seed fabricates the same chips and prefactors on both
-  paths and golden responses are bit-identical.
+* :class:`RamColumns` — the in-RAM *column source*: a view plus its
+  :class:`~repro.aging.simulator.PopulationAging`.  The out-of-core
+  source, :class:`repro.store.store.StoreColumns`, reads a row window of
+  a memory-mapped :class:`~repro.store.store.PopulationStore` through the
+  same interface;
+* :class:`BatchStudy` — the engine: one memo and one corner loop over
+  whichever source it was given, optionally handing whole requests to a
+  :class:`repro.parallel.executor.ShardExecutor` whose workers each run
+  a ``BatchStudy`` over their own chip window;
+* :func:`make_batch_study` — the only factory; consumes the RNG like
+  :func:`~repro.core.factory.make_study`, so the same seed fabricates the
+  same chips and prefactors for any source and worker count, and golden
+  responses are bit-identical.
 
 The batched frequency kernel folds every scalar factor (drive constant,
 mobility, load, stage-0 penalty, ``c_load_factor``) into the stage-weight
 reduction, so the per-grid-point cost is one subtract, one power and one
-tensordot over the population tensor.  Frequencies therefore agree with
+matvec over the population tensor.  Frequencies therefore agree with
 the per-chip path to rounding (``rtol`` ~1e-12) rather than bit-for-bit;
 response *bits* and aging *deltas* are identical.
 """
@@ -33,19 +36,17 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .. import telemetry
-from .._rng import RngLike, spawn
+from .._rng import RngLike, spawn, spawn_keys
 from ..aging.schedule import IdlePolicy, MissionProfile
 from ..aging.simulator import AgingSimulator, ChipAging, PopulationAging
 from ..environment.conditions import OperatingConditions
-from ..forensics.hook import record_response_margins
-from ..kernel.backend import ArrayBackend, resolve_backend
+from ..forensics import hook as _forensics_hook
 from ..kernel.fused import (
-    OVERDRIVE_ERROR,
     MarginHistogramSink,
     ResponseBlockSink,
     finalize_period_block,
@@ -56,14 +57,13 @@ from ..transistor.technology import T_REF_K, TechnologyCard
 from ..variation.chip import Chip, ChipPopulation
 from .base import PufDesign, RoPufInstance
 from .factory import Study
-from .readout import compare_pairs
 
 __all__ = [
     "PopulationView",
+    "RamColumns",
     "BatchStudy",
     "make_batch_study",
     "frequency_block_kernel",
-    "batch_frequencies_from_overdrive",
 ]
 
 
@@ -168,7 +168,7 @@ def _stage_weights(
     summing over stages (stage 0 weighted by its structural penalty) and
     dividing by ``c_load_factor`` gives the ring frequency.  Folding the
     scalar prefactor and the load factor into the weights leaves the hot
-    kernel with a single power and a single tensordot.
+    kernel with a single power and a single matvec.
     """
     mu = mobility_factor(temperature_k, tech)
     scale = tech.c_load * vdd / (tech.k_drive * mu) * c_load_factor
@@ -177,29 +177,89 @@ def _stage_weights(
     return weights
 
 
-def batch_frequencies_from_overdrive(
-    overdrive: np.ndarray, tech: TechnologyCard, weights: np.ndarray
-) -> np.ndarray:
-    """Ring frequencies from a gate-overdrive tensor (hot kernel).
+class RamColumns:
+    """The in-RAM column source: a :class:`PopulationView` plus its aging.
 
-    ``overdrive`` has shape ``(..., n_stages, 2)`` and **is consumed**
-    (overwritten in place); ``weights`` comes from :func:`_stage_weights`.
-    Returns the ``(...,)`` frequency array in hertz.
+    A column source hands :class:`BatchStudy` window-relative row access
+    to the ``vth`` / ``tc_scale`` columns, the per-block aging
+    subtraction, and the block structure of its rows.  In RAM every row
+    is resident, so :meth:`ensure` and :meth:`release` do nothing and
+    corners never spill.
 
-    ``od ** -alpha`` is evaluated as ``exp(-alpha * log(od))`` in place —
-    measurably faster than ``np.power`` and within a couple of ULPs of
-    it.  A non-positive overdrive (supply too low for some device) turns
-    into a NaN/inf period, which is detected on the small reduced array
-    instead of a full-tensor precheck.
+    ``block_size`` is the source block in chips (``None``: the whole
+    population is one block); the kernel's work buffer never exceeds it.
     """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        np.log(overdrive, out=overdrive)
-        overdrive *= -tech.alpha
-        np.exp(overdrive, out=overdrive)
-        period = np.tensordot(overdrive, weights, axes=([-2, -1], [0, 1]))
-    if not np.isfinite(period).all():
-        raise ValueError(OVERDRIVE_ERROR)
-    return np.reciprocal(period)
+
+    #: resident by construction: pages are never released, corners never spill
+    streaming = False
+    spill = None
+
+    def __init__(
+        self,
+        view: PopulationView,
+        aging: PopulationAging,
+        block_size: Optional[int] = None,
+    ):
+        if aging.n_chips != view.n_chips:
+            raise ValueError(
+                f"aging carries {aging.n_chips} chips, population has "
+                f"{view.n_chips}"
+            )
+        self.view = view
+        self.aging = aging
+        self.block_size = block_size
+        self.n_chips = view.n_chips
+        self.n_ros = view.n_ros
+        self.n_stages = view.n_stages
+
+    def column(self, name: str) -> np.ndarray:
+        return {"vth": self.view.vth, "tc_scale": self.view.tc_scale}[name]
+
+    def blocks(self) -> List[Tuple[int, int]]:
+        step = self.block_size or self.n_chips
+        return [
+            (lo, min(lo + step, self.n_chips))
+            for lo in range(0, self.n_chips, step)
+        ]
+
+    def ensure(self, lo: int, hi: int, columns: Sequence[str]) -> None:
+        pass
+
+    def release(self, lo: int, hi: int, columns: Sequence[str], out=None) -> None:
+        pass
+
+    def subtracter(self, t: float, mechanism: Optional[str] = None):
+        """``(subtract(od, scratch, lo, hi), columns)`` for one pass at ``t``.
+
+        The golden path subtracts the memoised delta when one exists (the
+        grouping :meth:`PopulationAging.delta` uses) and the factored
+        :meth:`~PopulationAging.subtract_delta_into` otherwise; a
+        mechanism pass subtracts one mechanism's field in the exact
+        :meth:`~PopulationAging.delta_components` grouping.
+        """
+        aging = self.aging
+        if mechanism is not None:
+            component = aging.component_subtracter(t, mechanism)
+
+            def subtract(od, scratch, lo, hi):
+                component(od, scratch, slice(lo, hi))
+
+            return subtract, ()
+        delta = aging.cached_delta(t)
+        if delta is not None:
+
+            def subtract(od, scratch, lo, hi):
+                od -= delta[lo:hi]
+
+        else:
+
+            def subtract(od, scratch, lo, hi):
+                aging.subtract_delta_into(t, od, scratch, rows=slice(lo, hi))
+
+        return subtract, ()
+
+    def close(self) -> None:
+        pass
 
 
 class BatchStudy:
@@ -207,80 +267,65 @@ class BatchStudy:
 
     The batched counterpart of :class:`~repro.core.factory.Study`: the
     same design / mission bundle, but frequencies and responses come back
-    as ``(n_chips, ...)`` arrays from one vectorised pass instead of a
-    Python loop over per-chip instances.  Per-chip
-    :class:`RoPufInstance` views remain available through
-    :attr:`instances` / :meth:`aged_instances` for code that wants the
-    scalar API.
+    as ``(n_chips, ...)`` arrays from one streaming pass instead of a
+    Python loop over per-chip instances.
 
-    Frequencies are memoised per ``(t_years, conditions)`` (LRU), so
-    repeated golden-response queries are free.  Memoised arrays are
-    read-only — copy before mutating.
+    The rows come from a column ``source`` — :class:`RamColumns` or a
+    :class:`repro.store.store.StoreColumns` window of an mmap store.
+    With an ``executor`` (:class:`repro.parallel.executor.ShardExecutor`)
+    memo misses are answered by shard workers instead, each running a
+    ``BatchStudy`` over its own chip window; the replies are
+    concatenated (or, for histogram counts, summed) in chip order.  The
+    source may then be ``None`` (workers fabricate in RAM) or the shared
+    store the workers attach to.
 
-    ``dtype`` selects the kernel arithmetic tier: ``"float64"`` (default,
-    the bit-identity reference) or the opt-in ``"float32"`` tier, which
-    halves kernel bandwidth but only guarantees response-*bit* agreement
-    after :func:`repro.kernel.validate.validate_response_identity` has
-    proven it at the scale in question — frequencies differ at ~1e-7
-    relative.  ``backend`` routes the kernel through an alternative
-    array library (see :mod:`repro.kernel.backend`); results crossing
-    the study boundary are always host numpy arrays.  ``block_size``
-    overrides the chip-axis work-block derivation (testing hook; the
-    default is cache-sized and block boundaries never change results).
+    Frequencies are memoised per ``(t_years, conditions[, mechanism])``
+    (LRU), so repeated golden-response queries are free.  Memoised arrays
+    are read-only — copy before mutating.  A source that streams and
+    carries a spill cache keeps its corners on disk instead, in a
+    shallower memo whose evictions delete the bytes.
+
+    Per-chip :class:`RoPufInstance` views remain available through
+    :attr:`instances` / :meth:`aged_instances` on an in-RAM source.
     """
 
     #: number of (t_years, conditions) corners kept in the frequency memo
     MEMO_SIZE = 32
+    #: corners kept on disk when spilling — each costs a population-sized
+    #: segment, so the memo is shallow and eviction deletes the bytes
+    SPILL_MEMO_SIZE = 4
 
     def __init__(
         self,
         design: PufDesign,
-        view: PopulationView,
-        aging: PopulationAging,
+        source,
         mission: MissionProfile,
         *,
-        dtype: str = "float64",
-        block_size: Optional[int] = None,
-        backend: Union[None, str, ArrayBackend] = None,
+        executor=None,
     ):
-        if view.n_stages != design.n_stages:
-            raise ValueError(
-                f"population has {view.n_stages} stages per RO, design wants "
-                f"{design.n_stages}"
-            )
-        if view.n_ros != design.n_ros:
-            raise ValueError(
-                f"population has {view.n_ros} ROs, design wants {design.n_ros}"
-            )
-        if aging.n_chips != view.n_chips:
-            raise ValueError(
-                f"aging carries {aging.n_chips} chips, population has "
-                f"{view.n_chips}"
-            )
-        dt = np.dtype(dtype)
-        if dt not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError(
-                f"dtype must be 'float64' or 'float32', got {dtype!r}"
-            )
-        if block_size is not None and block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {block_size}")
+        if source is None and executor is None:
+            raise ValueError("a study needs a column source or an executor")
+        if source is not None:
+            if source.n_stages != design.n_stages:
+                raise ValueError(
+                    f"population has {source.n_stages} stages per RO, design "
+                    f"wants {design.n_stages}"
+                )
+            if source.n_ros != design.n_ros:
+                raise ValueError(
+                    f"population has {source.n_ros} ROs, design wants "
+                    f"{design.n_ros}"
+                )
         self.design = design
-        self.view = view
-        self.aging = aging
+        self.source = source
         self.mission = mission
-        self.dtype = dt
-        self._backend = resolve_backend(backend)
-        # the reference tier: float64 through literal numpy — this path
-        # must stay byte-identical to the pre-seam engine, so it uses
-        # the original tensors (no casts) and the memoised-delta branch
-        self._native = (
-            self._backend.name == "numpy" and dt == np.dtype(np.float64)
+        self._executor = executor
+        # (t, cond[, mechanism]) -> (read-only array, spill key or None)
+        self._freq_memo: "OrderedDict[tuple, Tuple[np.ndarray, Optional[str]]]" = (
+            OrderedDict()
         )
-        self._block_size = block_size
-        self._freq_memo: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        self._od_buf = None
-        self._scratch_buf = None
-        self._inputs: Optional[tuple] = None
+        self._od_buf: Optional[np.ndarray] = None
+        self._scratch_buf: Optional[np.ndarray] = None
         self._instances: Optional[List[RoPufInstance]] = None
 
     # ---- construction ------------------------------------------------
@@ -290,36 +335,161 @@ class BatchStudy:
         """Stack an existing per-chip :class:`Study` (shared chips and
         prefactors, so both views answer identically)."""
         return cls(
-            design=study.design,
-            view=PopulationView.from_chips([inst.chip for inst in study.instances]),
-            aging=PopulationAging.from_agings(study.agings),
-            mission=study.mission,
+            study.design,
+            RamColumns(
+                PopulationView.from_chips([inst.chip for inst in study.instances]),
+                PopulationAging.from_agings(study.agings),
+            ),
+            study.mission,
         )
 
     # ---- geometry ----------------------------------------------------
 
     @property
     def n_chips(self) -> int:
-        return self.view.n_chips
+        if self.source is not None:
+            return self.source.n_chips
+        return self._executor.n_chips
 
     @property
     def n_bits(self) -> int:
         return self.design.n_bits
 
+    @property
+    def jobs(self) -> int:
+        """Worker processes (clamped to ``n_chips``); 1 when in-process."""
+        return 1 if self._executor is None else self._executor.jobs
+
+    @property
+    def view(self) -> PopulationView:
+        """The stacked tensors of an in-RAM source."""
+        return self.source.view
+
+    @property
+    def aging(self) -> PopulationAging:
+        """The population aging of an in-RAM source."""
+        return self.source.aging
+
+    @property
+    def memo_size(self) -> int:
+        return self.SPILL_MEMO_SIZE if self._spilling else self.MEMO_SIZE
+
+    @property
+    def _spill(self):
+        if self._executor is not None or self.source is None:
+            return None
+        return self.source.spill
+
+    @property
+    def _spilling(self) -> bool:
+        # Corners go to disk only when the window actually streams: one
+        # under the resident budget keeps them in the deep in-RAM memo
+        # instead of paying file create/commit/reopen per corner.
+        return self._spill is not None and self.source.streaming
+
     # ---- lifecycle ---------------------------------------------------
 
     def close(self) -> None:
-        """No-op, mirroring :class:`repro.parallel.ParallelBatchStudy`.
+        """Shut the worker pool down and release the column source.
 
-        The serial engine holds no external resources; exposing the same
-        lifecycle lets call sites ``closing(...)`` either engine.
+        Idempotent.  An in-RAM study holds nothing, and a pool restarts on
+        the next evaluation; a store source owned by the study (created in
+        a temporary directory) is deleted.
         """
+        if self._executor is not None:
+            self._executor.close()
+        if self.source is not None:
+            self.source.close()
 
     def __enter__(self) -> "BatchStudy":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    def __del__(self) -> None:  # pragma: no cover - GC-timing dependent
+        try:
+            self.close()
+        except Exception:
+            pass
+
+    # ---- memoisation / spill -----------------------------------------
+
+    @staticmethod
+    def _key(t_years, conditions, mechanism: Optional[str] = None) -> tuple:
+        t = float(t_years)
+        if t < 0:
+            raise ValueError("t_years must be non-negative")
+        cond = conditions or OperatingConditions.nominal()
+        return (t, cond) if mechanism is None else (t, cond, mechanism)
+
+    def _memo_lookup(self, key: tuple) -> Optional[np.ndarray]:
+        entry = self._freq_memo.get(key)
+        if entry is not None:
+            self._freq_memo.move_to_end(key)
+            telemetry.count("batch.corner_memo_hits")
+            return entry[0]
+        spill = self._spill
+        if spill is not None:
+            # a corner spilled by an earlier run against a persistent
+            # store directory is as good as a memo hit
+            spill_key = self.source.spill_key(key, self.design)
+            arr = spill.open_array(spill_key)
+            if arr is not None:
+                telemetry.count("batch.corner_memo_hits")
+                return self._memoise(key, arr, spill_key)
+        return None
+
+    def _memoise(
+        self, key: tuple, freqs: np.ndarray, spill_key: Optional[str] = None
+    ) -> np.ndarray:
+        if not isinstance(freqs, np.memmap):
+            freqs.flags.writeable = False
+        self._freq_memo[key] = (freqs, spill_key)
+        while len(self._freq_memo) > self.memo_size:
+            _, (old, old_key) = self._freq_memo.popitem(last=False)
+            del old
+            if old_key is not None:
+                self.source.spill.discard_array(old_key)
+                telemetry.count("store.spill_evictions")
+        return freqs
+
+    def drop_cached_corners(self) -> None:
+        """Forget every memoised corner, discarding spilled files too.
+
+        Benchmarks call this between rounds so every sweep pays the full
+        cost (a cleared memo alone would satisfy the next lookup from the
+        spill directory).  A persistent store loses only its cached
+        corners — never its fabricated columns.
+        """
+        while self._freq_memo:
+            _, (arr, spill_key) = self._freq_memo.popitem(last=False)
+            del arr
+            if spill_key is not None:
+                self.source.spill.discard_array(spill_key)
+
+    def _alloc_result(self, key: tuple) -> Tuple[np.ndarray, Optional[str]]:
+        shape = (self.source.n_chips, self.design.n_ros)
+        if not self._spilling:
+            return np.empty(shape), None
+        spill_key = self.source.spill_key(key, self.design)
+        telemetry.count("store.spill_writes")
+        return self.source.spill.create_array(spill_key, shape), spill_key
+
+    def _seal_result(
+        self, out: np.ndarray, spill_key: Optional[str], meta: Dict[str, object]
+    ) -> np.ndarray:
+        """Publish a computed corner: commit + reopen read-only if spilled."""
+        if spill_key is None:
+            return out
+        out.flush()
+        del out
+        spill = self.source.spill
+        spill.commit_array(spill_key, meta=meta)
+        sealed = spill.open_array(spill_key)
+        if sealed is None:  # pragma: no cover - disk-level failure
+            raise RuntimeError("spilled corner vanished between commit and reopen")
+        return sealed
 
     # ---- batched evaluation ------------------------------------------
 
@@ -332,164 +502,49 @@ class BatchStudy:
 
         Shape ``(n_chips, n_ros)``; row ``i`` equals
         ``instances[i].frequencies(conditions)`` after ``t_years`` of
-        aging, to floating-point rounding (``rtol`` ~1e-12).
+        aging, to floating-point rounding (``rtol`` ~1e-12).  A spilling
+        store source returns a read-only memmap of the on-disk corner.
         """
-        cond = conditions or OperatingConditions.nominal()
-        t = float(t_years)
-        cached = self._memo_lookup((t, cond))
+        key = self._key(t_years, conditions)
+        cached = self._memo_lookup(key)
         if cached is not None:
             return cached
-        return self._corner_pass(t, cond, ())
+        if self._executor is not None:
+            return self._memoise(key, self._executor.evaluate("frequencies", *key))
+        return self._corner_pass(key)
 
-    def _memo_lookup(self, key: tuple) -> Optional[np.ndarray]:
-        cached = self._freq_memo.get(key)
-        if cached is not None:
-            self._freq_memo.move_to_end(key)
-            telemetry.count("batch.corner_memo_hits")
-        return cached
+    def mechanism_frequencies(
+        self,
+        t_years: float,
+        mechanism: str,
+        conditions: Optional[OperatingConditions] = None,
+    ) -> np.ndarray:
+        """Counterfactual frequencies with a single aging mechanism active.
 
-    def _memoise(self, key: tuple, freqs: np.ndarray) -> np.ndarray:
-        freqs.flags.writeable = False
-        self._freq_memo[key] = freqs
-        if len(self._freq_memo) > self.MEMO_SIZE:
-            self._freq_memo.popitem(last=False)
-        return freqs
+        ``mechanism`` is ``"bti"`` (NBTI/PBTI only) or ``"hci"`` (HCI
+        only): the full population evaluated as if the *other* mechanism
+        had contributed no threshold shift at ``t_years``.  The forensics
+        layer differences these against the true aged frequencies to
+        attribute each bit's margin loss to a mechanism.
 
-    def _corner_pass(self, t: float, cond: OperatingConditions, sinks: tuple):
-        """One fused streaming pass over the population at ``(t, cond)``.
-
-        Per chip-axis block: fabricate overdrives, subtract the aging
-        field, reduce to periods, flip to frequencies.  Every ``sink``
-        (response bits, margin histograms) consumes the fresh frequency
-        rows from the same pass in bounded super-block windows
-        (:data:`_SINK_WINDOW_ELEMS`) — coarse enough to amortise the
-        per-call dispatch that would otherwise dominate at kernel-block
-        granularity, small enough that at large ``n_chips`` the rows are
-        still cache-warm and the pass never re-streams the full tensor.
-        The assembled frequency tensor is memoised exactly as before;
-        sinks only save the *re-read* passes, so fused and unfused
-        evaluation orders are bit-identical.
+        The same streaming pass as :meth:`frequencies`, subtracting only
+        the requested mechanism's component per block in the exact
+        :meth:`~repro.aging.simulator.PopulationAging.delta_components`
+        grouping, so nothing population-sized is allocated beyond the
+        result.  Memoised alongside :meth:`frequencies`, read-only.
         """
-        telemetry.count("batch.corner_memo_misses")
-        if sinks:
-            telemetry.count("batch.fused_passes")
-        sp = telemetry.start_span(
-            "batch.frequencies",
-            t_years=t,
-            temperature_k=cond.temperature_k,
-            n_chips=self.view.n_chips,
-            n_ros=self.view.n_ros,
-        )
-
-        tech = self.design.tech
-        xp = self._backend
-        vdd = cond.effective_vdd(tech)
-        delta_temp = cond.temperature_k - T_REF_K
-        weights = _stage_weights(
-            tech,
-            self.design.n_stages,
-            vdd=vdd,
-            temperature_k=cond.temperature_k,
-            stage0_penalty=self.design.cell.stage0_penalty,
-            c_load_factor=self.design.cell.c_load_factor,
-        )
-        vth_t, tc_t, bti_dir, hci_dir = self._kernel_inputs()
-        delta = (
-            self.aging.cached_delta(t) if (t > 0.0 and self._native) else None
-        )
-        subtract_block = (
-            None
-            if (t == 0.0 or self._native)
-            else self.aging.block_subtracter(t, (bti_dir, hci_dir), xp=xp)
-        )
-        n_chips = self.view.n_chips
-        period = xp.empty((n_chips, self.view.n_ros), self.dtype)
-        # The overdrive tensor is assembled block-by-block along the chip
-        # axis in two persistent buffers: allocating (and page-faulting) a
-        # population-sized array per grid point would cost as much as the
-        # arithmetic itself, and block-sized work buffers stay L2-resident
-        # through the whole subtract/clip/power chain instead of streaming
-        # a population-sized tensor through the cache several times over.
-        od_buf, scratch_buf = self._work_buffers()
-        neg_alpha = -tech.alpha
-        w_flat = (
-            np.ascontiguousarray(weights.reshape(-1))
-            if self._native
-            else xp.asarray(weights.reshape(-1), self.dtype)
-        )
-        block = od_buf.shape[0]
-        n_blocks = -(-n_chips // block)
-        telemetry.count("freq.kernel_blocks", n_blocks)
-        sink_window = (
-            max(block, self._SINK_WINDOW_ELEMS // self.view.n_ros)
-            if sinks
-            else 0
-        )
-        flush_lo = 0
-        # histogram hook hoisted out of the loop: one tracer lookup per
-        # corner, and the per-block clock reads only happen when tracing
-        tr = telemetry.active()
-        try:
-            with xp.errstate():
-                for start in range(0, n_chips, block):
-                    stop = min(start + block, n_chips)
-                    telemetry.progress("batch.frequencies", stop, n_chips)
-                    if tr is not None:
-                        _blk0 = time.perf_counter_ns()
-                    rows = slice(start, stop)
-                    if t > 0.0:
-                        if delta is not None:
-                            def subtract(od, scratch, rows=rows):
-                                od -= delta[rows]
-                        elif subtract_block is not None:
-                            def subtract(od, scratch, rows=rows):
-                                subtract_block(od, scratch, rows)
-                        else:
-                            def subtract(od, scratch, rows=rows):
-                                self.aging.subtract_delta_into(
-                                    t, od, scratch, rows=rows
-                                )
-                    else:
-                        subtract = None
-                    period_rows = period[rows]
-                    frequency_block_kernel(
-                        od_buf[: stop - start],
-                        scratch_buf[: stop - start],
-                        vth_t[rows],
-                        vdd=vdd,
-                        neg_alpha=neg_alpha,
-                        w_flat=w_flat,
-                        period_out=period_rows,
-                        tc_rows=tc_t[rows] if delta_temp != 0.0 else None,
-                        tc_coeff=tech.vth_tc * delta_temp,
-                        subtract_aging=subtract,
-                        xp=xp,
-                    )
-                    finalize_period_block(period_rows, xp)
-                    if sinks and (
-                        stop - flush_lo >= sink_window or stop == n_chips
-                    ):
-                        window = period[flush_lo:stop]
-                        host_rows = (
-                            window if xp.is_host else xp.to_numpy(window)
-                        )
-                        for sink in sinks:
-                            sink(flush_lo, stop, host_rows)
-                        flush_lo = stop
-                    if tr is not None:
-                        tr.observe(
-                            "batch.block_s",
-                            (time.perf_counter_ns() - _blk0) / 1e9,
-                        )
-        except Exception:
-            telemetry.end_span(sp)
-            raise
-        freqs = period if xp.is_host else xp.to_numpy(period)
-        self._memoise((t, cond), freqs)
-        telemetry.end_span(sp)
-        if tr is not None and sp is not None:
-            tr.observe("batch.corner_s", sp.duration_ns / 1e9)
-        return freqs
+        if mechanism not in ("bti", "hci"):
+            raise ValueError(f"mechanism must be 'bti' or 'hci', got {mechanism!r}")
+        key = self._key(t_years, conditions, mechanism)
+        cached = self._memo_lookup(key)
+        if cached is not None:
+            return cached
+        if self._executor is not None:
+            freqs = self._executor.evaluate(
+                "mechanism_frequencies", key[0], key[1], mechanism=mechanism
+            )
+            return self._memoise(key, freqs)
+        return self._corner_pass(key)
 
     def responses(
         self,
@@ -510,128 +565,27 @@ class BatchStudy:
         the bits cannot differ.
         """
         telemetry.count("batch.response_passes")
-        cond = conditions or OperatingConditions.nominal()
-        t = float(t_years)
+        key = self._key(t_years, conditions)
         pairs = self.design.pairing.pairs(self.design.n_ros, challenge)
-        freqs = self._memo_lookup((t, cond))
-        if freqs is not None:
-            bits = compare_pairs(
-                freqs, pairs, self.design.tech, self.design.readout
-            )
+        freqs = self._memo_lookup(key)
+        if freqs is None and self._executor is not None:
+            bits = self._executor.evaluate("responses", *key, challenge=challenge)
+            # workers have their collector slot severed, so the forensics
+            # tape sees the merged grid here, once per corner
+            if _forensics_hook.active_collector() is not None:
+                freqs = self.frequencies(*key)
         else:
-            bits = np.empty(
-                (self.view.n_chips, pairs.shape[0]), dtype=np.uint8
-            )
+            bits = np.empty((self.n_chips, pairs.shape[0]), dtype=np.uint8)
             sink = ResponseBlockSink(
                 pairs, self.design.tech, self.design.readout, bits
             )
-            freqs = self._corner_pass(t, cond, (sink,))
-        # forensics hook: no-op (one branch) unless a collector is installed;
-        # the bits above are computed first and never depend on the capture
-        record_response_margins(freqs, pairs, t, cond)
+            freqs = self._feed(key, freqs, sink)
+        if freqs is not None:
+            # forensics hook: no-op (one branch) unless a collector is
+            # installed; the bits above never depend on the capture
+            _forensics_hook.record_response_margins(freqs, pairs, *key)
+            self._release(freqs)
         return bits
-
-    def mechanism_frequencies(
-        self,
-        t_years: float,
-        mechanism: str,
-        conditions: Optional[OperatingConditions] = None,
-    ) -> np.ndarray:
-        """Counterfactual frequencies with a single aging mechanism active.
-
-        ``mechanism`` is ``"bti"`` (NBTI/PBTI only) or ``"hci"`` (HCI
-        only): the full population evaluated as if the *other* mechanism
-        had contributed no threshold shift at ``t_years``.  The forensics
-        layer differences these against the true aged frequencies to
-        attribute each bit's margin loss to a mechanism.
-
-        Cold path by design — a report evaluates it a handful of times,
-        never inside a sweep loop — but it streams through the fused
-        kernel's block buffers all the same: the old full-tensor
-        evaluation materialised the overdrive tensor *plus both*
-        :meth:`~repro.aging.simulator.PopulationAging.delta_components`
-        fields, roughly doubling peak RSS during a forensics capture at
-        large ``n_chips``.  The blocked chain subtracts only the
-        requested mechanism's component per block (same grouping, same
-        clip decision), so results are bit-identical to the full-tensor
-        path while allocating nothing beyond the result.  Results are
-        memoised alongside :meth:`frequencies` and returned read-only.
-        Rows are chip-independent, so shard evaluation concatenates to
-        the serial answer bit for bit (the parallel engine relies on it).
-        """
-        if mechanism not in ("bti", "hci"):
-            raise ValueError(f"mechanism must be 'bti' or 'hci', got {mechanism!r}")
-        cond = conditions or OperatingConditions.nominal()
-        t = float(t_years)
-        key = (t, cond, mechanism)
-        cached = self._memo_lookup(key)
-        if cached is not None:
-            return cached
-        telemetry.count("batch.mechanism_passes")
-        xp = self._backend
-        with telemetry.span(
-            "batch.mechanism_frequencies",
-            t_years=t,
-            mechanism=mechanism,
-            n_chips=self.view.n_chips,
-        ):
-            tech = self.design.tech
-            vdd = cond.effective_vdd(tech)
-            delta_temp = cond.temperature_k - T_REF_K
-            weights = _stage_weights(
-                tech,
-                self.design.n_stages,
-                vdd=vdd,
-                temperature_k=cond.temperature_k,
-                stage0_penalty=self.design.cell.stage0_penalty,
-                c_load_factor=self.design.cell.c_load_factor,
-            )
-            vth_t, tc_t, _, _ = self._kernel_inputs()
-            subtract = (
-                self.aging.component_subtracter(
-                    t, mechanism, xp=xp, dtype=None if self._native else self.dtype
-                )
-                if t > 0.0
-                else None
-            )
-            n_chips = self.view.n_chips
-            period = xp.empty((n_chips, self.view.n_ros), self.dtype)
-            od_buf, scratch_buf = self._work_buffers()
-            w_flat = (
-                np.ascontiguousarray(weights.reshape(-1))
-                if self._native
-                else xp.asarray(weights.reshape(-1), self.dtype)
-            )
-            block = od_buf.shape[0]
-            with xp.errstate():
-                for start in range(0, n_chips, block):
-                    stop = min(start + block, n_chips)
-                    rows = slice(start, stop)
-                    period_rows = period[rows]
-                    frequency_block_kernel(
-                        od_buf[: stop - start],
-                        scratch_buf[: stop - start],
-                        vth_t[rows],
-                        vdd=vdd,
-                        neg_alpha=-tech.alpha,
-                        w_flat=w_flat,
-                        period_out=period_rows,
-                        tc_rows=tc_t[rows] if delta_temp != 0.0 else None,
-                        tc_coeff=tech.vth_tc * delta_temp,
-                        subtract_aging=(
-                            None
-                            if subtract is None
-                            else (
-                                lambda od, scratch, rows=rows: subtract(
-                                    od, scratch, rows
-                                )
-                            )
-                        ),
-                        xp=xp,
-                    )
-                    finalize_period_block(period_rows, xp)
-            freqs = period if xp.is_host else xp.to_numpy(period)
-        return self._memoise(key, freqs)
 
     def margin_histogram(
         self,
@@ -645,27 +599,215 @@ class BatchStudy:
 
         Bins the population's relative pair margins at ``t_years`` over
         the explicit ``edges`` (see
-        :func:`repro.metrics.margins.histogram_edges`).  The parallel
-        engine computes the same counts shard-by-shard in the workers and
-        merges by addition — identical by construction because the edges
-        are shared and binning is per-element.
-
-        On a frequency-memo miss the counts are accumulated by the fused
-        kernel pass (one stream over the population, no full-tensor
-        margin temporary); on a hit they are binned from the memoised
-        tensor.  Same per-element binning either way.
+        :func:`repro.metrics.margins.histogram_edges`).  Counts are
+        accumulated per block (by the fused pass on a memo miss, from the
+        memoised tensor on a hit, per shard with an executor) and merged
+        by addition — identical to one-shot binning because the edges are
+        shared and binning is per-element.
         """
-        from ..metrics.margins import margin_histogram, relative_margins
-
+        key = self._key(t_years, conditions)
+        freqs = self._memo_lookup(key)
+        if freqs is None and self._executor is not None:
+            edges = tuple(float(e) for e in np.asarray(edges, dtype=float))
+            return self._executor.evaluate(
+                "margin_hist", *key, challenge=challenge, hist_edges=edges
+            )
         pairs = self.design.pairing.pairs(self.design.n_ros, challenge)
-        cond = conditions or OperatingConditions.nominal()
-        t = float(t_years)
-        freqs = self._memo_lookup((t, cond))
-        if freqs is not None:
-            return margin_histogram(relative_margins(freqs, pairs), edges)
         sink = MarginHistogramSink(pairs, edges)
-        self._corner_pass(t, cond, (sink,))
+        self._release(self._feed(key, freqs, sink))
         return sink.counts
+
+    def _feed(self, key: tuple, freqs: Optional[np.ndarray], sink) -> np.ndarray:
+        """Run ``sink`` over the corner's rows: from the memoised tensor on
+        a hit (block by block, so a spilled corner is never faulted in
+        whole), fused into a fresh pass on a miss."""
+        if freqs is None:
+            return self._corner_pass(key, (sink,))
+        if self.source is None:
+            blocks = [(0, freqs.shape[0])]
+        else:
+            blocks = self.source.blocks()
+        for lo, hi in blocks:
+            sink(lo, hi, freqs[lo:hi])
+        return freqs
+
+    def _release(self, freqs: np.ndarray) -> None:
+        """Drop a spilled corner's pages from RSS after a full pass."""
+        if self.source is not None:
+            self.source.release(0, freqs.shape[0], (), freqs)
+
+    # ---- the corner loop ---------------------------------------------
+
+    #: chip-axis block size of the work buffers, in tensor elements.  Two
+    #: buffers of ~48k float64 elements (~380 KiB each) fit comfortably in
+    #: a commodity 1-2 MiB L2 alongside the streamed input slices, which
+    #: is worth ~1.5x on the memory-bound part of the frequency kernel.
+    _BLOCK_ELEMS = 48_000
+
+    #: sink flush window, in elements of the period/frequency tensor
+    #: (~8 MiB of float64 rows).  Sinks are fed at this coarser
+    #: granularity rather than per kernel block: their per-call gather /
+    #: compare dispatch costs ~10 us regardless of size, which at
+    #: kernel-block width (a few dozen chips) would dominate the corner;
+    #: an 8 MiB window amortises it to noise while still bounding the
+    #: re-read traffic far below the population tensor at large n_chips.
+    #: Sinks are also fed at the end of every source block, before a
+    #: streaming source releases its pages.
+    _SINK_WINDOW_ELEMS = 1_048_576
+
+    def _work_buffers(self) -> tuple:
+        """Persistent chip-axis-blocked scratch (overdrive + delta)."""
+        if self._od_buf is None:
+            src = self.source
+            per_chip = src.n_ros * src.n_stages * 2
+            block = min(
+                src.n_chips,
+                src.block_size or src.n_chips,
+                self._BLOCK_ELEMS // per_chip,
+            )
+            shape = (max(1, block), src.n_ros, src.n_stages, 2)
+            self._od_buf = np.empty(shape)
+            self._scratch_buf = np.empty(shape)
+        return self._od_buf, self._scratch_buf
+
+    def _corner_pass(self, key: tuple, sinks: tuple = ()) -> np.ndarray:
+        """Compute, seal and memoise one corner in a fused streaming pass.
+
+        Per source block: materialise its rows, then per kernel block
+        fabricate overdrives, subtract the aging field, reduce to periods
+        and flip to frequencies.  Every ``sink`` (response bits, margin
+        histograms) consumes the fresh frequency rows from the same pass
+        in bounded windows (:data:`_SINK_WINDOW_ELEMS`, and at every
+        source block end) while they are cache-warm and resident; then a
+        streaming source releases the block's pages.  Sinks only save the
+        *re-read* passes, so fused and unfused evaluation orders are
+        bit-identical, as are any two block sizes.
+        """
+        t, cond = key[0], key[1]
+        mechanism = key[2] if len(key) > 2 else None
+        telemetry.count("batch.corner_memo_misses")
+        if sinks:
+            telemetry.count("batch.fused_passes")
+        if mechanism is not None:
+            telemetry.count("batch.mechanism_passes")
+        src = self.source
+        sp = telemetry.start_span(
+            "batch.mechanism_frequencies" if mechanism else "batch.frequencies",
+            t_years=t,
+            temperature_k=cond.temperature_k,
+            n_chips=src.n_chips,
+            n_ros=src.n_ros,
+        )
+        out, spill_key = self._alloc_result(key)
+        try:
+            self._stream(t, cond, mechanism, out, sinks)
+        except Exception:
+            if spill_key is not None:
+                del out
+                src.spill.discard_array(spill_key)
+            telemetry.end_span(sp)
+            raise
+        meta = {"t_years": t, "temperature_k": cond.temperature_k}
+        if mechanism is not None:
+            meta["mechanism"] = mechanism
+        freqs = self._seal_result(out, spill_key, meta)
+        telemetry.end_span(sp)
+        tr = telemetry.active()
+        if tr is not None and sp is not None:
+            tr.observe("batch.corner_s", sp.duration_ns / 1e9)
+        return self._memoise(key, freqs, spill_key)
+
+    def _stream(
+        self,
+        t: float,
+        cond: OperatingConditions,
+        mechanism: Optional[str],
+        out: np.ndarray,
+        sinks: tuple,
+    ) -> None:
+        tech = self.design.tech
+        src = self.source
+        vdd = cond.effective_vdd(tech)
+        delta_temp = cond.temperature_k - T_REF_K
+        weights = _stage_weights(
+            tech,
+            self.design.n_stages,
+            vdd=vdd,
+            temperature_k=cond.temperature_k,
+            stage0_penalty=self.design.cell.stage0_penalty,
+            c_load_factor=self.design.cell.c_load_factor,
+        )
+        w_flat = np.ascontiguousarray(weights.reshape(-1))
+        neg_alpha = -tech.alpha
+        tc_coeff = tech.vth_tc * delta_temp
+        columns = ["vth"]
+        vth = src.column("vth")
+        tc = None
+        if delta_temp != 0.0:
+            # off nominal temperature the tc mismatch term is non-zero
+            columns.append("tc_scale")
+            tc = src.column("tc_scale")
+        subtract = None
+        if t > 0.0:
+            subtract, aging_columns = src.subtracter(t, mechanism)
+            columns.extend(aging_columns)
+        # The overdrive tensor is assembled block-by-block along the chip
+        # axis in two persistent buffers: allocating (and page-faulting) a
+        # population-sized array per grid point would cost as much as the
+        # arithmetic itself, and block-sized work buffers stay L2-resident
+        # through the whole subtract/clip/power chain instead of streaming
+        # a population-sized tensor through the cache several times over.
+        od_buf, scratch_buf = self._work_buffers()
+        kb = od_buf.shape[0]
+        n_chips = src.n_chips
+        sink_window = max(kb, self._SINK_WINDOW_ELEMS // src.n_ros)
+        # histogram hook hoisted out of the loop: one tracer lookup per
+        # corner, and the per-block clock reads only happen when tracing
+        tr = telemetry.active()
+        n_blocks = 0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for blo, bhi in src.blocks():
+                src.ensure(blo, bhi, columns)
+                flush_lo = blo
+                for lo in range(blo, bhi, kb):
+                    hi = min(lo + kb, bhi)
+                    n_blocks += 1
+                    telemetry.progress("batch.frequencies", hi, n_chips)
+                    if tr is not None:
+                        _blk0 = time.perf_counter_ns()
+                    period_rows = out[lo:hi]
+                    frequency_block_kernel(
+                        od_buf[: hi - lo],
+                        scratch_buf[: hi - lo],
+                        vth[lo:hi],
+                        vdd=vdd,
+                        neg_alpha=neg_alpha,
+                        w_flat=w_flat,
+                        period_out=period_rows,
+                        tc_rows=tc[lo:hi] if tc is not None else None,
+                        tc_coeff=tc_coeff,
+                        subtract_aging=(
+                            None
+                            if subtract is None
+                            else lambda od, scratch, lo=lo, hi=hi: subtract(
+                                od, scratch, lo, hi
+                            )
+                        ),
+                    )
+                    finalize_period_block(period_rows)
+                    if sinks and (hi - flush_lo >= sink_window or hi == bhi):
+                        for sink in sinks:
+                            sink(flush_lo, hi, out[flush_lo:hi])
+                        flush_lo = hi
+                    if tr is not None:
+                        tr.observe(
+                            "batch.block_s",
+                            (time.perf_counter_ns() - _blk0) / 1e9,
+                        )
+                # a streaming source drops the block's input pages (and a
+                # spilled result's freshly written rows) from the resident set
+                src.release(blo, bhi, columns, out)
+        telemetry.count("freq.kernel_blocks", n_blocks)
 
     # ---- per-chip views (back-compat) --------------------------------
 
@@ -704,59 +846,6 @@ class BatchStudy:
             for i in range(self.n_chips)
         ]
 
-    # ---- internals ---------------------------------------------------
-
-    #: chip-axis block size of the work buffers, in tensor elements.  Two
-    #: buffers of ~48k float64 elements (~380 KiB each) fit comfortably in
-    #: a commodity 1-2 MiB L2 alongside the streamed input slices, which
-    #: is worth ~1.5x on the memory-bound part of the frequency kernel.
-    _BLOCK_ELEMS = 48_000
-
-    #: sink flush window, in elements of the period/frequency tensor
-    #: (~8 MiB of float64 rows).  Sinks are fed at this coarser
-    #: granularity rather than per kernel block: their per-call gather /
-    #: compare dispatch costs ~10 us regardless of size, which at
-    #: kernel-block width (a few dozen chips) would dominate the corner;
-    #: an 8 MiB window amortises it to noise while still bounding the
-    #: re-read traffic far below the population tensor at large n_chips.
-    _SINK_WINDOW_ELEMS = 1_048_576
-
-    def _work_buffers(self) -> tuple:
-        """Persistent chip-axis-blocked scratch (overdrive + delta)."""
-        if self._od_buf is None:
-            per_chip = self.view.n_ros * self.view.n_stages * 2
-            block = max(1, min(self.view.n_chips, self._BLOCK_ELEMS // per_chip))
-            if self._block_size is not None:
-                block = max(1, min(self.view.n_chips, self._block_size))
-            shape = (block,) + self.view.vth.shape[1:]
-            self._od_buf = self._backend.empty(shape, self.dtype)
-            self._scratch_buf = self._backend.empty(shape, self.dtype)
-        return self._od_buf, self._scratch_buf
-
-    def _kernel_inputs(self) -> tuple:
-        """The (vth, tc_scale, bti_dir, hci_dir) tensors the kernel reads.
-
-        The native tier hands back the original float64 views unchanged
-        (zero copies, zero byte drift); any other (dtype, backend)
-        combination casts each tensor once on first use and keeps the
-        casts for the study's lifetime.  The direction tensors are only
-        materialised off-native — the native aging subtraction goes
-        through :meth:`PopulationAging.subtract_delta_into` as before.
-        """
-        if self._inputs is None:
-            if self._native:
-                self._inputs = (self.view.vth, self.view.tc_scale, None, None)
-            else:
-                xp, dt = self._backend, self.dtype
-                bti_dir, hci_dir = self.aging.direction_tensors()
-                self._inputs = (
-                    xp.asarray(self.view.vth, dt),
-                    xp.asarray(self.view.tc_scale, dt),
-                    xp.asarray(bti_dir, dt),
-                    xp.asarray(hci_dir, dt),
-                )
-        return self._inputs
-
 
 def make_batch_study(
     design: PufDesign,
@@ -765,35 +854,90 @@ def make_batch_study(
     mission: Optional[MissionProfile] = None,
     idle_policy: Optional[IdlePolicy] = None,
     rng: RngLike = None,
-    dtype: str = "float64",
+    jobs: int = 1,
+    store: str = "ram",
     block_size: Optional[int] = None,
-    backend: Union[None, str, ArrayBackend] = None,
+    store_dir: Optional[str] = None,
 ) -> BatchStudy:
     """Fabricate ``n_chips`` of ``design`` as one batched study.
 
     Consumes the RNG exactly like :func:`~repro.core.factory.make_study`
     (fabrication children first, then one aging child per chip, NBTI
-    prefactors before HCI), so the same seed yields the same silicon on
-    both paths: golden responses and aging deltas are bit-identical, and
-    frequencies agree to rounding.  ``dtype`` / ``backend`` /
-    ``block_size`` select the kernel tier (see :class:`BatchStudy`);
-    fabrication itself always samples in float64, so every tier starts
-    from identical silicon.
+    prefactors before HCI), so the same seed yields the same silicon for
+    every combination of the knobs below: golden responses, aging deltas
+    and margin counts are bit-identical, and frequencies agree with the
+    per-chip path to rounding.
+
+    * ``store="ram"`` (default) samples the population into RAM;
+      ``store="mmap"`` lays down a lazily fabricated
+      :class:`~repro.store.store.PopulationStore` under ``store_dir``
+      (a temporary directory owned by the study when unset) and streams
+      it with bounded RSS.
+    * ``jobs > 1`` shards the chip axis over that many worker processes
+      (clamped to ``n_chips``); with ``store="mmap"`` the workers attach
+      to the one shared store instead of fabricating in RAM.
+    * ``block_size`` is the source block in chips: the unit in which
+      rows are fabricated (``mmap``) and streamed through the kernel and
+      its sinks, and the cap on the kernel's work block.  ``None`` means
+      ~2M elements per column block for ``mmap`` and the whole
+      population for ``ram``.  Block boundaries never change a result.
+
+    Call :meth:`BatchStudy.close` (or use the study as a context manager)
+    to release worker pools and owned store directories.
     """
-    fab_rng, aging_rng = spawn(rng, 2)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if store not in ("ram", "mmap"):
+        raise ValueError(f"store must be 'ram' or 'mmap', got {store!r}")
+    if block_size is not None and block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
+    if n_chips < 1:
+        raise ValueError("n_chips must be positive")
     mission = mission or MissionProfile()
-    with telemetry.span("fabricate.batch_study", n_chips=n_chips, n_ros=design.n_ros):
-        population = design.variation_model().sample_population(n_chips, fab_rng)
-        simulator = AgingSimulator(
-            design.tech, design.cell, mission, idle_policy=idle_policy
-        )
-        aging = simulator.population_aging(population, aging_rng)
-        return BatchStudy(
-            design=design,
-            view=PopulationView.from_chips(population),
-            aging=aging,
-            mission=mission,
-            dtype=dtype,
+    fab_rng, aging_rng = spawn(rng, 2)
+    if jobs == 1 and store == "ram":
+        with telemetry.span(
+            "fabricate.batch_study", n_chips=n_chips, n_ros=design.n_ros
+        ):
+            population = design.variation_model().sample_population(n_chips, fab_rng)
+            simulator = AgingSimulator(
+                design.tech, design.cell, mission, idle_policy=idle_policy
+            )
+            aging = simulator.population_aging(population, aging_rng)
+            source = RamColumns(
+                PopulationView.from_chips(population), aging, block_size
+            )
+        return BatchStudy(design, source, mission)
+    # The whole population's per-chip keys, derived the way
+    # sample_population and PopulationAging.sample would draw them, so a
+    # store block or a shard worker replays the serial draws verbatim.
+    keys = (spawn_keys(fab_rng, n_chips), spawn_keys(aging_rng, n_chips))
+    source = executor = None
+    if store == "mmap":
+        from ..store.store import open_store_columns
+
+        with telemetry.span(
+            "fabricate.store_study", n_chips=n_chips, n_ros=design.n_ros
+        ):
+            source = open_store_columns(
+                design,
+                n_chips,
+                mission=mission,
+                idle_policy=idle_policy,
+                keys=keys,
+                block_size=block_size,
+                store_dir=store_dir,
+            )
+    if jobs > 1:
+        from ..parallel.executor import ShardExecutor
+
+        executor = ShardExecutor(
+            design,
+            mission,
+            idle_policy,
+            keys,
+            jobs=jobs,
+            store_root=None if source is None else str(source.store.root),
             block_size=block_size,
-            backend=backend,
         )
+    return BatchStudy(design, source, mission, executor=executor)

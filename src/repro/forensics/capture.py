@@ -9,9 +9,9 @@ the result — margins, bits, per-mechanism margin shifts and the
 enrolment-time forecast — into one :class:`DesignForensics` record.
 
 The capture never alters evaluation: bits come from the engine's own
-``responses`` call (the hook runs *after* the comparison), and both
-engines produce bit-identical frequency tensors, so a report built with
-``--jobs N`` equals the serial one array for array.
+``responses`` call (the hook runs *after* the comparison), and every
+worker count and store produces bit-identical frequency tensors, so a
+report built with ``--jobs N`` equals the serial one array for array.
 """
 
 from __future__ import annotations
@@ -217,8 +217,8 @@ def capture_forensics(
 ) -> DesignForensics:
     """Run a study through the aging grid and assemble its forensics.
 
-    ``study`` is either engine (:class:`~repro.core.population.BatchStudy`
-    or :class:`~repro.parallel.ParallelBatchStudy`); the capture rides the
+    ``study`` is a :class:`~repro.core.population.BatchStudy` over any
+    source and worker count; the capture rides the
     hook installed for the duration of this call, so no engine internals
     are touched and the response bits returned to other callers are
     unchanged.  The enrolment-time forecast consumes the fresh margins

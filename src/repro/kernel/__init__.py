@@ -1,28 +1,19 @@
-"""Fused evaluation kernel: the single-pass hot path of the batched engines.
+"""Fused evaluation kernel: the single-pass hot path of the batched engine.
 
-``repro.kernel`` owns the per-block arithmetic every population engine
-streams its chips through:
+``repro.kernel`` owns the per-block arithmetic every population study
+streams its chips through: :mod:`repro.kernel.fused` is the fabricate →
+age → compare chain as one chip-axis-blocked pass — the frequency block
+kernel, the per-block finalisation (finiteness check + reciprocal) and
+the block *sinks* that derive response bits and histogram counts from
+each frequency block while it is still cache-resident, instead of
+re-reading a population-sized tensor per derived quantity.
 
-* :mod:`repro.kernel.fused` — the fabricate → age → compare chain as one
-  chip-axis-blocked pass: the frequency block kernel, the per-block
-  finalisation (finiteness check + reciprocal) and the block *sinks*
-  that derive response bits, signed margins and histogram counts from
-  each frequency block while it is still cache-resident, instead of
-  re-reading a population-sized tensor per derived quantity;
-* :mod:`repro.kernel.backend` — a minimal array-backend seam (numpy by
-  default, CuPy/torch resolved lazily at runtime) so the same kernel
-  runs on a GPU without the engines changing;
-* :mod:`repro.kernel.validate` — the dtype-tier harness that proves
-  response-bit identity between float32 and float64 before the reduced
-  precision is allowed to gate anything.
-
-The engines (:class:`repro.core.population.BatchStudy`,
-:class:`repro.store.study.StoreStudy`, the parallel coordinator) stay
-the public surface; this package is where their shared arithmetic lives
-so serial / parallel / out-of-core stay bit-identical by construction.
+The engine (:class:`repro.core.population.BatchStudy`) stays the public
+surface; this package is where its arithmetic lives, shared by every
+column source and shard worker so serial / parallel / out-of-core stay
+bit-identical by construction.
 """
 
-from .backend import ArrayBackend, register_backend, resolve_backend
 from .fused import (
     OVERDRIVE_ERROR,
     MarginHistogramSink,
@@ -30,17 +21,11 @@ from .fused import (
     finalize_period_block,
     frequency_block_kernel,
 )
-from .validate import DtypeValidationReport, validate_response_identity
 
 __all__ = [
-    "ArrayBackend",
-    "register_backend",
-    "resolve_backend",
     "frequency_block_kernel",
     "finalize_period_block",
     "ResponseBlockSink",
     "MarginHistogramSink",
     "OVERDRIVE_ERROR",
-    "DtypeValidationReport",
-    "validate_response_identity",
 ]

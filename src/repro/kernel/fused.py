@@ -13,9 +13,8 @@ below a full-tensor re-read — to emit response bits
 (:class:`ResponseBlockSink`) or signed-margin histogram counts
 (:class:`MarginHistogramSink`).
 
-All sinks are plain callables ``sink(lo, hi, freq_rows)`` over **host**
-rows (window-relative ``[lo, hi)``), so they compose with any backend:
-device backends convert each block once, host backends pass views.
+All sinks are plain callables ``sink(lo, hi, freq_rows)`` over
+window-relative rows ``[lo, hi)``.
 Every sink performs its block's work exactly as the public per-array
 function does on the full tensor — the response sink runs the noiseless
 comparison of :func:`repro.core.readout.compare_pairs` (same gather,
@@ -31,10 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backend import NUMPY, ArrayBackend
-
-#: the shared diagnosis for a non-positive gate overdrive, raised by
-#: every engine identically (tests match on the text)
+#: the diagnosis for a non-positive gate overdrive (tests match on the text)
 OVERDRIVE_ERROR = (
     "non-positive gate overdrive: the supply cannot turn on every "
     "device at this corner (vdd too low or thresholds too high)"
@@ -53,29 +49,24 @@ def frequency_block_kernel(
     tc_rows=None,
     tc_coeff: float = 0.0,
     subtract_aging=None,
-    xp: ArrayBackend = NUMPY,
 ) -> None:
     """One chip-axis block of the batched frequency kernel, into ``period_out``.
 
     The exact operation sequence — subtract, optional tc term, optional
     aging subtraction, ``exp(-alpha * log(od))`` in place, one BLAS
-    matvec — shared by :class:`~repro.core.population.BatchStudy` and the
-    out-of-core :class:`repro.store.study.StoreStudy`, so the two paths
-    are bit-identical by construction rather than by parallel
-    maintenance.  ``subtract_aging(od, scratch)`` performs ``od -=
-    delta`` for this block; the caller owns the (memoised vs factored)
-    grouping choice.  Must run inside ``xp.errstate()``; ``period_out``
-    holds *periods* — the caller checks finiteness and takes the
-    reciprocal (see :func:`finalize_period_block`).
-
-    ``xp`` routes every array operation through the backend seam; the
-    default :data:`~repro.kernel.backend.NUMPY` binds the numpy ufuncs
-    directly, so the CPU path is byte-for-byte the pre-seam kernel.
+    matvec — that :class:`~repro.core.population.BatchStudy` runs over
+    every column source, so in-RAM and out-of-core rows are
+    bit-identical by construction.  ``subtract_aging(od, scratch)``
+    performs ``od -= delta`` for this block; the column source owns the
+    grouping choice.  Must run inside ``np.errstate(invalid="ignore",
+    divide="ignore")``; ``period_out`` holds *periods* — the caller checks
+    finiteness and takes the reciprocal (see
+    :func:`finalize_period_block`).
     """
-    xp.subtract(vdd, vth_rows, out=od)
+    np.subtract(vdd, vth_rows, out=od)
     if tc_rows is not None:
         # off nominal temperature the tc mismatch term is non-zero
-        xp.multiply(tc_rows, tc_coeff, out=scratch)
+        np.multiply(tc_rows, tc_coeff, out=scratch)
         od -= scratch
     if subtract_aging is not None:
         subtract_aging(od, scratch)
@@ -83,20 +74,16 @@ def frequency_block_kernel(
     # faster than np.power and within a couple of ULPs of it;
     # non-positive overdrives surface as NaN/inf periods for the
     # caller's finiteness check.
-    xp.log(od, out=od)
+    np.log(od, out=od)
     od *= neg_alpha
-    xp.exp(od, out=od)
+    np.exp(od, out=od)
     # the (stage, polarity) reduction as one BLAS matvec on no-copy
     # views — what tensordot does internally, minus its per-call
     # reshaping overhead
-    xp.matmul_into(
-        od.reshape(-1, w_flat.shape[0]),
-        w_flat,
-        period_out.reshape(-1),
-    )
+    np.dot(od.reshape(-1, w_flat.shape[0]), w_flat, out=period_out.reshape(-1))
 
 
-def finalize_period_block(period_rows, xp: ArrayBackend = NUMPY) -> None:
+def finalize_period_block(period_rows) -> None:
     """Periods → frequencies in place for one block, or raise.
 
     The finiteness check runs per block on cache-resident rows instead
@@ -104,9 +91,9 @@ def finalize_period_block(period_rows, xp: ArrayBackend = NUMPY) -> None:
     checking and inverting the whole tensor afterwards (both operations
     are elementwise).
     """
-    if not xp.all_finite(period_rows):
+    if not np.isfinite(period_rows).all():
         raise ValueError(OVERDRIVE_ERROR)
-    xp.reciprocal(period_rows, out=period_rows)
+    np.reciprocal(period_rows, out=period_rows)
 
 
 class ResponseBlockSink:

@@ -1,11 +1,11 @@
-"""Parallel evaluation of population studies, plus result caching.
+"""Sharded evaluation of population studies, plus result caching.
 
 Public surface:
 
-* :func:`make_parallel_study` — drop-in for
-  :func:`repro.core.population.make_batch_study` with a ``jobs`` knob;
+* :class:`ShardExecutor` — the process-pool executor a
+  :class:`~repro.core.population.BatchStudy` built with
+  ``make_batch_study(..., jobs=N)`` hands its evaluations to;
   bit-identical results for any worker count.
-* :class:`ParallelBatchStudy` — the chip-sharded engine behind it.
 * :class:`ResultCache` / :func:`cache_key` — content-addressed on-disk
   cache of experiment payloads (``repro run --cache DIR``).
 * :func:`shard_bounds` / :class:`ShardSpec` — the deterministic chip-axis
@@ -13,18 +13,17 @@ Public surface:
 """
 
 from .cache import CACHE_FORMAT, ResultCache, cache_key
-from .engine import ParallelBatchStudy, make_parallel_study
+from .executor import ShardExecutor
 from .sharding import ShardSpec, shard_bounds
 from .worker import EvalRequest, ShardReport
 
 __all__ = [
     "CACHE_FORMAT",
     "EvalRequest",
-    "ParallelBatchStudy",
     "ResultCache",
+    "ShardExecutor",
     "ShardReport",
     "ShardSpec",
     "cache_key",
-    "make_parallel_study",
     "shard_bounds",
 ]

@@ -79,12 +79,11 @@ class ShardSpec:
         instead of fabricating an in-RAM shard.  The keys still ride
         along — they are a few bytes per chip and double as the worker's
         identity check against the store's persisted key lists.
-    dtype:
-        Kernel arithmetic tier for the worker's
-        :class:`~repro.core.population.BatchStudy` (``"float64"`` or
-        ``"float32"``).  Result-defining — every shard of a study
-        carries the same tier.  Ignored by store-attached shards, which
-        are float64 only.
+    block_size:
+        The study's source block in chips (see
+        :func:`~repro.core.population.make_batch_study`); an in-RAM shard
+        streams its rows in blocks of this size.  Store-attached shards
+        follow the shared store's own block size.
     """
 
     design: PufDesign
@@ -94,7 +93,7 @@ class ShardSpec:
     fab_keys: Tuple[int, ...]
     aging_keys: Tuple[int, ...]
     store_root: Optional[str] = None
-    dtype: str = "float64"
+    block_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.fab_keys:

@@ -1,7 +1,7 @@
-"""Worker-process side of the parallel engine.
+"""Worker-process side of sharded evaluation.
 
 Everything in this module runs inside a ``ProcessPoolExecutor`` worker.
-The contract with the coordinator (:mod:`repro.parallel.engine`):
+The contract with the coordinator (:mod:`repro.parallel.executor`):
 
 * a task ships a :class:`~repro.parallel.sharding.ShardSpec` (spawn keys
   and config, never tensors) plus a list of :class:`EvalRequest` items;
@@ -30,14 +30,14 @@ import pathlib
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .. import telemetry
 from .._rng import as_generator
 from ..aging.simulator import AgingSimulator, PopulationAging
-from ..core.population import BatchStudy, PopulationView
+from ..core.population import BatchStudy, PopulationView, RamColumns
 from ..environment.conditions import OperatingConditions
 from ..forensics import hook as _hook_mod
 from ..telemetry import events as _events_mod
@@ -145,7 +145,7 @@ def worker_init() -> None:
 #: token.  Tasks are distributed by the pool, not pinned, so one worker
 #: may see several shards over a study's lifetime; the LRU bound keeps a
 #: long-lived worker from accumulating every shard of every study.
-_SHARD_CACHE: "OrderedDict[str, Union[BatchStudy, object]]" = OrderedDict()
+_SHARD_CACHE: "OrderedDict[str, BatchStudy]" = OrderedDict()
 _SHARD_CACHE_SIZE = 8
 
 
@@ -179,18 +179,15 @@ def fabricate_shard(spec: ShardSpec) -> BatchStudy:
             population,
             children=[as_generator(key) for key in spec.aging_keys],
         )
-        return BatchStudy(
-            design=design,
-            view=PopulationView.from_chips(population),
-            aging=aging,
-            mission=mission,
-            dtype=spec.dtype,
+        source = RamColumns(
+            PopulationView.from_chips(population), aging, spec.block_size
         )
+        return BatchStudy(design, source, mission)
 
 
-def attach_shard(spec: ShardSpec):
-    """Attach a :class:`~repro.store.study.StoreStudy` window to the
-    coordinator's shared segments (``spec.store_root`` is set).
+def attach_shard(spec: ShardSpec) -> BatchStudy:
+    """A :class:`BatchStudy` over this shard's row window of the
+    coordinator's shared store (``spec.store_root`` is set).
 
     Nothing is re-fabricated eagerly: the worker's study materialises the
     store blocks overlapping its row window on first touch, writing into
@@ -199,7 +196,7 @@ def attach_shard(spec: ShardSpec):
     workers ever race on a boundary block).  The worker's frequency memo
     spills next to the store, keeping worker RSS block-bounded too.
     """
-    from ..store import PopulationStore, StoreStudy
+    from ..store.store import PopulationStore, StoreColumns
 
     root = pathlib.Path(spec.store_root)
     with telemetry.span(
@@ -213,18 +210,16 @@ def attach_shard(spec: ShardSpec):
             mission=spec.mission,
             idle_policy=spec.idle_policy,
         )
-        return StoreStudy(
-            spec.design,
+        source = StoreColumns(
             store,
-            mission=spec.mission,
-            idle_policy=spec.idle_policy,
             row_start=spec.chip_start,
             row_stop=spec.chip_start + spec.n_chips,
             spill=ResultCache(root / "spill"),
         )
+        return BatchStudy(spec.design, source, spec.mission)
 
 
-def _cached_shard(token: str, spec: ShardSpec):
+def _cached_shard(token: str, spec: ShardSpec) -> BatchStudy:
     shard = _SHARD_CACHE.get(token)
     if shard is not None:
         _SHARD_CACHE.move_to_end(token)

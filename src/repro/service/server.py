@@ -52,6 +52,9 @@ from .store import EnrollmentRecord, HelperStore, key_digest
 #: wire ops the dispatcher accepts
 WIRE_OPS = ("enroll", "auth", "key", "status")
 
+#: longest request line the server reads (asyncio's default stream limit)
+MAX_LINE_BYTES = 2**16
+
 
 def default_extractor(key_bits: int = 128) -> FuzzyExtractor:
     """The service's reference codec: BCH(63,45,t=4) × repetition-3.
@@ -352,21 +355,45 @@ class FleetService:
     async def handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """One client connection: a line of JSON in, a line of JSON out."""
+        """One client connection: a line of JSON in, a line of JSON out.
+
+        A line longer than :data:`MAX_LINE_BYTES` is answered with a
+        metered, audited ``bad_request``; the rest of it is discarded up
+        to its newline, so the connection stays usable.
+        """
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
+                oversized = False
                 try:
-                    request = json.loads(line)
-                except json.JSONDecodeError:
-                    reply = await self._bad("wire", None, "malformed JSON")
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # EOF: a final unterminated line
+                except asyncio.LimitOverrunError:
+                    oversized = True
+                if oversized:
+                    reply = await self._bad(
+                        "wire",
+                        None,
+                        f"request line exceeds {MAX_LINE_BYTES} bytes",
+                    )
+                elif not line:
+                    break
                 else:
-                    reply = await self.dispatch(request)
+                    try:
+                        request = json.loads(line)
+                    except json.JSONDecodeError:
+                        reply = await self._bad("wire", None, "malformed JSON")
+                    else:
+                        reply = await self.dispatch(request)
                 writer.write(json.dumps(reply).encode() + b"\n")
                 await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
+                if oversized:
+                    await _discard_line(reader)
+        except (
+            ConnectionResetError,
+            BrokenPipeError,
+            asyncio.IncompleteReadError,
+        ):  # pragma: no cover
             pass
         finally:
             writer.close()
@@ -382,12 +409,24 @@ class FleetService:
                 pass
 
 
+async def _discard_line(reader: asyncio.StreamReader) -> None:
+    """Drop the rest of an over-limit line, up to and including its newline."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+
+
 async def serve(
     service: FleetService, host: str = "127.0.0.1", port: int = 0
 ) -> "asyncio.base_events.Server":
     """Bind the TCP server (``port=0`` picks a free port; see
     ``server.sockets[0].getsockname()``)."""
-    return await asyncio.start_server(service.handle_connection, host, port)
+    return await asyncio.start_server(
+        service.handle_connection, host, port, limit=MAX_LINE_BYTES
+    )
 
 
 class ServiceClient:

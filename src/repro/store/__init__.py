@@ -1,11 +1,13 @@
-"""Out-of-core population storage and evaluation (``--store mmap``).
+"""Out-of-core population storage (``--store mmap``).
 
-The streaming counterpart of the in-RAM population engine: a
+The streaming counterpart of the in-RAM population: a
 :class:`~repro.store.store.PopulationStore` holds the population's
 process and aging columns as lazily fabricated, memory-mapped ``.npy``
-segments, and a :class:`~repro.store.study.StoreStudy` evaluates them
-block by block with bounded RSS — bit-identical responses at any block
-size and worker count, million-chip sweeps on laptop RAM.
+segments, and :class:`~repro.store.store.StoreColumns` hands a row
+window of it to :class:`~repro.core.population.BatchStudy`, which
+evaluates it block by block with bounded RSS — bit-identical responses
+at any block size and worker count, million-chip sweeps on laptop RAM.
+Build one with ``make_batch_study(..., store="mmap")``.
 """
 
 from .store import (
@@ -14,12 +16,13 @@ from .store import (
     FAB_COLUMNS,
     STORE_FORMAT,
     PopulationStore,
+    StoreColumns,
     default_block_size,
     flush_rows,
+    open_store_columns,
     release_rows,
     remove_store,
 )
-from .study import StoreStudy, make_store_study
 
 __all__ = [
     "AGING_COLUMNS",
@@ -27,10 +30,10 @@ __all__ = [
     "FAB_COLUMNS",
     "STORE_FORMAT",
     "PopulationStore",
-    "StoreStudy",
+    "StoreColumns",
     "default_block_size",
     "flush_rows",
-    "make_store_study",
+    "open_store_columns",
     "release_rows",
     "remove_store",
 ]

@@ -35,11 +35,12 @@ evaluation never reads (``tc_scale`` at nominal temperature, the aging
 coefficients at ``t = 0``) are never fabricated and never cost disk.
 
 The store deliberately knows nothing about frequencies or responses —
-that is :class:`~repro.store.study.StoreStudy` — and holds no RNG
-state: identity lives in ``meta.json`` (a content key digesting the
-design/mission fingerprint and the key lists), which is what lets the
-parallel engine's workers attach to the coordinator's segments by path
-instead of receiving tensors.
+:class:`StoreColumns` hands a row window of it to the one engine,
+:class:`~repro.core.population.BatchStudy` — and holds no RNG state:
+identity lives in ``meta.json`` (a content key digesting the
+design/mission fingerprint and the key lists), which is what lets shard
+workers attach to the coordinator's segments by path instead of
+receiving tensors.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import mmap as _mmaplib
 import os
 import pathlib
 import shutil
+import tempfile
 import time
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
@@ -62,6 +64,7 @@ from ..aging import hci, nbti
 from ..aging.schedule import IdlePolicy, MissionProfile
 from ..aging.simulator import AgingSimulator
 from ..core.base import PufDesign
+from ..parallel.cache import ResultCache, cache_key
 from ..variation.chip import NMOS, PMOS
 
 PathLike = Union[str, pathlib.Path]
@@ -245,6 +248,10 @@ class PopulationStore:
         tpy = np.empty((1, 1, n_stages, 2))
         tpy[0, 0, :, PMOS] = stress.transitions_per_year[:, PMOS]
         tpy[0, 0, :, NMOS] = stress.transitions_per_year[:, NMOS]
+        # kept unfolded too: the mechanism path takes ``(duty * t)**n``,
+        # the exact grouping of PopulationAging.delta_components
+        self.duty = duty
+        self.tpy = tpy
         self._duty_pow = duty ** design.tech.nbti.n
         self._tpy_pow = (
             tpy / design.tech.hci.ref_transitions
@@ -604,3 +611,207 @@ def remove_store(root: PathLike) -> None:
     """Delete a store directory created by :meth:`PopulationStore.create`
     (missing is fine — cleanup paths race with nothing)."""
     shutil.rmtree(root, ignore_errors=True)
+
+
+class StoreColumns:
+    """A row window of a :class:`PopulationStore` as a column source.
+
+    The out-of-core counterpart of
+    :class:`~repro.core.population.RamColumns`:
+    :class:`~repro.core.population.BatchStudy` streams the window block
+    by block — materialising each store block on first touch, running
+    it through the shared kernel, then dropping its pages from the
+    resident set — so peak RSS is a handful of block-sized buffers
+    regardless of population size.  Rows are window-relative (row 0 is
+    chip ``row_start``); shard workers each take one window over the
+    *shared* segments, so a shard never re-fabricates or pickles a
+    tensor.
+
+    Bit-identity with the in-RAM source holds by construction: the store
+    fabricates from the same spawn keys with the same draw order, the
+    kernel is the same function, and the aging subtraction uses the same
+    factored grouping as
+    :meth:`~repro.aging.simulator.PopulationAging.subtract_delta_into`
+    (coefficient x duty-power, then the scalar time power) with the
+    saturation clip applied unconditionally — a no-op below the cap, so
+    skipping vs applying it can never change a byte.
+
+    ``spill`` (a :class:`~repro.parallel.cache.ResultCache`) takes the
+    study's frequency corners to disk when the window streams; the study
+    deletes ``own_root`` on close when it owns the store directory.
+    """
+
+    #: resident-set budget (bytes) above which the window streams: column
+    #: and result pages are flushed and madvise(DONTNEED)-released after
+    #: every block, and corners spill.  Windows that fit the budget skip
+    #: the release (the refaults would cost more than the pages) and run
+    #: at in-RAM speed.
+    RESIDENT_BUDGET_BYTES = 256 * 2**20
+
+    def __init__(
+        self,
+        store: PopulationStore,
+        *,
+        row_start: int = 0,
+        row_stop: Optional[int] = None,
+        spill: Optional[ResultCache] = None,
+        own_root: Optional[pathlib.Path] = None,
+    ):
+        row_stop = store.n_chips if row_stop is None else int(row_stop)
+        if not 0 <= row_start < row_stop <= store.n_chips:
+            raise ValueError(
+                f"row window [{row_start}, {row_stop}) outside the store's "
+                f"0..{store.n_chips}"
+            )
+        self.store = store
+        self.spill = spill
+        self._own_root = own_root
+        self._rows = (int(row_start), row_stop)
+        self._closed = False
+        self.n_chips = row_stop - int(row_start)
+        self.n_ros = store.design.n_ros
+        self.n_stages = store.design.n_stages
+        self.block_size = store.block_size
+        # Stream only when this window's worst-case resident bytes exceed
+        # the budget.  At most 4 columns are resident in any one pass
+        # (vth, tc_scale, bti_dir, hci_dir — the raw *_coeff pair only
+        # backs the mechanism path, which reads one of them at a time),
+        # plus one frequency corner.  Numerics are unaffected either way:
+        # madvise on a MAP_SHARED file mapping never loses data.
+        per_chip = self.n_ros * self.n_stages * 2 * 8
+        window_bytes = self.n_chips * (per_chip * 4 + self.n_ros * 8)
+        self.streaming = window_bytes > self.RESIDENT_BUDGET_BYTES
+
+    def column(self, name: str) -> np.memmap:
+        r0, r1 = self._rows
+        return self.store.column(name)[r0:r1]
+
+    def blocks(self) -> list:
+        """Store-block-aligned window-relative ``(lo, hi)`` row ranges."""
+        r0, r1 = self._rows
+        bs = self.block_size
+        out = []
+        lo = r0
+        while lo < r1:
+            hi = min(r1, (lo // bs + 1) * bs)
+            out.append((lo - r0, hi - r0))
+            lo = hi
+        return out
+
+    def ensure(self, lo: int, hi: int, columns: Sequence[str]) -> None:
+        r0 = self._rows[0]
+        self.store.ensure_rows(r0 + lo, r0 + hi, columns)
+
+    def release(self, lo: int, hi: int, columns: Sequence[str], out=None) -> None:
+        """When streaming, drop rows ``[lo, hi)`` of the named columns and
+        of a spilled result ``out`` from the resident set."""
+        if not self.streaming:
+            return
+        r0 = self._rows[0]
+        self.store.release(columns, r0 + lo, r0 + hi)
+        if isinstance(out, np.memmap):
+            flush_rows(out, lo, hi)
+            release_rows(out, lo, hi)
+
+    def subtracter(self, t: float, mechanism: Optional[str] = None):
+        """``(subtract(od, scratch, lo, hi), columns)`` for one pass at ``t``.
+
+        The golden path reads the duty-folded ``*_dir`` columns; a
+        mechanism pass reads one raw ``*_coeff`` column and applies the
+        exact :meth:`~repro.aging.simulator.PopulationAging.delta_components`
+        grouping ``coeff * (duty * t)**n``.
+        """
+        tech = self.store.design.tech
+        if mechanism is None:
+            bti_dir = self.column("bti_dir")
+            hci_dir = self.column("hci_dir")
+            bti_t = t ** tech.nbti.n
+            hci_t = t ** tech.hci.m
+            cap_bti = tech.nbti.max_shift
+            cap_hci = tech.hci.max_shift
+
+            def subtract(od, scratch, lo, hi):
+                np.multiply(bti_dir[lo:hi], bti_t, out=scratch)
+                np.minimum(scratch, cap_bti, out=scratch)
+                od -= scratch
+                np.multiply(hci_dir[lo:hi], hci_t, out=scratch)
+                np.minimum(scratch, cap_hci, out=scratch)
+                od -= scratch
+
+            return subtract, ("bti_dir", "hci_dir")
+        if mechanism == "bti":
+            pow_mech = np.power(self.store.duty * t, tech.nbti.n)
+            cap = tech.nbti.max_shift
+        else:
+            pow_mech = np.power(
+                (self.store.tpy * t) / tech.hci.ref_transitions, tech.hci.m
+            )
+            cap = tech.hci.max_shift
+        name = f"{mechanism}_coeff"
+        coeff = self.column(name)
+
+        def subtract(od, scratch, lo, hi):
+            np.multiply(coeff[lo:hi], pow_mech, out=scratch)
+            np.minimum(scratch, cap, out=scratch)
+            od -= scratch
+
+        return subtract, (name,)
+
+    def spill_key(self, key: tuple, design: PufDesign) -> str:
+        """Content address of one corner of this window in the spill cache."""
+        t, cond = key[0], key[1]
+        config = {
+            "store": self.store.content_key,
+            "rows": list(self._rows),
+            "t_years": t,
+            "temperature_k": cond.temperature_k,
+            "vdd": cond.vdd,
+            "mechanism": key[2] if len(key) > 2 else None,
+            "pairing": repr(design.pairing),
+            "readout": repr(design.readout),
+        }
+        return cache_key("store.frequencies", config)
+
+    def close(self) -> None:
+        """Release mappings; delete the store root if this source owns it."""
+        if self._closed:
+            return
+        self._closed = True
+        self.store.close()
+        if self._own_root is not None:
+            remove_store(self._own_root)
+
+
+def open_store_columns(
+    design: PufDesign,
+    n_chips: int,
+    *,
+    mission: MissionProfile,
+    idle_policy: Optional[IdlePolicy] = None,
+    keys: Tuple[Sequence[int], Sequence[int]],
+    block_size: Optional[int] = None,
+    store_dir: Optional[PathLike] = None,
+) -> StoreColumns:
+    """Create (or adopt) a store and return its whole-population source.
+
+    Without ``store_dir`` the segments live in a temp directory owned by
+    the source and removed on :meth:`StoreColumns.close`; with it they
+    persist (and a store already there is adopted when the content key
+    matches), which makes repeated million-chip sweeps incremental.
+    Spilled corners live next to the segments, under ``spill/``.
+    """
+    own_root: Optional[pathlib.Path] = None
+    if store_dir is None:
+        root = own_root = pathlib.Path(tempfile.mkdtemp(prefix="repro-store-"))
+    else:
+        root = pathlib.Path(store_dir)
+    store = PopulationStore.create(
+        root,
+        design,
+        n_chips,
+        mission=mission,
+        idle_policy=idle_policy,
+        keys=keys,
+        block_size=block_size,
+    )
+    return StoreColumns(store, spill=ResultCache(root / "spill"), own_root=own_root)

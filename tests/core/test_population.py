@@ -14,7 +14,7 @@ from repro import make_batch_study, make_study
 from repro.aging import IdlePolicy
 from repro.aging.simulator import PopulationAging
 from repro.core import aro_design, compare_pairs, conventional_design
-from repro.core.population import BatchStudy, PopulationView
+from repro.core.population import BatchStudy, PopulationView, RamColumns
 from repro.environment import OperatingConditions, celsius
 from repro.metrics import reliability
 
@@ -241,7 +241,7 @@ class TestValidation:
         study, batch = paths
         wrong = PopulationAging.from_agings(study.agings[:3])
         with pytest.raises(ValueError, match="chips"):
-            BatchStudy(batch.design, batch.view, wrong, batch.mission)
+            RamColumns(batch.view, wrong)
 
     def test_negative_years_rejected(self, paths):
         _, batch = paths

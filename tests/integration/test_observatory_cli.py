@@ -62,7 +62,7 @@ class TestMetricsPayload:
         payload = json.loads(metrics.read_text())
         assert payload["format"] == 3
         # mmap-store workers report the store-path kernel latencies
-        assert "store.block_s" in payload["histograms"]
+        assert "batch.block_s" in payload["histograms"]
         assert "store.fabricate_block_s" in payload["histograms"]
         assert payload["resource_samples"]
         sample = payload["resource_samples"][0]

@@ -6,10 +6,8 @@ because it changes **no bytes**.  These tests pin that claim along every
 axis the engines expose: block size (including 1, a prime, and the whole
 population at once), populations the block size does not divide,
 temperature and supply corners, the single-mechanism counterfactuals,
-margins and histogram counts, and the serial / parallel / out-of-core
-engines against one another.  The dtype tier's weaker contract
-(response-*bit* identity, proven per scale by the validation harness) is
-pinned at the paper's anchor scale.
+margins and histogram counts, and serial / parallel / out-of-core
+evaluation against one another.
 """
 
 import numpy as np
@@ -19,11 +17,6 @@ from repro import telemetry
 from repro.core import aro_design, compare_pairs, conventional_design
 from repro.core.population import make_batch_study
 from repro.environment import OperatingConditions, celsius
-from repro.kernel import (
-    DtypeValidationReport,
-    OVERDRIVE_ERROR,
-    validate_response_identity,
-)
 from repro.metrics.margins import (
     histogram_edges,
     margin_histogram,
@@ -148,15 +141,12 @@ class TestEngineIdentity:
     """Serial, parallel and out-of-core engines agree bit-for-bit."""
 
     def test_serial_vs_parallel_vs_store(self):
-        from repro.parallel import make_parallel_study
-        from repro.store import make_store_study
-
         design = aro_design(n_ros=N_ROS)
         serial = make_batch_study(design, N_CHIPS, rng=SEED)
-        with make_parallel_study(
+        with make_batch_study(
             design, N_CHIPS, rng=SEED, jobs=2
-        ) as parallel, make_store_study(
-            design, N_CHIPS, rng=SEED, block_size=5
+        ) as parallel, make_batch_study(
+            design, N_CHIPS, rng=SEED, store="mmap", block_size=5
         ) as store:
             for t in (0.0, 10.0):
                 bits = serial.responses(t_years=t)
@@ -164,88 +154,6 @@ class TestEngineIdentity:
                 assert np.array_equal(bits, store.responses(t_years=t))
                 freqs = serial.frequencies(t)
                 assert np.array_equal(freqs, np.asarray(store.frequencies(t)))
-
-
-class TestDtypeTier:
-    def test_float32_bits_identical_at_anchor_scale(self):
-        """The harness proves bit identity at 50 chips x 256 ROs under
-        the anchor seed — the precondition for ``--dtype float32``
-        gating anything.  The seed matters: a population *can* hold a
-        bit marginal enough for float32 rounding to flip it (seed 1234
-        does at this scale), which is precisely why the harness runs per
-        configuration instead of once."""
-        from repro.analysis.experiments import ExperimentConfig
-
-        anchor_seed = ExperimentConfig().seed
-        for factory in (aro_design, conventional_design):
-            report = validate_response_identity(
-                factory(), 50, seed=anchor_seed, conditions=CORNERS
-            )
-            assert isinstance(report, DtypeValidationReport)
-            assert report.ok, report.summary()
-            assert report.total_bits == 50 * 128 * 3 * len(CORNERS)
-            assert report.failing_corners == []
-            assert 0.0 < report.max_freq_rel_err < 1e-5
-
-    def test_float32_frequencies_are_float32(self):
-        batch = make_batch_study(
-            aro_design(n_ros=N_ROS), N_CHIPS, rng=SEED, dtype="float32"
-        )
-        assert batch.frequencies(10.0).dtype == np.float32
-
-    def test_report_counts_mismatches(self):
-        report = DtypeValidationReport(
-            reference_dtype="float64",
-            candidate_dtype="float32",
-            n_chips=4,
-            n_bits=16,
-            corners=2,
-            total_bits=128,
-            mismatched_bits=3,
-            max_freq_rel_err=1e-6,
-            failing_corners=[(10.0, 300.0, None)],
-        )
-        assert not report.ok
-        assert "MISMATCH" in report.summary()
-
-    def test_invalid_dtype_rejected(self):
-        with pytest.raises(ValueError, match="dtype"):
-            make_batch_study(
-                aro_design(n_ros=N_ROS), N_CHIPS, rng=SEED, dtype="float16"
-            )
-
-    def test_mmap_store_rejects_float32(self):
-        from repro.analysis.experiments import ExperimentConfig
-        from repro.parallel import make_parallel_study
-
-        with pytest.raises(ValueError, match="float64"):
-            make_parallel_study(
-                aro_design(n_ros=N_ROS),
-                N_CHIPS,
-                rng=SEED,
-                jobs=2,
-                store="mmap",
-                dtype="float32",
-            )
-        with pytest.raises(ValueError, match="float64"):
-            ExperimentConfig(store="mmap", dtype="float32")
-
-    def test_parallel_float32_matches_serial_float32(self):
-        from repro.parallel import make_parallel_study
-
-        design = aro_design(n_ros=N_ROS)
-        serial = make_batch_study(design, N_CHIPS, rng=SEED, dtype="float32")
-        with make_parallel_study(
-            design, N_CHIPS, rng=SEED, jobs=2, dtype="float32"
-        ) as parallel:
-            for t in (0.0, 10.0):
-                assert np.array_equal(
-                    serial.responses(t_years=t),
-                    parallel.responses(t_years=t),
-                )
-                assert np.array_equal(
-                    serial.frequencies(t), parallel.frequencies(t)
-                )
 
 
 class TestDeltaComponents:

@@ -14,7 +14,6 @@ from repro.core import aro_design
 from repro.core.population import make_batch_study
 from repro.forensics import capture_forensics
 from repro.metrics.margins import histogram_edges
-from repro.parallel import make_parallel_study
 
 DESIGN = aro_design(n_ros=16, n_stages=3)
 SEED = 987
@@ -30,7 +29,7 @@ def serial_report():
 class TestParallelForensicsIdentity:
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_full_record_identical(self, serial_report, jobs):
-        with make_parallel_study(DESIGN, N_CHIPS, rng=SEED, jobs=jobs) as par:
+        with make_batch_study(DESIGN, N_CHIPS, rng=SEED, jobs=jobs) as par:
             report = capture_forensics(par, design_label="aro-puf")
         assert report.years == serial_report.years
         for t in report.years:
@@ -51,7 +50,7 @@ class TestParallelForensicsIdentity:
 class TestParallelMarginPrimitives:
     def test_mechanism_frequencies_identical(self):
         serial = make_batch_study(DESIGN, N_CHIPS, rng=SEED)
-        with make_parallel_study(DESIGN, N_CHIPS, rng=SEED, jobs=2) as par:
+        with make_batch_study(DESIGN, N_CHIPS, rng=SEED, jobs=2) as par:
             for mech in ("bti", "hci"):
                 assert np.array_equal(
                     serial.mechanism_frequencies(10.0, mech),
@@ -59,7 +58,7 @@ class TestParallelMarginPrimitives:
                 )
 
     def test_mechanism_frequencies_memoised_and_read_only(self):
-        with make_parallel_study(DESIGN, 4, rng=SEED, jobs=2) as par:
+        with make_batch_study(DESIGN, 4, rng=SEED, jobs=2) as par:
             a = par.mechanism_frequencies(5.0, "bti")
             assert par.mechanism_frequencies(5.0, "bti") is a
             assert not a.flags.writeable
@@ -73,7 +72,7 @@ class TestParallelMarginPrimitives:
         edges = histogram_edges()
         serial = make_batch_study(DESIGN, N_CHIPS, rng=SEED)
         expected = serial.margin_histogram(edges, None, 10.0)
-        with make_parallel_study(DESIGN, N_CHIPS, rng=SEED, jobs=3) as par:
+        with make_batch_study(DESIGN, N_CHIPS, rng=SEED, jobs=3) as par:
             counts = par.margin_histogram(edges, None, 10.0)
         assert np.array_equal(counts, expected)
         assert counts.sum() == N_CHIPS * DESIGN.n_bits
@@ -83,7 +82,7 @@ class TestParallelMarginPrimitives:
         parent must not double-record via the worker processes."""
         from repro.forensics import MarginCollector, collector_session
 
-        with make_parallel_study(DESIGN, 4, rng=SEED, jobs=2) as par:
+        with make_batch_study(DESIGN, 4, rng=SEED, jobs=2) as par:
             with collector_session(MarginCollector()) as collector:
                 par.responses(t_years=10.0)
             assert len(collector) == 1  # exactly one grid, from the parent

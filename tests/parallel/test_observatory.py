@@ -5,7 +5,7 @@ import time
 import pytest
 
 from repro import aro_design, telemetry
-from repro.parallel import make_parallel_study
+from repro.core.population import make_batch_study
 from repro.parallel.worker import EvalRequest, evaluate_shard
 from repro.telemetry import chrome_trace_events
 
@@ -24,7 +24,7 @@ def clean_slate():
 def traced_parallel_run():
     """One jobs=2 sweep under a coordinator tracer, folded reports and all."""
     telemetry.uninstall()
-    with make_parallel_study(DESIGN, 8, rng=SEED, jobs=2) as par:
+    with make_batch_study(DESIGN, 8, rng=SEED, jobs=2) as par:
         with telemetry.session() as tracer:
             par.frequencies(t_years=0.0)
             par.frequencies(t_years=10.0)
@@ -35,8 +35,8 @@ class TestShardReportWire:
     """The worker's reply carries its span forest, histograms and clock."""
 
     def test_report_sections(self):
-        with make_parallel_study(DESIGN, 4, rng=SEED, jobs=2) as par:
-            spec = par._specs[0]
+        with make_batch_study(DESIGN, 4, rng=SEED, jobs=2) as par:
+            spec = par._executor._specs[0]
         report = evaluate_shard(
             "test-token", spec, 0, [EvalRequest("frequencies", 0.0)]
         )

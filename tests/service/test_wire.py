@@ -12,6 +12,7 @@ from repro.service import (
     ServiceClientPool,
     serve,
 )
+from repro.service.audit import AuditTrail, read_audit
 
 
 def _golden(service, seed=11):
@@ -118,6 +119,39 @@ class TestWireErrors:
             assert reply["outcome"] == "bad_request"
 
         asyncio.run(_with_server(body))
+
+
+    def test_oversized_line_is_metered_and_connection_survives(self, tmp_path):
+        """A line over the stream limit gets a metered, audited
+        ``bad_request``; the next request on the socket is served."""
+        audit_path = tmp_path / "audit.jsonl"
+
+        async def run():
+            service = FleetService(seed=0, audit=AuditTrail(audit_path, flush_every=1))
+            server = await serve(service, port=0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                huge = json.dumps({"op": "status", "pad": "x" * 70_000}).encode()
+                writer.write(huge + b"\n" + json.dumps({"op": "status"}).encode() + b"\n")
+                await writer.drain()
+                first = json.loads(await reader.readline())
+                second = json.loads(await reader.readline())
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+                service.audit.close()
+            return service, first, second
+
+        service, first, second = asyncio.run(run())
+        assert first["outcome"] == "bad_request"
+        assert "exceeds" in first["error"]
+        assert second["outcome"] == "ok"
+        assert service.red.requests["wire"] == 1
+        rows = list(read_audit(audit_path))
+        assert [r["outcome"] for r in rows if r["endpoint"] == "wire"] == ["bad_request"]
 
 
 class TestClientPool:

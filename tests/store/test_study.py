@@ -1,9 +1,9 @@
-"""StoreStudy: bit-identity with the in-RAM engine at any chunking.
+"""The mmap column source: bit-identity with RAM at any chunking.
 
-The acceptance criterion of the out-of-core PR: responses, frequencies,
-mechanism decompositions and margin histograms from the mmap path must
-be byte-identical to ``BatchStudy`` for every block size and worker
-count — including block sizes that do not divide the chip count.
+Responses, frequencies, mechanism decompositions and margin histograms
+from a ``store="mmap"`` study must be byte-identical to the in-RAM
+source for every block size and worker count — including block sizes
+that do not divide the chip count.
 """
 
 import numpy as np
@@ -16,8 +16,12 @@ from repro.analysis import ExperimentConfig, aging_bitflips
 from repro.core.population import make_batch_study
 from repro.environment.conditions import OperatingConditions, celsius
 from repro.metrics.margins import histogram_edges
-from repro.parallel import make_parallel_study
-from repro.store import StoreStudy, make_store_study
+from repro.core.population import BatchStudy
+from repro.store import StoreColumns
+
+
+def mmap_study(*args, **kwargs):
+    return make_batch_study(*args, store="mmap", **kwargs)
 
 DESIGN = aro_design(n_ros=16, n_stages=3)
 N_CHIPS = 13
@@ -33,7 +37,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("block_size", [1, 7, 64, N_CHIPS])
     @pytest.mark.parametrize("t", [0.0, 10.0])
     def test_responses_any_block_size(self, serial, block_size, t):
-        with make_store_study(
+        with mmap_study(
             DESIGN, N_CHIPS, rng=SEED, block_size=block_size
         ) as study:
             assert np.array_equal(
@@ -45,14 +49,14 @@ class TestBitIdentity:
 
     def test_corner_conditions(self, serial):
         cond = OperatingConditions(temperature_k=celsius(85.0), vdd=1.1)
-        with make_store_study(DESIGN, N_CHIPS, rng=SEED, block_size=5) as study:
+        with mmap_study(DESIGN, N_CHIPS, rng=SEED, block_size=5) as study:
             assert np.array_equal(
                 serial.frequencies(5.0, cond), study.frequencies(5.0, cond)
             )
 
     @pytest.mark.parametrize("mechanism", ["bti", "hci"])
     def test_mechanism_decomposition(self, serial, mechanism):
-        with make_store_study(DESIGN, N_CHIPS, rng=SEED, block_size=5) as study:
+        with mmap_study(DESIGN, N_CHIPS, rng=SEED, block_size=5) as study:
             assert np.array_equal(
                 serial.mechanism_frequencies(10.0, mechanism),
                 study.mechanism_frequencies(10.0, mechanism),
@@ -60,7 +64,7 @@ class TestBitIdentity:
 
     def test_margin_histogram(self, serial):
         edges = histogram_edges()
-        with make_store_study(DESIGN, N_CHIPS, rng=SEED, block_size=5) as study:
+        with mmap_study(DESIGN, N_CHIPS, rng=SEED, block_size=5) as study:
             assert np.array_equal(
                 serial.margin_histogram(edges, t_years=10.0),
                 study.margin_histogram(edges, t_years=10.0),
@@ -69,9 +73,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_parallel_mmap_any_worker_count(self, serial, jobs):
         with closing(
-            make_parallel_study(
-                DESIGN, N_CHIPS, rng=SEED, jobs=jobs, store="mmap", block_size=5
-            )
+            mmap_study(DESIGN, N_CHIPS, rng=SEED, jobs=jobs, block_size=5)
         ) as par:
             for t in (0.0, 10.0):
                 assert np.array_equal(
@@ -80,7 +82,7 @@ class TestBitIdentity:
 
     def test_aging_flips_identical(self, serial):
         """The quantity the paper gates on: fresh-vs-aged bit flips."""
-        with make_store_study(DESIGN, N_CHIPS, rng=SEED, block_size=7) as study:
+        with mmap_study(DESIGN, N_CHIPS, rng=SEED, block_size=7) as study:
             flips_serial = serial.responses() != serial.responses(t_years=10.0)
             flips_store = study.responses() != study.responses(t_years=10.0)
             assert np.array_equal(flips_serial, flips_store)
@@ -88,24 +90,24 @@ class TestBitIdentity:
 
 class TestLifecycle:
     def test_temp_root_removed_on_close(self):
-        study = make_store_study(DESIGN, N_CHIPS, rng=SEED)
-        root = study.store.root
+        study = mmap_study(DESIGN, N_CHIPS, rng=SEED)
+        root = study.source.store.root
         assert root.exists()
         study.close()
         assert not root.exists()
 
     def test_persistent_store_dir_survives_and_readopts(self, tmp_path):
         root = tmp_path / "pop"
-        with make_store_study(
+        with mmap_study(
             DESIGN, N_CHIPS, rng=SEED, store_dir=root
         ) as study:
             ref = study.responses(t_years=10.0)
         assert root.exists()
-        with make_store_study(
+        with mmap_study(
             DESIGN, N_CHIPS, rng=SEED, store_dir=root
         ) as again:
             # adopted: fabricated columns are still flagged, same bytes out
-            assert again.store.materialised_blocks("vth") > 0
+            assert again.source.store.materialised_blocks("vth") > 0
             assert np.array_equal(ref, again.responses(t_years=10.0))
 
     def test_geometry_mismatch_rejected(self, tmp_path):
@@ -115,34 +117,31 @@ class TestLifecycle:
         root = tmp_path / "pop"
         store = PopulationStore.create(root, DESIGN, N_CHIPS, rng=SEED)
         other = aro_design(n_ros=32, n_stages=3)
-        with pytest.raises(ValueError, match="geometry"):
-            StoreStudy(other, store, mission=MissionProfile())
+        with pytest.raises(ValueError, match="ROs"):
+            BatchStudy(other, StoreColumns(store), MissionProfile())
         store.close()
 
     def test_bad_row_window_rejected(self, tmp_path):
-        from repro import MissionProfile
         from repro.store import PopulationStore
 
         store = PopulationStore.create(
             tmp_path / "pop", DESIGN, N_CHIPS, rng=SEED
         )
         with pytest.raises(ValueError, match="row window"):
-            StoreStudy(
-                DESIGN, store, mission=MissionProfile(), row_start=5, row_stop=3
-            )
+            StoreColumns(store, row_start=5, row_stop=3)
         store.close()
 
     def test_drop_cached_corners_forces_recompute(self):
         from repro import telemetry
 
-        with make_store_study(DESIGN, N_CHIPS, rng=SEED, block_size=7) as study:
+        with mmap_study(DESIGN, N_CHIPS, rng=SEED, block_size=7) as study:
             study.responses(t_years=10.0)
             with telemetry.session() as counters:
                 study.responses(t_years=10.0)  # memo hit, no kernel work
                 study.drop_cached_corners()
                 study.responses(t_years=10.0)  # recomputed
-            assert counters.counters.get("store.kernel_blocks", 0) > 0
-            assert counters.counters.get("store.corner_memo_hits", 0) >= 1
+            assert counters.counters.get("freq.kernel_blocks", 0) > 0
+            assert counters.counters.get("batch.corner_memo_hits", 0) >= 1
 
 
 class TestExperimentRouting:

@@ -586,3 +586,33 @@ class TestServiceMode:
         bad.write_text(json.dumps(payload))
         assert validate_metrics.main(["--service", str(bad)]) == 1
         assert "invalid:" in capsys.readouterr().err
+
+
+class TestArtefactsFromBeforeTheDtypeTierWentAway:
+    """Artefacts written while the float32 tier existed stay readable.
+
+    Both files were produced by ``run e2 --chips 3 --ros 16`` at the
+    commit before the tier's removal; their manifest ``config`` still
+    carries ``"dtype": "float64"``, a key current runs no longer write.
+    """
+
+    DATA = pathlib.Path(__file__).parent / "data"
+
+    def test_metrics_artefact_validates(self):
+        path = self.DATA / "e2_metrics_dtype_config.json"
+        payload = json.loads(path.read_text())
+        assert payload["manifest"]["config"]["dtype"] == "float64"
+        assert validate_metrics.validate_payload(payload) == []
+        assert validate_metrics.main([str(path)]) == 0
+
+    def test_ledger_loads_and_validates(self):
+        from repro import telemetry
+
+        path = self.DATA / "e2_ledger_dtype_config.jsonl"
+        entries = telemetry.RunLedger(path).entries(strict=True)
+        assert [e.experiment for e in entries] == ["e2", "telemetry"]
+        assert all(e.manifest["config"]["dtype"] == "float64" for e in entries)
+        assert "e2.aro-puf.flips_at_10y_pct" in {
+            f"{e.experiment}.{k}" for e in entries for k in e.scalars
+        }
+        assert validate_metrics.main(["--ledger", str(path)]) == 0
