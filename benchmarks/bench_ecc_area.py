@@ -8,27 +8,67 @@ prints the whole policy sweep — the paper's figure sits inside the
 worst-case band (the mean-sized policy gives ~5x, worst-chip ~14x,
 worst-chip-plus-corner ~35x).
 
-The benchmarked kernel is one BCH(255,131,t=18) decode of a corrupted
-word — the decoder whose silicon the area model costs out.
+The benchmarked kernels are one BCH(255,131,t=18) decode of a corrupted
+word — the decoder whose silicon the area model costs out — and one
+E6-width design-space search, gated against the scalar cell-by-cell loop
+it replaced.
 """
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from _common import emit
+from _common import best_of, emit
 from repro.analysis import ecc_area_experiment
+from repro.analysis.experiments import WIDE_REPETITIONS
 from repro.analysis.render import render_e6
-from repro.ecc import BchCode, standard_codes
+from repro.core import conventional_design
+from repro.ecc import (
+    BchCode,
+    ConcatenatedCode,
+    GolayCode,
+    KeyCodec,
+    RepetitionCode,
+    keygen_area,
+    standard_codes,
+)
+from repro.keygen import search_design_space
+from repro.keygen.design import _ros_for_bits
 
 PAPER_RATIO = 24.0
+
+#: the array search must beat the scalar loop by at least this much
+#: (about 110x measured on a 2-vCPU Xeon VM: 1.85 s vs 16 ms)
+SEARCH_SPEEDUP_FLOOR = 5.0
 
 
 @pytest.fixture(scope="module")
 def palette():
-    from repro.ecc import GolayCode
-
     # m <= 9 covers every BCH winner; the Golay code competes alongside
     return standard_codes(max_m=9, max_t=26) + [GolayCode()]
+
+
+def scalar_search(p, design, repetitions, palette, max_raw_bits):
+    """The design-space search as a scalar loop: one ``binom.sf`` pair and
+    one area model per (repetition, outer code) cell."""
+    points = []
+    for r in repetitions:
+        inner = RepetitionCode(r)
+        for outer in palette:
+            codec = KeyCodec(ConcatenatedCode(outer=outer, inner=inner), 128)
+            if codec.raw_bits > max_raw_bits:
+                continue
+            q = p if r == 1 else float(stats.binom.sf((r - 1) // 2, r, p))
+            p_block = float(stats.binom.sf(outer.t, outer.n, q))
+            pf = float(1.0 - (1.0 - p_block) ** codec.n_blocks)
+            if pf > 1e-6:
+                continue
+            n_ros = _ros_for_bits(design, codec.raw_bits)
+            area = design.with_n_ros(n_ros).puf_area()
+            ecc = keygen_area(codec, design.tech).total
+            points.append((str(codec), pf.hex(), n_ros, area + ecc))
+    points.sort(key=lambda pt: pt[3])
+    return points
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +116,37 @@ class TestPerf:
         corrected, n = benchmark(code.decode, rx)
         assert n == 18
         assert np.array_equal(corrected, cw)
+
+    def test_perf_design_search(self, benchmark):
+        """One E6-width search (worst policy, conventional PUF) against the
+        scalar loop: same points in the same order, at least 5x faster."""
+        design = conventional_design()
+        palette = standard_codes() + [GolayCode()]
+        args = (0.45, design, WIDE_REPETITIONS, palette, 5_000_000)
+
+        def search():
+            return search_design_space(
+                0.45,
+                design,
+                repetitions=WIDE_REPETITIONS,
+                bch_palette=palette,
+                max_raw_bits=5_000_000,
+            )
+
+        points = benchmark(search)
+        assert [
+            (str(pt.codec), pt.key_failure.hex(), pt.n_ros, pt.total_area)
+            for pt in points
+        ] == scalar_search(*args)
+        t_new = best_of(search, rounds=3)
+        t_old = best_of(lambda: scalar_search(*args), rounds=1, warmup=0)
+        speedup = t_old / t_new
+        emit(
+            "e6_design_search",
+            f"scalar loop   : {t_old * 1e3:8.1f} ms\n"
+            f"array search  : {t_new * 1e3:8.1f} ms\n"
+            f"speedup       : {speedup:8.2f} x",
+        )
+        assert speedup >= SEARCH_SPEEDUP_FLOOR, (
+            f"array search only {speedup:.2f}x faster than the scalar loop"
+        )

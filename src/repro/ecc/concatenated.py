@@ -8,18 +8,22 @@ work, and concatenating two linear codes preserves it.
 ``KeyCodec`` stacks as many concatenated blocks as the key needs (a 128-bit
 key over a ``k=64`` outer code needs two blocks) and exposes the aggregate
 geometry the design-space search optimises.
+
+The failure model is one array formula, :func:`key_failure_probabilities`,
+over a whole (repetition x outer code) grid; the scalar methods on the
+classes are 1x1 views of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy import stats
 
 from .bch import BchCode
-from .repetition import RepetitionCode
+from .repetition import RepetitionCode, majority_error_probabilities
 
 
 @dataclass(frozen=True)
@@ -73,14 +77,10 @@ class ConcatenatedCode:
         return self.inner.encode(corrected_outer)
 
     def block_failure_probability(self, p: float) -> float:
-        """Probability one block fails at raw bit-error probability ``p``.
-
-        The inner stage leaves each outer bit wrong independently with
-        probability ``q`` (:meth:`RepetitionCode.decoded_error_probability`);
-        the block fails when more than ``t`` outer bits are wrong.
-        """
-        q = self.inner.decoded_error_probability(p)
-        return float(stats.binom.sf(self.outer.t, self.outer.n, q))
+        """Probability one block fails at raw bit-error probability ``p``
+        (a 1x1 view of :func:`block_failure_probabilities`)."""
+        grid = block_failure_probabilities(p, [self.inner.r], [self.outer])
+        return float(grid[0, 0])
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class KeyCodec:
 
     @property
     def n_blocks(self) -> int:
-        return -(-self.key_bits // self.code.k)  # ceil division
+        return _n_blocks(self.key_bits, self.code.k)
 
     @property
     def raw_bits(self) -> int:
@@ -137,6 +137,48 @@ class KeyCodec:
         return np.concatenate([self.code.correct(b) for b in blocks])
 
     def key_failure_probability(self, p: float) -> float:
-        """Probability the key regeneration fails at raw error rate ``p``."""
-        p_block = self.code.block_failure_probability(p)
-        return float(1.0 - (1.0 - p_block) ** self.n_blocks)
+        """Probability the key regeneration fails at raw error rate ``p``
+        (a 1x1 view of :func:`key_failure_probabilities`)."""
+        return key_failure_probabilities(
+            p, [self.code.inner.r], [self.code.outer], self.key_bits
+        )[0][0]
+
+
+def _n_blocks(key_bits: int, k: int) -> int:
+    return -(-key_bits // k)  # ceil division
+
+
+def block_failure_probabilities(
+    p: float, repetitions: Sequence[int], outers: Sequence
+) -> np.ndarray:
+    """Block-failure probability for every (repetition, outer code) pair.
+
+    The inner stage leaves each outer bit wrong independently with
+    probability ``q_r`` (:func:`.repetition.majority_error_probabilities`);
+    a block fails when more than ``t`` of its ``n`` outer bits are wrong.
+    One ``binom.sf`` call covers the whole grid, shape
+    ``(len(repetitions), len(outers))``.
+    """
+    q = majority_error_probabilities(p, repetitions)
+    t = np.array([outer.t for outer in outers], dtype=np.int64)
+    n = np.array([outer.n for outer in outers], dtype=np.int64)
+    return stats.binom.sf(t, n, q[:, np.newaxis])
+
+
+def key_failure_probabilities(
+    p: float, repetitions: Sequence[int], outers: Sequence, key_bits: int
+) -> List[List[float]]:
+    """Key-failure probability for every (repetition, outer code) pair.
+
+    A key of ``key_bits`` bits spans ``ceil(key_bits / k)`` independent
+    blocks and fails when any block does.  The last step runs in Python
+    ``float`` arithmetic on purpose: ``np.power`` can differ from it by one
+    ULP, and every caller (the scalar views and the design-space search)
+    must see the same bits.
+    """
+    p_block = block_failure_probabilities(p, repetitions, outers).tolist()
+    n_blocks = [_n_blocks(key_bits, outer.k) for outer in outers]
+    return [
+        [1.0 - (1.0 - pb) ** nb for pb, nb in zip(row, n_blocks)]
+        for row in p_block
+    ]

@@ -62,13 +62,20 @@ class RepetitionCode:
         return (groups.sum(axis=1) > self.t).astype(np.uint8)
 
     def decoded_error_probability(self, p: float) -> float:
-        """Residual bit-error probability after majority voting.
+        """Residual bit-error probability after majority voting (a 1-entry
+        view of :func:`majority_error_probabilities`)."""
+        return float(majority_error_probabilities(p, [self.r])[0])
 
-        A decoded bit is wrong when more than ``t`` of its ``r`` copies
-        flipped: the binomial survival function at ``t``.
-        """
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("p must be a probability")
-        if self.r == 1:
-            return p
-        return float(stats.binom.sf(self.t, self.r, p))
+
+def majority_error_probabilities(p: float, repetitions) -> np.ndarray:
+    """Residual bit-error probability after majority voting, per factor.
+
+    A decoded bit is wrong when more than ``t = (r - 1) // 2`` of its ``r``
+    copies flipped: the binomial survival function at ``t``, evaluated for
+    every factor in one ``binom.sf`` call.  ``r = 1`` (no inner code)
+    passes ``p`` through unchanged.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be a probability")
+    r = np.asarray(repetitions, dtype=np.int64)
+    return np.where(r == 1, p, stats.binom.sf((r - 1) // 2, r, p))

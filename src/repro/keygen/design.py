@@ -16,12 +16,16 @@ the two optima is the paper's ~24x result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.base import PufDesign
-from ..ecc.area import keygen_area
+from ..ecc.area import keygen_area, repetition_decoder_area
 from ..ecc.bch import BchCode, standard_codes
-from ..ecc.concatenated import ConcatenatedCode, KeyCodec
+from ..ecc.concatenated import (
+    ConcatenatedCode,
+    KeyCodec,
+    key_failure_probabilities,
+)
 from ..ecc.repetition import RepetitionCode
 
 #: repetition factors explored by default (odd, 1 = no inner code)
@@ -82,35 +86,62 @@ def search_design_space(
     ``design`` supplies the oscillator cell, readout and technology used to
     cost the PUF array (it is resized per candidate via
     :meth:`PufDesign.with_n_ros`).
+
+    The key-failure probability of the whole (repetition x outer code)
+    grid comes from one call to
+    :func:`~repro.ecc.concatenated.key_failure_probabilities`; only the
+    feasible points are then costed.  Points come out in
+    (repetition, palette) order before the stable area sort, so ties keep
+    that order.
     """
     if not 0.0 <= p < 0.5:
         raise ValueError("raw bit-error probability must be in [0, 0.5)")
     if failure_target <= 0:
         raise ValueError("failure_target must be positive")
     palette = bch_palette if bch_palette is not None else standard_codes()
+    inners = [RepetitionCode(r) for r in repetitions]
+    failures = key_failure_probabilities(p, repetitions, palette, key_bits)
+
+    # the ECC area splits into an outer-code part and a repetition part;
+    # summing them in AreaBreakdown.total's field order keeps every total
+    # bit-identical to keygen_area(codec, tech).total
+    outer_parts = []
+    for outer in palette:
+        base = KeyCodec(
+            code=ConcatenatedCode(outer=outer, inner=RepetitionCode(1)),
+            key_bits=key_bits,
+        )
+        area = keygen_area(base, design.tech)
+        head = area.syndrome + area.berlekamp_massey + area.chien
+        outer_parts.append(
+            (outer, base.raw_bits, head, area.helper_xor, area.encoder)
+        )
+    # the PUF side depends only on the raw-bit count, which repeats a lot
+    puf_side: Dict[int, Tuple[int, float]] = {}
+
     points: List[KeygenDesignPoint] = []
-    for r in repetitions:
-        inner = RepetitionCode(r)
-        for outer in palette:
-            codec = KeyCodec(
-                code=ConcatenatedCode(outer=outer, inner=inner),
-                key_bits=key_bits,
-            )
-            if codec.raw_bits > max_raw_bits:
+    for inner, row in zip(inners, failures):
+        rep_area = repetition_decoder_area(inner, design.tech)
+        for (outer, bits, head, helper, encoder), pf in zip(outer_parts, row):
+            raw_bits = bits * inner.r
+            if raw_bits > max_raw_bits or pf > failure_target:
                 continue
-            pf = codec.key_failure_probability(p)
-            if pf > failure_target:
-                continue
-            n_ros = _ros_for_bits(design, codec.raw_bits)
-            sized = design.with_n_ros(n_ros)
+            if raw_bits not in puf_side:
+                n_ros = _ros_for_bits(design, raw_bits)
+                sized = design.with_n_ros(n_ros)
+                puf_side[raw_bits] = (n_ros, sized.puf_area())
+            n_ros, puf_area = puf_side[raw_bits]
             points.append(
                 KeygenDesignPoint(
-                    codec=codec,
+                    codec=KeyCodec(
+                        code=ConcatenatedCode(outer=outer, inner=inner),
+                        key_bits=key_bits,
+                    ),
                     key_failure=pf,
-                    raw_bits=codec.raw_bits,
+                    raw_bits=raw_bits,
                     n_ros=n_ros,
-                    puf_area=sized.puf_area(),
-                    ecc_area=keygen_area(codec, design.tech).total,
+                    puf_area=puf_area,
+                    ecc_area=head + rep_area + helper + encoder,
                 )
             )
     points.sort(key=lambda pt: pt.total_area)

@@ -39,16 +39,15 @@ def required_correction(p: float, n: int, target: float) -> int:
     """Smallest ``t`` such that ``P[Binomial(n, p) > t] <= target``.
 
     A convenience for sizing a standalone BCH code: how many errors must a
-    length-``n`` block correct to meet the block-failure target.
+    length-``n`` block correct to meet the block-failure target.  One
+    ``binom.sf`` call tabulates the tail for every candidate ``t``.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be a probability")
     if target <= 0:
         raise ValueError("target must be positive")
-    for t in range(n + 1):
-        if stats.binom.sf(t, n, p) <= target:
-            return t
-    return n
+    met = np.flatnonzero(stats.binom.sf(np.arange(n + 1), n, p) <= target)
+    return int(met[0]) if met.size else n
 
 
 def empirical_key_failure(

@@ -8,15 +8,19 @@ through a chain of comparisons, the pair's response is predictable without
 touching the device — the PUF's entropy is *at most* ``log2(n!)``, not
 ``2^challenge_bits``.
 
-:func:`sorting_attack` implements the attack (transitive closure over the
-observed comparison digraph) and :func:`attack_curve` measures prediction
-accuracy versus the number of disclosed CRPs — experiment E11.  The point
-it makes for this paper: the attack works *identically* against the
-conventional RO-PUF and the ARO-PUF (aging resistance is orthogonal to
-modeling resistance), which is why the key-generation mode — where
-responses never leave the chip — is the deployment the area argument (E6)
-is about, and why the authentication verifier (E10) must never reuse
-challenges.
+:func:`sorting_attack` implements the attack and :func:`attack_curve`
+measures prediction accuracy versus the number of disclosed CRPs —
+experiment E11.  The point it makes for this paper: the attack works
+*identically* against the conventional RO-PUF and the ARO-PUF (aging
+resistance is orthogonal to modeling resistance), which is why the
+key-generation mode — where responses never leave the chip — is the
+deployment the area argument (E6) is about, and why the authentication
+verifier (E10) must never reuse challenges.
+
+The attacker's model is an ``n_ros x n_ros`` boolean matrix of observed
+comparisons plus its reachability matrix (the transitive closure,
+computed once per training set with Warshall's algorithm in numpy), so
+every prediction is one lookup.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import networkx as nx
+import numpy as np
 
 from .._rng import RngLike, as_generator
 from ..core.base import RoPufInstance
@@ -32,54 +36,99 @@ from ..core.pairing import RandomDisjointPairing
 from .crp import CrpTable, harvest_crps
 
 
+def _reachability(comparisons: np.ndarray) -> np.ndarray:
+    """Transitive closure of a boolean adjacency matrix (Warshall).
+
+    ``out[u, v]`` is true when a path of length >= 1 leads from ``u`` to
+    ``v``, so the diagonal is true exactly for nodes on a cycle.
+    """
+    reach = np.array(comparisons, dtype=bool)
+    for k in range(reach.shape[0]):
+        reach |= reach[:, k, np.newaxis] & reach[k]
+    return reach
+
+
 @dataclass(frozen=True)
 class SortingAttackModel:
-    """The attacker's knowledge: a digraph of inferred speed orderings.
+    """The attacker's knowledge: inferred speed orderings between ROs.
 
-    Edge ``u -> v`` means "oscillator ``v`` is faster than ``u``".
+    ``comparisons[u, v]`` means "oscillator ``v`` was observed faster than
+    ``u``"; ``reachable`` is its transitive closure.  Noisy tables can
+    hold contradictory comparisons, so both may contain cycles.
     """
 
-    graph: nx.DiGraph
+    comparisons: np.ndarray
+    reachable: np.ndarray
     n_ros: int
 
     @property
     def n_comparisons(self) -> int:
-        """Directly observed comparisons (graph edges)."""
-        return self.graph.number_of_edges()
+        """Distinct directly observed comparisons."""
+        return int(np.count_nonzero(self.comparisons))
 
     def known_order_fraction(self) -> float:
-        """Fraction of all RO pairs whose order the model can derive."""
-        closure = nx.transitive_closure(self.graph)
-        decided = closure.number_of_edges()
+        """Fraction of all RO pairs whose order the model can derive.
+
+        Counts every reachable ordered pair, including the self-pair of a
+        node on a cycle, so contradictory models can exceed 1.
+        """
         total = self.n_ros * (self.n_ros - 1) // 2
-        return decided / total
+        return int(np.count_nonzero(self.reachable)) / total
 
     def predict_bit(self, a: int, b: int, rng: RngLike = None) -> Tuple[int, bool]:
-        """Predict ``sign(f_a > f_b)``; returns ``(bit, was_derived)``.
+        """Predict ``sign(f_a > f_b)``; returns ``(bit, was_derived)``
+        (a one-pair view of :meth:`predict_bits`)."""
+        bits, derived = self.predict_bits(np.array([[a, b]]), rng=rng)
+        return int(bits[0]), bool(derived[0])
 
-        Unknown orderings fall back to a coin flip (``was_derived=False``).
+    def predict_bits(
+        self, pairs: np.ndarray, rng: RngLike = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Predict ``sign(f_a > f_b)`` for every row ``(a, b)`` of ``pairs``.
+
+        Returns ``(bits, was_derived)``.  Unknown orderings fall back to
+        coin flips (``was_derived=False``): one ``integers(0, 2)`` draw per
+        unknown pair, in row order, from one generator, so a shared
+        generator sees the draws of a pair-by-pair :meth:`predict_bit` loop.
         """
-        if nx.has_path(self.graph, b, a):
-            return 1, True
-        if nx.has_path(self.graph, a, b):
-            return 0, True
+        a, b = pairs[:, 0], pairs[:, 1]
+        up = (a == b) | self.reachable[b, a]
+        derived = up | self.reachable[a, b]
+        bits = up.astype(np.uint8)
+        unknown = np.flatnonzero(~derived)
+        if unknown.size:
+            gen = as_generator(rng)
+            for i in unknown:
+                bits[i] = gen.integers(0, 2)
+        return bits, derived
+
+    def accuracy(self, test: CrpTable, rng: RngLike = None) -> float:
+        """Bit-prediction accuracy on the CRPs of ``test``."""
+        pairing = RandomDisjointPairing()
         gen = as_generator(rng)
-        return int(gen.integers(0, 2)), False
+        correct = 0
+        for challenge, response in zip(test.challenges, test.responses):
+            pairs = pairing.pairs(self.n_ros, int(challenge))
+            bits, _ = self.predict_bits(pairs, rng=gen)
+            correct += int(np.count_nonzero(bits == response))
+        return correct / test.responses.size
 
 
 def build_attack_model(table: CrpTable, n_ros: int) -> SortingAttackModel:
-    """Digest disclosed CRPs into the comparison digraph."""
+    """Digest disclosed CRPs into the comparison and reachability matrices."""
     pairing = RandomDisjointPairing()
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(n_ros))
+    comparisons = np.zeros((n_ros, n_ros), dtype=bool)
     for challenge, response in zip(table.challenges, table.responses):
         pairs = pairing.pairs(n_ros, int(challenge))
-        for (a, b), bit in zip(pairs, response):
-            if bit:  # f_a > f_b : b -> a
-                graph.add_edge(int(b), int(a))
-            else:
-                graph.add_edge(int(a), int(b))
-    return SortingAttackModel(graph=graph, n_ros=n_ros)
+        faster = response.astype(bool)  # f_a > f_b : b -> a
+        slow = np.where(faster, pairs[:, 1], pairs[:, 0])
+        fast = np.where(faster, pairs[:, 0], pairs[:, 1])
+        comparisons[slow, fast] = True
+    return SortingAttackModel(
+        comparisons=comparisons,
+        reachable=_reachability(comparisons),
+        n_ros=n_ros,
+    )
 
 
 def sorting_attack(
@@ -89,18 +138,7 @@ def sorting_attack(
     rng: RngLike = None,
 ) -> float:
     """Train on disclosed CRPs, return bit-prediction accuracy on unseen ones."""
-    model = build_attack_model(train, n_ros)
-    pairing = RandomDisjointPairing()
-    gen = as_generator(rng)
-    correct = 0
-    total = 0
-    for challenge, response in zip(test.challenges, test.responses):
-        pairs = pairing.pairs(n_ros, int(challenge))
-        for (a, b), bit in zip(pairs, response):
-            predicted, _ = model.predict_bit(int(a), int(b), rng=gen)
-            correct += int(predicted == int(bit))
-            total += 1
-    return correct / total
+    return build_attack_model(train, n_ros).accuracy(test, rng=rng)
 
 
 def attack_curve(
@@ -116,6 +154,11 @@ def attack_curve(
     gen = as_generator(rng)
     max_train = max(train_sizes)
     table = harvest_crps(instance, max_train + n_test, rng=gen)
+    test = CrpTable(
+        challenges=table.challenges[max_train:],
+        responses=table.responses[max_train:],
+        chip_id=table.chip_id,
+    )
     rows = []
     for n_train in train_sizes:
         train = CrpTable(
@@ -123,12 +166,7 @@ def attack_curve(
             responses=table.responses[:n_train],
             chip_id=table.chip_id,
         )
-        test = CrpTable(
-            challenges=table.challenges[max_train:],
-            responses=table.responses[max_train:],
-            chip_id=table.chip_id,
-        )
         model = build_attack_model(train, instance.design.n_ros)
-        accuracy = sorting_attack(train, test, instance.design.n_ros, rng=gen)
+        accuracy = model.accuracy(test, rng=gen)
         rows.append((n_train, accuracy, model.known_order_fraction()))
     return rows

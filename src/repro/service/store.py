@@ -94,8 +94,14 @@ class HelperStore:
 
     With ``path`` set, every :meth:`put` appends one JSON line and the
     constructor replays the file (last record per chip wins, malformed
-    lines counted in ``n_skipped``) — the same crash-tolerant append-only
-    discipline as :class:`~repro.telemetry.ledger.RunLedger`.
+    lines counted in ``n_skipped``) — the same append-only discipline as
+    :class:`~repro.telemetry.ledger.RunLedger`.
+
+    Durability is the operating system's: :meth:`put` closes the file but
+    never calls ``fsync``, so a returned (acknowledged) enrollment survives
+    a crash of this process but can be lost if the OS crashes or power
+    fails.  A process killed mid-append leaves at most a torn last line,
+    which the next load skips and counts in ``n_skipped``.
     """
 
     def __init__(self, path: Optional[PathLike] = None):

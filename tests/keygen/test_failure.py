@@ -1,6 +1,7 @@
 """Key-failure analysis: analytic model versus Monte-Carlo ground truth."""
 
 import pytest
+from scipy import stats
 
 from repro.ecc import BchCode, ConcatenatedCode, KeyCodec, RepetitionCode
 from repro.keygen import (
@@ -30,6 +31,17 @@ class TestRequiredCorrection:
         loose = required_correction(0.05, 127, 1e-3)
         tight = required_correction(0.05, 127, 1e-9)
         assert tight > loose
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 31, 127, 255])
+    @pytest.mark.parametrize("p", [0.0, 1e-4, 0.01, 0.077, 0.32, 0.5, 1.0])
+    @pytest.mark.parametrize("target", [1e-12, 1e-6, 1e-3, 0.5])
+    def test_matches_scalar_loop(self, p, n, target):
+        """The one-call tabulation returns what a per-``t`` scalar loop
+        over ``binom.sf`` returns."""
+        expected = next(
+            (t for t in range(n + 1) if stats.binom.sf(t, n, p) <= target), n
+        )
+        assert required_correction(p, n, target) == expected
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,14 @@
 """Sorting modeling attack."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import conventional_design
 from repro.protocol import (
     attack_curve,
@@ -28,7 +34,7 @@ class TestModel:
         assert model.n_comparisons > 0
         # every observed edge u -> v must mean f_v > f_u
         freqs = instance.frequencies()
-        for u, v in model.graph.edges:
+        for u, v in np.argwhere(model.comparisons):
             assert freqs[v] > freqs[u]
 
     def test_coverage_grows_with_crps(self, table):
@@ -87,3 +93,30 @@ class TestAttack:
         for _, acc, cov in rows:
             assert 0.0 <= acc <= 1.0
             assert 0.0 <= cov <= 1.0
+
+
+def test_attack_runs_without_networkx():
+    """networkx is not a declared dependency: the attack must not need it."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    script = textwrap.dedent(
+        """
+        import sys
+        sys.modules["networkx"] = None  # any import of it now fails
+        from repro.core import conventional_design
+        from repro.protocol import attack_curve
+        inst = conventional_design(n_ros=32).sample_instances(1, rng=0)[0]
+        rows = attack_curve(inst, train_sizes=(1, 8), n_test=4, rng=1)
+        assert [n for n, _, _ in rows] == [1, 8]
+        print("ok")
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
