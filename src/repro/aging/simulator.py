@@ -133,15 +133,16 @@ class AgingSimulator:
                 f"chip has {chip.n_stages} stages but the cell expects "
                 f"{self.cell.n_stages}"
             )
-        gen = as_generator(rng)
-        shape = chip.vth.shape
+        shape = (1,) + chip.vth.shape
+        nbti_a, hci_b = np.empty(shape), np.empty(shape)
+        self.fabricate_block([as_generator(rng)], nbti_a, hci_b)
         return ChipAging(
             chip=chip,
             tech=self.tech,
             stress=self.stress,
             mission=self.mission,
-            nbti_a=nbti.sample_prefactors(shape, self.tech.nbti, gen),
-            hci_b=hci.sample_prefactors(shape, self.tech.hci, gen),
+            nbti_a=nbti_a[0],
+            hci_b=hci_b[0],
         )
 
     def for_population(
@@ -154,6 +155,31 @@ class AgingSimulator:
             for chip, child in zip(population, children)
         ]
 
+    def fabricate_block(
+        self,
+        rngs: Sequence[RngLike],
+        nbti_out: np.ndarray,
+        hci_out: np.ndarray,
+    ) -> None:
+        """Sample one chip's device prefactors per entry of ``rngs``.
+
+        The one prefactor fabricator: :meth:`for_chip` (a one-row
+        block), :meth:`PopulationAging.sample`, the mmap store and the
+        shard workers all fill their ``(len(rngs), n_ros, n_stages, 2)``
+        tensors through it.  ``rngs[i]`` (a generator or a spawn key)
+        draws chip ``i``'s NBTI prefactors, then its HCI prefactors.
+        """
+        if nbti_out.shape != hci_out.shape or len(nbti_out) != len(rngs):
+            raise ValueError(
+                f"need one row per stream in equal-shape outputs, got "
+                f"{len(rngs)} streams, {nbti_out.shape} and {hci_out.shape}"
+            )
+        shape = nbti_out.shape[1:]
+        for i, rng in enumerate(rngs):
+            gen = as_generator(rng)
+            nbti_out[i] = nbti.sample_prefactors(shape, self.tech.nbti, gen)
+            hci_out[i] = hci.sample_prefactors(shape, self.tech.hci, gen)
+
     def population_aging(
         self, population: ChipPopulation, rng: RngLike = None
     ) -> "PopulationAging":
@@ -163,6 +189,66 @@ class AgingSimulator:
         on both paths.
         """
         return PopulationAging.sample(self, population, rng)
+
+
+class CoefficientFold:
+    """The time-independent factors of the aging closed form, folded once.
+
+    :meth:`ChipAging.delta` computes, per element,
+
+        ((scale * a) * k_T) * (duty * t) ** n          (BTI)
+        (scale * b) * ((tpy * t) / N_ref) ** m         (HCI)
+
+    with the polarity ``scale`` (1 or ``pbti_factor`` for BTI,
+    ``PMOS_HCI_FACTOR`` or 1 for HCI) and the Arrhenius factor ``k_T``.
+    :meth:`bti_coeff` / :meth:`hci_coeff` fold the prefactors with those
+    in exactly that grouping, and :meth:`bti_dir` / :meth:`hci_dir` fold
+    the mission's duty/transition powers on top — the form the hot
+    frequency path multiplies by a scalar power of ``t``.  Both
+    :class:`PopulationAging` and the mmap store fold through one
+    instance of this class, so their tensors are bit-identical.
+
+    ``duty`` / ``tpy`` are the per-device stress on a ``(1, 1, n_stages,
+    2)`` layout that broadcasts against the population tensor: PMOS rows
+    take the NBTI duty, NMOS rows the PBTI duty.
+    """
+
+    def __init__(
+        self, tech: TechnologyCard, stress: StressProfile, mission: MissionProfile
+    ):
+        self.tech = tech
+        self.k_t = nbti.temperature_acceleration(mission.temperature_k, tech.nbti)
+        n_stages = stress.n_stages
+        duty = np.empty((1, 1, n_stages, 2))
+        duty[0, 0, :, PMOS] = stress.nbti_duty[:, PMOS]
+        duty[0, 0, :, NMOS] = stress.pbti_duty[:, NMOS]
+        tpy = np.empty((1, 1, n_stages, 2))
+        tpy[0, 0, :, PMOS] = stress.transitions_per_year[:, PMOS]
+        tpy[0, 0, :, NMOS] = stress.transitions_per_year[:, NMOS]
+        self.duty = duty
+        self.tpy = tpy
+        self.duty_pow = duty ** tech.nbti.n
+        self.tpy_pow = (tpy / tech.hci.ref_transitions) ** tech.hci.m
+
+    def bti_coeff(self, nbti_a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``(scale * a) * k_T`` into ``out`` (which may alias ``nbti_a``)."""
+        out[..., PMOS] = (1.0 * nbti_a[..., PMOS]) * self.k_t
+        out[..., NMOS] = (self.tech.nbti.pbti_factor * nbti_a[..., NMOS]) * self.k_t
+        return out
+
+    def hci_coeff(self, hci_b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``scale * b`` into ``out`` (which may alias ``hci_b``)."""
+        out[..., PMOS] = hci.PMOS_HCI_FACTOR * hci_b[..., PMOS]
+        out[..., NMOS] = 1.0 * hci_b[..., NMOS]
+        return out
+
+    def bti_dir(self, bti_coeff: np.ndarray, out: Optional[np.ndarray] = None):
+        """The BTI coefficients times the duty powers ``duty ** n``."""
+        return np.multiply(bti_coeff, self.duty_pow, out=out)
+
+    def hci_dir(self, hci_coeff: np.ndarray, out: Optional[np.ndarray] = None):
+        """The HCI coefficients times ``(tpy / N_ref) ** m``."""
+        return np.multiply(hci_coeff, self.tpy_pow, out=out)
 
 
 class PopulationAging:
@@ -221,33 +307,13 @@ class PopulationAging:
         self.hci_b = hci_b
 
         # ---- time-independent factors, folded once -------------------
-        # ChipAging.delta computes, per element,
-        #   ((scale * a) * k_T) * (duty * t) ** n          (BTI)
-        #   (scale * b) * ((tpy * t) / N_ref) ** m         (HCI)
-        # and we reproduce exactly that grouping so the batched delta is
-        # bit-identical to the per-chip one.
-        params = tech.nbti
-        k_t = nbti.temperature_acceleration(mission.temperature_k, params)
-        bti_coeff = np.empty_like(nbti_a)
-        bti_coeff[..., PMOS] = (1.0 * nbti_a[..., PMOS]) * k_t
-        bti_coeff[..., NMOS] = (params.pbti_factor * nbti_a[..., NMOS]) * k_t
-        hci_coeff = np.empty_like(hci_b)
-        hci_coeff[..., PMOS] = hci.PMOS_HCI_FACTOR * hci_b[..., PMOS]
-        hci_coeff[..., NMOS] = 1.0 * hci_b[..., NMOS]
-        self._bti_coeff = bti_coeff
-        self._hci_coeff = hci_coeff
-
-        # per-device stress shaped for broadcast against the population
-        # tensor: PMOS rows take the NBTI duty, NMOS rows the PBTI duty.
-        n_stages = stress.n_stages
-        duty = np.empty((1, 1, n_stages, 2))
-        duty[0, 0, :, PMOS] = stress.nbti_duty[:, PMOS]
-        duty[0, 0, :, NMOS] = stress.pbti_duty[:, NMOS]
-        tpy = np.empty((1, 1, n_stages, 2))
-        tpy[0, 0, :, PMOS] = stress.transitions_per_year[:, PMOS]
-        tpy[0, 0, :, NMOS] = stress.transitions_per_year[:, NMOS]
-        self._duty = duty
-        self._tpy = tpy
+        # in ChipAging.delta's exact grouping (see CoefficientFold), so
+        # the batched delta is bit-identical to the per-chip one
+        fold = CoefficientFold(tech, stress, mission)
+        self._bti_coeff = fold.bti_coeff(nbti_a, np.empty_like(nbti_a))
+        self._hci_coeff = fold.hci_coeff(hci_b, np.empty_like(hci_b))
+        self._duty = fold.duty
+        self._tpy = fold.tpy
         # per-(stage, polarity) coefficient maxima: lets delta evaluation
         # prove a clip is a no-op from a 10-element check and skip the
         # population-sized minimum pass (bitwise identical either way)
@@ -258,10 +324,8 @@ class PopulationAging:
         # pulling the duty/transition powers out of the time loop.  This
         # regroups the closed form (ULP-level drift), so only
         # subtract_delta_into uses it — delta() keeps the exact grouping.
-        self._bti_dir = bti_coeff * self._duty ** tech.nbti.n
-        self._hci_dir = (
-            hci_coeff * (self._tpy / tech.hci.ref_transitions) ** tech.hci.m
-        )
+        self._bti_dir = fold.bti_dir(self._bti_coeff)
+        self._hci_dir = fold.hci_dir(self._hci_coeff)
         self._bti_dir_max = float(self._bti_dir.max())
         self._hci_dir_max = float(self._hci_dir.max())
         self._memo: "OrderedDict[float, np.ndarray]" = OrderedDict()
@@ -280,8 +344,9 @@ class PopulationAging:
         """Sample every chip's prefactors into one stacked tensor.
 
         Mirrors :meth:`AgingSimulator.for_population` draw for draw (one
-        spawned child generator per chip, NBTI before HCI), so the same
-        seed produces the same device prefactors on both paths.
+        spawned child generator per chip, NBTI before HCI, through
+        :meth:`AgingSimulator.fabricate_block`), so the same seed produces
+        the same device prefactors on both paths.
 
         ``children`` bypasses the spawn and supplies one pre-derived
         generator (or spawn key) per chip — the parallel engine's shard
@@ -291,11 +356,16 @@ class PopulationAging:
         chips = list(population)
         if not chips:
             raise ValueError("population is empty")
+        shape = chips[0].vth.shape
         for chip in chips:
             if chip.n_stages != simulator.cell.n_stages:
                 raise ValueError(
                     f"chip has {chip.n_stages} stages but the cell expects "
                     f"{simulator.cell.n_stages}"
+                )
+            if chip.vth.shape != shape:
+                raise ValueError(
+                    f"chip geometry {chip.vth.shape} differs from {shape}"
                 )
         if children is None:
             children = spawn(rng, len(chips))
@@ -303,23 +373,17 @@ class PopulationAging:
             raise ValueError(
                 f"got {len(children)} child streams for {len(chips)} chips"
             )
-        a_rows, b_rows = [], []
+        nbti_a = np.empty((len(chips),) + shape)
+        hci_b = np.empty_like(nbti_a)
         with telemetry.span("aging.sample_prefactors", n_chips=len(chips)):
-            for i, (chip, child) in enumerate(zip(chips, children)):
-                gen = as_generator(child)
-                a_rows.append(
-                    nbti.sample_prefactors(chip.vth.shape, simulator.tech.nbti, gen)
-                )
-                b_rows.append(
-                    hci.sample_prefactors(chip.vth.shape, simulator.tech.hci, gen)
-                )
-                telemetry.progress("aging.sample_prefactors", i + 1, len(chips))
+            simulator.fabricate_block(children, nbti_a, hci_b)
+            telemetry.progress("aging.sample_prefactors", len(chips), len(chips))
         return cls(
             tech=simulator.tech,
             stress=simulator.stress,
             mission=simulator.mission,
-            nbti_a=np.stack(a_rows),
-            hci_b=np.stack(b_rows),
+            nbti_a=nbti_a,
+            hci_b=hci_b,
         )
 
     @classmethod

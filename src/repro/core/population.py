@@ -117,13 +117,23 @@ class PopulationView:
     def from_chips(
         cls, chips: Union[ChipPopulation, Sequence[Chip]]
     ) -> "PopulationView":
-        """Stack a population (or any chip sequence) into one view."""
+        """Stack a population (or any chip sequence) into one view.
+
+        A population fabricated as one block hands over its tensors
+        without a copy.
+        """
+        block = chips if isinstance(chips, ChipPopulation) else None
         chips = list(chips)
         if not chips:
             raise ValueError("population is empty")
+        if block is not None and block.vth is not None:
+            vth, tc_scale = block.vth, block.tc_scale
+        else:
+            vth = np.stack([c.vth for c in chips])
+            tc_scale = np.stack([c.tc_scale for c in chips])
         return cls(
-            vth=np.stack([c.vth for c in chips]),
-            tc_scale=np.stack([c.tc_scale for c in chips]),
+            vth=vth,
+            tc_scale=tc_scale,
             positions=chips[0].positions,
             chip_ids=[c.chip_id for c in chips],
         )

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from .bch import BchCode
 from .repetition import RepetitionCode, majority_error_probabilities
@@ -159,6 +158,8 @@ def block_failure_probabilities(
     One ``binom.sf`` call covers the whole grid, shape
     ``(len(repetitions), len(outers))``.
     """
+    from scipy import stats
+
     q = majority_error_probabilities(p, repetitions)
     t = np.array([outer.t for outer in outers], dtype=np.int64)
     n = np.array([outer.n for outer in outers], dtype=np.int64)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -75,6 +74,8 @@ def majority_error_probabilities(p: float, repetitions) -> np.ndarray:
     every factor in one ``binom.sf`` call.  ``r = 1`` (no inner code)
     passes ``p`` through unchanged.
     """
+    from scipy import stats
+
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be a probability")
     r = np.asarray(repetitions, dtype=np.int64)

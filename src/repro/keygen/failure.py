@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .._rng import RngLike, as_generator
 from ..ecc.concatenated import KeyCodec
@@ -42,6 +41,8 @@ def required_correction(p: float, n: int, target: float) -> int:
     length-``n`` block correct to meet the block-failure target.  One
     ``binom.sf`` call tabulates the tail for every candidate ``t``.
     """
+    from scipy import stats
+
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be a probability")
     if target <= 0:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 import numpy as np
-from scipy import special, stats
 
 #: conventional NIST significance level
 ALPHA = 0.01
@@ -31,6 +30,8 @@ def _bits(x) -> np.ndarray:
 
 def monobit_test(bits) -> float:
     """Frequency (monobit) test p-value."""
+    from scipy import special
+
     b = _bits(bits)
     s = np.abs(np.sum(2 * b.astype(np.int64) - 1))
     return float(special.erfc(s / np.sqrt(2.0 * b.size)))
@@ -38,6 +39,8 @@ def monobit_test(bits) -> float:
 
 def block_frequency_test(bits, block_size: int = 16) -> float:
     """Frequency-within-block test p-value."""
+    from scipy import special
+
     b = _bits(bits)
     if block_size < 2:
         raise ValueError("block_size must be at least 2")
@@ -52,6 +55,8 @@ def block_frequency_test(bits, block_size: int = 16) -> float:
 
 def runs_test(bits) -> float:
     """Runs test p-value (returns 0.0 when the monobit prerequisite fails)."""
+    from scipy import special
+
     b = _bits(bits)
     n = b.size
     pi = b.mean()
@@ -65,6 +70,8 @@ def runs_test(bits) -> float:
 
 def longest_run_test(bits) -> float:
     """Longest-run-of-ones test p-value (128-bit-block variant, K=5)."""
+    from scipy import special
+
     b = _bits(bits)
     block_size = 128
     if b.size < block_size:
@@ -109,6 +116,8 @@ def _psi_squared(b: np.ndarray, m: int) -> float:
 
 def serial_test(bits, m: int = 3) -> float:
     """Serial test p-value (first of the two NIST p-values)."""
+    from scipy import special
+
     b = _bits(bits)
     if m < 1:
         raise ValueError("m must be positive")
@@ -120,6 +129,8 @@ def serial_test(bits, m: int = 3) -> float:
 
 def approximate_entropy_test(bits, m: int = 2) -> float:
     """Approximate-entropy test p-value."""
+    from scipy import special
+
     b = _bits(bits)
     n = b.size
 
@@ -142,6 +153,8 @@ def approximate_entropy_test(bits, m: int = 2) -> float:
 
 def cumulative_sums_test(bits) -> float:
     """Cumulative-sums (forward) test p-value."""
+    from scipy import special
+
     b = _bits(bits)
     n = b.size
     s = np.cumsum(2 * b.astype(np.int64) - 1)
@@ -151,11 +164,11 @@ def cumulative_sums_test(bits) -> float:
     sqrt_n = np.sqrt(n)
     total = 0.0
     for k in range(int((-n / z + 1) // 4), int((n / z - 1) // 4) + 1):
-        total += stats.norm.cdf((4 * k + 1) * z / sqrt_n) - stats.norm.cdf(
+        total += special.ndtr((4 * k + 1) * z / sqrt_n) - special.ndtr(
             (4 * k - 1) * z / sqrt_n
         )
     for k in range(int((-n / z - 3) // 4), int((n / z - 1) // 4) + 1):
-        total -= stats.norm.cdf((4 * k + 3) * z / sqrt_n) - stats.norm.cdf(
+        total -= special.ndtr((4 * k + 3) * z / sqrt_n) - special.ndtr(
             (4 * k + 1) * z / sqrt_n
         )
     return float(max(0.0, min(1.0, 1.0 - total)))

@@ -5,10 +5,10 @@ The contract with the coordinator (:mod:`repro.parallel.executor`):
 
 * a task ships a :class:`~repro.parallel.sharding.ShardSpec` (spawn keys
   and config, never tensors) plus a list of :class:`EvalRequest` items;
-* the worker fabricates its chip shard locally — through exactly the
-  same ``sample_chip`` / prefactor-sampling calls, fed exactly the same
-  child streams, as a serial :func:`make_batch_study` would have used for
-  those chips — and keeps the resulting shard
+* the worker fabricates its chip shard locally — through the same block
+  fabricators, fed exactly the same child streams, as a serial
+  :func:`make_batch_study` would have used for those chips — and keeps
+  the resulting shard
   :class:`~repro.core.population.BatchStudy` in a small LRU cache so a
   year sweep pays fabrication once, not once per grid point;
 * the reply is a :class:`ShardReport`: the requested arrays (chip-axis
@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import telemetry
-from .._rng import as_generator
 from ..aging.simulator import AgingSimulator, PopulationAging
 from ..core.population import BatchStudy, PopulationView, RamColumns
 from ..environment.conditions import OperatingConditions
@@ -152,12 +151,12 @@ _SHARD_CACHE_SIZE = 8
 def fabricate_shard(spec: ShardSpec) -> BatchStudy:
     """Build the shard's :class:`BatchStudy` from its spawn keys.
 
-    Per chip this performs the identical draws, in the identical order,
-    as the serial path: ``sample_chip`` on the chip's fabrication stream,
-    then NBTI-before-HCI prefactor sampling on its aging stream (via
-    :meth:`PopulationAging.sample` with pre-derived children).  Responses
-    and deltas of the shard rows are therefore bit-identical to the same
-    rows of a whole-population study under the same root seed.
+    The shard's rows go through the same block fabricators as the serial
+    path — :meth:`VariationModel.fabricate_block` on the chips'
+    fabrication streams, then :meth:`PopulationAging.sample` (NBTI before
+    HCI) on their aging streams — so responses and deltas of the shard
+    rows are bit-identical to the same rows of a whole-population study
+    under the same root seed.
     """
     design, mission = spec.design, spec.mission
     model = design.variation_model()
@@ -166,18 +165,17 @@ def fabricate_shard(spec: ShardSpec) -> BatchStudy:
         chip_start=spec.chip_start,
         n_chips=spec.n_chips,
     ):
-        chips = [
-            model.sample_chip(as_generator(key), chip_id=cid)
-            for key, cid in zip(spec.fab_keys, spec.chip_ids)
-        ]
-        population = ChipPopulation(chips=chips)
+        shape = (spec.n_chips, design.n_ros, design.n_stages, 2)
+        vth, tc_scale = np.empty(shape), np.empty(shape)
+        model.fabricate_block(spec.fab_keys, vth, tc_scale)
+        population = ChipPopulation.from_block(
+            vth, tc_scale, model.positions, chip_ids=spec.chip_ids
+        )
         simulator = AgingSimulator(
             design.tech, design.cell, mission, idle_policy=spec.idle_policy
         )
         aging = PopulationAging.sample(
-            simulator,
-            population,
-            children=[as_generator(key) for key in spec.aging_keys],
+            simulator, population, children=spec.aging_keys
         )
         source = RamColumns(
             PopulationView.from_chips(population), aging, spec.block_size

@@ -58,14 +58,12 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .. import telemetry
-from .._rng import RngLike, as_generator, spawn, spawn_keys
+from .._rng import RngLike, spawn, spawn_keys
 from ..telemetry import sampler as _sampler_mod
-from ..aging import hci, nbti
 from ..aging.schedule import IdlePolicy, MissionProfile
-from ..aging.simulator import AgingSimulator
+from ..aging.simulator import AgingSimulator, CoefficientFold
 from ..core.base import PufDesign
 from ..parallel.cache import ResultCache, cache_key
-from ..variation.chip import NMOS, PMOS
 
 PathLike = Union[str, pathlib.Path]
 
@@ -229,33 +227,15 @@ class PopulationStore:
         self._fab_keys = fab_keys
         self._aging_keys = aging_keys
         self._model = design.variation_model()
-        self._k_t = nbti.temperature_acceleration(
-            mission.temperature_k, design.tech.nbti
-        )
-        # Mission-folded duty/transition powers for the ``_dir`` columns,
-        # built with the same expressions, on the same (1, 1, s, 2)
-        # layout, as PopulationAging.__init__ builds ``_bti_dir`` /
-        # ``_hci_dir`` — the stored products are bit-identical to the
-        # in-RAM tensors.
-        simulator = AgingSimulator(
+        self._simulator = AgingSimulator(
             design.tech, design.cell, mission, idle_policy=idle_policy
         )
-        stress = simulator.stress
-        n_stages = stress.n_stages
-        duty = np.empty((1, 1, n_stages, 2))
-        duty[0, 0, :, PMOS] = stress.nbti_duty[:, PMOS]
-        duty[0, 0, :, NMOS] = stress.pbti_duty[:, NMOS]
-        tpy = np.empty((1, 1, n_stages, 2))
-        tpy[0, 0, :, PMOS] = stress.transitions_per_year[:, PMOS]
-        tpy[0, 0, :, NMOS] = stress.transitions_per_year[:, NMOS]
-        # kept unfolded too: the mechanism path takes ``(duty * t)**n``,
-        # the exact grouping of PopulationAging.delta_components
-        self.duty = duty
-        self.tpy = tpy
-        self._duty_pow = duty ** design.tech.nbti.n
-        self._tpy_pow = (
-            tpy / design.tech.hci.ref_transitions
-        ) ** design.tech.hci.m
+        # the coefficient folding PopulationAging.__init__ applies, so the
+        # stored columns are bit-identical to the in-RAM tensors; its
+        # unfolded ``duty`` / ``tpy`` back the mechanism path's
+        # ``(duty * t)**n``, the exact grouping of
+        # PopulationAging.delta_components
+        self.fold = CoefficientFold(design.tech, self._simulator.stress, mission)
         self._cols: Dict[str, np.memmap] = {}
         self._flags: Dict[str, np.memmap] = {}
         self._closed = False
@@ -509,58 +489,51 @@ class PopulationStore:
             )
 
     def _fabricate_process(self, lo: int, hi: int, columns: Sequence[str]) -> None:
-        """Replay the fabrication child streams for rows ``[lo, hi)``."""
+        """Fabricate rows ``[lo, hi)`` from their fabrication keys
+        (:meth:`VariationModel.fabricate_block`).
+
+        The block is assembled in private buffers and copied in whole:
+        ``fabricate_block`` fills its outputs in several passes, and a
+        worker re-fabricating a block another has already published must
+        only ever write the published bytes.
+        """
         cols = {name: self.column(name) for name in columns}
-        for i in range(lo, hi):
-            chip = self._model.sample_chip(
-                as_generator(int(self._fab_keys[i])), chip_id=i
-            )
-            if "vth" in cols:
-                cols["vth"][i] = chip.vth
-            if "tc_scale" in cols:
-                cols["tc_scale"][i] = chip.tc_scale
+        vth = self._scratch(lo, hi)
+        tc_scale = self._scratch(lo, hi) if "tc_scale" in cols else None
+        self._model.fabricate_block(self._fab_keys[lo:hi], vth, tc_scale)
+        if "vth" in cols:
+            cols["vth"][lo:hi] = vth
+        if tc_scale is not None:
+            cols["tc_scale"][lo:hi] = tc_scale
         self._publish(cols, lo, hi)
 
     def _fabricate_aging(self, lo: int, hi: int, columns: Sequence[str]) -> None:
-        """Replay the aging child streams for rows ``[lo, hi)``.
-
-        Draw order (NBTI prefactors before HCI, one child per chip) and
-        the coefficient folding (Arrhenius ``k_T``, ``pbti_factor``,
-        ``PMOS_HCI_FACTOR``) mirror
-        :meth:`repro.aging.simulator.PopulationAging.sample` /
-        ``__init__`` element for element, so the stored coefficients are
-        bit-identical to the in-RAM tensors — and the ``_dir`` columns,
-        one further multiply by the duty/transition powers, match the
-        in-RAM ``_bti_dir`` / ``_hci_dir`` products the same way.
+        """Sample rows ``[lo, hi)``'s prefactors from their aging keys
+        (:meth:`AgingSimulator.fabricate_block`) and fold them into the
+        requested columns through :class:`CoefficientFold`, exactly as
+        :class:`~repro.aging.simulator.PopulationAging` folds its tensors.
+        Each fold writes its column's final bytes in one pass.
         """
-        tech = self.design.tech
-        params = tech.nbti
-        shape = (self.design.n_ros, self.design.n_stages, 2)
         cols = {name: self.column(name) for name in columns}
-        want_bti = "bti_coeff" in cols or "bti_dir" in cols
-        want_hci = "hci_coeff" in cols or "hci_dir" in cols
-        duty_pow = self._duty_pow[0, 0]  # (n_stages, 2), broadcast per row
-        tpy_pow = self._tpy_pow[0, 0]
-        coeff = np.empty(shape)
-        for i in range(lo, hi):
-            gen = as_generator(int(self._aging_keys[i]))
-            nbti_a = nbti.sample_prefactors(shape, params, gen)
-            hci_b = hci.sample_prefactors(shape, tech.hci, gen)
-            if want_bti:
-                coeff[..., PMOS] = (1.0 * nbti_a[..., PMOS]) * self._k_t
-                coeff[..., NMOS] = (params.pbti_factor * nbti_a[..., NMOS]) * self._k_t
-                if "bti_coeff" in cols:
-                    cols["bti_coeff"][i] = coeff
-                if "bti_dir" in cols:
-                    np.multiply(coeff, duty_pow, out=cols["bti_dir"][i])
-            if want_hci:
-                coeff[..., PMOS] = hci.PMOS_HCI_FACTOR * hci_b[..., PMOS]
-                coeff[..., NMOS] = 1.0 * hci_b[..., NMOS]
-                if "hci_coeff" in cols:
-                    cols["hci_coeff"][i] = coeff
-                if "hci_dir" in cols:
-                    np.multiply(coeff, tpy_pow, out=cols["hci_dir"][i])
+        nbti_a, hci_b = self._scratch(lo, hi), self._scratch(lo, hi)
+        self._simulator.fabricate_block(self._aging_keys[lo:hi], nbti_a, hci_b)
+        for mech, prefactors, fold_coeff, fold_dir in (
+            ("bti", nbti_a, self.fold.bti_coeff, self.fold.bti_dir),
+            ("hci", hci_b, self.fold.hci_coeff, self.fold.hci_dir),
+        ):
+            coeff_col = cols.get(f"{mech}_coeff")
+            dir_col = cols.get(f"{mech}_dir")
+            if coeff_col is None and dir_col is None:
+                continue
+            coeff = fold_coeff(
+                prefactors, prefactors if coeff_col is None else coeff_col[lo:hi]
+            )
+            if dir_col is not None:
+                fold_dir(coeff, out=dir_col[lo:hi])
         self._publish(cols, lo, hi)
+
+    def _scratch(self, lo: int, hi: int) -> np.ndarray:
+        return np.empty((hi - lo, self.design.n_ros, self.design.n_stages, 2))
 
     def _publish(self, cols: Dict[str, np.memmap], lo: int, hi: int) -> None:
         """Flush fabricated rows, drop them from RSS, raise the flags."""
@@ -740,11 +713,11 @@ class StoreColumns:
 
             return subtract, ("bti_dir", "hci_dir")
         if mechanism == "bti":
-            pow_mech = np.power(self.store.duty * t, tech.nbti.n)
+            pow_mech = np.power(self.store.fold.duty * t, tech.nbti.n)
             cap = tech.nbti.max_shift
         else:
             pow_mech = np.power(
-                (self.store.tpy * t) / tech.hci.ref_transitions, tech.hci.m
+                (self.store.fold.tpy * t) / tech.hci.ref_transitions, tech.hci.m
             )
             cap = tech.hci.max_shift
         name = f"{mechanism}_coeff"

@@ -17,7 +17,7 @@ device polarity: ``NMOS = 0`` (drives falling output transitions) and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -109,9 +109,32 @@ class Chip:
 
 @dataclass
 class ChipPopulation:
-    """A Monte-Carlo population of chips from the same design/process."""
+    """A Monte-Carlo population of chips from the same design/process.
+
+    A population fabricated as one block (:meth:`from_block`) also keeps
+    the stacked ``(n_chips, n_ros, n_stages, 2)`` tensors its chips are
+    row views of, so batched consumers take them without a restack.
+    """
 
     chips: List[Chip] = field(default_factory=list)
+    vth: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    tc_scale: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_block(
+        cls,
+        vth: np.ndarray,
+        tc_scale: np.ndarray,
+        positions: np.ndarray,
+        chip_ids: Optional[Sequence[int]] = None,
+    ) -> "ChipPopulation":
+        """Wrap stacked block tensors; chip ``i`` views row ``i``."""
+        ids = range(len(vth)) if chip_ids is None else chip_ids
+        chips = [
+            Chip(vth=vth[i], positions=positions, tc_scale=tc_scale[i], chip_id=int(cid))
+            for i, cid in enumerate(ids)
+        ]
+        return cls(chips=chips, vth=vth, tc_scale=tc_scale)
 
     def __len__(self) -> int:
         return len(self.chips)

@@ -18,13 +18,15 @@ cancels it down to a small residual (see :mod:`repro.variation.spatial`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .._rng import RngLike, as_generator, spawn
 from ..transistor.technology import TechnologyCard
 from .chip import Chip, ChipPopulation, grid_positions
-from .spatial import LayoutStyle, correlated_field, effective_systematic
+from .spatial import LayoutStyle, correlated_field_sampler, effective_systematic
 
 
 @dataclass(frozen=True)
@@ -52,46 +54,98 @@ class VariationModel:
         if self.n_stages < 3 or self.n_stages % 2 == 0:
             raise ValueError("n_stages must be an odd integer >= 3 for oscillation")
 
-    def sample_chip(self, rng: RngLike = None, chip_id: int = 0) -> Chip:
-        """Draw one chip from the process distribution."""
-        gen = as_generator(rng)
-        var = self.tech.variation
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """RO grid coordinates shared by every chip (read-only)."""
         positions = grid_positions(self.n_ros)
-        shape = (self.n_ros, self.n_stages, 2)
+        positions.flags.writeable = False
+        return positions
 
-        inter_die = var.sigma_inter_die * gen.standard_normal()
+    @cached_property
+    def _systematic(self) -> np.ndarray:
+        """The layout-dependent systematic offset of each RO (mask-set
+        property, identical on every chip)."""
+        var = self.tech.variation
+        return effective_systematic(self.positions, var.sigma_systematic, self.layout)
 
+    def fabricate_block(
+        self,
+        rngs: Sequence[RngLike],
+        vth_out: np.ndarray,
+        tc_out: Optional[np.ndarray] = None,
+    ) -> None:
+        """Fabricate one chip per entry of ``rngs`` into rows of the outputs.
+
+        The one process fabricator: :meth:`sample_chip`,
+        :meth:`sample_population`, the mmap store and the shard workers
+        all call it.  ``rngs[i]`` (a generator or a spawn key) draws chip
+        ``i`` in a fixed order — inter-die scalar, correlated-field
+        normals, white mismatch, then the ``tc_scale`` mismatch — so a
+        chip's bytes depend only on its own stream, never on the block it
+        was fabricated in.  ``vth_out`` (and ``tc_out``, when the caller
+        wants that column) have shape ``(len(rngs), n_ros, n_stages, 2)``.
+        The grid, the systematic field and the correlated-field factor are
+        built once per block, and the elementwise assembly runs over the
+        whole block, in place, in several passes.  Omitting ``tc_out``
+        skips its draw, the last one, which changes no other value.
+        """
+        n = len(rngs)
+        shape = (n, self.n_ros, self.n_stages, 2)
+        if vth_out.shape != shape or (tc_out is not None and tc_out.shape != shape):
+            raise ValueError(f"block outputs must have shape {shape}")
+        var = self.tech.variation
         # Split intra-die variance between a smooth correlated field and
         # white per-device mismatch, preserving total variance.
         corr_sigma = var.sigma_intra_die * np.sqrt(var.correlated_fraction)
         white_sigma = var.sigma_intra_die * np.sqrt(1.0 - var.correlated_fraction)
-        corr = correlated_field(
-            positions, corr_sigma, var.correlation_length, rng=gen
+        draw_corr = correlated_field_sampler(
+            self.positions, corr_sigma, var.correlation_length
         )
-        white = white_sigma * gen.standard_normal(shape)
+        inter_die = np.empty(n)
+        per_ro = np.empty((n, self.n_ros))
+        for i, rng in enumerate(rngs):
+            gen = as_generator(rng)
+            inter_die[i] = gen.standard_normal()
+            per_ro[i] = draw_corr(gen)
+            gen.standard_normal(out=vth_out[i])
+            if tc_out is not None:
+                gen.standard_normal(out=tc_out[i])
 
-        systematic = effective_systematic(positions, var.sigma_systematic, self.layout)
+        # vth = nominal + ((inter_die + corr + systematic) + white), each
+        # operation the same IEEE one per element as a single-chip draw
+        inter_die *= var.sigma_inter_die
+        per_ro += inter_die[:, None]
+        per_ro += self._systematic
+        vth_out *= white_sigma
+        vth_out += per_ro[:, :, None, None]
+        vth_out += np.array([self.tech.vth_n, self.tech.vth_p])
+        if np.any(vth_out <= 0):
+            raise ValueError("threshold magnitudes must be positive")
+        if tc_out is not None:
+            tc_out *= self.tech.tc_mismatch_cv
+            tc_out += 1.0
 
-        per_ro = inter_die + corr + systematic  # shape (n_ros,)
-        vth = np.empty(shape)
-        vth[:, :, 0] = self.tech.vth_n
-        vth[:, :, 1] = self.tech.vth_p
-        vth += per_ro[:, None, None] + white
-
-        tc_scale = 1.0 + self.tech.tc_mismatch_cv * gen.standard_normal(shape)
-
-        return Chip(vth=vth, positions=positions, tc_scale=tc_scale, chip_id=chip_id)
+    def sample_chip(self, rng: RngLike = None, chip_id: int = 0) -> Chip:
+        """Draw one chip from the process distribution (a one-row
+        :meth:`fabricate_block`)."""
+        shape = (1, self.n_ros, self.n_stages, 2)
+        vth, tc_scale = np.empty(shape), np.empty(shape)
+        self.fabricate_block([as_generator(rng)], vth, tc_scale)
+        return Chip(
+            vth=vth[0], positions=self.positions, tc_scale=tc_scale[0], chip_id=chip_id
+        )
 
     def sample_population(self, n_chips: int, rng: RngLike = None) -> ChipPopulation:
-        """Draw ``n_chips`` independent chips.
+        """Draw ``n_chips`` independent chips as one block.
 
         Each chip gets its own spawned child generator so that adding chips
-        to a population never perturbs the earlier chips' samples.
+        to a population never perturbs the earlier chips' samples.  The
+        chips are row views of the population's stacked tensors (see
+        :meth:`ChipPopulation.from_block`).
         """
         if n_chips <= 0:
             raise ValueError("n_chips must be positive")
-        children = spawn(rng, n_chips)
-        chips = [
-            self.sample_chip(child, chip_id=i) for i, child in enumerate(children)
-        ]
-        return ChipPopulation(chips=chips)
+        shape = (n_chips, self.n_ros, self.n_stages, 2)
+        vth, tc_scale = np.empty(shape), np.empty(shape)
+        self.fabricate_block(spawn(rng, n_chips), vth, tc_scale)
+        return ChipPopulation.from_block(vth, tc_scale, self.positions)

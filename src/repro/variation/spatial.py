@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
+from typing import Callable
 
 import numpy as np
 
@@ -95,9 +96,9 @@ _CHOLESKY_LIMIT = 1024
 #: memoised Cholesky factors keyed by (positions, sigma, length).  The
 #: factor is a pure function of the kernel inputs, so reusing it across
 #: chips changes nothing about the draws: every chip still multiplies the
-#: same matrix by its own standard-normal vector.  Population fabrication
-#: calls this once per chip with identical grids, and the factorisation
-#: (not the matvec) dominates ``sample_chip`` wall-clock at paper scale.
+#: same matrix by its own standard-normal vector.  Block fabrication
+#: asks for it once per block, and every block (and design) on the same
+#: grid shares one factorisation, which costs far more than the matvecs.
 _CHOL_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 _CHOL_CACHE_SIZE = 8
 
@@ -141,6 +142,21 @@ def correlated_field(
     grid path snaps each position to the nearest integer grid point, which
     is exact for the row-major RO grids this framework generates.
     """
+    draw = correlated_field_sampler(positions, sigma, correlation_length)
+    return draw(as_generator(rng))
+
+
+def correlated_field_sampler(
+    positions: np.ndarray, sigma: float, correlation_length: float
+) -> Callable[[np.random.Generator], np.ndarray]:
+    """``draw(gen)``: :func:`correlated_field` with its set-up done once.
+
+    The Cholesky factor (or the FFT kernel spectrum) depends only on the
+    grid, so a block of chips builds it once and each chip's ``draw``
+    consumes its own generator exactly as :func:`correlated_field` would:
+    one ``standard_normal`` of ``n`` (Cholesky) or of the padded grid
+    (FFT), nothing when ``sigma`` is zero.
+    """
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise ValueError("positions must have shape (n, 2)")
@@ -150,20 +166,16 @@ def correlated_field(
         raise ValueError("correlation_length must be positive")
     n = positions.shape[0]
     if sigma == 0.0 or n == 0:
-        return np.zeros(n)
-    gen = as_generator(rng)
+        return lambda gen: np.zeros(n)
     if n <= _CHOLESKY_LIMIT:
         chol = _cholesky_factor(positions, sigma, correlation_length)
-        return chol @ gen.standard_normal(n)
-    return _correlated_field_fft(positions, sigma, correlation_length, gen)
+        return lambda gen: chol @ gen.standard_normal(n)
+    return _fft_field_sampler(positions, sigma, correlation_length)
 
 
-def _correlated_field_fft(
-    positions: np.ndarray,
-    sigma: float,
-    correlation_length: float,
-    gen: np.random.Generator,
-) -> np.ndarray:
+def _fft_field_sampler(
+    positions: np.ndarray, sigma: float, correlation_length: float
+) -> Callable[[np.random.Generator], np.ndarray]:
     """Grid-based spectral synthesis of the squared-exponential field."""
     xi = np.rint(positions[:, 0]).astype(np.int64)
     yi = np.rint(positions[:, 1]).astype(np.int64)
@@ -181,12 +193,15 @@ def _correlated_field_fft(
     fx = np.fft.fftfreq(big_c)[None, :] * big_c
     kernel = np.exp(-(fx**2 + fy**2) / (2.0 * s**2))
     norm = np.sqrt(np.sum(kernel**2))
-    white = gen.standard_normal((big_r, big_c))
-    field = np.fft.irfft2(
-        np.fft.rfft2(white) * np.fft.rfft2(kernel), s=(big_r, big_c)
-    )
-    field *= sigma / norm
-    return field[yi, xi]
+    spectrum = np.fft.rfft2(kernel)
+
+    def draw(gen: np.random.Generator) -> np.ndarray:
+        white = gen.standard_normal((big_r, big_c))
+        field = np.fft.irfft2(np.fft.rfft2(white) * spectrum, s=(big_r, big_c))
+        field *= sigma / norm
+        return field[yi, xi]
+
+    return draw
 
 
 def effective_systematic(
