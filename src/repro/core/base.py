@@ -13,20 +13,21 @@ with :meth:`RoPufInstance.with_chip`; the instance itself stays stateless.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .._rng import RngLike
+from .._rng import RngLike, as_generator
 from ..circuit.cells import CellDescriptor
 from ..circuit.delay import ring_frequency
 from ..environment.conditions import OperatingConditions
+from ..environment.noise import noisy_counts
 from ..transistor.technology import TechnologyCard
 from ..variation.chip import Chip
 from ..variation.process import VariationModel
 from ..variation.spatial import LayoutStyle
 from .pairing import NeighborPairing, PairingScheme
-from .readout import ReadoutConfig, compare_pairs, voted_response
+from .readout import ReadoutConfig, check_pairs, voted_response
 
 
 @dataclass(frozen=True)
@@ -152,24 +153,61 @@ class RoPufInstance:
         Noiseless evaluation compares true frequencies (the idealised
         infinite-window measurement used as the aging-study reference);
         noisy evaluation runs the jittered counter datapath, optionally
-        majority-voting over ``votes`` windows.
+        majority-voting over ``votes`` windows.  The one-challenge case of
+        :meth:`evaluate_many`.
         """
-        pairs = self.design.pairing.pairs(self.design.n_ros, challenge)
+        return self.evaluate_many(
+            [challenge], conditions=conditions, noisy=noisy, votes=votes, rng=rng
+        )[0]
+
+    def evaluate_many(
+        self,
+        challenges: Sequence[Optional[int]],
+        *,
+        conditions: Optional[OperatingConditions] = None,
+        noisy: bool = False,
+        votes: int = 1,
+        rng: RngLike = None,
+    ) -> np.ndarray:
+        """Response bits for every challenge, shape ``(len(challenges), n_bits)``.
+
+        The chip's frequencies are computed once for the corner and every
+        challenge's pairs are compared against them.  With a shared
+        ``Generator`` the noisy draws are those of one :meth:`evaluate`
+        call per challenge in order (oscillator ``a`` then ``b`` for each
+        challenge; ``votes > 1`` spawns per challenge), so row ``i`` and
+        the generator's final state match that loop bit for bit.  With
+        ``rng=None``, an int or a ``SeedSequence`` the batch draws *one*
+        stream from it, where separate calls would each restart it.
+        """
+        design = self.design
+        if len(challenges) == 0:
+            raise ValueError("challenges is empty")
+        pairs = np.stack([design.pairing.pairs(design.n_ros, c) for c in challenges])
+        check_pairs(pairs, design.n_ros, challenge_axis=True)
         freqs = self.frequencies(conditions)
         if not noisy:
             if votes != 1:
                 raise ValueError("votes only applies to noisy evaluation")
-            return compare_pairs(
-                freqs, pairs, self.design.tech, self.design.readout
+            return (freqs[pairs[..., 0]] > freqs[pairs[..., 1]]).astype(np.uint8)
+        if votes < 1:
+            raise ValueError("votes must be at least 1")
+        design.readout.check_no_overflow(float(freqs.max()))
+        gen = as_generator(rng)
+        if votes > 1:
+            return np.stack(
+                [
+                    voted_response(
+                        freqs, p, design.tech, design.readout, votes=votes, rng=gen
+                    )
+                    for p in pairs
+                ]
             )
-        return voted_response(
-            freqs,
-            pairs,
-            self.design.tech,
-            self.design.readout,
-            votes=votes,
-            rng=rng,
+        # (k, 2, n_bits): per challenge the a row, then the b row
+        counts = noisy_counts(
+            freqs[pairs.transpose(0, 2, 1)], design.readout.window_s, design.tech, gen
         )
+        return (counts[:, 0] > counts[:, 1]).astype(np.uint8)
 
     def golden_response(self, challenge: Optional[int] = None) -> np.ndarray:
         """The enrolment-time reference response (noiseless, nominal)."""

@@ -52,6 +52,15 @@ class ReadoutConfig:
             )
 
 
+def check_pairs(pairs: np.ndarray, n_ros: int, *, challenge_axis: bool = False) -> None:
+    """Raise unless ``pairs`` is ``(n_bits, 2)`` — or ``(k, n_bits, 2)``
+    with ``challenge_axis`` — and indexes only ``n_ros`` oscillators."""
+    if pairs.ndim != 2 + challenge_axis or pairs.shape[-1] != 2:
+        raise ValueError(f"pairs must have shape (n_bits, 2), got {pairs.shape}")
+    if np.any(pairs < 0) or np.any(pairs >= n_ros):
+        raise ValueError("pair indices out of range")
+
+
 def compare_pairs(
     frequencies: np.ndarray,
     pairs: np.ndarray,
@@ -76,10 +85,7 @@ def compare_pairs(
     """
     frequencies = np.asarray(frequencies, dtype=float)
     pairs = np.asarray(pairs)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("pairs must have shape (n_bits, 2)")
-    if np.any(pairs < 0) or np.any(pairs >= frequencies.shape[-1]):
-        raise ValueError("pair indices out of range")
+    check_pairs(pairs, frequencies.shape[-1])
 
     f_a = frequencies[..., pairs[:, 0]]
     f_b = frequencies[..., pairs[:, 1]]

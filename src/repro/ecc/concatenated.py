@@ -22,7 +22,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .bch import BchCode
-from .repetition import RepetitionCode, majority_error_probabilities
+from .repetition import RepetitionCode, binom_sf, majority_error_probabilities
 
 
 @dataclass(frozen=True)
@@ -155,15 +155,13 @@ def block_failure_probabilities(
     The inner stage leaves each outer bit wrong independently with
     probability ``q_r`` (:func:`.repetition.majority_error_probabilities`);
     a block fails when more than ``t`` of its ``n`` outer bits are wrong.
-    One ``binom.sf`` call covers the whole grid, shape
+    One :func:`.repetition.binom_sf` call covers the whole grid, shape
     ``(len(repetitions), len(outers))``.
     """
-    from scipy import stats
-
     q = majority_error_probabilities(p, repetitions)
     t = np.array([outer.t for outer in outers], dtype=np.int64)
     n = np.array([outer.n for outer in outers], dtype=np.int64)
-    return stats.binom.sf(t, n, q[:, np.newaxis])
+    return binom_sf(t, n, q[:, np.newaxis])
 
 
 def key_failure_probabilities(

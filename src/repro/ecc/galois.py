@@ -15,7 +15,7 @@ Primitive polynomials follow the standard tables (Lin & Costello).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,10 @@ PRIMITIVE_POLYS: Dict[int, int] = {
     13: 0b10000000011011,   # x^13 + x^4 + x^3 + x + 1
     14: 0b100010001000011,  # x^14 + x^10 + x^6 + x + 1
 }
+
+
+#: minimal polynomials by (m, primitive polynomial, coset leader)
+_MINIMAL_POLYNOMIALS: Dict[Tuple[int, int, int], np.ndarray] = {}
 
 
 class GF2m:
@@ -152,11 +156,17 @@ class GF2m:
     def minimal_polynomial(self, s: int) -> np.ndarray:
         """Minimal polynomial of ``alpha**s`` over GF(2).
 
-        Returned as a 0/1 coefficient array, lowest degree first:
-        ``prod_{j in coset(s)} (x - alpha**j)`` — the product has binary
-        coefficients by construction.
+        Returned as a read-only 0/1 coefficient array, lowest degree
+        first: ``prod_{j in coset(s)} (x - alpha**j)`` — the product has
+        binary coefficients by construction.  Computed once per cyclotomic
+        coset and field: the BCH palette asks for the same few polynomials
+        thousands of times.
         """
         coset = self.cyclotomic_coset(s)
+        key = (self.m, self.primitive_poly, coset[0])
+        cached = _MINIMAL_POLYNOMIALS.get(key)
+        if cached is not None:
+            return cached
         # poly over GF(2^m), coefficients lowest-first; start with 1
         poly = [1]
         for j in coset:
@@ -170,6 +180,8 @@ class GF2m:
         coeffs = np.array(poly, dtype=np.uint8)
         if np.any(coeffs > 1):
             raise AssertionError("minimal polynomial must be binary")
+        coeffs.flags.writeable = False
+        _MINIMAL_POLYNOMIALS[key] = coeffs
         return coeffs
 
 

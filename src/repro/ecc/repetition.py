@@ -66,17 +66,33 @@ class RepetitionCode:
         return float(majority_error_probabilities(p, [self.r])[0])
 
 
+def binom_sf(k, n, p) -> np.ndarray:
+    """``P[Binomial(n, p) > k]`` for ``0 <= k <= n``, over broadcast arrays.
+
+    Calls the ufunc that ``scipy.stats.binom.sf`` wraps, so on that range
+    it equals ``binom.sf`` bit for bit while loading only ``scipy.special``
+    (``scipy.stats`` costs about three times as much to import).  Outside
+    the support it returns NaN where ``binom.sf`` returns 0 or 1.  A scipy
+    without that ufunc falls back to ``binom.sf`` itself.
+    """
+    try:
+        from scipy.special._ufuncs import _binom_sf
+    except ImportError:  # a scipy release without the private ufunc
+        from scipy.stats import binom
+
+        return binom.sf(k, n, p)
+    return _binom_sf(k, n, p)
+
+
 def majority_error_probabilities(p: float, repetitions) -> np.ndarray:
     """Residual bit-error probability after majority voting, per factor.
 
     A decoded bit is wrong when more than ``t = (r - 1) // 2`` of its ``r``
     copies flipped: the binomial survival function at ``t``, evaluated for
-    every factor in one ``binom.sf`` call.  ``r = 1`` (no inner code)
+    every factor in one :func:`binom_sf` call.  ``r = 1`` (no inner code)
     passes ``p`` through unchanged.
     """
-    from scipy import stats
-
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be a probability")
     r = np.asarray(repetitions, dtype=np.int64)
-    return np.where(r == 1, p, stats.binom.sf((r - 1) // 2, r, p))
+    return np.where(r == 1, p, binom_sf((r - 1) // 2, r, p))

@@ -15,6 +15,7 @@ import numpy as np
 
 from .._rng import RngLike, as_generator
 from ..ecc.concatenated import KeyCodec
+from ..ecc.repetition import binom_sf
 from .fuzzy_extractor import FuzzyExtractor, KeyRecoveryError
 
 
@@ -39,15 +40,13 @@ def required_correction(p: float, n: int, target: float) -> int:
 
     A convenience for sizing a standalone BCH code: how many errors must a
     length-``n`` block correct to meet the block-failure target.  One
-    ``binom.sf`` call tabulates the tail for every candidate ``t``.
+    ``binom_sf`` call tabulates the tail for every candidate ``t``.
     """
-    from scipy import stats
-
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be a probability")
     if target <= 0:
         raise ValueError("target must be positive")
-    met = np.flatnonzero(stats.binom.sf(np.arange(n + 1), n, p) <= target)
+    met = np.flatnonzero(binom_sf(np.arange(n + 1), n, p) <= target)
     return int(met[0]) if met.size else n
 
 

@@ -32,8 +32,7 @@ import numpy as np
 
 from .._rng import RngLike, as_generator
 from ..core.base import RoPufInstance
-from ..core.pairing import RandomDisjointPairing
-from .crp import CrpTable, harvest_crps
+from .crp import CRP_PAIRING, CrpTable, harvest_crps
 
 
 def _reachability(comparisons: np.ndarray) -> np.ndarray:
@@ -104,11 +103,10 @@ class SortingAttackModel:
 
     def accuracy(self, test: CrpTable, rng: RngLike = None) -> float:
         """Bit-prediction accuracy on the CRPs of ``test``."""
-        pairing = RandomDisjointPairing()
         gen = as_generator(rng)
         correct = 0
         for challenge, response in zip(test.challenges, test.responses):
-            pairs = pairing.pairs(self.n_ros, int(challenge))
+            pairs = CRP_PAIRING.pairs(self.n_ros, int(challenge))
             bits, _ = self.predict_bits(pairs, rng=gen)
             correct += int(np.count_nonzero(bits == response))
         return correct / test.responses.size
@@ -116,10 +114,9 @@ class SortingAttackModel:
 
 def build_attack_model(table: CrpTable, n_ros: int) -> SortingAttackModel:
     """Digest disclosed CRPs into the comparison and reachability matrices."""
-    pairing = RandomDisjointPairing()
     comparisons = np.zeros((n_ros, n_ros), dtype=bool)
     for challenge, response in zip(table.challenges, table.responses):
-        pairs = pairing.pairs(n_ros, int(challenge))
+        pairs = CRP_PAIRING.pairs(n_ros, int(challenge))
         faster = response.astype(bool)  # f_a > f_b : b -> a
         slow = np.where(faster, pairs[:, 1], pairs[:, 0])
         fast = np.where(faster, pairs[:, 0], pairs[:, 1])

@@ -25,9 +25,8 @@ import numpy as np
 from .._rng import RngLike, as_generator, spawn
 from ..core.base import RoPufInstance
 from ..core.factory import Study
-from ..core.pairing import RandomDisjointPairing
 from ..metrics.hamming import fractional_hd
-from .crp import CrpTable, harvest_crps
+from .crp import CrpTable, crp_instance, harvest_crps
 
 
 @dataclass(frozen=True)
@@ -88,17 +87,7 @@ class Verifier:
         enrolled = table.responses[cursor : cursor + self.batch_size]
         self._cursor[claimed_id] = cursor + self.batch_size
 
-        import dataclasses as _dc
-
-        design = _dc.replace(device.design, pairing=RandomDisjointPairing())
-        inst = design.instantiate(device.chip)
-        gen = as_generator(rng)
-        answers = np.stack(
-            [
-                inst.evaluate(int(c), noisy=True, rng=gen)
-                for c in batch
-            ]
-        )
+        answers = crp_instance(device).evaluate_many(batch, noisy=True, rng=rng)
         distance = fractional_hd(enrolled.ravel(), answers.ravel())
         return AuthenticationResult(
             accepted=distance <= self.threshold,

@@ -11,7 +11,7 @@ oscillators, which is how RO-PUFs expose a large challenge space).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -20,6 +20,16 @@ from .._rng import RngLike, as_generator
 from ..core.base import RoPufInstance
 from ..core.pairing import RandomDisjointPairing
 from ..environment.conditions import OperatingConditions
+
+
+#: The pairing rule of every CRP: each challenge seeds its own random
+#: disjoint matching of the oscillators.
+CRP_PAIRING = RandomDisjointPairing()
+
+
+def crp_instance(instance: RoPufInstance) -> RoPufInstance:
+    """``instance`` read through :data:`CRP_PAIRING`, as CRPs are."""
+    return replace(instance.design, pairing=CRP_PAIRING).instantiate(instance.chip)
 
 
 @dataclass(frozen=True)
@@ -99,24 +109,13 @@ def harvest_crps(
         raise ValueError("n_challenges must be positive")
     gen = as_generator(rng)
     challenges = gen.choice(2**31 - 1, size=n_challenges, replace=False)
-
-    import dataclasses as _dc
-
-    design = _dc.replace(instance.design, pairing=RandomDisjointPairing())
-    inst = design.instantiate(instance.chip)
-    responses = []
-    for i, challenge in enumerate(challenges):
-        responses.append(
-            inst.evaluate(
-                int(challenge),
-                conditions=conditions,
-                noisy=noisy,
-                votes=votes if noisy else 1,
-                rng=None if not noisy else gen,
-            )
-        )
+    responses = crp_instance(instance).evaluate_many(
+        challenges,
+        conditions=conditions,
+        noisy=noisy,
+        votes=votes if noisy else 1,
+        rng=gen if noisy else None,
+    )
     return CrpTable(
-        challenges=challenges,
-        responses=np.stack(responses),
-        chip_id=instance.chip_id,
+        challenges=challenges, responses=responses, chip_id=instance.chip_id
     )

@@ -1,18 +1,21 @@
 """The CLI's import path and the served request path stay free of scipy.
 
-Only the ECC design search (E6), the sorting attack's binomial tails and
-the randomness battery need scipy, and they import it on first use.
-Importing ``repro.cli`` therefore loads no ``scipy`` module, and neither
-does a ``FleetService`` answering enroll, auth and key requests.  Each
-check runs in a fresh interpreter so ``sys.modules`` starts clean; it
-asserts on loaded modules rather than on wall time, which is too noisy
-to gate.
+Only the ECC design search (E6) and the randomness battery need scipy,
+and they import it on first use.  Importing ``repro.cli`` therefore loads
+no ``scipy`` module, and neither does a ``FleetService`` answering
+enroll, auth and key requests.  The design search tabulates its binomial
+tails with a ``scipy.special`` ufunc, so it never loads ``scipy.stats``.
+Each check runs in a fresh interpreter so ``sys.modules`` starts clean;
+it asserts on loaded modules rather than on wall time, which is too
+noisy to gate.
 """
 
 import os
 import subprocess
 import sys
 import textwrap
+
+import pytest
 
 import repro
 
@@ -68,3 +71,21 @@ def test_service_requests_load_no_scipy():
         """
     )
     assert outcomes == "['ok', 'ok', 'rejected', 'ok'] []"
+
+
+def test_design_search_loads_no_scipy_stats():
+    try:
+        from scipy.special._ufuncs import _binom_sf  # noqa: F401
+    except ImportError:
+        pytest.skip("this scipy lacks _binom_sf, so binom_sf falls back to scipy.stats")
+    loaded = _run(
+        """
+        import sys
+        from repro import aro_design
+        from repro.keygen import search_design_space
+
+        assert search_design_space(0.05, aro_design())
+        print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))
+        """
+    )
+    assert loaded == "[]"
