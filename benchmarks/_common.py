@@ -119,9 +119,9 @@ def _append_perf_ledger(name: str, payload: Mapping[str, Any]) -> None:
     if not path:
         return
     try:
-        from repro.telemetry import PerfLedger, entry_from_bench_payload
+        from repro.telemetry import Ledger, entry_from_bench_payload
 
-        PerfLedger(path).append(entry_from_bench_payload(name, payload))
+        Ledger(path).append(entry_from_bench_payload(name, payload))
     except Exception as exc:  # pragma: no cover - diagnostic path
         print(
             f"warning: perf-ledger append to {path} failed: {exc}",

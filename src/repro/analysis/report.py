@@ -60,7 +60,7 @@ def generate_report(
     """Run the selected experiments and return (and optionally write) the
     Markdown report.
 
-    When a :class:`~repro.telemetry.RunLedger` is passed, every
+    When a :class:`~repro.telemetry.Ledger` is passed, every
     experiment's headline scalars are appended to it (sharing
     ``manifest``, collected once by the caller) — one report run becomes
     one longitudinal data point per experiment.

@@ -403,13 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--window",
         type=int,
         default=5,
-        help="rolling-baseline window in runs (default 5)",
+        help="trailing median window in runs (default 5)",
     )
     history.add_argument(
         "--threshold",
         type=float,
         default=0.10,
-        help="relative drift threshold vs the baseline (default 0.10)",
+        help="relative noise floor vs the median (default 0.10)",
     )
     history.add_argument(
         "--last",
@@ -417,13 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="only the newest N recordings of each metric",
-    )
-    history.add_argument(
-        "--robust",
-        action="store_true",
-        help="use the median+MAD change-point detector instead of the "
-        "rolling-mean drift flag (short series stay in warm-up; the "
-        "threshold becomes the detector's relative noise floor)",
     )
 
     monitor = sub.add_parser(
@@ -462,8 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--perf-ledger",
         metavar="PATH",
         required=True,
-        help="the perf-ledger JSONL to read (as appended by benchmark "
-        "runs with REPRO_PERF_LEDGER set, or PerfLedger.record())",
+        help="the ledger JSONL whose perf entries to read (as appended by "
+        "benchmark runs with REPRO_PERF_LEDGER set, or loadgen "
+        "--perf-ledger); may be the --ledger file",
     )
     perf_ledger_args.add_argument(
         "--metric",
@@ -1067,7 +1061,7 @@ def _finish_telemetry(
     if getattr(args, "ledger", None) and tracer.histograms:
         # the run's latency quantiles as ledger scalars, so histogram
         # drift is visible to `repro history` and bench_compare ledgers
-        ledger = telemetry.RunLedger(args.ledger)
+        ledger = telemetry.Ledger(args.ledger)
         ledger.record(
             "telemetry",
             telemetry.flatten_summaries(tracer.histograms),
@@ -1138,29 +1132,32 @@ def _monitor_command(args: argparse.Namespace) -> int:
 
 
 def _history_command(args: argparse.Namespace) -> int:
-    ledger = telemetry.RunLedger(args.ledger)
     print(
         telemetry.render_history(
-            ledger.entries(),
+            telemetry.Ledger(args.ledger).entries(kind="run"),
             metrics=args.metric,
             window=args.window,
             threshold=args.threshold,
             last=args.last,
-            robust=args.robust,
         )
     )
     return 0
 
 
-def _perf_series(args: argparse.Namespace) -> Dict[str, List[float]]:
-    """The (host- and metric-filtered) series of a perf ledger."""
-    from .telemetry import perfledger
-
+def _perf_entries(args: argparse.Namespace) -> List[telemetry.LedgerEntry]:
+    """The perf entries of ``--perf-ledger``, filtered by ``--host``."""
+    entries = telemetry.Ledger(args.perf_ledger).entries(kind="perf")
     host = args.host
     if host == "this":
         host = telemetry.host_fingerprint()
-    entries = telemetry.PerfLedger(args.perf_ledger).entries()
-    series = perfledger.metric_series(entries, host=host)
+    if host is None:
+        return entries
+    return [e for e in entries if e.host == host]
+
+
+def _perf_series(args: argparse.Namespace) -> Dict[str, List[float]]:
+    """The (host- and metric-filtered) series of a perf ledger."""
+    series = telemetry.metric_series(_perf_entries(args))
     if args.metric:
         series = {
             name: values
@@ -1185,35 +1182,15 @@ def _perf_verdicts(
 
 
 def _perf_history_command(args: argparse.Namespace) -> int:
-    series = _perf_series(args)
-    if not series:
-        print("(empty perf ledger)")
-        return 0
-    rows = []
-    for metric, values in series.items():
-        if args.last is not None:
-            values = values[-args.last :]
-        point = telemetry.detect(metric, values, window=args.window)
-        verdict = telemetry.classify(
-            point, telemetry.metric_orientation(metric)
+    print(
+        telemetry.render_history(
+            _perf_entries(args),
+            metrics=args.metric,
+            window=args.window,
+            threshold=telemetry.changepoint.DEFAULT_MIN_REL,
+            last=args.last,
         )
-        rows.append((metric, values, point, verdict))
-    width = max(len(m) for m, _, _, _ in rows)
-    spark_w = max(len(v) for _, v, _, _ in rows)
-    lines = []
-    for metric, values, point, verdict in rows:
-        spark = telemetry.sparkline(values).rjust(spark_w)
-        base = (
-            "       --" if point.median is None else f"{point.median:9.4g}"
-        )
-        delta = ""
-        if point.change is not None:
-            delta = f"  {point.change:+7.1%} vs median"
-        lines.append(
-            f"{metric:<{width}}  {spark}  latest {point.latest:9.4g}  "
-            f"base {base}{delta}  [{verdict}]"
-        )
-    print("\n".join(lines))
+    )
     return 0
 
 
@@ -1311,11 +1288,11 @@ def _check_anchors_command(
     args: argparse.Namespace, config: exp.ExperimentConfig
 ) -> int:
     if args.from_ledger:
-        entries = telemetry.RunLedger(args.from_ledger).entries()
+        entries = telemetry.Ledger(args.from_ledger).entries(kind="run")
         scalars = telemetry.latest_scalars(entries)
         source = f"ledger {args.from_ledger} ({len(entries)} entries)"
     else:
-        ledger = telemetry.RunLedger(args.ledger) if args.ledger else None
+        ledger = telemetry.Ledger(args.ledger) if args.ledger else None
         cache = _open_cache(args)
         hits: List[str] = []
         misses: List[str] = []
@@ -1388,7 +1365,7 @@ def _explain_command(
             t_horizon=float(t_horizon),
             k=next(iter(reports.values())).forecast.k,
         )
-        ledger = telemetry.RunLedger(args.ledger)
+        ledger = telemetry.Ledger(args.ledger)
         ledger.record("e13", result.ledger_scalars(), _collect_manifest(args, config))
         print(f"ledger: e13 scalars appended to {ledger.path}")
     if args.json:
@@ -1631,7 +1608,7 @@ def _loadgen_command(args: argparse.Namespace) -> int:
             telemetry.PERF_LEDGER_ENV
         )
         if ledger_path:
-            telemetry.PerfLedger(ledger_path).append(
+            telemetry.Ledger(ledger_path).append(
                 telemetry.entry_from_bench_payload("loadgen", payload)
             )
             print(f"perf ledger: loadgen entry appended to {ledger_path}")
@@ -1696,7 +1673,7 @@ def main(argv: Optional[list] = None) -> int:
         if args.command == "explain":
             return _explain_command(args, config)
 
-        ledger = telemetry.RunLedger(args.ledger) if args.ledger else None
+        ledger = telemetry.Ledger(args.ledger) if args.ledger else None
 
         if args.command == "report":
             from .analysis.report import ALL_EXPERIMENTS, generate_report

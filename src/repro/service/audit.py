@@ -10,9 +10,11 @@ timeline).
 Unlike the progress emitter this writer must not drop lines, so there is
 no throttle; instead of paying an fsync-ish flush per request it buffers
 and flushes every :data:`FLUSH_EVERY` records (and on :meth:`close`) —
-at 10k+ auth/sec a per-line flush would dominate the serve loop.
-Reading back uses the ledger discipline: malformed lines are skipped and
-counted, never fatal.
+at 10k+ auth/sec a per-line flush would dominate the serve loop.  The
+file is opened through :func:`repro.telemetry.jsonl.open_append`, so a
+trail torn by a killed server gets its last line ended before the
+restarted server appends; :func:`repro.telemetry.jsonl.read` reads it
+back, skipping and counting malformed lines.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from __future__ import annotations
 import json
 import pathlib
 import time
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import Any, Dict, Optional, Union
+
+from ..telemetry import jsonl
 
 PathLike = Union[str, pathlib.Path]
 
@@ -38,8 +42,7 @@ class AuditTrail:
         if flush_every < 1:
             raise ValueError("flush_every must be >= 1")
         self.path = pathlib.Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("a")
+        self._fh = jsonl.open_append(self.path)
         self._flush_every = flush_every
         self._unflushed = 0
         self.n_records = 0
@@ -88,20 +91,3 @@ class AuditTrail:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-
-def read_audit(path: PathLike) -> Iterator[Dict[str, Any]]:
-    """Yield audit records, skipping malformed lines (ledger discipline)."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        return
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                yield record

@@ -22,7 +22,7 @@ shape (``values`` + ``histograms`` + manifest, METRICS_FORMAT-compatible
 sections) extended with a ``service`` section (full RED state, flat
 metrics, SLO verdicts, request-log tail) — ingestible by
 ``tools/bench_compare.py``, ``tools/validate_metrics.py --service`` and
-:func:`~repro.telemetry.perfledger.entry_from_bench_payload`.
+:func:`~repro.telemetry.ledger.entry_from_bench_payload`.
 """
 
 from __future__ import annotations

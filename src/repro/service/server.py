@@ -142,6 +142,18 @@ class FleetService:
         self.red = red if red is not None else RedMetrics()
         self.inject_latency_s = float(inject_latency_s)
         self._rng = as_generator(seed)
+        skipped = self.store.n_skipped
+        if skipped:
+            # lines the store could not load (a torn tail from a killed
+            # server, garbage): counted once at startup, never silent
+            self.red.count("store.skipped_lines", skipped)
+            if self.audit is not None:
+                self.audit.append(
+                    endpoint="store",
+                    outcome="skipped_lines",
+                    duration_ms=0.0,
+                    n_skipped=skipped,
+                )
 
     @property
     def response_bits(self) -> int:
@@ -393,8 +405,8 @@ class FleetService:
             ConnectionResetError,
             BrokenPipeError,
             asyncio.IncompleteReadError,
-        ):  # pragma: no cover
-            pass
+        ):
+            pass  # the client vanished mid-request
         finally:
             writer.close()
             try:

@@ -12,15 +12,15 @@ The host side of the key-generation protocol keeps, per chip id:
   standard never-store-the-secret discipline).
 
 :class:`HelperStore` is an in-memory dict with optional append-only
-JSONL persistence in the ledger idiom: every mutation appends one line,
-re-enrollment appends a fresh line and last-wins on load, malformed
-lines are skipped with a count rather than poisoning the whole file.
+JSONL persistence through :mod:`repro.telemetry.jsonl`: every mutation
+appends one line, re-enrollment appends a fresh line and last-wins on
+load, malformed lines are skipped with a count rather than poisoning the
+whole file.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import pathlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Union
@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Optional, Union
 import numpy as np
 
 from ..keygen.helper import HelperData
+from ..telemetry import jsonl
 
 PathLike = Union[str, pathlib.Path]
 
@@ -94,33 +95,28 @@ class HelperStore:
 
     With ``path`` set, every :meth:`put` appends one JSON line and the
     constructor replays the file (last record per chip wins, malformed
-    lines counted in ``n_skipped``) — the same append-only discipline as
-    :class:`~repro.telemetry.ledger.RunLedger`.
+    lines counted in ``n_skipped``, which ``repro serve`` reports at
+    startup).
 
     Durability is the operating system's: :meth:`put` closes the file but
     never calls ``fsync``, so a returned (acknowledged) enrollment survives
     a crash of this process but can be lost if the OS crashes or power
-    fails.  A process killed mid-append leaves at most a torn last line,
-    which the next load skips and counts in ``n_skipped``.
+    fails.  A process killed mid-append leaves at most a torn last line.
+    The next load skips and counts it, and the next :meth:`put` ends it
+    with a newline before appending, so an enrollment acknowledged after
+    a restart survives the next restart too.
     """
 
     def __init__(self, path: Optional[PathLike] = None):
         self.path = pathlib.Path(path) if path is not None else None
         self._records: Dict[int, EnrollmentRecord] = {}
         self.n_skipped = 0
-        if self.path is not None and self.path.exists():
-            self._load()
-
-    def _load(self) -> None:
-        assert self.path is not None
-        with self.path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+        if self.path is not None:
+            payloads, self.n_skipped = jsonl.read(self.path)
+            for payload in payloads:
                 try:
-                    record = EnrollmentRecord.from_dict(json.loads(line))
-                except (json.JSONDecodeError, KeyError, ValueError, TypeError):
+                    record = EnrollmentRecord.from_dict(payload)
+                except (KeyError, ValueError, TypeError):
                     self.n_skipped += 1
                     continue
                 self._records[record.chip_id] = record
@@ -128,9 +124,7 @@ class HelperStore:
     def put(self, record: EnrollmentRecord) -> None:
         self._records[record.chip_id] = record
         if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a") as fh:
-                fh.write(json.dumps(record.to_dict()) + "\n")
+            jsonl.append(self.path, record.to_dict())
 
     def get(self, chip_id: int) -> Optional[EnrollmentRecord]:
         return self._records.get(int(chip_id))

@@ -36,21 +36,22 @@ layers:
 
 **Across runs** (the longitudinal layer):
 
-* :class:`RunLedger` / :class:`LedgerEntry` — an append-only JSONL
-  ledger of every experiment's headline scalars, keyed by the manifest
-  (``--ledger PATH``);
+* :class:`Ledger` / :class:`LedgerEntry` — one append-only JSONL
+  ledger of ``run`` entries (every experiment's headline scalars, keyed
+  by the manifest; ``--ledger PATH``) and ``perf`` entries (every
+  benchmark run's throughput / wall / RSS / p50/p99, keyed
+  ``git_sha:host-fingerprint:bench-id``; ``repro perf``,
+  ``REPRO_PERF_LEDGER``), written and read through :mod:`.jsonl`, the
+  package's one torn-tail-safe JSONL append/read;
 * :data:`PAPER_ANCHORS` / :func:`check_anchors` — the paper abstract's
   quantitative claims as a declarative registry with pass/warn/fail
   tolerance bands (``repro check-anchors``, ``tools/check_anchors.py``);
 * :func:`render_history` — per-metric trends over a ledger with
-  sparklines and rolling-baseline drift detection (``repro history``);
-* :class:`PerfLedger` / :class:`PerfEntry` — the *performance*
-  counterpart: every benchmark run's throughput / wall / RSS / p50/p99,
-  keyed ``git_sha:host-fingerprint:bench-id`` (``repro perf``,
-  ``REPRO_PERF_LEDGER``);
+  sparklines and median+MAD movement verdicts (``repro history``,
+  ``repro perf history``);
 * :func:`detect` / :func:`classify` — median+MAD change-point verdicts
   with a documented noise model and warm-up (``repro perf gate``,
-  ``repro history --robust``);
+  ``repro history``);
 * :func:`aggregate` / :func:`critical_path` / :func:`collapsed_stacks`
   — span-forest attribution: self-time tables, the wall-clock-bounding
   span chain across lanes, and flamegraph.pl/speedscope collapsed
@@ -148,7 +149,15 @@ from .events import (
     progress,
     uninstall_emitter,
 )
-from .ledger import LEDGER_FORMAT, LedgerEntry, RunLedger
+from .ledger import (
+    LEDGER_FORMAT,
+    PERF_LEDGER_ENV,
+    Ledger,
+    LedgerEntry,
+    entry_from_bench_payload,
+    entry_from_metrics_payload,
+    metric_series,
+)
 from .anchors import (
     ANCHOR_EXPERIMENTS,
     Anchor,
@@ -167,14 +176,6 @@ from .changepoint import (
     classify,
     detect,
     metric_orientation,
-)
-from .perfledger import (
-    PERF_LEDGER_ENV,
-    PERF_LEDGER_FORMAT,
-    PerfEntry,
-    PerfLedger,
-    entry_from_bench_payload,
-    entry_from_metrics_payload,
 )
 from .report import render_perf_report, write_perf_report
 from .profile import (
@@ -203,6 +204,7 @@ __all__ = [
     "GROWTH",
     "Histogram",
     "LEDGER_FORMAT",
+    "Ledger",
     "LedgerEntry",
     "MAD_CONSISTENCY",
     "MANIFEST_SCHEMA",
@@ -212,17 +214,13 @@ __all__ = [
     "NON_ERROR_OUTCOMES",
     "PAPER_ANCHORS",
     "PERF_LEDGER_ENV",
-    "PERF_LEDGER_FORMAT",
     "PathSegment",
-    "PerfEntry",
-    "PerfLedger",
     "ProfileRow",
     "ProgressEmitter",
     "QUANTILE_RELATIVE_ERROR",
     "RED_FORMAT",
     "RedMetrics",
     "ResourceSampler",
-    "RunLedger",
     "RunManifest",
     "SLO_QUANTILES",
     "Span",
@@ -264,6 +262,7 @@ __all__ = [
     "install_sampler",
     "latest_scalars",
     "metric_orientation",
+    "metric_series",
     "observe",
     "package_version",
     "parse_events",

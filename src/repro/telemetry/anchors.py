@@ -195,7 +195,7 @@ def latest_scalars(entries: Sequence[LedgerEntry]) -> Dict[str, float]:
     merged: Dict[str, float] = {}
     for entry in entries:
         for key, value in entry.scalars.items():
-            merged[f"{entry.experiment}.{key}"] = value
+            merged[f"{entry.name}.{key}"] = value
     return merged
 
 

@@ -1,11 +1,12 @@
-"""Robust change-point detection for longitudinal performance series.
+"""Robust change-point detection: the repo's one drift detector.
 
-The naive drift flag in :mod:`repro.telemetry.history` compares the
-latest value against a *rolling mean* — one outlier run (a cold cache, a
-noisy CI neighbour) both pollutes the baseline and fires the flag.
-Statistic-based RO-PUF analysis (Wilde et al., arXiv 1910.07068) makes
-the general point that monitoring claims only hold up under robust
-statistics; this module applies it to the repo's own performance data.
+Every longitudinal verdict — ``repro history`` over experiment scalars,
+``repro perf history`` and ``repro perf gate`` over benchmark series —
+comes from :func:`detect`.  A rolling *mean* would not do: one outlier
+run (a cold cache, a noisy CI neighbour) both pollutes the baseline and
+fires the flag.  Statistic-based RO-PUF analysis (Wilde et al., arXiv
+1910.07068) makes the general point that monitoring claims only hold up
+under robust statistics; this module applies it to the repo's own data.
 
 **Noise model** (the documented contract the verdicts rest on):
 

@@ -39,6 +39,8 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional, Union
 
+from . import jsonl
+
 PathLike = Union[str, pathlib.Path]
 
 #: format version of one event line, bumped on layout changes
@@ -51,8 +53,9 @@ class ProgressEmitter:
     Parameters
     ----------
     path:
-        Destination JSONL file; parent directories are created, and the
-        file is opened in append mode so several runs can share one
+        Destination JSONL file, opened with
+        :func:`~repro.telemetry.jsonl.open_append` (parent directories
+        created, a torn last line ended) so several runs can share one
         heartbeat log.
     min_interval_s:
         Minimum wall time between written events (lifecycle events
@@ -87,12 +90,11 @@ class ProgressEmitter:
         if max_bytes is not None and max_bytes < 1024:
             raise ValueError("max_bytes must be >= 1024 (or None)")
         self.path = pathlib.Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self.min_interval_s = float(min_interval_s)
         self.max_events = int(max_events)
         self.max_bytes = int(max_bytes) if max_bytes is not None else None
         self._clock = clock
-        self._fh = open(self.path, "a")
+        self._fh = jsonl.open_append(self.path)
         self._bytes = self._fh.tell()  # append mode: current file size
         self._t0 = clock()
         self._last_write: Optional[float] = None
@@ -191,7 +193,7 @@ class ProgressEmitter:
         self._fh.close()
         self._fh = None  # a failed rotation must not look half-open
         self.path.replace(self.path.with_name(self.path.name + ".1"))
-        self._fh = open(self.path, "a")
+        self._fh = jsonl.open_append(self.path)
         self._bytes = 0
         self.n_rotations += 1
 

@@ -1,35 +1,35 @@
-"""Ledger history: per-metric trends, sparklines and drift detection.
+"""Ledger history: per-metric trends, sparklines and movement verdicts.
 
-A ledger is only useful if someone reads it.  ``repro history`` renders
-every metric the ledger has accumulated as one row: a terminal sparkline
+A ledger is only useful if someone reads it.  ``repro history`` (run
+entries) and ``repro perf history`` (perf entries) both render through
+:func:`render_history`: one row per metric with a terminal sparkline
 over the recorded values (file order == chronological order for an
-append-only file), the latest value, and its delta against a *rolling
-baseline* — the mean of the preceding ``window`` values.  A latest value
-that moved more than ``threshold`` (relative) away from its own baseline
-is flagged as drift.
+append-only file), the latest value, and its change against the median
+of the preceding ``window`` values.
 
-Drift flags are deliberately two-sided and informational: the ledger
-does not know whether a metric is better when smaller (flip rates) or
-when closer to a constant (uniqueness ~50 %), so it reports *movement*
-and leaves the judgement to the anchor registry
-(:mod:`repro.telemetry.anchors`), which does know.
+Whether the latest value moved is the median+MAD change-point
+detector's call (:mod:`repro.telemetry.changepoint`): it flags only
+beyond the metric's own measured noise and beyond ``threshold``
+(relative) of the median, one outlier run can neither fake nor hide a
+movement, and a short series stays in warm-up.
 
-Two baselining disciplines are available.  The default is the original
-rolling *mean* with a fixed relative threshold — cheap, but one outlier
-run both pollutes the baseline and fires the flag.  ``robust=True``
-switches to the median+MAD change-point detector
-(:mod:`repro.telemetry.changepoint`): the baseline becomes the trailing
-median, the flag fires only beyond the metric's own measured noise, and
-short series stay in warm-up instead of flagging on two data points.
+Run-entry flags are two-sided and informational (``<< drift``): the
+ledger does not know whether a metric is better when smaller (flip
+rates) or when closer to a constant (uniqueness ~50 %), so it reports
+*movement* and leaves the judgement to the anchor registry
+(:mod:`repro.telemetry.anchors`), which does know.  Perf metrics have a
+known orientation (:func:`~repro.telemetry.changepoint.metric_orientation`),
+so their flags say ``regress``, ``improve`` or, when the name does not
+tell, ``shift``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import changepoint
-from .ledger import LedgerEntry
+from .ledger import LedgerEntry, metric_series
 
 #: eighths-block ramp used for terminal sparklines
 SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
@@ -57,37 +57,14 @@ class TrendRow:
 
     metric: str
     values: Tuple[float, ...]
-    latest: float
-    baseline: Optional[float]  # rolling mean (or robust median) baseline
-    change: Optional[float]  # (latest - baseline) / |baseline|
-    drift: bool
-    #: robust-mode detector status ("warmup" | "stable" | "up" | "down");
-    #: None on rows produced by the classic rolling-mean discipline
-    verdict: Optional[str] = None
+    point: changepoint.ChangePoint
+    #: "warmup" | "stable", or on movement "drift" (run entries) /
+    #: "regress" | "improve" | "shift" (perf entries)
+    verdict: str
 
     @property
     def n_runs(self) -> int:
         return len(self.values)
-
-
-def metric_series(
-    entries: Sequence[LedgerEntry],
-) -> Dict[str, List[float]]:
-    """``{"<exp>.<key>": [v0, v1, ...]}`` in entry (chronological) order."""
-    series: Dict[str, List[float]] = {}
-    for entry in entries:
-        for key, value in entry.scalars.items():
-            series.setdefault(f"{entry.experiment}.{key}", []).append(value)
-    return series
-
-
-def _baseline(values: Sequence[float], window: int) -> Optional[float]:
-    """Mean of the up-to-``window`` values preceding the latest one."""
-    prior = values[:-1]
-    if not prior:
-        return None
-    tail = prior[-window:]
-    return sum(tail) / len(tail)
 
 
 def history_rows(
@@ -97,68 +74,46 @@ def history_rows(
     window: int = 5,
     threshold: float = 0.10,
     last: Optional[int] = None,
-    robust: bool = False,
 ) -> List[TrendRow]:
-    """Build trend rows for every (selected) metric in the ledger.
+    """Trend rows for every (selected) metric of entries of one kind.
 
     ``metrics`` filters by substring match (so ``--metric e2`` selects
     every E2 scalar); ``last`` truncates each series to its newest N
-    points before baselining.  ``robust`` swaps the rolling-mean drift
-    flag for the median+MAD change-point verdict (``threshold`` then
-    serves as the detector's relative floor).
+    points before judging.  ``window`` is the detector's trailing
+    window (at least 2) and bounds its warm-up; ``threshold`` is its
+    relative noise floor.
     """
     if window < 1:
         raise ValueError("window must be positive")
     if threshold <= 0:
         raise ValueError("threshold must be positive")
+    perf = bool(entries) and entries[0].kind == "perf"
+    detect_window = max(window, 2)
     rows: List[TrendRow] = []
-    for metric, values in sorted(metric_series(entries).items()):
+    for metric, values in sorted(metric_series(list(entries)).items()):
         if metrics and not any(m in metric for m in metrics):
             continue
         if last is not None:
             values = values[-last:]
         if not values:
             continue
-        latest = values[-1]
-        if robust:
-            point = changepoint.detect(
-                metric,
-                values,
-                window=max(window, 2),
-                min_history=min(changepoint.MIN_HISTORY, max(window, 2)),
-                min_rel=threshold,
-            )
-            rows.append(
-                TrendRow(
-                    metric=metric,
-                    values=tuple(values),
-                    latest=latest,
-                    baseline=point.median,
-                    change=point.change,
-                    drift=point.moved,
-                    verdict=point.status,
-                )
-            )
-            continue
-        baseline = _baseline(values, window)
-        change: Optional[float] = None
-        drift = False
-        if baseline is not None:
-            if baseline == 0.0:
-                change = 0.0 if latest == 0.0 else float("inf")
-            else:
-                change = (latest - baseline) / abs(baseline)
-            drift = abs(change) > threshold
-        rows.append(
-            TrendRow(
-                metric=metric,
-                values=tuple(values),
-                latest=latest,
-                baseline=baseline,
-                change=change,
-                drift=drift,
-            )
+        point = changepoint.detect(
+            metric,
+            values,
+            window=detect_window,
+            min_history=min(changepoint.MIN_HISTORY, detect_window),
+            min_rel=threshold,
         )
+        verdict = point.status
+        if point.moved:
+            verdict = (
+                changepoint.classify(
+                    point, changepoint.metric_orientation(metric)
+                )
+                if perf
+                else "drift"
+            )
+        rows.append(TrendRow(metric, tuple(values), point, verdict))
     return rows
 
 
@@ -169,64 +124,51 @@ def render_history(
     window: int = 5,
     threshold: float = 0.10,
     last: Optional[int] = None,
-    robust: bool = False,
 ) -> str:
-    """The ``repro history`` terminal view."""
+    """The ``repro history`` / ``repro perf history`` terminal view."""
     if not entries:
         return "(empty ledger)"
     rows = history_rows(
-        entries,
-        metrics=metrics,
-        window=window,
-        threshold=threshold,
-        last=last,
-        robust=robust,
+        entries, metrics=metrics, window=window, threshold=threshold, last=last
     )
     if not rows:
         return "(no matching metrics in ledger)"
 
     run_keys = list(dict.fromkeys(e.run_key() for e in entries))
-    experiments = sorted({e.experiment for e in entries})
+    names = sorted({e.name for e in entries})
+    noun = "benches" if entries[0].kind == "perf" else "experiments"
     stamps = [e.created_utc() for e in entries if e.created_utc()]
     header = [
         f"ledger: {len(entries)} entries, {len(run_keys)} run key(s), "
-        f"experiments: {', '.join(experiments)}"
+        f"{noun}: {', '.join(names)}"
     ]
     if stamps:
         header.append(f"span  : {min(stamps)} .. {max(stamps)}")
 
     width = max(len(r.metric) for r in rows)
-    spark_w = max(len(r.values) for r in rows)
+    spark_w = max(r.n_runs for r in rows)
     lines = []
     flagged = 0
     for r in rows:
+        p = r.point
         spark = sparkline(r.values).rjust(spark_w)
-        base = "       --" if r.baseline is None else f"{r.baseline:9.4g}"
+        base = "       --" if p.median is None else f"{p.median:9.4g}"
         delta = ""
-        if r.change is not None:
-            label = "median" if robust else "baseline"
-            delta = f"  {r.change:+7.1%} vs {label}[{min(window, r.n_runs - 1)}]"
+        if p.change is not None:
+            delta = f"  {p.change:+7.1%} vs median[{min(window, r.n_runs - 1)}]"
         flag = ""
         if r.verdict == "warmup":
             flag = "  (warmup)"
-        elif r.drift:
-            flag = "  << drift"
+        elif r.verdict != "stable":
+            flag = f"  << {r.verdict}"
             flagged += 1
         lines.append(
-            f"{r.metric:<{width}}  {spark}  latest {r.latest:9.4g}  "
+            f"{r.metric:<{width}}  {spark}  latest {p.latest:9.4g}  "
             f"base {base}{delta}{flag}"
         )
-    if robust:
-        footer = (
-            f"{flagged} metric(s) moved beyond their median+MAD noise band"
-            if flagged
-            else "no movement beyond the median+MAD noise band"
-        )
-    else:
-        footer = (
-            f"{flagged} metric(s) drifted beyond {threshold:.0%} of their "
-            f"rolling baseline"
-            if flagged
-            else f"no drift beyond {threshold:.0%} of the rolling baseline"
-        )
+    footer = (
+        f"{flagged} metric(s) moved beyond their median+MAD noise band"
+        if flagged
+        else "no movement beyond the median+MAD noise band"
+    )
     return "\n".join(header + [""] + lines + ["", footer])

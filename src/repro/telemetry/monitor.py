@@ -2,8 +2,9 @@
 
 The progress emitter writes a throttled JSONL heartbeat; this module is
 its reader.  :func:`parse_events` folds event lines (any mix of
-``progress``, lifecycle and sampler ``sample`` records, malformed lines
-skipped) into a :class:`MonitorState`; :func:`render_monitor` turns the
+``progress``, lifecycle and sampler ``sample`` records; malformed lines
+are skipped and counted by :func:`repro.telemetry.jsonl.parse`) into a
+:class:`MonitorState`; :func:`render_monitor` turns the
 state into the terminal dashboard: per-stage progress bars with a
 rolling rate and ETA, the currently open span, and an RSS sparkline
 from the sampler echoes.
@@ -15,10 +16,10 @@ the tail-and-redraw loop around them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from . import jsonl
 from .history import sparkline
 
 #: (elapsed_s, done) pairs kept per stage for the rolling rate
@@ -86,16 +87,10 @@ def parse_events(
     feeds only the newly appended lines of each tail round.
     """
     state = state or MonitorState()
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            state.n_skipped += 1
-            continue
-        if not isinstance(record, dict) or "event" not in record:
+    records, skipped = jsonl.parse(lines)
+    state.n_skipped += skipped
+    for record in records:
+        if "event" not in record:
             state.n_skipped += 1
             continue
         state.n_events += 1

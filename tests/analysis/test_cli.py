@@ -165,7 +165,7 @@ class TestVersionFlag:
 
 class TestLedgerAndEvents:
     def test_run_appends_ledger_and_history_renders(self, tmp_path, capsys):
-        from repro.telemetry import RunLedger
+        from repro.telemetry import Ledger
 
         ledger = tmp_path / "runs" / "ledger.jsonl"  # parent must be created
         for seed in ("1", "2"):
@@ -184,8 +184,8 @@ class TestLedgerAndEvents:
                 ]
             )
             assert code == 0
-        entries = RunLedger(ledger).entries()
-        assert [e.experiment for e in entries] == ["e2", "e2"]
+        entries = Ledger(ledger).entries()
+        assert [e.name for e in entries] == ["e2", "e2"]
         assert entries[0].run_key() != entries[1].run_key()  # seeds differ
         assert "ro-puf.flips_at_10y_pct" in entries[0].scalars
         capsys.readouterr()
@@ -226,7 +226,7 @@ class TestLedgerAndEvents:
         assert records[-1]["event"] == "run.end"
 
     def test_report_records_every_experiment(self, tmp_path, capsys):
-        from repro.telemetry import RunLedger
+        from repro.telemetry import Ledger
 
         ledger = tmp_path / "ledger.jsonl"
         code = main(
@@ -246,8 +246,8 @@ class TestLedgerAndEvents:
             ]
         )
         assert code == 0
-        entries = RunLedger(ledger).entries()
-        assert [e.experiment for e in entries] == ["e2", "e3"]
+        entries = Ledger(ledger).entries()
+        assert [e.name for e in entries] == ["e2", "e3"]
         # one CLI invocation -> one manifest -> one shared run key
         assert len({e.run_key() for e in entries}) == 1
 
@@ -255,10 +255,10 @@ class TestLedgerAndEvents:
 class TestCheckAnchors:
     @staticmethod
     def synthetic_ledger(path, scalars_by_experiment):
-        from repro.telemetry import RunLedger, RunManifest
+        from repro.telemetry import Ledger, RunManifest
 
         manifest = RunManifest.collect(seed=1, config={"synthetic": True})
-        ledger = RunLedger(path)
+        ledger = Ledger(path)
         for experiment, scalars in scalars_by_experiment.items():
             ledger.record(experiment, scalars, manifest)
         return ledger
@@ -314,7 +314,7 @@ class TestCheckAnchors:
         assert "FAIL" in out
 
     def test_fresh_run_records_to_ledger(self, tmp_path, capsys):
-        from repro.telemetry import ANCHOR_EXPERIMENTS, RunLedger
+        from repro.telemetry import ANCHOR_EXPERIMENTS, Ledger
 
         ledger = tmp_path / "ledger.jsonl"
         main(
@@ -328,8 +328,8 @@ class TestCheckAnchors:
                 str(ledger),
             ]
         )
-        entries = RunLedger(ledger).entries()
-        assert [e.experiment for e in entries] == list(ANCHOR_EXPERIMENTS)
+        entries = Ledger(ledger).entries()
+        assert [e.name for e in entries] == list(ANCHOR_EXPERIMENTS)
 
 
 class TestParallelAndCache:
@@ -486,12 +486,12 @@ class TestExplain:
         assert (tmp_path / "m.ppm").exists()
 
     def test_ledger_records_e13(self, tmp_path, capsys):
-        from repro.telemetry import RunLedger
+        from repro.telemetry import Ledger
 
         ledger = tmp_path / "ledger.jsonl"
         assert main(["explain", *self.SCALE, "--ledger", str(ledger)]) == 0
-        entries = RunLedger(ledger).entries()
-        assert [e.experiment for e in entries] == ["e13"]
+        entries = Ledger(ledger).entries()
+        assert [e.name for e in entries] == ["e13"]
         assert "aro-puf.forecast_recall" in entries[0].scalars
 
     def test_jobs_output_identical_to_serial(self, capsys):
@@ -533,11 +533,11 @@ class TestVersionIdentity:
 
 def synthetic_perf_ledger(path, series, bench="bench_x", metric="wall_s"):
     """Append one entry per value, all stamped with this host."""
-    from repro.telemetry import PerfLedger
+    from repro.telemetry import Ledger, LedgerEntry
 
-    ledger = PerfLedger(path)
+    ledger = Ledger(path)
     for value in series:
-        ledger.record(bench, {metric: value})
+        ledger.append(LedgerEntry.perf(bench, {metric: value}))
     return ledger
 
 
@@ -608,17 +608,17 @@ class TestPerfGate:
     def test_host_filter_this_ignores_foreign_appends(self, tmp_path, capsys):
         """A laptop's regression must not fire a CI gate when the gate
         pins --host this."""
-        import json as _json
+        import dataclasses
 
-        from repro.telemetry import PerfEntry
+        from repro.telemetry import LedgerEntry
 
         ledger = tmp_path / "perf.jsonl"
         synthetic_perf_ledger(ledger, self.STABLE + [1.0])
-        foreign = PerfEntry(
-            bench="bench_x", values={"wall_s": 9.9}, host="laptop-fp"
+        foreign = LedgerEntry.perf("bench_x", {"wall_s": 9.9})
+        foreign = dataclasses.replace(
+            foreign, manifest={**foreign.manifest, "host": "laptop-fp"}
         )
-        with open(ledger, "a") as fh:
-            fh.write(_json.dumps(foreign.to_dict()) + "\n")
+        synthetic_perf_ledger(ledger, []).append(foreign)
         assert (
             main(
                 ["perf", "gate", "--perf-ledger", str(ledger),
@@ -637,14 +637,17 @@ class TestPerfHistory:
         assert main(["perf", "history", "--perf-ledger", str(ledger)]) == 0
         out = capsys.readouterr().out
         assert "bench_x:wall_s" in out
-        assert "[regress]" in out
-        assert "vs median" in out
+        assert "<< regress" in out
+        assert "vs median[6]" in out
+        assert "1 metric(s) moved" in out
 
     def test_metric_filter(self, tmp_path, capsys):
-        from repro.telemetry import PerfLedger
+        from repro.telemetry import Ledger, LedgerEntry
 
-        ledger = PerfLedger(tmp_path / "perf.jsonl")
-        ledger.record("bench_x", {"wall_s": 1.0, "peak_rss_bytes": 100.0})
+        ledger = Ledger(tmp_path / "perf.jsonl")
+        ledger.append(
+            LedgerEntry.perf("bench_x", {"wall_s": 1.0, "peak_rss_bytes": 100.0})
+        )
         assert (
             main(
                 ["perf", "history", "--perf-ledger", str(ledger.path),
@@ -664,7 +667,7 @@ class TestPerfHistory:
             )
             == 0
         )
-        assert "empty perf ledger" in capsys.readouterr().out
+        assert "empty ledger" in capsys.readouterr().out
 
 
 class TestPerfFlame:
@@ -924,11 +927,11 @@ class TestServeAndLoadgen:
 
         ledger_path = tmp_path / "perf.jsonl"
         assert self._loadgen("--perf-ledger", str(ledger_path)) == 0
-        (entry,) = telemetry.PerfLedger(ledger_path).entries()
-        assert entry.bench == "loadgen"
-        assert entry.values["auth_per_s"] > 0
-        assert "service.auth.availability" in entry.values
-        assert "service.auth.p99_ms" in entry.values
+        (entry,) = telemetry.Ledger(ledger_path).entries(kind="perf")
+        assert entry.name == "loadgen"
+        assert entry.scalars["auth_per_s"] > 0
+        assert "service.auth.availability" in entry.scalars
+        assert "service.auth.p99_ms" in entry.scalars
 
     def test_events_heartbeats_with_rotation_cap(self, tmp_path, capsys):
         import json

@@ -119,3 +119,96 @@ class TestCorruptionSafety:
             assert cache.get(key) is None
         cache.put(key, {"value": 123})
         assert cache.get(key) == {"value": 123}
+
+
+def _sidecar_truncated(meta_text, other_meta):
+    return meta_text[: len(meta_text) // 2]
+
+
+def _sidecar_not_an_object(meta_text, other_meta):
+    return "[]"
+
+
+def _sidecar_wrong_digest(meta_text, other_meta):
+    meta = json.loads(meta_text)
+    meta["payload_sha256"] = "0" * 64
+    return json.dumps(meta)
+
+
+def _sidecar_no_digest(meta_text, other_meta):
+    meta = json.loads(meta_text)
+    del meta["payload_sha256"]
+    return json.dumps(meta)
+
+
+def _sidecar_from_other_entry(meta_text, other_meta):
+    return other_meta
+
+
+class TestCorruptSidecar:
+    """A damaged ``.json`` sidecar must warn and miss, never hand back
+    data it cannot vouch for; the recomputed result then repairs it."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _sidecar_truncated,
+            _sidecar_not_an_object,
+            _sidecar_wrong_digest,
+            _sidecar_no_digest,
+            _sidecar_from_other_entry,
+        ],
+    )
+    def test_warns_misses_and_recompute_repairs(self, cache, corrupt):
+        key = cache_key("e2", {"seed": 5}, version="1.0")
+        other = cache_key("e2", {"seed": 6}, version="1.0")
+        cache.put(key, {"value": 123})
+        cache.put(other, {"value": 456})
+        meta_path = cache.root / f"{key}.json"
+        meta_path.write_text(
+            corrupt(
+                meta_path.read_text(), (cache.root / f"{other}.json").read_text()
+            )
+        )
+        with pytest.warns(RuntimeWarning, match="unusable"):
+            assert cache.get(key) is None
+        assert cache.misses == 1 and cache.hits == 0
+        cache.put(key, {"value": 123})
+        assert cache.get(key) == {"value": 123}
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("shape", [3, 3]), ("dtype", "<i4"), ("kind", "pickle"), (None, None)],
+    )
+    def test_array_sidecar(self, cache, field, value):
+        key = cache_key("spill", {"seed": 1}, version="1.0")
+        arr = cache.create_array(key, (4, 2))
+        arr[:] = np.arange(8.0).reshape(4, 2)
+        arr.flush()
+        del arr
+        cache.commit_array(key)
+        meta_path = cache.root / f"{key}.json"
+        if field is None:
+            meta_path.write_text("{broken")
+        else:
+            meta = json.loads(meta_path.read_text())
+            meta[field] = value
+            meta_path.write_text(json.dumps(meta))
+        with pytest.warns(RuntimeWarning, match="unusable"):
+            assert cache.open_array(key) is None
+
+    def test_cli_recomputes_identical_tables(self, tmp_path, capsys):
+        from repro.cli import main
+
+        cache_dir = tmp_path / "cache"
+        argv = ["run", "e3", "--chips", "4", "--ros", "16", "--seed", "3",
+                "--cache", str(cache_dir)]
+        assert main(argv) == 0
+        first = capsys.readouterr().out.split("\ncache:")[0]
+        for sidecar in cache_dir.glob("*.json"):
+            sidecar.write_text(_sidecar_wrong_digest(sidecar.read_text(), ""))
+        with pytest.warns(RuntimeWarning, match="unusable"):
+            assert main(argv) == 0
+        second = capsys.readouterr().out
+        assert "cache hit" not in second
+        assert second.split("\ncache:")[0] == first

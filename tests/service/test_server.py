@@ -7,8 +7,8 @@ import pytest
 
 from repro import telemetry
 from repro.service import FleetService, HelperStore, majority_vote
-from repro.service.audit import AuditTrail, read_audit
-from repro.telemetry import AsyncTracer
+from repro.service.audit import AuditTrail
+from repro.telemetry import AsyncTracer, jsonl
 
 
 @pytest.fixture(autouse=True)
@@ -178,7 +178,7 @@ class TestDriver:
         spans = tracer.remote_lanes["req-0"]
         assert [s.name for s in spans] == ["request.enroll", "request.auth"]
         assert spans[1].attrs["outcome"] == "ok"
-        records = list(read_audit(audit_path))
+        records, _ = jsonl.read(audit_path)
         assert [r["trace_id"] for r in records] == [1, 2]
         assert all(r["duration_ms"] >= 0 for r in records)
 
@@ -218,3 +218,59 @@ class TestDispatch:
             service.dispatch({"op": "auth", "chip_id": "three"})
         )
         assert reply["outcome"] == "bad_request"
+
+
+class TestStoreRestart:
+    """A torn helper-store tail must not swallow the next enrollment."""
+
+    def test_enrollment_after_torn_restart_survives(self, tmp_path):
+        store_path = tmp_path / "store.jsonl"
+        audit_path = tmp_path / "audit.jsonl"
+        rng = np.random.default_rng(5)
+
+        def boot():
+            return FleetService(
+                seed=0,
+                store=HelperStore(store_path),
+                audit=AuditTrail(audit_path, flush_every=1),
+            )
+
+        def enroll(service, chip):
+            bits = rng.integers(0, 2, service.response_bits, dtype=np.uint8)
+            reply = asyncio.run(service.enroll(chip, [bits] * 3))
+            assert reply["outcome"] == "ok"
+
+        service = boot()
+        enroll(service, 0)
+        enroll(service, 1)
+        service.audit.close()
+        assert service.red.counters == {}
+        # a crash mid-write: the last 40 bytes of chip 1's line are gone
+        store_path.write_bytes(store_path.read_bytes()[:-40])
+
+        service = boot()
+        assert service.store.chip_ids() == [0]
+        enroll(service, 2)
+        service.audit.close()
+
+        service = boot()
+        service.audit.close()
+        assert service.store.chip_ids() == [0, 2]
+        assert service.store.n_skipped == 1
+        # reported at startup: one RED counter and one audit record
+        assert service.red.metrics()["store.skipped_lines"] == 1.0
+        records, skipped = jsonl.read(audit_path)
+        assert skipped == 0
+        startup = [r for r in records if r["endpoint"] == "store"]
+        assert [(r["outcome"], r["n_skipped"]) for r in startup] == [
+            ("skipped_lines", 1),
+            ("skipped_lines", 1),
+        ]
+
+    def test_counter_published_to_tracer(self, tmp_path):
+        store_path = tmp_path / "store.jsonl"
+        store_path.write_text("torn{\n")
+        service = FleetService(seed=0, store=HelperStore(store_path))
+        with telemetry.session() as tracer:
+            service.red.publish(tracer)
+        assert tracer.counters["service.store.skipped_lines"] == 1.0

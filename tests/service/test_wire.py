@@ -2,6 +2,8 @@
 
 import asyncio
 import json
+import socket
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from repro.service import (
     ServiceClientPool,
     serve,
 )
-from repro.service.audit import AuditTrail, read_audit
+from repro.service.audit import AuditTrail
+from repro.telemetry import jsonl
 
 
 def _golden(service, seed=11):
@@ -150,8 +153,47 @@ class TestWireErrors:
         assert "exceeds" in first["error"]
         assert second["outcome"] == "ok"
         assert service.red.requests["wire"] == 1
-        rows = list(read_audit(audit_path))
+        rows, _ = jsonl.read(audit_path)
         assert [r["outcome"] for r in rows if r["endpoint"] == "wire"] == ["bad_request"]
+
+
+class TestClientDisconnects:
+    """A client that vanishes mid-request must not take the server down."""
+
+    @pytest.mark.parametrize("how", ["eof", "reset"])
+    def test_server_survives_and_answers_next_connection(self, how):
+        async def body(service, port):
+            errors = []
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _loop, ctx: errors.append(ctx))
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b'{"op": "auth", "chip_id": 0, "bi')  # no newline
+            await writer.drain()
+            if how == "reset":
+                # SO_LINGER 0: close() sends RST, so the server's read
+                # fails with ConnectionResetError instead of seeing EOF
+                writer.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except ConnectionResetError:
+                pass
+            await asyncio.sleep(0.1)  # the handler sees the EOF / reset
+
+            client = await ServiceClient.connect("127.0.0.1", port)
+            try:
+                status = await client.status()
+            finally:
+                await client.close()
+            assert status["outcome"] == "ok"
+            assert errors == []
+            if how == "eof":
+                # the unterminated fragment is metered as wire garbage
+                assert service.red.requests["wire"] == 1
+
+        asyncio.run(_with_server(body))
 
 
 class TestClientPool:

@@ -1,6 +1,6 @@
 """The benchmark harness's opt-in perf-ledger emit path.
 
-``benchmarks/_common.emit`` appends one :class:`PerfEntry` per JSON
+``benchmarks/_common.emit`` appends one perf ledger entry per JSON
 artefact when ``REPRO_PERF_LEDGER`` names a ledger file — and writes
 nothing extra otherwise.  The harness is not an installable package, so
 it is loaded here the same way the tools tests load the tools.
@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from repro.telemetry import PerfLedger
+from repro.telemetry import Ledger
 
 BENCHMARKS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
 
@@ -53,11 +53,15 @@ class TestPerfLedgerEmit:
             memory={"peak_rss_bytes": 1.0e8},
             histograms={"site": {"p50": 0.01, "p99": 0.02}},
         )
-        (entry,) = PerfLedger(ledger_path).entries()
-        assert entry.bench == "bench_t"
-        assert entry.values["chips_years_per_s"] == 5000.0
-        assert entry.values["peak_rss_bytes"] == 1.0e8
-        assert entry.quantiles == {"site.p50": 0.01, "site.p99": 0.02}
+        (entry,) = Ledger(ledger_path).entries(kind="perf")
+        assert entry.name == "bench_t"
+        assert entry.scalars == {
+            "new_s": 0.5,
+            "chips_years_per_s": 5000.0,
+            "peak_rss_bytes": 1.0e8,
+            "site.p50": 0.01,
+            "site.p99": 0.02,
+        }
 
     def test_failed_append_warns_but_never_fails_the_bench(
         self, bench_common, tmp_path, monkeypatch, capsys

@@ -1,4 +1,4 @@
-"""Ledger history: sparklines, rolling baselines, drift flags."""
+"""Ledger history: sparklines and median+MAD movement verdicts."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from repro.telemetry import (
     render_history,
     sparkline,
 )
-from repro.telemetry.history import SPARK_BLOCKS, metric_series
+from repro.telemetry.history import SPARK_BLOCKS
 
 
 @pytest.fixture(scope="module")
@@ -40,42 +40,66 @@ class TestSparkline:
         assert sparkline([1.0]) == SPARK_BLOCKS[3]
 
 
-class TestMetricSeries:
-    def test_chronological_per_metric(self, manifest):
-        entries = entries_for([1.0, 2.0, 3.0], manifest)
-        entries += entries_for([9.0], manifest, experiment="e3", key="uniq")
-        series = metric_series(entries)
-        assert series == {"e2.flips": [1.0, 2.0, 3.0], "e3.uniq": [9.0]}
-
-
 class TestHistoryRows:
-    def test_baseline_is_mean_of_preceding_window(self, manifest):
-        entries = entries_for([10.0, 20.0, 30.0, 40.0], manifest)
+    QUIET = [100.0, 100.5, 99.5, 100.2, 99.8, 100.1]
+
+    def test_short_series_stays_in_warmup(self, manifest):
+        entries = entries_for([10.0, 20.0, 30.0], manifest)
+        (row,) = history_rows(entries, window=5)
+        assert row.verdict == "warmup"
+        assert row.point.median is None and row.point.change is None
+
+    def test_window_bounds_the_warmup(self, manifest):
+        """A window shorter than MIN_HISTORY ends warm-up sooner."""
+        entries = entries_for([10.0, 10.0, 10.0, 20.0], manifest)
         (row,) = history_rows(entries, window=3)
-        assert row.latest == 40.0
-        assert row.baseline == pytest.approx(20.0)  # mean(10, 20, 30)
-        assert row.change == pytest.approx(1.0)
-        assert row.drift
+        assert row.verdict == "drift"
+        assert row.point.median == pytest.approx(10.0)
+        assert row.point.change == pytest.approx(1.0)
 
-    def test_window_truncates_old_values(self, manifest):
-        entries = entries_for([100.0, 10.0, 10.0, 10.0], manifest)
-        (row,) = history_rows(entries, window=2)
-        assert row.baseline == pytest.approx(10.0)  # the 100 falls outside
+    def test_outlier_history_does_not_fake_drift(self, manifest):
+        """One wild run in history neither moves the median baseline nor
+        fires the flag — the point of the median+MAD discipline."""
+        series = self.QUIET + [300.0, 100.2]
+        (row,) = history_rows(
+            entries_for(series, manifest), window=len(series) - 1
+        )
+        assert row.verdict == "stable"
 
-    def test_single_value_has_no_baseline(self, manifest):
-        (row,) = history_rows(entries_for([5.0], manifest))
-        assert row.baseline is None and row.change is None and not row.drift
+    def test_real_movement_flags_drift(self, manifest):
+        entries = entries_for(self.QUIET + [80.0], manifest)
+        (row,) = history_rows(entries, window=6)
+        assert row.verdict == "drift"
+        assert row.point.status == "down"
+        assert row.point.median == pytest.approx(100.05)  # trailing median
 
-    def test_within_threshold_not_drift(self, manifest):
-        entries = entries_for([10.0, 10.0, 10.5], manifest)
-        (row,) = history_rows(entries, threshold=0.10)
-        assert not row.drift
+    def test_threshold_is_the_relative_floor(self, manifest):
+        """Identical repeats have MAD 0: only the floor keeps a small step
+        from flagging."""
+        entries = entries_for([10.0] * 5 + [10.5], manifest)
+        (quiet,) = history_rows(entries, threshold=0.10)
+        (loud,) = history_rows(entries, threshold=0.01)
+        assert quiet.verdict == "stable" and loud.verdict == "drift"
 
-    def test_zero_baseline(self, manifest):
-        (zero,) = history_rows(entries_for([0.0, 0.0], manifest))
-        assert zero.change == 0.0 and not zero.drift
-        (jump,) = history_rows(entries_for([0.0, 1.0], manifest))
-        assert jump.change == float("inf") and jump.drift
+    def test_perf_rows_are_oriented(self):
+        def series(metric, values):
+            return [LedgerEntry.perf("b", {metric: v}) for v in values]
+
+        rows = {
+            r.metric: r.verdict
+            for r in history_rows(
+                series("wall_s", self.QUIET + [150.0])
+                + series("chips_years_per_s", self.QUIET + [150.0])
+                + series("flips_pct", self.QUIET + [150.0]),
+                window=10,
+                threshold=0.05,
+            )
+        }
+        assert rows == {
+            "b:chips_years_per_s": "improve",
+            "b:flips_pct": "shift",
+            "b:wall_s": "regress",
+        }
 
     def test_metric_substring_filter(self, manifest):
         entries = entries_for([1.0], manifest) + entries_for(
@@ -99,6 +123,8 @@ class TestHistoryRows:
 
 
 class TestRenderHistory:
+    QUIET = TestHistoryRows.QUIET
+
     def test_empty_ledger(self):
         assert render_history([]) == "(empty ledger)"
 
@@ -107,13 +133,20 @@ class TestRenderHistory:
         assert "no matching metrics" in text
 
     def test_renders_sparkline_latest_and_drift(self, manifest):
-        entries = entries_for([10.0, 10.0, 10.0, 20.0], manifest)
-        text = render_history(entries)
+        text = render_history(
+            entries_for(self.QUIET + [80.0], manifest), window=6
+        )
         assert "e2.flips" in text
         assert any(block in text for block in SPARK_BLOCKS)
-        assert "latest" in text and "vs baseline" in text
+        assert "latest" in text and "vs median[6]" in text
         assert "<< drift" in text
-        assert "1 metric(s) drifted" in text
+        assert "1 metric(s) moved beyond their median+MAD noise band" in text
+
+    def test_warmup_and_quiet_footer(self, manifest):
+        text = render_history(entries_for([1.0, 2.0], manifest))
+        assert "(warmup)" in text
+        assert "<< drift" not in text
+        assert "no movement beyond the median+MAD noise band" in text
 
     def test_header_counts_runs_and_experiments(self, manifest):
         entries = entries_for([1.0, 2.0], manifest) + entries_for(
@@ -121,68 +154,11 @@ class TestRenderHistory:
         )
         header = render_history(entries).splitlines()[0]
         assert "3 entries" in header
-        assert "e2, e3" in header
+        assert "experiments: e2, e3" in header
 
-    def test_quiet_ledger_reports_no_drift(self, manifest):
-        text = render_history(entries_for([10.0, 10.0], manifest))
-        assert "no drift" in text
-
-
-class TestRobustHistory:
-    """history_rows(robust=True): median+MAD verdicts replace the
-    rolling-mean drift flag."""
-
-    QUIET = [100.0, 100.5, 99.5, 100.2, 99.8, 100.1]
-
-    def test_short_series_stays_in_warmup(self, manifest):
-        entries = entries_for([10.0, 20.0, 30.0], manifest)
-        (row,) = history_rows(entries, robust=True, window=5)
-        assert row.verdict == "warmup"
-        assert not row.drift
-        assert row.baseline is None
-
-    def test_outlier_history_does_not_fake_drift(self, manifest):
-        """One wild run in history fires the naive mean flag but not the
-        robust one — the whole point of the median+MAD discipline."""
-        series = self.QUIET + [300.0, 100.2]
-        naive_rows = history_rows(
-            entries_for(series, manifest), window=len(series) - 1
-        )
-        assert naive_rows[0].drift  # the mean is polluted
-        (robust,) = history_rows(
-            entries_for(series, manifest),
-            robust=True,
-            window=len(series) - 1,
-        )
-        assert robust.verdict == "stable"
-        assert not robust.drift
-
-    def test_real_movement_still_flags(self, manifest):
-        entries = entries_for(self.QUIET + [80.0], manifest)
-        (row,) = history_rows(entries, robust=True, window=6)
-        assert row.verdict == "down"
-        assert row.drift
-        assert row.baseline == pytest.approx(100.05)  # trailing median
-
-    def test_classic_rows_have_no_verdict(self, manifest):
-        (row,) = history_rows(entries_for([1.0, 2.0], manifest))
-        assert row.verdict is None
-
-    def test_render_robust_warmup_and_footer(self, manifest):
-        text = render_history(
-            entries_for([1.0, 2.0], manifest), robust=True
-        )
-        assert "(warmup)" in text
-        assert "<< drift" not in text
-        assert "median+MAD noise band" in text
-
-    def test_render_robust_movement_labels_median(self, manifest):
-        text = render_history(
-            entries_for(self.QUIET + [80.0], manifest), robust=True, window=6
-        )
-        assert "vs median" in text
-        assert "<< drift" in text
-        assert "1 metric(s) moved beyond their median+MAD noise band" in text
+    def test_perf_header_names_benches(self):
+        entries = [LedgerEntry.perf("bench_x", {"wall_s": 1.0})]
+        assert "benches: bench_x" in render_history(entries)
 
 
 class TestSparklineDegenerateRanges:

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from repro.telemetry import RunLedger, RunManifest
+from repro.telemetry import Ledger, RunManifest
 
 _SPEC = importlib.util.spec_from_file_location(
     "check_anchors_tool",
@@ -31,7 +31,7 @@ PAPER_PERFECT = {
 
 def write_ledger(path, scalars_by_experiment):
     manifest = RunManifest.collect(seed=1, config={"synthetic": True})
-    ledger = RunLedger(path)
+    ledger = Ledger(path)
     for experiment, scalars in scalars_by_experiment.items():
         ledger.record(experiment, scalars, manifest)
     return path

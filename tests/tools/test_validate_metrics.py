@@ -609,10 +609,9 @@ class TestArtefactsFromBeforeTheDtypeTierWentAway:
         from repro import telemetry
 
         path = self.DATA / "e2_ledger_dtype_config.jsonl"
-        entries = telemetry.RunLedger(path).entries(strict=True)
-        assert [e.experiment for e in entries] == ["e2", "telemetry"]
+        entries = telemetry.Ledger(path).entries(strict=True)
+        assert [e.name for e in entries] == ["e2", "telemetry"]
+        assert all(e.kind == "run" for e in entries)
         assert all(e.manifest["config"]["dtype"] == "float64" for e in entries)
-        assert "e2.aro-puf.flips_at_10y_pct" in {
-            f"{e.experiment}.{k}" for e in entries for k in e.scalars
-        }
+        assert "e2.aro-puf.flips_at_10y_pct" in telemetry.metric_series(entries)
         assert validate_metrics.main(["--ledger", str(path)]) == 0

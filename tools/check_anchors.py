@@ -6,8 +6,9 @@ Usage::
     python -m repro.cli run e2 e3 e4 ... --ledger runs/ledger.jsonl
     python tools/check_anchors.py runs/ledger.jsonl
 
-Merges the ledger's entries (latest recording of each metric wins) and
-judges every anchor in :data:`repro.telemetry.PAPER_ANCHORS` against
+Merges the ledger's run entries (latest recording of each metric wins;
+perf entries sharing the file are ignored; format-1 and format-2 lines
+both load) and judges every anchor in :data:`repro.telemetry.PAPER_ANCHORS` against
 them.  Exit status 0 while every anchor passes or warns, 1 as soon as
 one lands outside its fail band — or, with ``--require-all``, when any
 anchor was never measured.  ``repro check-anchors`` is the interactive
@@ -39,7 +40,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from repro.telemetry import (
-        RunLedger,
+        Ledger,
         check_anchors,
         latest_scalars,
         render_verdicts,
@@ -49,7 +50,7 @@ def main(argv=None) -> int:
     if not args.ledger.exists():
         print(f"error: no such ledger: {args.ledger}", file=sys.stderr)
         return 2
-    entries = RunLedger(args.ledger).entries()
+    entries = Ledger(args.ledger).entries(kind="run")
     if not entries:
         print(f"error: {args.ledger} holds no ledger entries", file=sys.stderr)
         return 2

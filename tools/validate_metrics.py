@@ -23,10 +23,11 @@ a non-empty ``traceEvents`` list whose events carry name/phase/pid/tid,
 with non-negative durations on complete (``X``) events — the shape
 Perfetto's importer requires.
 
-``--ledger`` checks a run-ledger JSONL file: every recorded scalar must
-be finite (the ledger silently drops NaN/inf at write time, so a
-*missing* required field is how a poisoned scalar manifests) and every
-``e13`` entry must carry the full margin-forensics field set per design.
+``--ledger`` checks a ledger JSONL file (run and perf lines, format 1
+or 2): every recorded scalar must be finite (the ledger silently drops
+NaN/inf at write time, so a *missing* required field is how a poisoned
+scalar manifests) and every ``e13`` run entry must carry the full
+margin-forensics field set per design.
 
 ``--explain`` checks a ``repro explain --json`` payload against the
 schema CI's explain smoke job relies on.
@@ -267,13 +268,31 @@ def _finite_number(value) -> bool:
     )
 
 
-def validate_ledger_entries(entries) -> list:
-    """All problems in a run ledger's parsed JSONL entries (empty = ok).
+def _ledger_kind_name_scalars(entry):
+    """``(kind, name, scalars)`` of a format-1 or format-2 ledger line.
 
-    Every scalar of every entry must be a finite number; ``e13`` entries
-    must additionally carry the complete margin-forensics field set for
-    each design they mention (a missing field means the experiment
-    produced NaN/inf and the ledger writer discarded it).
+    Format 2 carries ``kind``/``name``/``scalars``.  Format 1 had two
+    layouts: run lines (``experiment``/``scalars``) and perf lines
+    (``bench``/``values``/``quantiles``, merged here as one scalar map).
+    """
+    if "kind" in entry:
+        return entry.get("kind"), entry.get("name"), entry.get("scalars")
+    if "bench" in entry:
+        values, quantiles = entry.get("values"), entry.get("quantiles") or {}
+        if not isinstance(values, dict) or not isinstance(quantiles, dict):
+            return "perf", entry.get("bench"), None
+        return "perf", entry.get("bench"), {**values, **quantiles}
+    return "run", entry.get("experiment"), entry.get("scalars")
+
+
+def validate_ledger_entries(entries) -> list:
+    """All problems in a ledger's parsed JSONL entries (empty = ok).
+
+    Run and perf lines, in format 1 or 2, are all checked: every scalar
+    of every entry must be a finite number; ``e13`` run entries must
+    additionally carry the complete margin-forensics field set for each
+    design they mention (a missing field means the experiment produced
+    NaN/inf and the ledger writer discarded it).
     """
     problems = []
     for i, entry in enumerate(entries):
@@ -281,17 +300,16 @@ def validate_ledger_entries(entries) -> list:
         if not isinstance(entry, dict):
             problems.append(f"{where}: not a JSON object")
             continue
-        experiment = entry.get("experiment")
+        kind, experiment, scalars = _ledger_kind_name_scalars(entry)
         if isinstance(experiment, str) and experiment:
             where = f"entry[{i}] ({experiment})"
-        scalars = entry.get("scalars")
         if not isinstance(scalars, dict):
             problems.append(f"{where}: missing 'scalars' object")
             continue
         for key, value in scalars.items():
             if not _finite_number(value):
                 problems.append(f"{where}: scalar {key!r} is not finite: {value!r}")
-        if experiment != "e13":
+        if kind != "run" or experiment != "e13":
             continue
         designs = sorted({k.split(".")[0] for k in scalars if "." in k})
         if not designs:
@@ -584,7 +602,7 @@ def main(argv=None) -> int:
     mode.add_argument(
         "--ledger",
         action="store_true",
-        help="treat PATH as a run-ledger JSONL file",
+        help="treat PATH as a ledger JSONL file (run and perf entries)",
     )
     mode.add_argument(
         "--explain",
