@@ -146,7 +146,7 @@ class FleetService:
         if skipped:
             # lines the store could not load (a torn tail from a killed
             # server, garbage): counted once at startup, never silent
-            self.red.count("store.skipped_lines", skipped)
+            self.red.store_skipped_lines = skipped
             if self.audit is not None:
                 self.audit.append(
                     endpoint="store",

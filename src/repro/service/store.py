@@ -112,13 +112,10 @@ class HelperStore:
         self._records: Dict[int, EnrollmentRecord] = {}
         self.n_skipped = 0
         if self.path is not None:
-            payloads, self.n_skipped = jsonl.read(self.path)
-            for payload in payloads:
-                try:
-                    record = EnrollmentRecord.from_dict(payload)
-                except (KeyError, ValueError, TypeError):
-                    self.n_skipped += 1
-                    continue
+            records, self.n_skipped = jsonl.read(
+                self.path, EnrollmentRecord.from_dict
+            )
+            for record in records:
                 self._records[record.chip_id] = record
 
     def put(self, record: EnrollmentRecord) -> None:

@@ -80,15 +80,24 @@ def history_rows(
     ``metrics`` filters by substring match (so ``--metric e2`` selects
     every E2 scalar); ``last`` truncates each series to its newest N
     points before judging.  ``window`` is the detector's trailing
-    window (at least 2) and bounds its warm-up; ``threshold`` is its
-    relative noise floor.
+    window (at least 2) and bounds a run row's warm-up; ``threshold`` is
+    its relative noise floor.  Perf rows keep the detector's full warm-up
+    (:data:`~repro.telemetry.changepoint.MIN_HISTORY`), as the perf gate
+    does.  Mixing run and perf entries is a ``ValueError``.
     """
     if window < 1:
         raise ValueError("window must be positive")
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    perf = bool(entries) and entries[0].kind == "perf"
+    kinds = {e.kind for e in entries}
+    if len(kinds) > 1:
+        raise ValueError("history needs entries of one kind, got both")
+    perf = kinds == {"perf"}
     detect_window = max(window, 2)
+    # perf rows warm up exactly as long as `repro perf gate` does
+    min_history = changepoint.MIN_HISTORY
+    if not perf:
+        min_history = min(min_history, detect_window)
     rows: List[TrendRow] = []
     for metric, values in sorted(metric_series(list(entries)).items()):
         if metrics and not any(m in metric for m in metrics):
@@ -101,7 +110,7 @@ def history_rows(
             metric,
             values,
             window=detect_window,
-            min_history=min(changepoint.MIN_HISTORY, detect_window),
+            min_history=min_history,
             min_rel=threshold,
         )
         verdict = point.status

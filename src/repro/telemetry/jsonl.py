@@ -11,10 +11,11 @@ torn-tail and skip policy, written once here:
   a line of its own instead of fusing with it (which would lose both).
   The check costs one ``pread`` per open; a held-open writer pays
   nothing per record, so each writer keeps its own flush policy.
-* :func:`parse` / :func:`read` return the JSON objects and the number
-  of lines that were not one (a torn tail, stray garbage, a non-object
-  value).  Blank lines count as neither.  An absent file reads as
-  empty.
+* :func:`parse` / :func:`read` return the records and the number of
+  lines that did not load (a torn tail, stray garbage, a non-object
+  value, or one the caller's ``load`` rejects).  Blank lines count as
+  neither.  An absent file reads as empty.  ``strict`` raises at the
+  first bad line instead, naming its line number and the reason.
 """
 
 from __future__ import annotations
@@ -22,7 +23,18 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from typing import Any, Dict, Iterable, List, Mapping, TextIO, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    TextIO,
+    Tuple,
+    Union,
+)
 
 PathLike = Union[str, pathlib.Path]
 
@@ -44,30 +56,45 @@ def append(path: PathLike, record: Mapping[str, Any]) -> None:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def parse(lines: Iterable[str]) -> Tuple[List[Dict[str, Any]], int]:
-    """``(records, n_skipped)`` for an iterable of lines."""
-    records: List[Dict[str, Any]] = []
+def parse(
+    lines: Iterable[str],
+    load: Optional[Callable[[Dict[str, Any]], Any]] = None,
+    strict: bool = False,
+    origin: str = "<lines>",
+) -> Tuple[List[Any], int]:
+    """``(records, n_skipped)`` for an iterable of lines.
+
+    ``load`` maps each JSON object to the record kept; a ``KeyError``,
+    ``TypeError`` or ``ValueError`` from it makes the line a skipped
+    one.  ``strict`` raises ``ValueError("<origin>:<lineno>: bad line:
+    <reason>")`` at the first such line instead of skipping it.
+    """
+    records: List[Any] = []
     skipped = 0
-    for line in lines:
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
             record = json.loads(line)
-        except ValueError:
-            skipped += 1
-            continue
-        if isinstance(record, dict):
-            records.append(record)
-        else:
+            if not isinstance(record, dict):
+                raise ValueError(f"not a JSON object: {line[:40]!r}")
+            records.append(record if load is None else load(record))
+        except (KeyError, TypeError, ValueError) as exc:
+            if strict:
+                raise ValueError(f"{origin}:{lineno}: bad line: {exc}") from exc
             skipped += 1
     return records, skipped
 
 
-def read(path: PathLike) -> Tuple[List[Dict[str, Any]], int]:
-    """``(records, n_skipped)`` for a whole file; absent means empty."""
+def read(
+    path: PathLike,
+    load: Optional[Callable[[Dict[str, Any]], Any]] = None,
+    strict: bool = False,
+) -> Tuple[List[Any], int]:
+    """:func:`parse` over a whole file; absent means empty."""
     try:
         with open(path, encoding="utf-8", errors="replace") as fh:
-            return parse(fh)
+            return parse(fh, load, strict, origin=str(path))
     except FileNotFoundError:
         return [], 0

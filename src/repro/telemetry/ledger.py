@@ -264,23 +264,14 @@ class Ledger:
         """All loadable entries (of ``kind``, if given) in file order.
 
         Malformed lines (a torn tail from a killed run, stray garbage)
-        are skipped and counted in :attr:`n_skipped`, or raise when
-        ``strict``; an absent file is an empty ledger, not an error.
+        are skipped and counted in :attr:`n_skipped`, or raise with
+        their line number when ``strict``; an absent file is an empty
+        ledger, not an error.
         """
-        records, skipped = jsonl.read(self.path)
-        out: List[LedgerEntry] = []
-        for record in records:
-            try:
-                entry = LedgerEntry.from_dict(record)
-            except (TypeError, ValueError):
-                skipped += 1
-                continue
-            if kind is None or entry.kind == kind:
-                out.append(entry)
-        self.n_skipped = skipped
-        if strict and skipped:
-            raise ValueError(f"{self.path}: {skipped} bad ledger line(s)")
-        return out
+        entries, self.n_skipped = jsonl.read(
+            self.path, LedgerEntry.from_dict, strict
+        )
+        return [e for e in entries if kind is None or e.kind == kind]
 
     def __iter__(self) -> Iterator[LedgerEntry]:
         return iter(self.entries())

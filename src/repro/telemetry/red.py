@@ -60,9 +60,8 @@ class RedMetrics:
         self.errors: Dict[str, Dict[str, int]] = {}
         #: (endpoint, outcome) -> duration histogram in milliseconds
         self.durations: Dict[Tuple[str, str], Histogram] = {}
-        #: name -> count of events outside any request
-        #: (``store.skipped_lines`` at startup)
-        self.counters: Dict[str, int] = {}
+        #: helper-store lines the service could not load at startup
+        self.store_skipped_lines = 0
 
     # ---- recording -----------------------------------------------------
 
@@ -77,10 +76,6 @@ class RedMetrics:
         if hist is None:
             hist = self.durations[key] = Histogram()
         hist.observe(duration_s * 1e3)
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Count ``n`` events that belong to no request."""
-        self.counters[name] = self.counters.get(name, 0) + n
 
     # ---- queries ---------------------------------------------------------
 
@@ -131,11 +126,12 @@ class RedMetrics:
         objectives are promises about served requests, and an error fast-
         path must not be allowed to flatter the tail.  Non-finite values
         (no successes yet) are dropped, so an SLO sees them as missing.
-        Each :meth:`count` counter adds its own key.
+        A non-zero :attr:`store_skipped_lines` adds
+        ``store.skipped_lines``.
         """
-        out: Dict[str, float] = {
-            name: float(n) for name, n in sorted(self.counters.items())
-        }
+        out: Dict[str, float] = {}
+        if self.store_skipped_lines:
+            out["store.skipped_lines"] = float(self.store_skipped_lines)
         for endpoint in sorted(self.requests):
             n = self.requests[endpoint]
             out[f"{endpoint}.requests"] = float(n)
@@ -209,8 +205,10 @@ class RedMetrics:
             tracer.count(f"service.{endpoint}.requests", float(n))
             for cls, c in sorted(self.errors.get(endpoint, {}).items()):
                 tracer.count(f"service.{endpoint}.errors.{cls}", float(c))
-        for name, n in sorted(self.counters.items()):
-            tracer.count(f"service.{name}", float(n))
+        if self.store_skipped_lines:
+            tracer.count(
+                "service.store.skipped_lines", float(self.store_skipped_lines)
+            )
         for (ep, oc), hist in sorted(self.durations.items()):
             tracer.merge_histogram(self.site(ep, oc), hist)
 

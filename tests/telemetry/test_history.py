@@ -101,6 +101,24 @@ class TestHistoryRows:
             "b:wall_s": "regress",
         }
 
+    def test_perf_rows_keep_the_gate_warmup(self):
+        """A short window must not end perf warm-up before the gate does."""
+        entries = [
+            LedgerEntry.perf("b", {"wall_s": v})
+            for v in [10.0, 10.0, 10.0, 10.0, 20.0]
+        ]
+        (row,) = history_rows(entries, window=3)
+        assert row.verdict == "warmup"
+
+    def test_mixed_kinds_are_rejected(self, manifest):
+        entries = entries_for([1.0], manifest) + [
+            LedgerEntry.perf("b", {"wall_s": 1.0})
+        ]
+        with pytest.raises(ValueError, match="one kind"):
+            history_rows(entries)
+        with pytest.raises(ValueError, match="one kind"):
+            render_history(entries)
+
     def test_metric_substring_filter(self, manifest):
         entries = entries_for([1.0], manifest) + entries_for(
             [2.0], manifest, experiment="e3", key="uniq"

@@ -167,3 +167,16 @@ class TestRead:
         path = tmp_path / "f.jsonl"
         path.write_bytes(b'{"a": 1}\n\xff\xfe{"b"\n{"c": 3}\n')
         assert jsonl.read(path) == ([{"a": 1}, {"c": 3}], 1)
+
+    def test_load_rejections_are_skipped_lines(self):
+        def load(record):
+            return record["a"]
+
+        lines = ['{"a": 1}', '{"b": 2}', '{"a": 3}']
+        assert jsonl.parse(lines, load) == ([1, 3], 1)
+
+    def test_strict_names_origin_line_and_reason(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        path.write_text('{"a": 1}\n\n[1]\n')
+        with pytest.raises(ValueError, match=r"f\.jsonl:3: bad line: not a JSON"):
+            jsonl.read(path, strict=True)

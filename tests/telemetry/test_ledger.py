@@ -259,13 +259,25 @@ class TestLedger:
         assert ledger.entries() == []
         assert ledger.n_skipped == 1
 
-    def test_strict_raises(self, tmp_path, manifest):
+    def test_strict_raises_with_line_number(self, tmp_path, manifest):
         path = tmp_path / "ledger.jsonl"
         ledger = Ledger(path)
         ledger.record("e2", {"a": 1.0}, manifest)
         with open(path, "a") as fh:
             fh.write("not json\n")
-        with pytest.raises(ValueError, match=r"ledger\.jsonl: 1 bad"):
+        with pytest.raises(ValueError, match=r"ledger\.jsonl:2"):
+            ledger.entries(strict=True)
+
+    def test_strict_names_the_line_and_the_reason(self, tmp_path, manifest):
+        path = tmp_path / "ledger.jsonl"
+        ledger = Ledger(path)
+        ledger.record("e2", {"a": 1.0}, manifest)
+        with open(path, "a") as fh:
+            fh.write("\n")
+            fh.write('{"format": 2, "kind": "run", "name": "e3"}\n')
+        with pytest.raises(
+            ValueError, match=r"ledger\.jsonl:3: bad line: .*no scalars"
+        ):
             ledger.entries(strict=True)
 
     def test_blank_lines_ignored(self, tmp_path, manifest):

@@ -177,6 +177,19 @@ class TestLedgerDiff:
             fh.write("not json\n")  # malformed lines are skipped
         assert bench_compare.load_ledger_scalars(tmp_path) == {"e2.flips": 32.0}
 
+    def test_reads_ledger_written_by_the_package(self, tmp_path):
+        from repro.telemetry import Ledger, LedgerEntry, RunManifest
+
+        ledger = Ledger(tmp_path / "ledger.jsonl")
+        manifest = RunManifest.collect(seed=1, config={})
+        ledger.record("e2", {"flips": 30.0}, manifest)
+        ledger.append(LedgerEntry.perf("bench_x", {"flips": 99.0}))
+        ledger.record("e2", {"flips": 32.0, "hd": 49.7}, manifest)
+        assert bench_compare.load_ledger_scalars(tmp_path) == {
+            "e2.flips": 32.0,
+            "e2.hd": 49.7,
+        }
+
     def test_no_ledgers_is_empty(self, tmp_path):
         assert bench_compare.load_ledger_scalars(tmp_path) == {}
 

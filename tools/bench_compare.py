@@ -91,7 +91,8 @@ def load_ledger_scalars(path: pathlib.Path) -> Dict[str, float]:
     """Flatten run-ledger ``*.jsonl`` lines into ``{"exp.key": value}``.
 
     ``path`` is a directory (every ``*.jsonl`` inside is read) or one
-    ledger file.  Later lines win, matching
+    ledger file.  Run entries of both ledger formats count; perf entries
+    sharing the file do not.  Later lines win, matching
     :func:`repro.telemetry.latest_scalars` without importing the
     package.  Malformed lines and non-ledger files are skipped — absence
     of ledgers is normal for a results directory.
@@ -119,7 +120,10 @@ def load_ledger_scalars(path: pathlib.Path) -> Dict[str, float]:
                 continue
             if not isinstance(entry, dict):
                 continue
-            experiment = entry.get("experiment")
+            if entry.get("kind", "run") != "run":
+                continue  # perf entries may share the file
+            # format 2 names the experiment ``name``, format 1 ``experiment``
+            experiment = entry.get("name", entry.get("experiment"))
             scalars = entry.get("scalars")
             if not isinstance(experiment, str) or not isinstance(scalars, dict):
                 continue
