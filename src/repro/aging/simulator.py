@@ -573,10 +573,6 @@ class PopulationAging:
 
         return subtract
 
-    def cached_delta(self, t_years: float) -> Optional[np.ndarray]:
-        """The memoised delta for ``t_years`` if one exists, else None."""
-        return self._memo.get(float(t_years))
-
     def subtract_delta_into(
         self,
         t_years: float,

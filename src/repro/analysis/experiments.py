@@ -256,12 +256,11 @@ def aging_bitflips(
     finals: Dict[str, ReliabilityReport] = {}
     for name, design in config.designs().items():
         with closing(config.batch_study_for(design)) as study:
-            goldens = study.responses()
+            goldens, counts = study.flip_counts(years)
             s = Series(name=name)
             last_report = None
-            for t in years:
-                aged = study.responses(t_years=t)
-                report = reliability(goldens, aged)
+            for t, flips in zip(years, counts):
+                report = ReliabilityReport.from_flip_counts(flips, goldens.shape[1])
                 s.add(t, report.percent(), 100.0 * report.std_flip_fraction)
                 last_report = report
             series[name] = s

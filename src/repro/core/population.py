@@ -6,7 +6,8 @@ evaluates that one chip and one year at a time — clear for examples, but
 the Python loop around it dominates wall-clock at paper scale.  This
 module streams a whole population through the fused block kernel
 (:func:`~repro.kernel.fused.frequency_block_kernel`) in one pass per
-(year, corner):
+operating corner and time point — or, for a year sweep
+(:meth:`BatchStudy.flip_counts`), in one pass for every year at once:
 
 * :class:`PopulationView` — the stacked threshold/`tc_scale` tensors plus
   thin per-chip :class:`~repro.variation.chip.Chip` views;
@@ -241,10 +242,11 @@ class RamColumns:
     def subtracter(self, t: float, mechanism: Optional[str] = None):
         """``(subtract(od, scratch, lo, hi), columns)`` for one pass at ``t``.
 
-        The golden path subtracts the memoised delta when one exists (the
-        grouping :meth:`PopulationAging.delta` uses) and the factored
-        :meth:`~PopulationAging.subtract_delta_into` otherwise; a
-        mechanism pass subtracts one mechanism's field in the exact
+        The golden path is always the factored
+        :meth:`~PopulationAging.subtract_delta_into` — the grouping the
+        store and the shard workers compute — so a frequency never
+        depends on which deltas an earlier call memoised; a mechanism
+        pass subtracts one mechanism's field in the exact
         :meth:`~PopulationAging.delta_components` grouping.
         """
         aging = self.aging
@@ -255,16 +257,9 @@ class RamColumns:
                 component(od, scratch, slice(lo, hi))
 
             return subtract, ()
-        delta = aging.cached_delta(t)
-        if delta is not None:
 
-            def subtract(od, scratch, lo, hi):
-                od -= delta[lo:hi]
-
-        else:
-
-            def subtract(od, scratch, lo, hi):
-                aging.subtract_delta_into(t, od, scratch, rows=slice(lo, hi))
+        def subtract(od, scratch, lo, hi):
+            aging.subtract_delta_into(t, od, scratch, rows=slice(lo, hi))
 
         return subtract, ()
 
@@ -586,16 +581,71 @@ class BatchStudy:
                 freqs = self.frequencies(*key)
         else:
             bits = np.empty((self.n_chips, pairs.shape[0]), dtype=np.uint8)
-            sink = ResponseBlockSink(
-                pairs, self.design.tech, self.design.readout, bits
-            )
-            freqs = self._feed(key, freqs, sink)
+            freqs = self._feed(key, freqs, ResponseBlockSink(pairs, bits))
         if freqs is not None:
             # forensics hook: no-op (one branch) unless a collector is
             # installed; the bits above never depend on the capture
             _forensics_hook.record_response_margins(freqs, pairs, *key)
             self._release(freqs)
         return bits
+
+    def flip_counts(
+        self,
+        years: Sequence[float],
+        challenge: Optional[int] = None,
+        *,
+        conditions: Optional[OperatingConditions] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Golden bits and per-chip flipped-bit counts along a year sweep.
+
+        Returns ``(golden, counts)``: ``golden`` is ``responses(challenge,
+        0.0)`` (``(n_chips, n_bits)`` uint8) and ``counts[k, i]`` is the
+        number of bits of chip ``i`` that differ from its golden response
+        after ``years[k]`` — ``(len(years), n_chips)`` int64, equal to
+        XOR-counting :meth:`responses` at every year, byte for byte.
+
+        One stream over the population evaluates every year: per source
+        block the rows are materialised and released once, and per kernel
+        block all the years are computed back to back and reduced against
+        the t = 0 bits by one gather, compare and count.  No frequency
+        corner is allocated, memoised or spilled.  With a forensics
+        margin collector installed the sweep runs corner by corner
+        through :meth:`responses` instead, so the collector still sees
+        every corner.
+        """
+        keys = [self._key(t, conditions) for t in (0.0, *years)]
+        cond = keys[0][1]
+        if _forensics_hook.active_collector() is not None:
+            golden = self.responses(challenge, conditions=cond)
+            counts = np.zeros((len(years), self.n_chips), dtype=np.int64)
+            for k, (t, _) in enumerate(keys[1:]):
+                aged = self.responses(challenge, t, conditions=cond)
+                counts[k] = np.count_nonzero(aged != golden, axis=1)
+            return golden, counts
+        telemetry.count("batch.response_passes", len(keys))
+        if self._executor is not None:
+            return self._executor.evaluate(
+                "flip_counts",
+                0.0,
+                cond,
+                challenge=challenge,
+                years=tuple(t for t, _ in keys[1:]),
+            )
+        pairs = self.design.pairing.pairs(self.design.n_ros, challenge)
+        golden = np.empty((self.n_chips, pairs.shape[0]), dtype=np.uint8)
+        counts = np.empty((len(years), self.n_chips), dtype=np.int64)
+        sink = ResponseBlockSink(pairs, golden, counts)
+        telemetry.count("batch.sweep_passes")
+        telemetry.count("batch.corner_memo_misses", len(keys))
+        with telemetry.span(
+            "batch.flip_counts",
+            n_years=len(years),
+            temperature_k=cond.temperature_k,
+            n_chips=self.n_chips,
+            n_ros=self.design.n_ros,
+        ):
+            self._stream([t for t, _ in keys], cond, None, (sink,))
+        return golden, counts
 
     def margin_histogram(
         self,
@@ -638,7 +688,7 @@ class BatchStudy:
         else:
             blocks = self.source.blocks()
         for lo, hi in blocks:
-            sink(lo, hi, freqs[lo:hi])
+            sink(lo, hi, freqs[None, lo:hi])
         return freqs
 
     def _release(self, freqs: np.ndarray) -> None:
@@ -646,7 +696,7 @@ class BatchStudy:
         if self.source is not None:
             self.source.release(0, freqs.shape[0], (), freqs)
 
-    # ---- the corner loop ---------------------------------------------
+    # ---- the streaming loop ------------------------------------------
 
     #: chip-axis block size of the work buffers, in tensor elements.  Two
     #: buffers of ~48k float64 elements (~380 KiB each) fit comfortably in
@@ -654,15 +704,15 @@ class BatchStudy:
     #: is worth ~1.5x on the memory-bound part of the frequency kernel.
     _BLOCK_ELEMS = 48_000
 
-    #: sink flush window, in elements of the period/frequency tensor
-    #: (~8 MiB of float64 rows).  Sinks are fed at this coarser
-    #: granularity rather than per kernel block: their per-call gather /
-    #: compare dispatch costs ~10 us regardless of size, which at
-    #: kernel-block width (a few dozen chips) would dominate the corner;
-    #: an 8 MiB window amortises it to noise while still bounding the
-    #: re-read traffic far below the population tensor at large n_chips.
-    #: Sinks are also fed at the end of every source block, before a
-    #: streaming source releases its pages.
+    #: sink flush window of a one-corner pass, in elements of the
+    #: frequency tensor (~8 MiB of float64 rows).  Sinks are fed at this
+    #: coarser granularity rather than per kernel block: their per-call
+    #: gather / compare dispatch costs ~10 us regardless of size, which
+    #: at kernel-block width (a few dozen chips) would dominate the
+    #: corner; an 8 MiB window amortises it to noise while still bounding
+    #: the re-read traffic far below the population tensor at large
+    #: n_chips.  Sinks are also fed at the end of every source block,
+    #: before a streaming source releases its pages.
     _SINK_WINDOW_ELEMS = 1_048_576
 
     def _work_buffers(self) -> tuple:
@@ -681,23 +731,11 @@ class BatchStudy:
         return self._od_buf, self._scratch_buf
 
     def _corner_pass(self, key: tuple, sinks: tuple = ()) -> np.ndarray:
-        """Compute, seal and memoise one corner in a fused streaming pass.
-
-        Per source block: materialise its rows, then per kernel block
-        fabricate overdrives, subtract the aging field, reduce to periods
-        and flip to frequencies.  Every ``sink`` (response bits, margin
-        histograms) consumes the fresh frequency rows from the same pass
-        in bounded windows (:data:`_SINK_WINDOW_ELEMS`, and at every
-        source block end) while they are cache-warm and resident; then a
-        streaming source releases the block's pages.  Sinks only save the
-        *re-read* passes, so fused and unfused evaluation orders are
-        bit-identical, as are any two block sizes.
-        """
+        """Compute, seal and memoise one corner: :meth:`_stream` with a
+        single time point, its frequencies kept in the memo (or spill)."""
         t, cond = key[0], key[1]
         mechanism = key[2] if len(key) > 2 else None
         telemetry.count("batch.corner_memo_misses")
-        if sinks:
-            telemetry.count("batch.fused_passes")
         if mechanism is not None:
             telemetry.count("batch.mechanism_passes")
         src = self.source
@@ -710,7 +748,7 @@ class BatchStudy:
         )
         out, spill_key = self._alloc_result(key)
         try:
-            self._stream(t, cond, mechanism, out, sinks)
+            self._stream([t], cond, mechanism, sinks, out)
         except Exception:
             if spill_key is not None:
                 del out
@@ -729,12 +767,31 @@ class BatchStudy:
 
     def _stream(
         self,
-        t: float,
+        ts: Sequence[float],
         cond: OperatingConditions,
         mechanism: Optional[str],
-        out: np.ndarray,
         sinks: tuple,
+        corner: Optional[np.ndarray] = None,
     ) -> None:
+        """The one streaming loop: store block → kernel block → year.
+
+        Per source block: materialise its rows once, then per kernel
+        block fabricate overdrives, subtract the aging field at every
+        ``t`` of ``ts`` in turn, reduce to periods and flip to
+        frequencies.  Every ``sink`` (response bits and flip counts,
+        margin histograms) consumes the fresh ``(len(ts), rows, n_ros)``
+        frequency rows while they are cache-warm and resident; then a
+        streaming source releases the block's pages.
+
+        With ``corner`` (one time point) the frequencies are written to
+        that ``(n_chips, n_ros)`` result and sinks are fed in windows of
+        :data:`_SINK_WINDOW_ELEMS` and at every source block end; without
+        it they land in one kernel-block buffer that a sink call after
+        every kernel block recycles, so a year sweep allocates nothing
+        population-sized.  Sinks only save the *re-read* passes, so fused
+        and unfused evaluation orders are bit-identical, as are any two
+        block sizes.
+        """
         tech = self.design.tech
         src = self.source
         vdd = cond.effective_vdd(tech)
@@ -757,10 +814,13 @@ class BatchStudy:
             # off nominal temperature the tc mismatch term is non-zero
             columns.append("tc_scale")
             tc = src.column("tc_scale")
-        subtract = None
-        if t > 0.0:
-            subtract, aging_columns = src.subtracter(t, mechanism)
-            columns.extend(aging_columns)
+        subtracts = []
+        for t in ts:
+            subtract = None
+            if t > 0.0:
+                subtract, aging_columns = src.subtracter(t, mechanism)
+                columns.extend(c for c in aging_columns if c not in columns)
+            subtracts.append(subtract)
         # The overdrive tensor is assembled block-by-block along the chip
         # axis in two persistent buffers: allocating (and page-faulting) a
         # population-sized array per grid point would cost as much as the
@@ -770,9 +830,17 @@ class BatchStudy:
         od_buf, scratch_buf = self._work_buffers()
         kb = od_buf.shape[0]
         n_chips = src.n_chips
-        sink_window = max(kb, self._SINK_WINDOW_ELEMS // src.n_ros)
+        if corner is None:
+            # a sweep reduces every kernel block while its len(ts) corners
+            # are cache-warm: the one sink call already amortises its
+            # dispatch over the years, and the buffer stays block-sized
+            window = kb
+            periods = np.empty((len(ts), kb, src.n_ros))
+        else:
+            window = max(kb, self._SINK_WINDOW_ELEMS // src.n_ros)
+            periods = corner[None]
         # histogram hook hoisted out of the loop: one tracer lookup per
-        # corner, and the per-block clock reads only happen when tracing
+        # stream, and the per-block clock reads only happen when tracing
         tr = telemetry.active()
         n_blocks = 0
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -785,29 +853,35 @@ class BatchStudy:
                     telemetry.progress("batch.frequencies", hi, n_chips)
                     if tr is not None:
                         _blk0 = time.perf_counter_ns()
-                    period_rows = out[lo:hi]
-                    frequency_block_kernel(
-                        od_buf[: hi - lo],
-                        scratch_buf[: hi - lo],
-                        vth[lo:hi],
-                        vdd=vdd,
-                        neg_alpha=neg_alpha,
-                        w_flat=w_flat,
-                        period_out=period_rows,
-                        tc_rows=tc[lo:hi] if tc is not None else None,
-                        tc_coeff=tc_coeff,
-                        subtract_aging=(
-                            None
-                            if subtract is None
-                            else lambda od, scratch, lo=lo, hi=hi: subtract(
-                                od, scratch, lo, hi
-                            )
-                        ),
-                    )
-                    finalize_period_block(period_rows)
-                    if sinks and (hi - flush_lo >= sink_window or hi == bhi):
+                    # rows of the result, or of the recycled window buffer
+                    base = 0 if corner is not None else flush_lo
+                    vth_rows = vth[lo:hi]
+                    tc_rows = tc[lo:hi] if tc is not None else None
+                    for k, subtract in enumerate(subtracts):
+                        period_rows = periods[k, lo - base : hi - base]
+                        frequency_block_kernel(
+                            od_buf[: hi - lo],
+                            scratch_buf[: hi - lo],
+                            vth_rows,
+                            vdd=vdd,
+                            neg_alpha=neg_alpha,
+                            w_flat=w_flat,
+                            period_out=period_rows,
+                            tc_rows=tc_rows,
+                            tc_coeff=tc_coeff,
+                            subtract_aging=(
+                                None
+                                if subtract is None
+                                else lambda od, scratch, s=subtract, lo=lo, hi=hi: s(
+                                    od, scratch, lo, hi
+                                )
+                            ),
+                        )
+                        finalize_period_block(period_rows)
+                    if sinks and (hi - flush_lo >= window or hi == bhi):
+                        rows = periods[:, flush_lo - base : hi - base]
                         for sink in sinks:
-                            sink(flush_lo, hi, out[flush_lo:hi])
+                            sink(flush_lo, hi, rows)
                         flush_lo = hi
                     if tr is not None:
                         tr.observe(
@@ -816,8 +890,10 @@ class BatchStudy:
                         )
                 # a streaming source drops the block's input pages (and a
                 # spilled result's freshly written rows) from the resident set
-                src.release(blo, bhi, columns, out)
+                src.release(blo, bhi, columns, corner)
         telemetry.count("freq.kernel_blocks", n_blocks)
+        if sinks:
+            telemetry.count("batch.fused_passes")
 
     # ---- per-chip views (back-compat) --------------------------------
 

@@ -9,12 +9,13 @@ stream: per block the kernel fabricates periods from thresholds
 finiteness and flips them to frequencies in place, and the caller's
 *sinks* consume the fresh frequency rows — in bounded super-block
 windows that amortise per-call dispatch while keeping the traffic far
-below a full-tensor re-read — to emit response bits
-(:class:`ResponseBlockSink`) or signed-margin histogram counts
-(:class:`MarginHistogramSink`).
+below a full-tensor re-read — to emit response bits and per-chip
+flip counts (:class:`ResponseBlockSink`) or signed-margin histogram
+counts (:class:`MarginHistogramSink`).
 
-All sinks are plain callables ``sink(lo, hi, freq_rows)`` over
-window-relative rows ``[lo, hi)``.
+All sinks are plain callables ``sink(lo, hi, freqs)`` over
+window-relative rows ``[lo, hi)``; ``freqs`` stacks the rows of every
+corner the stream evaluates, shape ``(K, hi - lo, n_ros)``.
 Every sink performs its block's work exactly as the public per-array
 function does on the full tensor — the response sink runs the noiseless
 comparison of :func:`repro.core.readout.compare_pairs` (same gather,
@@ -97,51 +98,66 @@ def finalize_period_block(period_rows) -> None:
 
 
 class ResponseBlockSink:
-    """Fills a ``(n_chips, n_bits)`` uint8 response array block by block.
+    """Response bits — and optionally per-chip flip counts — block by block.
 
-    Each block performs the noiseless comparison of
-    :func:`~repro.core.readout.compare_pairs` — gather the two oscillator
-    columns of every pair, ``bit = 1`` where the first counts higher — so
-    the assembled bits equal ``compare_pairs(full_freqs, ...)`` exactly
-    (the comparison is elementwise along the chip axis).  The sink keeps
-    the hot loop allocation-free: pair indices are split and validated
-    once at construction, the two gather buffers are reused across
-    blocks, and the comparison writes straight into the caller's uint8
-    array through a boolean view (``np.bool_`` is one byte holding 0/1).
+    A sink call receives the frequency rows of ``K`` corners stacked as
+    ``(K, rows, n_ros)``.  One gather and one comparison per call run the
+    noiseless comparison of :func:`~repro.core.readout.compare_pairs` —
+    gather the two oscillator columns of every pair, ``bit = 1`` where
+    the first counts higher — for every corner at once (elementwise
+    along the chip axis, so the bits equal ``compare_pairs`` on the full
+    tensor exactly).  Corner 0's bits land in ``out`` (``(n_chips,
+    n_bits)`` uint8); with ``counts`` (``(K - 1, n_chips)`` int64) every
+    later corner is reduced against corner 0 to its number of flipped
+    bits per chip, so a year sweep never holds more than one bit matrix.
+
+    The hot loop is allocation-free: pair indices are split and
+    validated once at construction, and the gather/compare buffers are
+    reused across calls.  With one corner the comparison writes straight
+    into ``out`` through a boolean view (``np.bool_`` is one byte
+    holding 0/1).
     """
 
-    def __init__(self, pairs: np.ndarray, tech, readout, out: np.ndarray):
+    def __init__(self, pairs: np.ndarray, out: np.ndarray, counts=None):
         pairs = np.asarray(pairs)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("pairs must have shape (n_bits, 2)")
         if np.any(pairs < 0):
             raise ValueError("pair indices out of range")
         self.pairs = pairs
-        self.tech = tech
-        self.readout = readout
         self.out = out
+        self.counts = counts
         self._idx_a = np.ascontiguousarray(pairs[:, 0])
         self._idx_b = np.ascontiguousarray(pairs[:, 1])
         self._bits = out.view(np.bool_)
-        self._f_a: np.ndarray = None
-        self._f_b: np.ndarray = None
+        self._buf: tuple = ()
 
-    def __call__(self, lo: int, hi: int, freq_rows: np.ndarray) -> None:
-        n = hi - lo
-        if (
-            self._f_a is None
-            or self._f_a.shape[0] < n
-            or self._f_a.dtype != freq_rows.dtype
-        ):
+    def _buffers(self, shape: tuple, dtype) -> tuple:
+        """Contiguous ``shape`` views of the reused gather/compare buffers."""
+        size = int(np.prod(shape))
+        if not self._buf or self._buf[0].size < size or self._buf[0].dtype != dtype:
             # engines stream uniform blocks with a short tail, so in
-            # practice the buffers are allocated once by the first block
-            shape = (n, self._idx_a.shape[0])
-            self._f_a = np.empty(shape, dtype=freq_rows.dtype)
-            self._f_b = np.empty(shape, dtype=freq_rows.dtype)
-        f_a, f_b = self._f_a[:n], self._f_b[:n]
-        np.take(freq_rows, self._idx_a, axis=1, out=f_a)
-        np.take(freq_rows, self._idx_b, axis=1, out=f_b)
-        np.greater(f_a, f_b, out=self._bits[lo:hi])
+            # practice the buffers are allocated once by the first call
+            self._buf = (
+                np.empty(size, dtype=dtype),
+                np.empty(size, dtype=dtype),
+                np.empty(size, dtype=np.bool_),
+            )
+        return tuple(b[:size].reshape(shape) for b in self._buf)
+
+    def __call__(self, lo: int, hi: int, freqs: np.ndarray) -> None:
+        shape = freqs.shape[:2] + self._idx_a.shape
+        f_a, f_b, cmp = self._buffers(shape, freqs.dtype)
+        np.take(freqs, self._idx_a, axis=2, out=f_a)
+        np.take(freqs, self._idx_b, axis=2, out=f_b)
+        if self.counts is None:
+            np.greater(f_a[0], f_b[0], out=self._bits[lo:hi])
+            return
+        np.greater(f_a, f_b, out=cmp)
+        self._bits[lo:hi] = cmp[0]
+        flips = cmp[1:]
+        np.not_equal(flips, cmp[0], out=flips)
+        self.counts[:, lo:hi] = np.count_nonzero(flips, axis=2)
 
 
 class MarginHistogramSink:
@@ -158,9 +174,9 @@ class MarginHistogramSink:
         self.edges = np.asarray(edges, dtype=float)
         self.counts = np.zeros(len(self.edges) - 1, dtype=np.int64)
 
-    def __call__(self, lo: int, hi: int, freq_rows: np.ndarray) -> None:
+    def __call__(self, lo: int, hi: int, freqs: np.ndarray) -> None:
         from ..metrics.margins import margin_histogram, relative_margins
 
         self.counts += margin_histogram(
-            relative_margins(freq_rows, self.pairs), self.edges
+            relative_margins(freqs, self.pairs), self.edges
         )

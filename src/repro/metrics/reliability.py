@@ -29,6 +29,32 @@ class ReliabilityReport:
     worst_flip_fraction: float
     per_chip: np.ndarray
 
+    @classmethod
+    def from_flip_counts(cls, counts, n_bits: int) -> "ReliabilityReport":
+        """The report of per-chip flipped-bit ``counts`` out of ``n_bits``.
+
+        ``counts`` is one row of :meth:`repro.core.population.BatchStudy.flip_counts`
+        (or any per-chip count vector); the fields equal
+        :func:`reliability` on the response matrices the counts came from.
+        """
+        if n_bits < 1:
+            raise ValueError("empty responses have no Hamming distance")
+        counts = np.asarray(counts)
+        if not counts.size:
+            raise ValueError("need at least one chip")
+        return cls._from_fractions(counts / n_bits)
+
+    @classmethod
+    def _from_fractions(cls, per_chip: np.ndarray) -> "ReliabilityReport":
+        return cls(
+            mean_flip_fraction=float(per_chip.mean()),
+            std_flip_fraction=(
+                float(per_chip.std(ddof=1)) if per_chip.size > 1 else 0.0
+            ),
+            worst_flip_fraction=float(per_chip.max()),
+            per_chip=per_chip,
+        )
+
     def percent(self) -> float:
         """Mean flipped-bit percentage (the number papers quote)."""
         return 100.0 * self.mean_flip_fraction
@@ -62,20 +88,11 @@ def reliability(goldens: Sequence, observeds: Sequence) -> ReliabilityReport:
     ):
         # batched fast path: (n_chips, n_bits) response matrices straight
         # from a BatchStudy — one vectorised XOR instead of a chip loop
-        if goldens.shape[1] == 0:
-            raise ValueError("empty responses have no Hamming distance")
-        per_chip = (
-            np.count_nonzero(goldens != observeds, axis=1) / goldens.shape[1]
+        return ReliabilityReport.from_flip_counts(
+            np.count_nonzero(goldens != observeds, axis=1), goldens.shape[1]
         )
-    else:
-        per_chip = np.array(
-            [flip_fraction(g, o) for g, o in zip(goldens, observeds)]
-        )
-    return ReliabilityReport(
-        mean_flip_fraction=float(per_chip.mean()),
-        std_flip_fraction=float(per_chip.std(ddof=1)) if per_chip.size > 1 else 0.0,
-        worst_flip_fraction=float(per_chip.max()),
-        per_chip=per_chip,
+    return ReliabilityReport._from_fractions(
+        np.array([flip_fraction(g, o) for g, o in zip(goldens, observeds)])
     )
 
 

@@ -105,18 +105,22 @@ class ShardExecutor:
         challenge: Optional[int] = None,
         mechanism: Optional[str] = None,
         hist_edges: Optional[Tuple[float, ...]] = None,
-    ) -> np.ndarray:
+        years: Optional[Tuple[float, ...]] = None,
+    ):
         """Run one request on every shard and merge the replies.
 
-        Array replies are concatenated in chip order; ``margin_hist``
-        count vectors are summed.  Progress heartbeats (one merged
-        ``parallel.shards`` stream) are emitted from this process as
-        replies arrive; each reply's counter and span digest is folded
-        into the parent tracer, so ``--trace`` and ``--metrics-out`` see
-        one coherent run.
+        Array replies are concatenated in chip order (a ``flip_counts``
+        reply's golden bits along rows, its counts along the chip axis
+        of each year); ``margin_hist`` count vectors are summed.
+        Progress heartbeats (one merged ``parallel.shards`` stream) are
+        emitted from this process as replies arrive; each reply's
+        counter and span digest is folded into the parent tracer, so
+        ``--trace`` and ``--metrics-out`` see one coherent run.
         """
         requests = [
-            EvalRequest(kind, t_years, conditions, challenge, mechanism, hist_edges)
+            EvalRequest(
+                kind, t_years, conditions, challenge, mechanism, hist_edges, years
+            )
         ]
         sp = telemetry.start_span(
             "parallel.evaluate",
@@ -150,6 +154,9 @@ class ShardExecutor:
             arrays = [r.arrays[0] for r in reports]
             if kind == "margin_hist":
                 return np.sum(arrays, axis=0)
+            if kind == "flip_counts":
+                goldens, counts = zip(*arrays)
+                return np.concatenate(goldens), np.concatenate(counts, axis=1)
             return np.concatenate(arrays)
         finally:
             telemetry.end_span(sp)

@@ -54,15 +54,19 @@ class EvalRequest:
     ``mechanism`` applies to ``"mechanism_frequencies"`` requests only;
     ``hist_edges`` (a picklable tuple of bin edges) to ``"margin_hist"``
     requests, whose replies are per-shard integer bin counts that the
-    coordinator merges by addition.
+    coordinator merges by addition; ``years`` to ``"flip_counts"``
+    requests, whose replies are the shard's ``(golden, counts)`` pair.
     """
 
-    kind: str  # "frequencies" | "responses" | "mechanism_frequencies" | "margin_hist"
+    #: "frequencies" | "responses" | "mechanism_frequencies" |
+    #: "margin_hist" | "flip_counts"
+    kind: str
     t_years: float = 0.0
     conditions: Optional[OperatingConditions] = None
     challenge: Optional[int] = None
     mechanism: Optional[str] = None
     hist_edges: Optional[Tuple[float, ...]] = None
+    years: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
         if self.kind not in (
@@ -70,6 +74,7 @@ class EvalRequest:
             "responses",
             "mechanism_frequencies",
             "margin_hist",
+            "flip_counts",
         ):
             raise ValueError(f"unknown request kind {self.kind!r}")
         if self.kind == "mechanism_frequencies" and self.mechanism not in (
@@ -81,6 +86,8 @@ class EvalRequest:
             )
         if self.kind == "margin_hist" and self.hist_edges is None:
             raise ValueError("margin_hist requests need hist_edges")
+        if self.kind == "flip_counts" and self.years is None:
+            raise ValueError("flip_counts requests need years")
 
 
 @dataclass
@@ -89,7 +96,9 @@ class ShardReport:
 
     shard_index: int
     n_chips: int
-    arrays: List[np.ndarray]
+    #: one reply per request: an array, or a ``flip_counts`` request's
+    #: ``(golden, counts)`` pair
+    arrays: List[object]
     counters: Dict[str, float]
     span_totals: Dict[str, Tuple[int, int]]  # name -> (duration_ns, calls)
     wall_s: float
@@ -268,6 +277,10 @@ def evaluate_shard(
             elif req.kind == "responses":
                 out = shard.responses(
                     req.challenge, req.t_years, conditions=req.conditions
+                )
+            elif req.kind == "flip_counts":
+                out = shard.flip_counts(
+                    req.years, req.challenge, conditions=req.conditions
                 )
             elif req.kind == "mechanism_frequencies":
                 out = shard.mechanism_frequencies(

@@ -605,9 +605,12 @@ class StoreColumns:
     kernel is the same function, and the aging subtraction uses the same
     factored grouping as
     :meth:`~repro.aging.simulator.PopulationAging.subtract_delta_into`
-    (coefficient x duty-power, then the scalar time power) with the
-    saturation clip applied unconditionally — a no-op below the cap, so
-    skipping vs applying it can never change a byte.
+    (coefficient x duty-power, then the scalar time power).  A golden
+    pass skips a saturation clip when the kernel block's column maximum
+    proves it a no-op: IEEE rounding is monotone, so ``max(x) * t**n <=
+    cap`` means every ``x * t**n <= cap``, and skipping vs applying the
+    clip can never change a byte.  The maxima are taken once per kernel
+    block and shared by every year a sweep evaluates on it.
 
     ``spill`` (a :class:`~repro.parallel.cache.ResultCache`) takes the
     study's frequency corners to disk when the window streams; the study
@@ -641,6 +644,7 @@ class StoreColumns:
         self._own_root = own_root
         self._rows = (int(row_start), row_stop)
         self._closed = False
+        self._max_memo: Dict[str, tuple] = {}
         self.n_chips = row_stop - int(row_start)
         self.n_ros = store.design.n_ros
         self.n_stages = store.design.n_stages
@@ -696,20 +700,24 @@ class StoreColumns:
         """
         tech = self.store.design.tech
         if mechanism is None:
-            bti_dir = self.column("bti_dir")
-            hci_dir = self.column("hci_dir")
-            bti_t = t ** tech.nbti.n
-            hci_t = t ** tech.hci.m
-            cap_bti = tech.nbti.max_shift
-            cap_hci = tech.hci.max_shift
+            terms = [
+                (name, self.column(name), scale, cap)
+                for name, scale, cap in (
+                    ("bti_dir", t ** tech.nbti.n, tech.nbti.max_shift),
+                    ("hci_dir", t ** tech.hci.m, tech.hci.max_shift),
+                )
+            ]
 
             def subtract(od, scratch, lo, hi):
-                np.multiply(bti_dir[lo:hi], bti_t, out=scratch)
-                np.minimum(scratch, cap_bti, out=scratch)
-                od -= scratch
-                np.multiply(hci_dir[lo:hi], hci_t, out=scratch)
-                np.minimum(scratch, cap_hci, out=scratch)
-                od -= scratch
+                for name, column, scale, cap in terms:
+                    rows = column[lo:hi]
+                    np.multiply(rows, scale, out=scratch)
+                    if self._block_max(name, rows, lo, hi) * scale > cap:
+                        telemetry.count("aging.clip_applied")
+                        np.minimum(scratch, cap, out=scratch)
+                    else:
+                        telemetry.count("aging.clip_skipped")
+                    od -= scratch
 
             return subtract, ("bti_dir", "hci_dir")
         if mechanism == "bti":
@@ -729,6 +737,16 @@ class StoreColumns:
             od -= scratch
 
         return subtract, (name,)
+
+    def _block_max(self, name: str, rows: np.ndarray, lo: int, hi: int) -> float:
+        """Maximum of ``rows`` (column ``name`` over ``[lo, hi)``),
+        remembered for the last block asked per column: a sweep asks once
+        per year, and a materialised block never changes."""
+        last = self._max_memo.get(name)
+        if last is None or last[0] != (lo, hi):
+            last = ((lo, hi), float(rows.max()))
+            self._max_memo[name] = last
+        return last[1]
 
     def spill_key(self, key: tuple, design: PufDesign) -> str:
         """Content address of one corner of this window in the spill cache."""

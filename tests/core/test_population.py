@@ -185,6 +185,55 @@ class TestMemoisation:
         assert np.array_equal(refreshed, first)
 
 
+class TestCallHistory:
+    @pytest.mark.parametrize("t", [0.5, 3.0, 10.0])
+    def test_frequencies_ignore_a_memoised_delta(self, paths, t):
+        """A prior ``aging.delta(t)`` (as ``aged_instances`` makes) must not
+        regroup the subtraction behind ``frequencies(t)``."""
+        _, batch = paths
+        fresh = make_batch_study(batch.design, N_CHIPS, rng=SEED)
+        fresh.aging.delta(t)
+        assert fresh.frequencies(t).tobytes() == batch.frequencies(t).tobytes()
+
+
+class TestFlipCounts:
+    def test_one_stream_and_nothing_memoised(self, paths):
+        from repro import telemetry
+
+        _, batch = paths
+        fresh = make_batch_study(batch.design, N_CHIPS, rng=SEED)
+        with telemetry.session() as tr:
+            fresh.flip_counts([1.0, 2.0, 4.0])
+        c = tr.counters
+        assert c["batch.sweep_passes"] == 1
+        assert c["batch.corner_memo_misses"] == 4
+        assert c["batch.response_passes"] == 4
+        assert not fresh._freq_memo
+
+    def test_collector_sees_every_corner(self, paths):
+        from repro.forensics import hook
+
+        class Tape:
+            def __init__(self):
+                self.years = []
+
+            def record(self, frequencies, pairs, t_years, conditions):
+                self.years.append(t_years)
+
+        _, batch = paths
+        want = batch.flip_counts([5.0, 10.0])
+        with hook.collector_session(Tape()) as tape:
+            got = batch.flip_counts([5.0, 10.0])
+        assert tape.years == [0.0, 5.0, 10.0]
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_negative_year_rejected(self, paths):
+        _, batch = paths
+        with pytest.raises(ValueError, match="non-negative"):
+            batch.flip_counts([1.0, -1.0])
+
+
 class TestPopulationView:
     def test_from_chips_round_trips(self, paths):
         study, _ = paths

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.metrics import flip_curve, flip_fraction, reliability
+from repro.metrics.reliability import ReliabilityReport
 
 
 class TestFlipFraction:
@@ -99,3 +100,27 @@ class TestFlipCurve:
         ]
         reports = flip_curve(goldens, sweep)
         assert [r.mean_flip_fraction for r in reports] == [0.0, 0.25, 0.5]
+
+
+class TestFromFlipCounts:
+    @pytest.mark.parametrize("n_chips", [1, 2, 7])
+    def test_equals_reliability_field_by_field(self, n_chips):
+        rng = np.random.default_rng(n_chips)
+        goldens = rng.integers(0, 2, (n_chips, 24), dtype=np.uint8)
+        aged = goldens ^ (rng.random((n_chips, 24)) < 0.3).astype(np.uint8)
+        want = reliability(goldens, aged)
+        got = ReliabilityReport.from_flip_counts(
+            np.count_nonzero(goldens != aged, axis=1), goldens.shape[1]
+        )
+        assert got.mean_flip_fraction == want.mean_flip_fraction
+        assert got.std_flip_fraction == want.std_flip_fraction
+        assert got.worst_flip_fraction == want.worst_flip_fraction
+        assert got.per_chip.tobytes() == want.per_chip.tobytes()
+        if n_chips == 1:
+            assert got.std_flip_fraction == 0.0
+
+    def test_rejects_zero_bits_and_zero_chips(self):
+        with pytest.raises(ValueError, match="Hamming"):
+            ReliabilityReport.from_flip_counts(np.array([0]), 0)
+        with pytest.raises(ValueError, match="at least one chip"):
+            ReliabilityReport.from_flip_counts(np.array([], dtype=np.int64), 8)

@@ -3,18 +3,23 @@
 Draws a design, a population size (including counts that neither the
 worker count nor the block size divides), a block size, ``jobs`` and
 ``store``, and a year / corner / mechanism, and asserts that responses,
-margin-histogram counts and single-mechanism frequencies equal those of
-the ``jobs=1, store="ram"`` study byte for byte.  Every ``jobs=2``
-example submits to one module-wide process pool, so the property costs
-seconds, not a pool start-up per example.
+margin-histogram counts, single-mechanism and golden-path frequencies
+equal those of the ``jobs=1, store="ram"`` study byte for byte — the
+golden path also against a RAM study whose aging deltas were memoised
+first.  A second property draws a year list and asserts that the
+one-stream ``flip_counts`` sweep equals per-corner ``responses`` plus an
+XOR count.  Every ``jobs=2`` example submits to one module-wide process
+pool, so the properties cost seconds, not a pool start-up per example.
 """
 
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.core import aro_design, conventional_design, make_batch_study
 from repro.environment import OperatingConditions, celsius
 from repro.metrics.margins import histogram_edges
@@ -106,3 +111,73 @@ def test_every_configuration_matches_serial_ram(
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
+    # golden-path frequencies do not depend on a memoised aging delta
+    history = make_batch_study(DESIGNS[design], n_chips, rng=seed)
+    history.aging.delta(year)
+    assert history.frequencies(year, cond).tobytes() == got[3].tobytes()
+
+
+def _xor_counts(reference, years, challenge, cond):
+    golden = reference.responses(challenge, conditions=cond)
+    counts = np.array(
+        [
+            np.count_nonzero(
+                reference.responses(challenge, t, conditions=cond) != golden,
+                axis=1,
+            )
+            for t in years
+        ],
+        dtype=np.int64,
+    ).reshape(len(years), golden.shape[0])
+    return golden, counts
+
+
+def _assert_same(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    design=st.sampled_from(sorted(DESIGNS)),
+    n_chips=st.integers(1, 9),
+    seed=st.integers(0, 3),
+    block_size=st.none() | st.integers(1, 5),
+    jobs=st.sampled_from([1, 2]),
+    store=st.sampled_from(["ram", "mmap"]),
+    years=st.lists(st.just(0.0) | st.floats(0.0, 15.0), max_size=5),
+    corner=st.sampled_from(range(len(CORNERS))),
+    challenge=st.none() | st.integers(0, 3),
+)
+def test_flip_counts_equal_per_corner_responses(
+    shared_pool, design, n_chips, seed, block_size, jobs, store, years, corner,
+    challenge,
+):
+    reference = _reference(design, n_chips, seed)
+    cond = CORNERS[corner]
+    with make_batch_study(
+        DESIGNS[design],
+        n_chips,
+        rng=seed,
+        jobs=jobs,
+        store=store,
+        block_size=block_size,
+    ) as study:
+        got = study.flip_counts(years, challenge, conditions=cond)
+    _assert_same(got, _xor_counts(reference, years, challenge, cond))
+
+
+@pytest.mark.parametrize("block_size", [1, 4])
+def test_flip_counts_through_both_bti_clip_branches(block_size):
+    """Conventional silicon at large t: some store blocks reach the BTI
+    cap and clip, others are proved below it and skip the pass."""
+    design, n_chips, years = "ro-puf", 9, (0.5, 15.0, 60.0)
+    with telemetry.session() as tr:
+        with make_batch_study(
+            DESIGNS[design], n_chips, rng=0, store="mmap", block_size=block_size
+        ) as study:
+            got = study.flip_counts(years)
+    assert tr.counters["aging.clip_applied"] > 0
+    assert tr.counters["aging.clip_skipped"] > 0
+    _assert_same(got, _xor_counts(_reference(design, n_chips, 0), years, None, None))
