@@ -969,21 +969,15 @@ def _cache_summary(
     return {"dir": str(cache.root), "hits": hits, "misses": misses}
 
 
-def _start_telemetry(
-    args: argparse.Namespace,
-    tracer_factory: Optional[Callable[[], telemetry.Tracer]] = None,
-) -> None:
+def _start_telemetry(args: argparse.Namespace) -> None:
     """Install the tracer/emitter/sampler the flags ask for.
 
-    ``tracer_factory`` overrides the tracer construction — the serving
-    commands install an :class:`~repro.telemetry.AsyncTracer` so spans
-    propagate per task instead of per stack.
+    Every command installs the same :class:`~repro.telemetry.Tracer`:
+    its context-local span slot serves a batch run and an asyncio
+    server alike.
     """
     if _telemetry_wanted(args):
-        if tracer_factory is None:
-            telemetry.install(telemetry.Tracer(memory=args.profile))
-        else:
-            telemetry.install(tracer_factory())
+        telemetry.install(telemetry.Tracer(memory=args.profile))
     if getattr(args, "events", None):
         max_bytes = getattr(args, "events_max_bytes", None)
         kwargs: Dict[str, Any] = {"max_bytes": max_bytes}
@@ -1432,9 +1426,7 @@ def _serve_command(args: argparse.Namespace) -> int:
     from .service import AuditTrail, FleetService, HelperStore, default_extractor
 
     config = exp.ExperimentConfig(seed=args.seed)
-    _start_telemetry(
-        args, tracer_factory=lambda: telemetry.AsyncTracer(memory=args.profile)
-    )
+    _start_telemetry(args)
     service = None
     try:
         service = FleetService(
@@ -1568,9 +1560,7 @@ def _loadgen_command(args: argparse.Namespace) -> int:
     if n_requests is None and args.duration is None:
         n_requests = 2000
     config = exp.ExperimentConfig(n_chips=args.chips, seed=args.seed)
-    _start_telemetry(
-        args, tracer_factory=lambda: telemetry.AsyncTracer(memory=args.profile)
-    )
+    _start_telemetry(args)
     try:
         report = asyncio.run(_loadgen_async(args, n_requests))
         tracer = telemetry.active()

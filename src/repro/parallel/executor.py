@@ -171,13 +171,21 @@ class ShardExecutor:
             return
         for name, hist in report.histograms.items():
             tracer.merge_histogram(name, hist)
-        # Worker spans happened in another process; re-create them as one
-        # summary child per shard with recorded (not re-measured) timings
-        # so the span tree still shows where the workers spent their time.
-        # The ``synthetic`` attribute marks timestamps that are durations
+        # The worker's real span forest, re-based onto this process's
+        # perf_counter timeline via the two clock handshakes: offset =
+        # (W_worker - P_worker) - (W_coord - P_coord).  These become the
+        # per-worker lanes of the Chrome-trace export.
+        offset = 0
+        if report.clock is not None:
+            offset = (report.clock[0] - report.clock[1]) - (
+                tracer.wall0_ns - tracer.perf0_ns
+            )
+        spans = [Span.from_timed_dict(d, offset) for d in report.spans]
+        # The terminal tree shows the same forest as one summary child
+        # per shard: per-name duration totals and call counts.  The
+        # ``synthetic`` attribute marks timestamps that are durations
         # dressed as spans (start pinned to 0), so clock-faithful views
-        # (the Chrome-trace export) skip them in favour of the remote
-        # lanes attached below.
+        # (the Chrome-trace export) skip them in favour of the lanes.
         parent = tracer.active_span
         shard_span = Span(
             "parallel.shard",
@@ -190,10 +198,11 @@ class ShardExecutor:
         )
         shard_span.start_ns = 0
         shard_span.end_ns = int(report.wall_s * 1e9)
-        for name, (duration_ns, calls) in sorted(report.span_totals.items()):
-            child = Span(name, {"calls": calls, "synthetic": True})
+        rows = telemetry.aggregate({"worker": spans})
+        for row in sorted(rows, key=lambda r: r.label):
+            child = Span(row.label, {"calls": row.calls, "synthetic": True})
             child.start_ns = 0
-            child.end_ns = duration_ns
+            child.end_ns = row.total_ns
             child.parent = shard_span
             shard_span.children.append(child)
         if parent is not None:
@@ -201,15 +210,5 @@ class ShardExecutor:
             parent.children.append(shard_span)
         else:  # pragma: no cover - tracer active but no open span
             tracer.roots.append(shard_span)
-        # The worker's real span forest, re-based onto this process's
-        # perf_counter timeline via the two clock handshakes: offset =
-        # (W_worker - P_worker) - (W_coord - P_coord).  These become the
-        # per-worker lanes of the Chrome-trace export.
-        if report.spans and report.clock is not None:
-            offset = (report.clock[0] - report.clock[1]) - (
-                tracer.wall0_ns - tracer.perf0_ns
-            )
-            tracer.add_remote_lane(
-                f"worker-{report.shard_index}",
-                [Span.from_timed_dict(d, offset) for d in report.spans],
-            )
+        if spans and report.clock is not None:
+            tracer.add_remote_lane(f"worker-{report.shard_index}", spans)

@@ -100,7 +100,6 @@ class ShardReport:
     #: ``(golden, counts)`` pair
     arrays: List[object]
     counters: Dict[str, float]
-    span_totals: Dict[str, Tuple[int, int]]  # name -> (duration_ns, calls)
     wall_s: float
     #: the worker's full span forest as timed dicts (absolute worker
     #: perf_counter_ns timestamps; the coordinator re-bases them via
@@ -240,18 +239,6 @@ def _cached_shard(token: str, spec: ShardSpec) -> BatchStudy:
     return shard
 
 
-def _span_totals(tracer: telemetry.Tracer) -> Dict[str, Tuple[int, int]]:
-    """Wall-time totals by span name over the worker's whole span forest."""
-    totals: Dict[str, Tuple[int, int]] = {}
-    stack = list(tracer.roots)
-    while stack:
-        span = stack.pop()
-        duration, calls = totals.get(span.name, (0, 0))
-        totals[span.name] = (duration + span.duration_ns, calls + 1)
-        stack.extend(span.children)
-    return totals
-
-
 def evaluate_shard(
     token: str,
     spec: ShardSpec,
@@ -262,7 +249,7 @@ def evaluate_shard(
 
     Runs every request through the shard's :class:`BatchStudy` under a
     worker-local tracer, so the report can carry the work done (kernel
-    counters, span totals) back to the coordinator without any shared
+    counters, span forest) back to the coordinator without any shared
     state between processes.
     """
     reset_inherited_telemetry()
@@ -299,7 +286,6 @@ def evaluate_shard(
                 # reply pickles as plain bytes
                 out = np.array(out)
             arrays.append(out)
-        span_totals = _span_totals(tracer)
         counters = dict(tracer.counters)
         spans = [root.to_timed_dict() for root in tracer.roots]
         histograms = {
@@ -310,7 +296,6 @@ def evaluate_shard(
         n_chips=spec.n_chips,
         arrays=arrays,
         counters=counters,
-        span_totals=span_totals,
         wall_s=time.perf_counter() - t0,
         spans=spans,
         histograms=histograms,

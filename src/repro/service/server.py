@@ -11,10 +11,10 @@ through the code-offset extractor.
 Every request flows through one driver (:meth:`FleetService._serve`)
 that wires the whole observability stack in a single place:
 
-* a per-request root span with its own trace id when an
-  :class:`~repro.telemetry.asynctrace.AsyncTracer` is installed
-  (plain-tracer and disabled paths skip it entirely — the <2 % overhead
-  bound of the telemetry layer extends to serving);
+* a per-request root span with its own trace id when a
+  :class:`~repro.telemetry.Tracer` is installed (the disabled path
+  skips it entirely — the <2 % overhead bound of the telemetry layer
+  extends to serving);
 * one :meth:`RedMetrics.observe` per request — endpoint × outcome ×
   duration;
 * one audit-trail line (trace id included) when a trail is attached.
@@ -44,7 +44,6 @@ from ..ecc import BchCode, ConcatenatedCode, KeyCodec, RepetitionCode
 from ..keygen import FuzzyExtractor, KeyRecoveryError
 from ..metrics.hamming import fractional_hd
 from ..telemetry import tracer as _tracer_mod
-from ..telemetry.asynctrace import AsyncTracer
 from ..telemetry.red import RedMetrics
 from .audit import AuditTrail
 from .store import EnrollmentRecord, HelperStore, key_digest
@@ -172,13 +171,13 @@ class FleetService:
         ``impl`` is the endpoint's synchronous core returning
         ``(outcome, body)``; anything it raises beyond the protocol
         vocabulary is an ``internal`` error (counted, audited, span
-        flagged, re-raised).  With no :class:`AsyncTracer` installed the
-        request takes the lean branch below — one module-slot read and
-        one isinstance is all the span machinery may cost the untraced
+        flagged, re-raised).  With no tracer installed the request
+        takes the lean branch below — one module-slot read and one
+        ``is not None`` is all the span machinery may cost the untraced
         hot path (``benchmarks/bench_service.py`` holds the bound).
         """
         tracer = _tracer_mod._active
-        if isinstance(tracer, AsyncTracer):
+        if tracer is not None:
             return await self._serve_traced(tracer, endpoint, chip_id, impl)
         t0 = time.perf_counter()
         outcome = "internal"
@@ -201,7 +200,7 @@ class FleetService:
 
     async def _serve_traced(
         self,
-        tracer: AsyncTracer,
+        tracer: _tracer_mod.Tracer,
         endpoint: str,
         chip_id: Optional[int],
         impl: Callable[[], Tuple[str, Dict[str, Any]]],

@@ -6,7 +6,12 @@ layers:
 **In-run** (one process, one invocation):
 
 * :class:`Tracer` / :class:`Span` — nestable wall-time (and optional
-  memory) spans with typed counters and gauges;
+  memory) spans with typed counters and gauges.  The active span is
+  context-local, so it propagates through ``await`` and task fan-out;
+  :meth:`Tracer.request` gives each served request a root span with a
+  trace id (:func:`current_trace_id`), parked on a recycled ``req-<k>``
+  Chrome-trace lane when it finishes (``repro serve`` / ``repro
+  loadgen``);
 * :class:`RunManifest` — the provenance tuple (seed, config, package
   version, git SHA, numpy/platform versions) attached to every artefact;
 * :class:`ProgressEmitter` / :func:`progress` — throttled JSONL
@@ -22,17 +27,13 @@ layers:
   worker shard, aligned by a perf-counter clock handshake;
 * :class:`ResourceSampler` — opt-in background RSS/probe sampling
   (``--sample-rss HZ``), each tick attributed to the open span;
+  :class:`EventLoopLagProbe` adds event-loop scheduling delay as a
+  probe (a counter track next to RSS when serving);
 * :func:`parse_events` / :func:`render_monitor` — the ``repro monitor``
   dashboard over an events JSONL, live or post-hoc;
-* :class:`AsyncTracer` / :func:`current_trace_id` — contextvar-based
-  span propagation for asyncio serving: per-request trace ids that
-  survive ``await`` and task fan-out, finished requests parked on
-  Chrome-trace lanes (``repro serve`` / ``repro loadgen``);
 * :class:`RedMetrics` — per-endpoint rate / error-taxonomy / duration
   aggregation for the fleet service, flattened into the scalar map the
-  SLO spec (:mod:`repro.service.slo`) gates;
-* :class:`EventLoopLagProbe` — event-loop scheduling delay as a sampler
-  probe (a counter track next to RSS when serving).
+  SLO spec (:mod:`repro.service.slo`) gates.
 
 **Across runs** (the longitudinal layer):
 
@@ -88,6 +89,7 @@ from .tracer import (
     active,
     clock_handshake,
     count,
+    current_trace_id,
     enabled,
     end_span,
     gauge,
@@ -122,6 +124,7 @@ from .chrome import (
     write_chrome_trace,
 )
 from .sampler import (
+    EventLoopLagProbe,
     ResourceSampler,
     active_sampler,
     current_rss_bytes,
@@ -131,7 +134,6 @@ from .sampler import (
     uninstall_sampler,
     unregister_probe,
 )
-from .asynctrace import AsyncTracer, EventLoopLagProbe, current_trace_id
 from .red import (
     ERROR_CLASSES,
     NON_ERROR_OUTCOMES,
@@ -196,7 +198,6 @@ __all__ = [
     "ANCHOR_EXPERIMENTS",
     "Anchor",
     "AnchorVerdict",
-    "AsyncTracer",
     "ChangePoint",
     "ERROR_CLASSES",
     "EventLoopLagProbe",

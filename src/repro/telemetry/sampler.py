@@ -25,6 +25,11 @@ sampler also echoes a throttled ``sample`` event line (at most one per
 ``echo_interval_s``) so ``repro monitor`` can render a live RSS
 sparkline from the events file alone.
 
+:class:`EventLoopLagProbe` is the asyncio service's probe: a
+cooperative coroutine that records how late the event loop woke it, so a
+sampler running next to ``repro serve`` / ``repro loadgen`` turns loop
+saturation into a counter track next to RSS.
+
 The sampler mirrors the tracer's single-slot install discipline
 (:func:`install_sampler` / :func:`uninstall_sampler`); with no sampler
 installed nothing in the library changes behaviour — there are no
@@ -228,6 +233,76 @@ class ResourceSampler:
             f"<ResourceSampler hz={self.hz} samples={len(self.samples)} "
             f"stride={self._stride}>"
         )
+
+
+class EventLoopLagProbe:
+    """Event-loop scheduling delay as a sampler probe.
+
+    A cooperative coroutine sleeps ``interval_s`` and measures how much
+    *later* than requested the loop woke it; that excess is the time the
+    loop spent unable to schedule ready callbacks — the canonical
+    saturation signal for an asyncio service.  The most recent lag (ms)
+    is exposed through :func:`register_probe` under ``name``, so an
+    active :class:`ResourceSampler` records it as a time series (and the
+    Chrome export as a counter track) without the probe knowing whether
+    anyone is listening.
+
+    Use as an async context manager around the serving block::
+
+        async with EventLoopLagProbe() as probe:
+            await run_loadgen(...)
+        print(probe.max_lag_ms)
+    """
+
+    def __init__(self, interval_s: float = 0.02, name: str = "loop_lag_ms"):
+        if interval_s <= 0:
+            raise ValueError("interval_s must be positive")
+        self.interval_s = float(interval_s)
+        self.name = name
+        self.lag_ms = 0.0
+        self.max_lag_ms = 0.0
+        self.n_ticks = 0
+        self._task: Optional[Any] = None
+
+    async def _run(self) -> None:
+        import asyncio
+
+        while True:
+            t0 = time.perf_counter()
+            await asyncio.sleep(self.interval_s)
+            lag_s = (time.perf_counter() - t0) - self.interval_s
+            self.lag_ms = max(0.0, lag_s * 1e3)
+            self.max_lag_ms = max(self.max_lag_ms, self.lag_ms)
+            self.n_ticks += 1
+
+    def start(self) -> "EventLoopLagProbe":
+        """Register the probe and start its loop task (idempotent)."""
+        import asyncio
+
+        if self._task is None:
+            register_probe(self.name, lambda: self.lag_ms)
+            self._task = asyncio.get_running_loop().create_task(self._run())
+        return self
+
+    async def stop(self) -> None:
+        """Cancel the loop task and unregister the probe (idempotent)."""
+        import asyncio
+
+        task, self._task = self._task, None
+        if task is None:
+            return
+        unregister_probe(self.name)
+        task.cancel()
+        try:
+            await task
+        except asyncio.CancelledError:
+            pass
+
+    async def __aenter__(self) -> "EventLoopLagProbe":
+        return self.start()
+
+    async def __aexit__(self, *exc_info: Any) -> None:
+        await self.stop()
 
 
 # ----------------------------------------------------------------------

@@ -21,20 +21,33 @@ shape between the two modes.  For code that prefers ``with`` blocks (cold
 paths, experiment stages) the installed :class:`Tracer` also provides a
 :meth:`Tracer.span` context manager.
 
+The active span lives in a :mod:`contextvars` slot, which the asyncio
+event loop snapshots per task.  Within one flow of control spans nest
+exactly like a stack, across ``await`` boundaries too; a task created
+with ``asyncio.create_task`` / ``asyncio.gather`` inherits the current
+span as its parent but mutates only its own copy, so interleaved
+requests never adopt or close each other's spans.  :meth:`Tracer.request`
+is the serving entry point: a root span with a fresh per-request trace
+id, parked on a recycled ``req-<k>`` lane of :attr:`Tracer.remote_lanes`
+once it finishes.
+
 Spans record wall time via :func:`time.perf_counter_ns`; a tracer created
 with ``memory=True`` additionally samples :mod:`tracemalloc` (traced peak
 per span) and the process peak RSS, for memory profiles of the population
 kernels.  Counters are monotonically accumulated floats; gauges keep the
 last written value.  Everything lives on the tracer instance — there is
-no global mutable state beyond the single "installed tracer" slot — so
-tests can create, install and discard tracers freely.
+no global mutable state beyond the single "installed tracer" slot and the
+context-local span slot, whose entries are tagged with their owning
+tracer — so tests can create, install and discard tracers freely.
 """
 
 from __future__ import annotations
 
+import contextvars
+import heapq
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 
 class Span:
@@ -149,6 +162,15 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
+#: the context-local (tracer, span) pair.  One module-level ContextVar —
+#: never per-instance — because contexts outlive tracers; entries are
+#: tagged with their owning tracer and ignored by any other, so a stale
+#: value from a discarded tracer cannot pollute a fresh one.
+_CURRENT: "contextvars.ContextVar[Optional[Tuple[Tracer, Span]]]" = (
+    contextvars.ContextVar("repro_span", default=None)
+)
+
+
 class Tracer:
     """Collects spans, counters and gauges for one run.
 
@@ -158,7 +180,9 @@ class Tracer:
         When true, spans additionally record their :mod:`tracemalloc`
         peak (the tracer starts/stops tracemalloc around its lifetime if
         it was not already running).  Costs ~2-4x on allocation-heavy
-        code, so it is opt-in (the CLI's ``--profile``).
+        code, so it is opt-in (the CLI's ``--profile``).  tracemalloc
+        peaks are process-global: under interleaved requests a span's
+        peak may include a neighbour's allocations.
     """
 
     def __init__(self, *, memory: bool = False):
@@ -168,15 +192,23 @@ class Tracer:
         self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, "Histogram"] = {}
         #: re-based span forests from other processes, keyed by lane
-        #: label (``worker-<k>``) — rendered as extra timeline lanes by
-        #: the Chrome-trace export, never by the terminal tree
+        #: label (``worker-<k>``), and finished requests (``req-<k>``) —
+        #: rendered as extra timeline lanes by the Chrome-trace export,
+        #: never by the terminal tree
         self.remote_lanes: Dict[str, List[Span]] = {}
         # the coordinator half of the clock-alignment handshake: one
         # (wall, perf) pair read back-to-back.  A worker ships its own
         # pair; the wall clocks are the common reference that converts
         # the worker's perf timestamps onto this tracer's perf timeline.
         self.wall0_ns, self.perf0_ns = clock_handshake()
-        self._stack: List[Span] = []
+        self._open: "set[Span]" = set()
+        # the most recently started span still open anywhere: what a
+        # thread outside every traced context (the resource sampler)
+        # attributes its ticks to
+        self._latest: Optional[Span] = None
+        self._free_lanes: List[int] = []
+        self._n_lanes = 0
+        self._trace_seq = 0
         self._owns_tracemalloc = False
         if memory:
             import tracemalloc
@@ -188,14 +220,18 @@ class Tracer:
     # ---- spans -------------------------------------------------------
 
     def start_span(self, name: str, **attrs: Any) -> Span:
-        """Open a span as a child of the currently active span."""
+        """Open a span as a child of the *context-local* active span."""
         span = Span(name, attrs or None)
-        if self._stack:
-            span.parent = self._stack[-1]
-            span.parent.children.append(span)
+        entry = _CURRENT.get()
+        parent = entry[1] if entry is not None and entry[0] is self else None
+        if parent is not None:
+            span.parent = parent
+            parent.children.append(span)
         else:
             self.roots.append(span)
-        self._stack.append(span)
+        self._open.add(span)
+        self._latest = span
+        _CURRENT.set((self, span))
         if self.memory:
             import tracemalloc
 
@@ -205,26 +241,47 @@ class Tracer:
         return span
 
     def end_span(self, span: Span) -> Span:
-        """Close ``span`` (and any forgotten descendants still open)."""
+        """Close ``span`` (and any forgotten descendants still open in
+        the calling context), then re-activate its parent *in this
+        context only* — sibling tasks are untouched."""
         end_ns = time.perf_counter_ns()
         if span.end_ns is not None:
             raise ValueError(f"span {span.name!r} already ended")
-        if span not in self._stack:
-            raise ValueError(f"span {span.name!r} is not on the active stack")
-        # unwind to (and including) the span — tolerates a child the
-        # instrumented code forgot to close on an exception path
-        while self._stack:
-            top = self._stack.pop()
-            top.end_ns = end_ns
-            if self.memory:
-                import tracemalloc
-
-                current, peak = tracemalloc.get_traced_memory()
-                base = top._mem_start_bytes or 0
-                top.mem_peak_bytes = max(0, peak - base)
-            if top is span:
-                break
+        if span not in self._open:
+            raise ValueError(f"span {span.name!r} is not open on this tracer")
+        entry = _CURRENT.get()
+        node = entry[1] if entry is not None and entry[0] is self else None
+        # unwind the context-local parent chain down to span, closing
+        # descendants an exception path forgot to end
+        closing: List[Span] = []
+        while node is not None and node is not span:
+            closing.append(node)
+            node = node.parent
+        if node is not span:
+            closing = []
+        closing.append(span)
+        self._finish(closing, end_ns)
+        _CURRENT.set((self, span.parent) if span.parent is not None else None)
+        latest = self._latest
+        while latest is not None and latest.end_ns is not None:
+            latest = latest.parent
+        self._latest = latest
         return span
+
+    def _finish(self, spans: List[Span], end_ns: int) -> None:
+        """Stamp ``end_ns`` (and the memory peak) on the still-open
+        ``spans`` and drop them from the open set."""
+        peak = None
+        if self.memory:
+            import tracemalloc
+
+            peak = tracemalloc.get_traced_memory()[1]
+        for sp in spans:
+            if sp.end_ns is None:
+                sp.end_ns = end_ns
+                if peak is not None:
+                    sp.mem_peak_bytes = max(0, peak - (sp._mem_start_bytes or 0))
+            self._open.discard(sp)
 
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[Span]:
@@ -246,7 +303,56 @@ class Tracer:
 
     @property
     def active_span(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
+        """The calling context's open span — or, read from a thread
+        outside every traced context (the resource sampler), the most
+        recently started span still open anywhere, which is the right
+        attribution for a sample taken while the loop serves requests."""
+        entry = _CURRENT.get()
+        if entry is not None and entry[0] is self:
+            span = entry[1]
+            if span is not None and span.end_ns is None:
+                return span
+        return self._latest
+
+    # ---- per-request tracing -----------------------------------------
+
+    @contextmanager
+    def request(self, endpoint: str, **attrs: Any) -> Iterator[Span]:
+        """Trace one request: a fresh root span with its own trace id.
+
+        The span is detached from any ambient span (the accept loop's
+        ``serve`` span must not adopt every request as a child), given a
+        ``trace_id``/``endpoint`` pair, and — once finished — moved off
+        the coordinator roots onto a request lane (``req-<k>``).  Lanes
+        are recycled lowest-free-first, so the lane count equals the
+        peak request concurrency, not the request count, and the
+        exported timeline shows concurrency instead of a pile-up.
+        """
+        self._trace_seq += 1
+        if self._free_lanes:
+            lane = heapq.heappop(self._free_lanes)
+        else:
+            lane = self._n_lanes
+            self._n_lanes += 1
+        token = _CURRENT.set(None)  # detach: requests are roots
+        span = self.start_span(
+            f"request.{endpoint}",
+            trace_id=self._trace_seq,
+            endpoint=endpoint,
+            **attrs,
+        )
+        try:
+            yield span
+        except BaseException:
+            span.error = True
+            raise
+        finally:
+            if span.end_ns is None:
+                self.end_span(span)
+            _CURRENT.reset(token)
+            self.roots.remove(span)
+            self.add_remote_lane(f"req-{lane}", [span])
+            heapq.heappush(self._free_lanes, lane)
 
     # ---- counters / gauges -------------------------------------------
 
@@ -303,9 +409,12 @@ class Tracer:
     # ---- lifecycle ---------------------------------------------------
 
     def close(self) -> None:
-        """End any still-open spans and release tracemalloc if owned."""
-        while self._stack:
-            self.end_span(self._stack[-1])
+        """End every still-open span and release tracemalloc if owned."""
+        self._finish(list(self._open), time.perf_counter_ns())
+        self._latest = None
+        entry = _CURRENT.get()
+        if entry is not None and entry[0] is self:
+            _CURRENT.set(None)
         if self._owns_tracemalloc:
             import tracemalloc
 
@@ -500,3 +609,24 @@ def span(name: str, **attrs: Any) -> Iterator[Optional[Span]]:
         raise
     finally:
         end_span(sp)
+
+
+def current_trace_id() -> Optional[int]:
+    """The trace id of the request the calling context is serving.
+
+    Walks from the context-local span to its root and returns the root's
+    ``trace_id`` attribute; ``None`` outside any request (or when the
+    span belongs to a tracer other than the installed one).  Survives
+    ``await`` and task fan-out because the underlying slot is a
+    contextvar.
+    """
+    entry = _CURRENT.get()
+    if entry is None or entry[0] is not _active:
+        return None
+    span: Optional[Span] = entry[1]
+    while span is not None:
+        trace_id = span.attrs.get("trace_id")
+        if trace_id is not None:
+            return int(trace_id)
+        span = span.parent
+    return None

@@ -102,6 +102,46 @@ class TestWorkerLanes:
         assert all(s.attrs.get("synthetic") for s in shard_spans)
 
 
+def _forest_totals(spans):
+    """``{name: (duration_ns, calls)}`` over every span of a forest."""
+    totals = {}
+    stack = list(spans)
+    while stack:
+        span = stack.pop()
+        duration, calls = totals.get(span.name, (0, 0))
+        totals[span.name] = (duration + span.duration_ns, calls + 1)
+        stack.extend(span.children)
+    return totals
+
+
+class TestShardSummaries:
+    def test_summary_children_total_the_worker_lane(self, traced_parallel_run):
+        """The terminal tree's per-shard summary children are built from
+        the same forest as the worker lane: per name, their ``calls``
+        and durations add up to the lane's totals."""
+        tracer = traced_parallel_run
+        shard_spans = [
+            c
+            for root in tracer.roots
+            for c in root.children
+            if c.name == "parallel.shard"
+        ]
+        for k in (0, 1):
+            summed = {}
+            for shard in shard_spans:
+                if shard.attrs["shard"] != k:
+                    continue
+                for child in shard.children:
+                    duration, calls = summed.get(child.name, (0, 0))
+                    summed[child.name] = (
+                        duration + child.duration_ns,
+                        calls + child.attrs["calls"],
+                    )
+            lane_totals = _forest_totals(tracer.remote_lanes[f"worker-{k}"])
+            assert summed == lane_totals
+            assert "parallel.fabricate_shard" in summed
+
+
 class TestMergedHistograms:
     def test_worker_kernel_latencies_fold_into_coordinator(
         self, traced_parallel_run

@@ -8,7 +8,7 @@ import pytest
 from repro import telemetry
 from repro.service import FleetService, HelperStore, majority_vote
 from repro.service.audit import AuditTrail
-from repro.telemetry import AsyncTracer, jsonl
+from repro.telemetry import Tracer, jsonl
 
 
 @pytest.fixture(autouse=True)
@@ -161,7 +161,7 @@ class TestDriver:
         assert state["endpoints"]["enroll"]["requests"] == 1
 
     def test_traced_request_carries_trace_id(self, tmp_path):
-        tracer = telemetry.install(AsyncTracer())
+        tracer = telemetry.install(Tracer())
         audit_path = tmp_path / "audit.jsonl"
         service = FleetService(seed=0, audit=AuditTrail(audit_path))
         rng = np.random.default_rng(3)

@@ -1,9 +1,15 @@
-"""Resource sampler: ticks, probes, decimation, slot discipline, RSS."""
+"""Resource sampler: ticks, probes, decimation, slot discipline, RSS,
+cross-thread span attribution and the event-loop lag probe."""
+
+import asyncio
+import threading
+import time
 
 import pytest
 
 from repro import telemetry
 from repro.telemetry import (
+    EventLoopLagProbe,
     ResourceSampler,
     Tracer,
     active_sampler,
@@ -14,6 +20,7 @@ from repro.telemetry import (
     uninstall_sampler,
     unregister_probe,
 )
+from repro.telemetry.sampler import _probes
 
 
 @pytest.fixture(autouse=True)
@@ -64,6 +71,63 @@ class TestSampleOnce:
             unregister_probe("p")
         unregister_probe("p")  # absent: no-op
         assert "probes" not in ResourceSampler().sample_once()
+
+
+def _tick_from_thread(sampler):
+    """The span a tick names when taken on a thread of its own — outside
+    every traced context, as the sampler thread is."""
+    ticks = []
+    thread = threading.Thread(target=lambda: ticks.append(sampler.sample_once()))
+    thread.start()
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    return ticks[0]["span"]
+
+
+class TestCrossThreadAttribution:
+    """A tick names the innermost span still open, even after a child of
+    it closed and from a thread that cannot see the span contextvar."""
+
+    def test_plain_flow_falls_back_to_open_parent(self):
+        tr = telemetry.install(Tracer())
+        sampler = ResourceSampler()
+        outer = tr.start_span("outer")
+        inner = tr.start_span("inner")
+        assert _tick_from_thread(sampler) == "inner"
+        tr.end_span(inner)
+        assert _tick_from_thread(sampler) == "outer"
+        tr.end_span(outer)
+        assert _tick_from_thread(sampler) is None
+
+    def test_asyncio_task_spans_fall_back_to_open_ancestor(self):
+        """Sibling tasks close out of start order: the tick still finds
+        the open sibling, then the shared parent once both are done."""
+        tr = telemetry.install(Tracer())
+        sampler = ResourceSampler()
+        ticks = []
+
+        async def flow():
+            a_open, b_open, a_closed = (asyncio.Event() for _ in range(3))
+
+            async def first():
+                with tr.span("a"):
+                    a_open.set()
+                    await b_open.wait()
+                a_closed.set()
+
+            async def second():
+                await a_open.wait()
+                with tr.span("b"):
+                    b_open.set()
+                    await a_closed.wait()
+                    ticks.append(_tick_from_thread(sampler))
+
+            with tr.span("outer"):
+                await asyncio.gather(first(), second())
+                ticks.append(_tick_from_thread(sampler))
+
+        asyncio.run(flow())
+        assert ticks == ["b", "outer"]
 
 
 class TestDecimation:
@@ -160,3 +224,33 @@ class TestCurrentRss:
         still positive, documented as a monotone high-water mark."""
         rss = current_rss_bytes(proc_status="/nonexistent/status")
         assert rss is not None and rss > 0
+
+
+class TestEventLoopLagProbe:
+    def test_records_lag_when_loop_blocks(self):
+        async def run():
+            async with EventLoopLagProbe(interval_s=0.005) as probe:
+                await asyncio.sleep(0.01)  # at least one clean tick
+                time.sleep(0.05)  # block the loop: the next wake is late
+                await asyncio.sleep(0.01)
+            return probe
+
+        probe = asyncio.run(run())
+        assert probe.n_ticks >= 1
+        assert probe.max_lag_ms >= 20.0
+
+    def test_registers_and_unregisters_probe(self):
+        async def run():
+            probe = EventLoopLagProbe(interval_s=0.005, name="test_lag_ms")
+            probe.start()
+            probe.start()  # idempotent
+            assert "test_lag_ms" in _probes
+            await probe.stop()
+            await probe.stop()  # idempotent
+            assert "test_lag_ms" not in _probes
+
+        asyncio.run(run())
+
+    def test_interval_must_be_positive(self):
+        with pytest.raises(ValueError):
+            EventLoopLagProbe(interval_s=0.0)
