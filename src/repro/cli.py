@@ -42,8 +42,7 @@ Telemetry flags (``run``, ``report`` and ``check-anchors``):
   versions) as JSON, the artefact CI's smoke step validates;
 * ``--ledger PATH`` appends each experiment's headline scalars (plus the
   manifest) to an append-only JSONL run ledger — the longitudinal record
-  ``history`` renders and ``check-anchors`` / ``tools/check_anchors.py``
-  gate on;
+  ``history`` renders and ``check-anchors --from-ledger`` gates on;
 * ``--events PATH`` streams throttled JSONL progress heartbeats (stage,
   chips done, ETA) from the batched kernels while the run is in flight;
 * ``--trace-out PATH`` writes the run as Chrome ``trace_event`` JSON —
@@ -66,7 +65,8 @@ Execution flags:
   fabricated memory-mapped column segments and is streamed block by
   block, bounding peak RSS at any chip count (million-chip sweeps in a
   few GB); responses are bit-identical to the in-RAM default.
-  ``--store-dir`` persists the segments for re-attachment;
+  ``--store-dir DIR`` keeps each design's segments in ``DIR/<design>``
+  after the run, and a later run of the same population re-attaches them;
 * ``--block-size CHIPS`` sets the chip block the population is
   fabricated (``mmap``) and streamed through the kernel in, for either
   store; block boundaries never change a result;
@@ -76,7 +76,7 @@ Execution flags:
   in the run manifest.
 
 ``history`` renders per-metric trends over a ledger (sparkline, latest
-value, rolling-baseline drift); ``check-anchors`` measures the paper's
+value, median+MAD movement verdict); ``check-anchors`` measures the paper's
 anchor experiments fresh (or judges an existing ledger via
 ``--from-ledger``) and exits non-zero when any anchor lands outside its
 fail band.
@@ -188,7 +188,7 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for worker counts: a helpful error beats a traceback."""
+    """argparse type for counts: a helpful error beats a traceback."""
     try:
         value = int(text)
     except ValueError:
@@ -197,13 +197,13 @@ def _positive_int(text: str) -> int:
         )
     if value < 1:
         raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value} (use 1 for serial)"
+            f"must be a positive integer, got {value}"
         )
     return value
 
 
 def _positive_float(text: str) -> float:
-    """argparse type for rates (``--sample-rss HZ``)."""
+    """argparse type for rates and fractions (``--sample-rss HZ``)."""
     try:
         value = float(text)
     except ValueError:
@@ -256,8 +256,10 @@ def _add_scale_args(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         default=None,
         help="directory for --store mmap segments (default: a temporary "
-        "directory, removed when the run ends; a named directory persists "
-        "and is re-attached by later runs of the same design+seed)",
+        "directory, removed when the run ends); a named directory keeps "
+        "each design's segments in DIR/<design> after the run, a later run "
+        "with the same chips, ROs, seed and mission re-attaches them, and "
+        "any other population there is refused",
     )
 
 
@@ -401,19 +403,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     history.add_argument(
         "--window",
-        type=int,
-        default=5,
-        help="trailing median window in runs (default 5)",
+        type=_positive_int,
+        default=telemetry.history.RUN_WINDOW,
+        help="trailing median window in runs (default %(default)s)",
     )
     history.add_argument(
         "--threshold",
-        type=float,
-        default=0.10,
-        help="relative noise floor vs the median (default 0.10)",
+        type=_positive_float,
+        default=telemetry.history.RUN_THRESHOLD,
+        help="relative noise floor vs the median (default %(default)s)",
     )
     history.add_argument(
         "--last",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="only the newest N recordings of each metric",
@@ -480,51 +482,18 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[perf_ledger_args],
     )
     perf_history.add_argument(
-        "--window",
-        type=int,
-        default=telemetry.changepoint.DEFAULT_WINDOW,
-        help="trailing baseline window in runs (default %(default)s)",
-    )
-    perf_history.add_argument(
         "--last",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="only the newest N recordings of each metric",
     )
 
-    perf_gate = perf_sub.add_parser(
+    perf_sub.add_parser(
         "gate",
-        help="exit non-zero when any perf metric confirmed a regression",
+        help="exit non-zero when any perf metric's 'perf history' verdict "
+        "is regress",
         parents=[perf_ledger_args],
-    )
-    perf_gate.add_argument(
-        "--window",
-        type=int,
-        default=telemetry.changepoint.DEFAULT_WINDOW,
-        help="trailing baseline window in runs (default %(default)s)",
-    )
-    perf_gate.add_argument(
-        "--min-history",
-        type=int,
-        default=telemetry.changepoint.MIN_HISTORY,
-        metavar="N",
-        help="prior runs required before the gate may fire "
-        "(default %(default)s; shorter series pass as warm-up)",
-    )
-    perf_gate.add_argument(
-        "--z",
-        type=float,
-        default=telemetry.changepoint.DEFAULT_Z,
-        help="robust z-score a movement must exceed (default %(default)s)",
-    )
-    perf_gate.add_argument(
-        "--min-rel",
-        type=float,
-        default=telemetry.changepoint.DEFAULT_MIN_REL,
-        metavar="FRAC",
-        help="relative noise floor vs the median baseline "
-        "(default %(default)s)",
     )
 
     perf_flame = perf_sub.add_parser(
@@ -567,12 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="optionally fold a --trace-out artefact's top self-time "
         "table and critical path into the report",
-    )
-    perf_report.add_argument(
-        "--window",
-        type=int,
-        default=telemetry.changepoint.DEFAULT_WINDOW,
-        help="trailing baseline window in runs (default %(default)s)",
     )
 
     serve_p = sub.add_parser(
@@ -1149,66 +1112,36 @@ def _perf_entries(args: argparse.Namespace) -> List[telemetry.LedgerEntry]:
     return [e for e in entries if e.host == host]
 
 
-def _perf_series(args: argparse.Namespace) -> Dict[str, List[float]]:
-    """The (host- and metric-filtered) series of a perf ledger."""
-    series = telemetry.metric_series(_perf_entries(args))
-    if args.metric:
-        series = {
-            name: values
-            for name, values in series.items()
-            if any(m in name for m in args.metric)
-        }
-    return dict(sorted(series.items()))
-
-
-def _perf_verdicts(
-    args: argparse.Namespace, **detect_kwargs
-) -> List[Tuple[telemetry.ChangePoint, str]]:
-    """``(change point, regress/improve/... verdict)`` per perf metric."""
-    out: List[Tuple[telemetry.ChangePoint, str]] = []
-    for metric, values in _perf_series(args).items():
-        point = telemetry.detect(metric, values, **detect_kwargs)
-        verdict = telemetry.classify(
-            point, telemetry.metric_orientation(metric)
-        )
-        out.append((point, verdict))
-    return out
+def _perf_rows(args: argparse.Namespace) -> List[telemetry.TrendRow]:
+    """The perf trend rows every ``repro perf`` view renders."""
+    return telemetry.history_rows(_perf_entries(args), metrics=args.metric)
 
 
 def _perf_history_command(args: argparse.Namespace) -> int:
     print(
         telemetry.render_history(
-            _perf_entries(args),
-            metrics=args.metric,
-            window=args.window,
-            threshold=telemetry.changepoint.DEFAULT_MIN_REL,
-            last=args.last,
+            _perf_entries(args), metrics=args.metric, last=args.last
         )
     )
     return 0
 
 
 def _perf_gate_command(args: argparse.Namespace) -> int:
-    verdicts = _perf_verdicts(
-        args,
-        window=args.window,
-        min_history=args.min_history,
-        z=args.z,
-        min_rel=args.min_rel,
-    )
-    if not verdicts:
+    rows = _perf_rows(args)
+    if not rows:
         print("perf gate: empty perf ledger, nothing to judge")
         return 0
     regressions = []
-    for point, verdict in verdicts:
+    for row in rows:
+        point = row.point
         marker = ""
-        if verdict == "regress":
+        if row.verdict == "regress":
             marker = "  << REGRESSION"
-            regressions.append(point.metric)
+            regressions.append(row.metric)
         detail = ""
         if point.moved and point.change is not None:
             detail = f" ({point.change:+.1%} vs median {point.median:.4g})"
-        print(f"{point.metric}: {verdict}{detail}{marker}")
+        print(f"{row.metric}: {row.verdict}{detail}{marker}")
     if regressions:
         print(
             f"perf gate: {len(regressions)} confirmed regression(s): "
@@ -1256,15 +1189,13 @@ def _perf_flame_command(args: argparse.Namespace) -> int:
 def _perf_report_command(args: argparse.Namespace) -> int:
     from .telemetry.report import write_perf_report
 
-    series = _perf_series(args)
+    rows = _perf_rows(args)
     lanes = None
     if args.trace:
         lanes = _load_trace_lanes(args.trace)
         if lanes is None:
             return 2
-    path = write_perf_report(
-        args.html, series, window=args.window, lanes=lanes
-    )
+    path = write_perf_report(args.html, rows, lanes=lanes)
     print(f"perf report written to {path}")
     return 0
 
@@ -1282,7 +1213,16 @@ def _check_anchors_command(
     args: argparse.Namespace, config: exp.ExperimentConfig
 ) -> int:
     if args.from_ledger:
+        if not pathlib.Path(args.from_ledger).exists():
+            print(f"error: no such ledger: {args.from_ledger}", file=sys.stderr)
+            return 2
         entries = telemetry.Ledger(args.from_ledger).entries(kind="run")
+        if not entries:
+            print(
+                f"error: {args.from_ledger} holds no ledger entries of kind run",
+                file=sys.stderr,
+            )
+            return 2
         scalars = telemetry.latest_scalars(entries)
         source = f"ledger {args.from_ledger} ({len(entries)} entries)"
     else:

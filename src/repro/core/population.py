@@ -956,9 +956,9 @@ def make_batch_study(
 
     * ``store="ram"`` (default) samples the population into RAM;
       ``store="mmap"`` lays down a lazily fabricated
-      :class:`~repro.store.store.PopulationStore` under ``store_dir``
-      (a temporary directory owned by the study when unset) and streams
-      it with bounded RSS.
+      :class:`~repro.store.store.PopulationStore` under
+      ``store_dir/<design name>`` (a temporary directory owned by the
+      study when unset) and streams it with bounded RSS.
     * ``jobs > 1`` shards the chip axis over that many worker processes
       (clamped to ``n_chips``); with ``store="mmap"`` the workers attach
       to the one shared store instead of fabricating in RAM.

@@ -786,16 +786,18 @@ def open_store_columns(
     """Create (or adopt) a store and return its whole-population source.
 
     Without ``store_dir`` the segments live in a temp directory owned by
-    the source and removed on :meth:`StoreColumns.close`; with it they
-    persist (and a store already there is adopted when the content key
-    matches), which makes repeated million-chip sweeps incremental.
-    Spilled corners live next to the segments, under ``spill/``.
+    the source and removed on :meth:`StoreColumns.close`.  With it they
+    persist in ``store_dir/<design name>``, so the designs of one run
+    (RO-PUF and ARO-PUF) never share a root; a store already there is
+    adopted when its content key matches and refused otherwise, which
+    makes repeated million-chip sweeps incremental.  Spilled corners
+    live next to the segments, under ``spill/``.
     """
     own_root: Optional[pathlib.Path] = None
     if store_dir is None:
         root = own_root = pathlib.Path(tempfile.mkdtemp(prefix="repro-store-"))
     else:
-        root = pathlib.Path(store_dir)
+        root = pathlib.Path(store_dir) / design.name
     store = PopulationStore.create(
         root,
         design,

@@ -46,13 +46,12 @@ layers:
   package's one torn-tail-safe JSONL append/read;
 * :data:`PAPER_ANCHORS` / :func:`check_anchors` — the paper abstract's
   quantitative claims as a declarative registry with pass/warn/fail
-  tolerance bands (``repro check-anchors``, ``tools/check_anchors.py``);
-* :func:`render_history` — per-metric trends over a ledger with
-  sparklines and median+MAD movement verdicts (``repro history``,
-  ``repro perf history``);
-* :func:`detect` / :func:`classify` — median+MAD change-point verdicts
-  with a documented noise model and warm-up (``repro perf gate``,
-  ``repro history``);
+  tolerance bands (``repro check-anchors``, also ``--from-ledger``);
+* :func:`history_rows` / :func:`render_history` — per-metric trends
+  over a ledger with sparklines and median+MAD movement verdicts, the
+  one verdict path (``repro history`` and every ``repro perf`` view);
+* :func:`detect` / :func:`classify` — the median+MAD change-point
+  detector under those rows, with a documented noise model and warm-up;
 * :func:`aggregate` / :func:`critical_path` / :func:`collapsed_stacks`
   — span-forest attribution: self-time tables, the wall-clock-bounding
   span chain across lanes, and flamegraph.pl/speedscope collapsed
@@ -130,7 +129,6 @@ from .sampler import (
     current_rss_bytes,
     install_sampler,
     register_probe,
-    sampler_session,
     uninstall_sampler,
     unregister_probe,
 )
@@ -157,7 +155,6 @@ from .ledger import (
     Ledger,
     LedgerEntry,
     entry_from_bench_payload,
-    entry_from_metrics_payload,
     metric_series,
 )
 from .anchors import (
@@ -187,10 +184,8 @@ from .profile import (
     collapsed_stacks,
     critical_path,
     lanes_from_chrome_trace,
-    lanes_from_tracer,
     render_collapsed,
     render_critical_path,
-    render_profile,
     write_collapsed,
 )
 
@@ -249,7 +244,6 @@ __all__ = [
     "enabled",
     "end_span",
     "entry_from_bench_payload",
-    "entry_from_metrics_payload",
     "execution_fields",
     "flatten_summaries",
     "gauge",
@@ -258,7 +252,6 @@ __all__ = [
     "host_fingerprint",
     "install",
     "lanes_from_chrome_trace",
-    "lanes_from_tracer",
     "install_emitter",
     "install_sampler",
     "latest_scalars",
@@ -278,10 +271,8 @@ __all__ = [
     "render_history",
     "render_monitor",
     "render_perf_report",
-    "render_profile",
     "render_span_tree",
     "render_verdicts",
-    "sampler_session",
     "session",
     "span",
     "sparkline",

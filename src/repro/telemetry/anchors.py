@@ -21,8 +21,8 @@ ledger scalars) into per-anchor verdicts:
   the paper's claim;
 * ``missing`` — the ledger never recorded the metric.
 
-Consumed by ``repro check-anchors`` (runs the anchor experiments fresh)
-and ``tools/check_anchors.py`` (gates CI on an existing ledger).
+Consumed by ``repro check-anchors``, which runs the anchor experiments
+fresh or, with ``--from-ledger``, gates CI on an existing ledger.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Robust change-point detection: the repo's one drift detector.
 
 Every longitudinal verdict — ``repro history`` over experiment scalars,
-``repro perf history`` and ``repro perf gate`` over benchmark series —
-comes from :func:`detect`.  A rolling *mean* would not do: one outlier
-run (a cold cache, a noisy CI neighbour) both pollutes the baseline and
-fires the flag.  Statistic-based RO-PUF analysis (Wilde et al., arXiv
+``repro perf history``, ``repro perf gate`` and ``repro perf report``
+over benchmark series — comes from :func:`detect`, and its one caller
+is :func:`repro.telemetry.history.history_rows`.  A rolling *mean*
+would not do: one outlier run (a cold cache, a noisy CI neighbour)
+both pollutes the baseline and fires the flag.  Statistic-based RO-PUF analysis (Wilde et al., arXiv
 1910.07068) makes the general point that monitoring claims only hold up
 under robust statistics; this module applies it to the repo's own data.
 
@@ -23,11 +24,16 @@ under robust statistics; this module applies it to the repo's own data.
   sigma): both tolerate up to half the window being outliers, so one
   anomalous ledger entry can neither hide a regression nor fake one.
 * A verdict fires only when the latest value moves beyond
-  ``max(z * 1.4826 * MAD, min_rel * |median|)`` — the MAD term adapts
+  ``max(Z * 1.4826 * MAD, min_rel * |median|)`` — the MAD term adapts
   to each metric's own measured noise, the relative floor keeps a
   dead-quiet series (MAD == 0 after identical repeats) from flagging
-  microscopic drift, and ``z`` defaults high (4) because a perf gate
-  that cries wolf gets deleted.
+  microscopic drift, and :data:`Z` is a high constant (4) because a
+  perf gate that cries wolf gets deleted.
+* Perf series are judged with the constants below and nothing else
+  (window :data:`DEFAULT_WINDOW`, warm-up :data:`MIN_HISTORY`,
+  :data:`Z`, floor :data:`DEFAULT_MIN_REL`), so every ``repro perf``
+  view gives the same verdict; only ``repro history``'s run view
+  retunes the window and the floor.
 * **Warm-up**: with fewer than ``min_history`` prior runs the detector
   returns ``warmup`` and never fires — a 3-run ledger has no noise
   estimate worth trusting, so it cannot gate.
@@ -53,13 +59,13 @@ MAD_CONSISTENCY = 1.4826
 #: prior runs required before the detector may fire at all
 MIN_HISTORY = 5
 
-#: default trailing-window length the baseline is computed over
+#: trailing-window length the baseline is computed over (perf: fixed)
 DEFAULT_WINDOW = 10
 
-#: default robust z-score a movement must exceed
-DEFAULT_Z = 4.0
+#: robust z-score a movement must exceed
+Z = 4.0
 
-#: default relative floor (vs |median|) a movement must also exceed
+#: relative floor (vs |median|) a movement must also exceed (perf: fixed)
 DEFAULT_MIN_REL = 0.05
 
 
@@ -89,7 +95,6 @@ def detect(
     *,
     window: int = DEFAULT_WINDOW,
     min_history: int = MIN_HISTORY,
-    z: float = DEFAULT_Z,
     min_rel: float = DEFAULT_MIN_REL,
 ) -> ChangePoint:
     """Judge the latest of ``values`` against its trailing-window baseline.
@@ -113,7 +118,7 @@ def detect(
     base = median(history)
     mad = median(abs(v - base) for v in history)
     sigma = MAD_CONSISTENCY * mad
-    threshold = max(z * sigma, min_rel * abs(base))
+    threshold = max(Z * sigma, min_rel * abs(base))
     delta = latest - base
     if base != 0.0:
         change: Optional[float] = delta / abs(base)

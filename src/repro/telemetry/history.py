@@ -5,7 +5,9 @@ entries) and ``repro perf history`` (perf entries) both render through
 :func:`render_history`: one row per metric with a terminal sparkline
 over the recorded values (file order == chronological order for an
 append-only file), the latest value, and its change against the median
-of the preceding ``window`` values.
+of the preceding ``window`` values.  ``repro perf gate`` and ``repro
+perf report`` judge the same :func:`history_rows`, so a perf metric
+has one verdict in every view.
 
 Whether the latest value moved is the median+MAD change-point
 detector's call (:mod:`repro.telemetry.changepoint`): it flags only
@@ -51,6 +53,11 @@ def sparkline(values: Sequence[float]) -> str:
     )
 
 
+#: ``repro history``'s defaults for run rows: trailing window, noise floor
+RUN_WINDOW = 5
+RUN_THRESHOLD = 0.10
+
+
 @dataclass(frozen=True)
 class TrendRow:
     """One metric's longitudinal summary across ledger entries."""
@@ -61,6 +68,8 @@ class TrendRow:
     #: "warmup" | "stable", or on movement "drift" (run entries) /
     #: "regress" | "improve" | "shift" (perf entries)
     verdict: str
+    #: the trailing window the baseline was taken over
+    window: int
 
     @property
     def n_runs(self) -> int:
@@ -71,30 +80,45 @@ def history_rows(
     entries: Sequence[LedgerEntry],
     *,
     metrics: Optional[Sequence[str]] = None,
-    window: int = 5,
-    threshold: float = 0.10,
+    window: Optional[int] = None,
+    threshold: Optional[float] = None,
     last: Optional[int] = None,
 ) -> List[TrendRow]:
     """Trend rows for every (selected) metric of entries of one kind.
 
-    ``metrics`` filters by substring match (so ``--metric e2`` selects
-    every E2 scalar); ``last`` truncates each series to its newest N
-    points before judging.  ``window`` is the detector's trailing
-    window (at least 2) and bounds a run row's warm-up; ``threshold`` is
-    its relative noise floor.  Perf rows keep the detector's full warm-up
-    (:data:`~repro.telemetry.changepoint.MIN_HISTORY`), as the perf gate
-    does.  Mixing run and perf entries is a ``ValueError``.
+    The only code that turns ledger entries into verdicts: ``repro
+    history``, ``repro perf history``, ``repro perf gate`` and ``repro
+    perf report`` all render these rows.  ``metrics`` filters by
+    substring match (so ``--metric e2`` selects every E2 scalar);
+    ``last`` truncates each series to its newest N points before judging.
+
+    Run rows take ``window`` (the detector's trailing window, default
+    :data:`RUN_WINDOW`, which also bounds the warm-up) and ``threshold``
+    (its relative noise floor, default :data:`RUN_THRESHOLD`).  Perf rows
+    judge with the detector's fixed constants only, so passing either for
+    perf entries is a ``ValueError``, as is mixing run and perf entries.
     """
-    if window < 1:
-        raise ValueError("window must be positive")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
     kinds = {e.kind for e in entries}
     if len(kinds) > 1:
         raise ValueError("history needs entries of one kind, got both")
     perf = kinds == {"perf"}
+    if perf:
+        if window is not None or threshold is not None:
+            raise ValueError(
+                "perf verdicts use the fixed detector constants; "
+                "window and threshold tune run entries only"
+            )
+        window, threshold = changepoint.DEFAULT_WINDOW, changepoint.DEFAULT_MIN_REL
+    else:
+        window = RUN_WINDOW if window is None else window
+        threshold = RUN_THRESHOLD if threshold is None else threshold
+    if window < 1:
+        raise ValueError("window must be positive")
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
+    if last is not None and last < 1:
+        raise ValueError("last must be positive")
     detect_window = max(window, 2)
-    # perf rows warm up exactly as long as `repro perf gate` does
     min_history = changepoint.MIN_HISTORY
     if not perf:
         min_history = min(min_history, detect_window)
@@ -104,8 +128,6 @@ def history_rows(
             continue
         if last is not None:
             values = values[-last:]
-        if not values:
-            continue
         point = changepoint.detect(
             metric,
             values,
@@ -122,7 +144,7 @@ def history_rows(
                 if perf
                 else "drift"
             )
-        rows.append(TrendRow(metric, tuple(values), point, verdict))
+        rows.append(TrendRow(metric, tuple(values), point, verdict, window))
     return rows
 
 
@@ -130,8 +152,8 @@ def render_history(
     entries: Sequence[LedgerEntry],
     *,
     metrics: Optional[Sequence[str]] = None,
-    window: int = 5,
-    threshold: float = 0.10,
+    window: Optional[int] = None,
+    threshold: Optional[float] = None,
     last: Optional[int] = None,
 ) -> str:
     """The ``repro history`` / ``repro perf history`` terminal view."""
@@ -164,7 +186,7 @@ def render_history(
         base = "       --" if p.median is None else f"{p.median:9.4g}"
         delta = ""
         if p.change is not None:
-            delta = f"  {p.change:+7.1%} vs median[{min(window, r.n_runs - 1)}]"
+            delta = f"  {p.change:+7.1%} vs median[{min(r.window, r.n_runs - 1)}]"
         flag = ""
         if r.verdict == "warmup":
             flag = "  (warmup)"

@@ -14,7 +14,7 @@ One :class:`LedgerEntry` per line, of one of two kinds:
   and friends) and the full :class:`~repro.telemetry.manifest.RunManifest`.
   The run key ``<git sha>:<seed>:<config digest>`` names the
   measurement; entries across SHAs are the series ``repro history``
-  renders and ``repro check-anchors`` / ``tools/check_anchors.py`` gate.
+  renders and ``repro check-anchors --from-ledger`` gates.
 * ``perf`` — one benchmark run: throughput, wall time, peak RSS and the
   p50/p99 of every histogram site (flattened as ``site.p50``), with a
   provenance block of git SHA, creation time and host identity.  The
@@ -29,11 +29,11 @@ Both kinds may share one file.  Lines are written through
 line and never the next one.  Format-1 lines, written when the run and
 perf ledgers were separate files, still load.
 
-Two ingest paths turn artefacts into perf entries:
+One ingest path turns artefacts into perf entries:
 :func:`entry_from_bench_payload` for a ``benchmarks/results/*.json``
 payload (``benchmarks/_common.py`` appends one per artefact when
-``REPRO_PERF_LEDGER`` names a ledger file) and
-:func:`entry_from_metrics_payload` for a CLI ``--metrics-out`` payload.
+``REPRO_PERF_LEDGER`` names a ledger file; ``repro loadgen
+--perf-ledger`` ingests its own ``--out`` payload the same way).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 
 from . import jsonl
-from .histogram import Histogram
 from .manifest import (
     RunManifest,
     execution_fields,
@@ -71,7 +70,7 @@ KIND_SEPARATORS = {"run": ".", "perf": ":"}
 PERF_LEDGER_ENV = "REPRO_PERF_LEDGER"
 
 #: the histogram quantiles a perf entry records per instrumented site
-ENTRY_QUANTILES = (("p50", 0.50), ("p99", 0.99))
+ENTRY_QUANTILES = ("p50", "p99")
 
 
 def _number(value: Any) -> bool:
@@ -334,47 +333,8 @@ def entry_from_bench_payload(
     histograms = payload.get("histograms")
     if isinstance(histograms, Mapping):
         for site, summary in histograms.items():
-            for label, _q in ENTRY_QUANTILES:
+            for label in ENTRY_QUANTILES:
                 value = _numbers(summary).get(label)
                 if value is not None and math.isfinite(value):
                     scalars[f"{site}.{label}"] = value
-    return LedgerEntry.perf(name, scalars)
-
-
-def entry_from_metrics_payload(
-    name: str, payload: Mapping[str, Any]
-) -> LedgerEntry:
-    """A perf entry from a CLI ``--metrics-out`` payload.
-
-    METRICS_FORMAT-3 payloads carry *full histogram bucket states*, so
-    p50/p99 are recomputed here via :meth:`Histogram.from_dict` rather
-    than trusted from any pre-flattened summary.  Wall time is the sum
-    of root-span durations; peak RSS comes from ``peak_rss_kb``.
-    """
-    scalars: Dict[str, float] = {}
-    spans = payload.get("spans")
-    if isinstance(spans, list):
-        wall_ns = sum(
-            float(root["duration_ns"])
-            for root in spans
-            if isinstance(root, Mapping) and _number(root.get("duration_ns"))
-        )
-        if wall_ns > 0:
-            scalars["wall_s"] = wall_ns / 1e9
-    rss_kb = payload.get("peak_rss_kb")
-    if _number(rss_kb):
-        scalars["peak_rss_bytes"] = float(rss_kb) * 1024.0
-    histograms = payload.get("histograms")
-    if isinstance(histograms, Mapping):
-        for site, state in histograms.items():
-            if not isinstance(state, Mapping):
-                continue
-            try:
-                hist = Histogram.from_dict(dict(state))
-            except (ValueError, TypeError, KeyError):
-                continue
-            if hist.count == 0:
-                continue
-            for label, q in ENTRY_QUANTILES:
-                scalars[f"{site}.{label}"] = hist.quantile(q)
     return LedgerEntry.perf(name, scalars)

@@ -19,44 +19,24 @@ answers this module computes from the same forests:
   format flamegraph.pl and speedscope ingest, weighted by self time in
   integer microseconds.
 
-Lanes come from a live tracer (:func:`lanes_from_tracer`) or are
-rebuilt from a ``--trace-out`` Chrome trace-event artefact
-(:func:`lanes_from_chrome_trace`) — the latter re-nests flat ``"X"``
-slices by containment per ``tid``, so ``repro perf flame`` works on any
-previously written trace file without re-running the sweep.
+Lanes are rebuilt from a ``--trace-out`` Chrome trace-event artefact
+(:func:`lanes_from_chrome_trace`), which re-nests flat ``"X"`` slices by
+containment per ``tid``, so ``repro perf flame`` and ``repro perf
+report`` work on any previously written trace file without re-running
+the sweep.
 """
 
 from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
-from .tracer import Span, Tracer
+from .tracer import Span
 
 PathLike = Union[str, pathlib.Path]
 
-#: lane name used for the coordinator's own roots
-COORDINATOR_LANE = "coordinator"
-
 Lanes = Dict[str, List[Span]]
-
-
-def lanes_from_tracer(tracer: Tracer) -> Lanes:
-    """The tracer's forests as ``{lane label: roots}``.
-
-    The coordinator's synthetic per-shard summary spans (marked
-    ``synthetic`` in their attrs) are dropped — their timings duplicate
-    the real worker lanes, exactly as the Chrome exporter does.
-    """
-    lanes: Lanes = {
-        COORDINATOR_LANE: [
-            root for root in tracer.roots if not root.attrs.get("synthetic")
-        ]
-    }
-    for label in sorted(tracer.remote_lanes):
-        lanes[label] = list(tracer.remote_lanes[label])
-    return lanes
 
 
 def lanes_from_chrome_trace(payload: Mapping[str, Any]) -> Lanes:
@@ -181,24 +161,6 @@ def aggregate(lanes: Lanes) -> List[ProfileRow]:
     ]
     rows.sort(key=lambda r: (-r.self_ns, r.label))
     return rows
-
-
-def render_profile(rows: Sequence[ProfileRow], limit: int = 0) -> str:
-    """The aligned self/total/calls table ``repro perf`` prints."""
-    if not rows:
-        return "(no spans recorded)"
-    if limit > 0:
-        rows = rows[:limit]
-    width = max(len(r.label) for r in rows)
-    lines = [
-        f"{'label':<{width}}  {'self':>10}  {'total':>10}  {'calls':>7}"
-    ]
-    for r in rows:
-        lines.append(
-            f"{r.label:<{width}}  {r.self_s:>9.3f}s  {r.total_s:>9.3f}s  "
-            f"{r.calls:>7d}"
-        )
-    return "\n".join(lines)
 
 
 # ---- critical path -------------------------------------------------------

@@ -1,8 +1,10 @@
 """Static perf report: one self-contained HTML file, zero dependencies.
 
-``repro perf report --html`` renders the perf ledger (and optionally a
-trace artefact) into a single file that opens anywhere — no JS
-frameworks, no external assets, sparklines as inline SVG polylines.
+``repro perf report --html`` renders the perf ledger's trend rows
+(:func:`~repro.telemetry.history.history_rows`, the verdicts every
+``repro perf`` view shares) and optionally a trace artefact into a
+single file that opens anywhere — no JS frameworks, no external
+assets, sparklines as inline SVG polylines.
 One file per report on purpose: the artefact gets attached to CI runs
 and mailed around, so it must survive without its neighbours.
 """
@@ -12,9 +14,10 @@ from __future__ import annotations
 import datetime
 import html
 import pathlib
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from . import changepoint
+from .history import TrendRow
 from .manifest import host_fingerprint, package_version, platform_triple
 from .profile import Lanes, aggregate, critical_path
 
@@ -64,11 +67,9 @@ def _fmt(value: Optional[float]) -> str:
     return "–" if value is None else f"{value:.4g}"
 
 
-def _trend_section(
-    series: Dict[str, List[float]], window: int
-) -> List[str]:
+def _trend_section(rows: Sequence[TrendRow]) -> List[str]:
     parts = ["<h2>Perf-ledger trends</h2>"]
-    if not series:
+    if not rows:
         parts.append("<p>(empty perf ledger)</p>")
         return parts
     parts.append(
@@ -77,20 +78,18 @@ def _trend_section(
         '<th class="num">median</th><th class="num">change</th>'
         "<th>verdict</th></tr>"
     )
-    for metric, values in sorted(series.items()):
-        point = changepoint.detect(metric, values, window=window)
-        verdict = changepoint.classify(
-            point, changepoint.metric_orientation(metric)
-        )
+    for row in rows:
+        point = row.point
         change = "–" if point.change is None else f"{point.change:+.1%}"
+        verdict = html.escape(row.verdict)
         parts.append(
-            f"<tr><td>{html.escape(metric)}</td>"
-            f"<td>{_spark_svg(values)}</td>"
-            f'<td class="num">{len(values)}</td>'
+            f"<tr><td>{html.escape(row.metric)}</td>"
+            f"<td>{_spark_svg(row.values)}</td>"
+            f'<td class="num">{row.n_runs}</td>'
             f'<td class="num">{_fmt(point.latest)}</td>'
             f'<td class="num">{_fmt(point.median)}</td>'
             f'<td class="num">{change}</td>'
-            f'<td class="{html.escape(verdict)}">{html.escape(verdict)}</td>'
+            f'<td class="{verdict}">{verdict}</td>'
             "</tr>"
         )
     parts.append("</table>")
@@ -139,12 +138,14 @@ def _attribution_section(lanes: Lanes, top: int = 20) -> List[str]:
 
 
 def render_perf_report(
-    series: Dict[str, List[float]],
-    *,
-    window: int = changepoint.DEFAULT_WINDOW,
-    lanes: Optional[Lanes] = None,
+    rows: Sequence[TrendRow], *, lanes: Optional[Lanes] = None
 ) -> str:
-    """The complete report as an HTML string."""
+    """The complete report as an HTML string.
+
+    ``rows`` are :func:`~repro.telemetry.history.history_rows` over perf
+    entries, the verdicts ``repro perf history`` and ``repro perf gate``
+    print.
+    """
     created = datetime.datetime.now(datetime.timezone.utc).isoformat(
         timespec="seconds"
     )
@@ -159,12 +160,13 @@ def render_perf_report(
         f"{html.escape(platform_triple())} · "
         f"host {html.escape(host_fingerprint())}</p>",
     ]
-    parts.extend(_trend_section(series, window))
+    parts.extend(_trend_section(rows))
     if lanes is not None:
         parts.extend(_attribution_section(lanes))
     parts.append(
         "<footer>verdicts: median+MAD change-point detection "
-        f"(window {window}, warm-up {changepoint.MIN_HISTORY} runs); "
+        f"(window {changepoint.DEFAULT_WINDOW}, "
+        f"warm-up {changepoint.MIN_HISTORY} runs); "
         "see docs/observability.md</footer>"
     )
     parts.append("</body></html>")
@@ -173,13 +175,12 @@ def render_perf_report(
 
 def write_perf_report(
     path: PathLike,
-    series: Dict[str, List[float]],
+    rows: Sequence[TrendRow],
     *,
-    window: int = changepoint.DEFAULT_WINDOW,
     lanes: Optional[Lanes] = None,
 ) -> pathlib.Path:
     """Write the report to ``path`` and return it."""
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_perf_report(series, window=window, lanes=lanes))
+    path.write_text(render_perf_report(rows, lanes=lanes))
     return path

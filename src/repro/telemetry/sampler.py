@@ -41,8 +41,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from . import events as _events_mod
 from . import tracer as _tracer_mod
@@ -334,13 +333,3 @@ def uninstall_sampler() -> Optional[ResourceSampler]:
         sampler.stop()
     return sampler
 
-
-@contextmanager
-def sampler_session(hz: float = 4.0, **kwargs: Any) -> Iterator[ResourceSampler]:
-    """Install and run a fresh sampler for the duration of a block."""
-    sampler = install_sampler(ResourceSampler(hz, **kwargs))
-    sampler.start()
-    try:
-        yield sampler
-    finally:
-        uninstall_sampler()

@@ -276,32 +276,67 @@ class TestCheckAnchors:
         "e4": {"aro-puf.uniformity_pct": 50.0},
     }
 
-    def test_perfect_ledger_passes(self, tmp_path, capsys):
-        ledger = tmp_path / "ledger.jsonl"
-        self.synthetic_ledger(ledger, self.PAPER_PERFECT)
-        code = main(["check-anchors", "--from-ledger", str(ledger)])
-        assert code == 0
+    @staticmethod
+    def from_ledger(path, *extra):
+        return main(["check-anchors", "--from-ledger", str(path), *extra])
+
+    def test_perfect_ledger_exits_zero(self, tmp_path, capsys):
+        path = tmp_path / "ledger.jsonl"
+        self.synthetic_ledger(path, self.PAPER_PERFECT)
+        assert self.from_ledger(path) == 0
         out = capsys.readouterr().out
         assert "worst status: pass" in out
 
-    def test_out_of_band_metric_fails(self, tmp_path, capsys):
+    def test_out_of_band_exits_one(self, tmp_path, capsys):
         bad = {k: dict(v) for k, v in self.PAPER_PERFECT.items()}
-        bad["e2"]["aro-puf.flips_at_10y_pct"] = 30.0  # conventional-like aging
-        ledger = tmp_path / "ledger.jsonl"
-        self.synthetic_ledger(ledger, bad)
-        code = main(["check-anchors", "--from-ledger", str(ledger)])
-        assert code == 1
+        bad["e2"]["aro-puf.flips_at_10y_pct"] = 31.0  # conventional-like aging
+        path = tmp_path / "ledger.jsonl"
+        self.synthetic_ledger(path, bad)
+        assert self.from_ledger(path) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "aro-flips-10y" in out
 
-    def test_missing_metrics_need_require_all(self, tmp_path, capsys):
-        ledger = tmp_path / "ledger.jsonl"
-        self.synthetic_ledger(ledger, {"e2": self.PAPER_PERFECT["e2"]})
-        assert main(["check-anchors", "--from-ledger", str(ledger)]) == 0
-        assert (
-            main(["check-anchors", "--from-ledger", str(ledger), "--require-all"])
-            == 1
-        )
+    def test_warn_band_still_passes(self, tmp_path, capsys):
+        warm = {k: dict(v) for k, v in self.PAPER_PERFECT.items()}
+        # between tol_pass (2.5) and tol_fail (8.0) of the 45% anchor
+        warm["e3"]["ro-puf.uniqueness_pct"] = 41.0
+        path = tmp_path / "ledger.jsonl"
+        self.synthetic_ledger(path, warm)
+        assert self.from_ledger(path) == 0
+        out = capsys.readouterr().out
+        assert "WARN" in out and "worst status: warn" in out
+
+    def test_latest_entry_wins(self, tmp_path, capsys):
+        path = tmp_path / "ledger.jsonl"
+        bad = {k: dict(v) for k, v in self.PAPER_PERFECT.items()}
+        bad["e2"]["aro-puf.flips_at_10y_pct"] = 31.0
+        self.synthetic_ledger(path, bad)
+        self.synthetic_ledger(path, self.PAPER_PERFECT)  # newer, in band
+        assert self.from_ledger(path) == 0
+
+    def test_missing_metric_needs_require_all(self, tmp_path, capsys):
+        path = tmp_path / "ledger.jsonl"
+        self.synthetic_ledger(path, {"e2": self.PAPER_PERFECT["e2"]})
+        assert self.from_ledger(path) == 0
+        assert self.from_ledger(path, "--require-all") == 1
+
+    def test_missing_ledger_is_usage_error(self, tmp_path, capsys):
+        assert self.from_ledger(tmp_path / "none.jsonl") == 2
+        captured = capsys.readouterr()
+        assert "no such ledger" in captured.err
+        assert "worst status" not in captured.out
+
+    def test_empty_ledger_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        assert self.from_ledger(path) == 2
+        assert "no ledger entries" in capsys.readouterr().err
+
+    def test_perf_only_ledger_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "perf.jsonl"
+        synthetic_perf_ledger(path, [1.0, 1.1])
+        assert self.from_ledger(path, "--require-all") == 2
+        assert "no ledger entries" in capsys.readouterr().err
 
     def test_perturbed_mission_fails_fresh_run(self, capsys):
         # a PUF evaluated 1% of the time ages like a conventional design:
@@ -541,6 +576,39 @@ def synthetic_perf_ledger(path, series, bench="bench_x", metric="wall_s"):
     return ledger
 
 
+class TestStoreDir:
+    SCALE = ["run", "e2", "--chips", "4", "--ros", "16"]
+
+    def test_two_designs_share_one_dir_and_reattach(self, tmp_path, capsys):
+        import json
+
+        assert main(self.SCALE) == 0
+        ram = capsys.readouterr().out
+        store_dir = tmp_path / "store"
+        store = ["--store", "mmap", "--store-dir", str(store_dir)]
+        counters = []
+        for i in (1, 2):
+            metrics = tmp_path / f"m{i}.json"
+            assert main([*self.SCALE, *store, "--metrics-out", str(metrics)]) == 0
+            assert capsys.readouterr().out == (
+                ram + f"metrics written to {metrics}\n"
+            )
+            counters.append(json.loads(metrics.read_text())["counters"])
+        assert sorted(p.name for p in store_dir.iterdir()) == [
+            "aro-puf",
+            "ro-puf",
+        ]
+        # the second run re-attached every block the first fabricated
+        assert counters[0]["store.blocks_materialised"] > 0
+        assert "store.blocks_materialised" not in counters[1]
+
+    def test_different_population_is_refused(self, tmp_path, capsys):
+        store = ["--store", "mmap", "--store-dir", str(tmp_path / "store")]
+        assert main([*self.SCALE, *store]) == 0
+        with pytest.raises(ValueError, match="different population"):
+            main([*self.SCALE, *store, "--seed", "9"])
+
+
 class TestPerfGate:
     """The acceptance-criterion exit codes: an injected 20 % regression
     exits non-zero, jitter within the noise floor exits zero."""
@@ -668,6 +736,127 @@ class TestPerfHistory:
             == 0
         )
         assert "empty ledger" in capsys.readouterr().out
+
+
+class TestOneVerdict:
+    """``perf history``, ``perf gate`` and ``perf report`` give every
+    metric the same verdict, also under the ``--host``/``--metric``
+    filters and with a foreign host's entry in the file."""
+
+    @staticmethod
+    def ledger(tmp_path):
+        import dataclasses
+
+        from repro.telemetry import Ledger, LedgerEntry
+
+        quiet = [1.00, 1.01, 0.99, 1.00, 1.02, 1.01]
+        ledger = Ledger(tmp_path / "perf.jsonl")
+        for i, last in enumerate(quiet + [None]):
+            ledger.append(
+                LedgerEntry.perf(
+                    "bench_x",
+                    {
+                        "wall_s": 1.3 if last is None else last,
+                        "chips_years_per_s": 130.0 if last is None else 100 * last,
+                        "flips_pct": 2.0 if last is None else last,
+                        "peak_rss_bytes": 100.0,
+                    },
+                )
+            )
+            if i == 3:
+                foreign = LedgerEntry.perf("bench_x", {"wall_s": 9.9})
+                ledger.append(
+                    dataclasses.replace(
+                        foreign,
+                        manifest={**foreign.manifest, "host": "laptop-fp"},
+                    )
+                )
+        for value in (1.0, 1.0, 5.0):
+            ledger.append(LedgerEntry.perf("bench_y", {"wall_s": value}))
+        return ledger.path
+
+    @staticmethod
+    def history_verdicts(out):
+        verdicts = {}
+        for line in out.splitlines():
+            if "  latest " not in line:
+                continue
+            verdict = "stable"
+            if "(warmup)" in line:
+                verdict = "warmup"
+            elif "<< " in line:
+                verdict = line.rsplit("<< ", 1)[1]
+            verdicts[line.split()[0]] = verdict
+        return verdicts
+
+    @staticmethod
+    def gate_verdicts(out):
+        return {
+            metric: rest.split()[0]
+            for metric, rest in (
+                line.split(": ", 1)
+                for line in out.splitlines()
+                if not line.startswith("perf gate:")
+            )
+        }
+
+    @staticmethod
+    def html_verdicts(text):
+        import re
+
+        return dict(
+            re.findall(
+                r'<tr><td>([^<]+)</td>.*?<td class="([a-z]+)">[a-z]+</td></tr>',
+                text,
+            )
+        )
+
+    @pytest.mark.parametrize(
+        "filters",
+        [
+            ["--host", "this"],
+            ["--host", "this", "--metric", "wall"],
+            ["--metric", "bench_x"],
+        ],
+    )
+    def test_history_gate_and_report_agree(self, tmp_path, capsys, filters):
+        path = self.ledger(tmp_path)
+        common = ["--perf-ledger", str(path), *filters]
+        assert main(["perf", "history", *common]) == 0
+        history = self.history_verdicts(capsys.readouterr().out)
+        code = main(["perf", "gate", *common])
+        gate = self.gate_verdicts(capsys.readouterr().out)
+        html_out = tmp_path / "report.html"
+        assert main(["perf", "report", *common, "--html", str(html_out)]) == 0
+        report = self.html_verdicts(html_out.read_text())
+        assert history and history == gate == report
+        assert code == (1 if "regress" in gate.values() else 0)
+        if filters == ["--host", "this"]:
+            assert history == {
+                "bench_x:chips_years_per_s": "improve",
+                "bench_x:flips_pct": "shift",
+                "bench_x:peak_rss_bytes": "stable",
+                "bench_x:wall_s": "regress",
+                "bench_y:wall_s": "warmup",
+            }
+
+
+class TestTrendOptionValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["perf", "history", "--perf-ledger", "p.jsonl", "--last", "0"],
+            ["perf", "history", "--perf-ledger", "p.jsonl", "--last", "-3"],
+            ["history", "--ledger", "r.jsonl", "--last", "0"],
+            ["history", "--ledger", "r.jsonl", "--window", "0"],
+            ["history", "--ledger", "r.jsonl", "--threshold", "0"],
+        ],
+    )
+    def test_non_positive_values_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "positive" in capsys.readouterr().err
 
 
 class TestPerfFlame:

@@ -51,7 +51,7 @@ class TestStreamingRegime:
         with mmap_study(
             DESIGN, N_CHIPS, rng=SEED, block_size=5, store_dir=tmp_path / "pop"
         ) as study:
-            spill_dir = tmp_path / "pop" / "spill"
+            spill_dir = tmp_path / "pop" / DESIGN.name / "spill"
             study.responses(t_years=10.0)
             spilled = list(spill_dir.glob("*.npy"))
             assert spilled, "streaming corners must live in the spill dir"
@@ -70,7 +70,7 @@ class TestStreamingRegime:
         with mmap_study(
             DESIGN, N_CHIPS, rng=SEED, store_dir=tmp_path / "pop"
         ) as study:
-            spill_dir = tmp_path / "pop" / "spill"
+            spill_dir = tmp_path / "pop" / DESIGN.name / "spill"
             # one corner more than the spill memo keeps
             for t in np.linspace(0.0, 10.0, BatchStudy.SPILL_MEMO_SIZE + 1):
                 study.frequencies(t_years=float(t))

@@ -11,7 +11,7 @@ from repro.telemetry import (
     detect,
     metric_orientation,
 )
-from repro.telemetry.changepoint import DEFAULT_MIN_REL, DEFAULT_WINDOW
+from repro.telemetry.changepoint import DEFAULT_MIN_REL, DEFAULT_WINDOW, Z
 
 #: six quiet runs (~0.5 % jitter) — enough history to leave warm-up
 STABLE = [100.0, 100.5, 99.5, 100.2, 99.8, 100.1]
@@ -81,9 +81,9 @@ class TestDetection:
         assert point.z == math.inf  # sigma 0, movement -> infinite z
 
     def test_threshold_is_max_of_mad_band_and_relative_floor(self):
-        point = detect("m", STABLE + [100.0], z=4.0, min_rel=0.05)
+        point = detect("m", STABLE + [100.0], min_rel=0.05)
         expected = max(
-            4.0 * MAD_CONSISTENCY * point.mad, 0.05 * abs(point.median)
+            Z * MAD_CONSISTENCY * point.mad, 0.05 * abs(point.median)
         )
         assert point.threshold == pytest.approx(expected)
 
@@ -107,6 +107,7 @@ class TestDetection:
         assert DEFAULT_WINDOW == 10
         assert DEFAULT_MIN_REL == 0.05
         assert MIN_HISTORY == 5
+        assert Z == 4.0
 
 
 class TestOrientation:

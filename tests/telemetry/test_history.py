@@ -9,6 +9,7 @@ from repro.telemetry import (
     render_history,
     sparkline,
 )
+from repro.telemetry.changepoint import DEFAULT_WINDOW
 from repro.telemetry.history import SPARK_BLOCKS
 
 
@@ -90,9 +91,7 @@ class TestHistoryRows:
             for r in history_rows(
                 series("wall_s", self.QUIET + [150.0])
                 + series("chips_years_per_s", self.QUIET + [150.0])
-                + series("flips_pct", self.QUIET + [150.0]),
-                window=10,
-                threshold=0.05,
+                + series("flips_pct", self.QUIET + [150.0])
             )
         }
         assert rows == {
@@ -102,13 +101,19 @@ class TestHistoryRows:
         }
 
     def test_perf_rows_keep_the_gate_warmup(self):
-        """A short window must not end perf warm-up before the gate does."""
+        """Perf rows judge with the fixed constants only: no window can
+        end perf warm-up early or retune the verdict."""
         entries = [
             LedgerEntry.perf("b", {"wall_s": v})
             for v in [10.0, 10.0, 10.0, 10.0, 20.0]
         ]
-        (row,) = history_rows(entries, window=3)
+        (row,) = history_rows(entries)
         assert row.verdict == "warmup"
+        assert row.window == DEFAULT_WINDOW
+        with pytest.raises(ValueError, match="run entries only"):
+            history_rows(entries, window=3)
+        with pytest.raises(ValueError, match="run entries only"):
+            history_rows(entries, threshold=0.5)
 
     def test_mixed_kinds_are_rejected(self, manifest):
         entries = entries_for([1.0], manifest) + [
@@ -138,6 +143,8 @@ class TestHistoryRows:
             history_rows(entries, window=0)
         with pytest.raises(ValueError, match="threshold"):
             history_rows(entries, threshold=0.0)
+        with pytest.raises(ValueError, match="last"):
+            history_rows(entries, last=0)
 
 
 class TestRenderHistory:

@@ -1,5 +1,5 @@
 """Ledger + LedgerEntry: run and perf entries, format-1 loading,
-appends, the corrupt-line policy, series and the perf ingest paths."""
+appends, the corrupt-line policy, series and the perf ingest path."""
 
 import json
 import math
@@ -7,13 +7,11 @@ import math
 import pytest
 
 from repro.telemetry import (
-    Histogram,
     LEDGER_FORMAT,
     Ledger,
     LedgerEntry,
     RunManifest,
     entry_from_bench_payload,
-    entry_from_metrics_payload,
     git_sha,
     host_fingerprint,
     metric_series,
@@ -383,32 +381,3 @@ class TestBenchPayloadIngest:
             "b", {"values": {"x": 1.0}, "service": "broken"}
         )
         assert entry.scalars == {"x": 1.0}
-
-
-class TestMetricsPayloadIngest:
-    def test_wall_rss_and_recomputed_quantiles(self):
-        hist = Histogram()
-        hist.observe_many([0.01, 0.02, 0.03, 0.04])
-        payload = {
-            "spans": [
-                {"name": "a", "duration_ns": 2_000_000_000},
-                {"name": "b", "duration_ns": 500_000_000},
-            ],
-            "peak_rss_kb": 2048,
-            "histograms": {"site": hist.to_dict(), "empty": Histogram().to_dict()},
-        }
-        entry = entry_from_metrics_payload("e2", payload)
-        assert entry.scalars["wall_s"] == pytest.approx(2.5)
-        assert entry.scalars["peak_rss_bytes"] == 2048 * 1024.0
-        assert entry.scalars["site.p50"] == hist.quantile(0.50)
-        assert entry.scalars["site.p99"] == hist.quantile(0.99)
-        # empty histograms produce no NaN quantiles
-        assert not any(k.startswith("empty.") for k in entry.scalars)
-
-    def test_bad_histogram_state_skipped(self):
-        payload = {
-            "spans": [],
-            "histograms": {"bad": {"growth": 123.0, "buckets": {}}},
-        }
-        entry = entry_from_metrics_payload("e2", payload)
-        assert entry.scalars == {}

@@ -10,10 +10,8 @@ from repro.telemetry import (
     collapsed_stacks,
     critical_path,
     lanes_from_chrome_trace,
-    lanes_from_tracer,
     render_collapsed,
     render_critical_path,
-    render_profile,
     write_collapsed,
 )
 
@@ -28,27 +26,6 @@ def make_span(name, start_ms, end_ms, children=(), attrs=None):
         child.parent = span
         span.children.append(child)
     return span
-
-
-class TestLanesFromTracer:
-    def test_coordinator_plus_sorted_remote_lanes(self):
-        tr = Tracer()
-        with tr.span("root"):
-            pass
-        tr.add_remote_lane("worker-1", [make_span("b", 2, 3)])
-        tr.add_remote_lane("worker-0", [make_span("a", 0, 1)])
-        lanes = lanes_from_tracer(tr)
-        assert list(lanes) == ["coordinator", "worker-0", "worker-1"]
-        assert [s.name for s in lanes["coordinator"]] == ["root"]
-
-    def test_synthetic_roots_dropped(self):
-        tr = Tracer()
-        with tr.span("real"):
-            pass
-        with tr.span("shard-summary", synthetic=True):
-            pass
-        lanes = lanes_from_tracer(tr)
-        assert [s.name for s in lanes["coordinator"]] == ["real"]
 
 
 class TestAggregate:
@@ -83,12 +60,6 @@ class TestAggregate:
         }
         rows = aggregate(lanes)
         assert [r.label for r in rows] == ["big", "small"]
-
-    def test_render_empty_and_limit(self):
-        assert "no spans" in render_profile([])
-        rows = aggregate({"lane": [make_span("a", 0, 1), make_span("b", 2, 9)]})
-        text = render_profile(rows, limit=1)
-        assert "b" in text and "\na" not in text
 
 
 class TestCriticalPath:
@@ -179,7 +150,9 @@ class TestChromeTraceRoundTrip:
                 with tr.span("kernel"):
                     pass
         tr.add_remote_lane("worker-0", [make_span("shard", 0, 5)])
-        live = collapsed_stacks(lanes_from_tracer(tr))
+        live = collapsed_stacks(
+            {"coordinator": tr.roots, **tr.remote_lanes}
+        )
         rebuilt = collapsed_stacks(
             lanes_from_chrome_trace(chrome_trace_dict(tr))
         )

@@ -16,7 +16,6 @@ from repro.telemetry import (
     current_rss_bytes,
     install_sampler,
     register_probe,
-    sampler_session,
     uninstall_sampler,
     unregister_probe,
 )
@@ -184,12 +183,6 @@ class TestInstallSlot:
         install_sampler(ResourceSampler())
         with pytest.raises(RuntimeError, match="already installed"):
             install_sampler(ResourceSampler())
-
-    def test_sampler_session(self):
-        with sampler_session(hz=1000.0) as sampler:
-            assert active_sampler() is sampler
-        assert active_sampler() is None
-        assert sampler.samples
 
 
 class TestToDicts:

@@ -34,7 +34,6 @@ def _tool(name):
 
 
 validate_metrics = _tool("validate_metrics")
-check_anchors_tool = _tool("check_anchors")
 
 
 @pytest.fixture()
@@ -115,10 +114,10 @@ class TestSameVerdicts:
             "ledger run_ledger_format1.jsonl", f"ledger {path}"
         )
 
-    def test_check_anchors_tool(self, capsys, mixed):
-        assert check_anchors_tool.main([str(RUN)]) == 0
+    def test_check_anchors_from_mixed_ledger(self, capsys, mixed):
+        assert main(["check-anchors", "--from-ledger", str(RUN)]) == 0
         run_only = capsys.readouterr().out
-        assert check_anchors_tool.main([str(mixed)]) == 0
+        assert main(["check-anchors", "--from-ledger", str(mixed)]) == 0
         out = capsys.readouterr().out
         # perf lines are ignored; the e6 format-2 run entry is counted
         assert "(11 entries)" in out

@@ -32,10 +32,10 @@ union-keyed ``n/a`` tolerance but stay informational even under
 ``--gate``: the map mixes bigger-is-better rates with smaller-is-better
 latencies, so no single gate direction is honest — the SLO spec
 (``repro loadgen --slo-gate``) owns those verdicts.  Run-ledger
-``*.jsonl``
-files found in either directory are diffed the same informational way
-(experiment scalars have no universal "better" direction — the anchor
-registry judges those, see ``tools/check_anchors.py``).  Exit status is
+``*.jsonl`` files found in either directory are diffed the same
+informational way (experiment scalars have no universal "better"
+direction — the anchor registry judges those, see ``repro
+check-anchors --from-ledger``).  Exit status is
 1 when any regression is found, so the script can gate CI; ``--json
 PATH`` additionally writes the full diff machine-readably for CI to
 consume.
