@@ -9,6 +9,10 @@ module holds the serving-layer budgets the observability PR promises:
   installed (the deployment default).  The artefact records the RED
   latency histograms next to the throughput so ``tools/bench_compare.py``
   can diff tail latency alongside rate.
+* ``TestKeyThroughput`` — full key regeneration (repetition vote, BCH
+  syndromes, Berlekamp–Massey, Chien search, SHA-256) must clear
+  ``KEY_FLOOR_PER_S`` keys per second on responses with a seeded
+  ``KEY_BIT_ERROR`` bit-error rate, so every block is actually decoded.
 * ``TestInstrumentationBudget`` — with no tracer installed, the
   per-request span machinery may cost one module-slot read and one
   ``is not None``: the measured difference against a stub with the hook
@@ -41,6 +45,14 @@ SEED = 20140324
 
 #: the serving-layer headline gate: in-process, untraced auth rate
 AUTH_FLOOR_PER_S = 10_000.0
+
+#: key regenerations per round, their raw bit-error rate, and the floor:
+#: about half the rate the table-driven BCH decoder sustains on a 2-vCPU
+#: x86 host (3,200-4,000 key/s), above the 1,200-1,300 key/s of the
+#: bit-serial GF(2) decoder it replaced
+N_KEYS = 400
+KEY_BIT_ERROR = 0.05
+KEY_FLOOR_PER_S = 1_600.0
 
 #: the uninstalled span hook may cost one slot read + one ``is not None``
 DISABLED_OVERHEAD_CEILING = 0.02
@@ -100,6 +112,51 @@ class TestAuthThroughput:
         assert per_s >= AUTH_FLOOR_PER_S, (
             f"untraced auth path serves {per_s:,.0f} req/s; "
             f"floor is {AUTH_FLOOR_PER_S:,.0f}"
+        )
+
+
+def _key_round(service, bits, n=N_KEYS):
+    """A callable driving ``n`` key regenerations of noisy genuine reads."""
+    rng = np.random.default_rng(SEED)
+    requests = []
+    for i in range(n):
+        golden = bits[i % N_CHIPS]
+        flips = (rng.random(golden.size) < KEY_BIT_ERROR).astype(np.uint8)
+        requests.append((i % N_CHIPS, golden ^ flips))
+
+    async def hammer():
+        for chip_id, response in requests:
+            await service.key(chip_id, response)
+
+    return lambda: asyncio.run(hammer())
+
+
+@pytest.mark.slow
+class TestKeyThroughput:
+    def test_key_floor(self):
+        assert telemetry.active() is None  # the deployment default
+        service, bits = _enrolled_service()
+        t = best_of(_key_round(service, bits), rounds=5)
+        per_s = N_KEYS / t
+        metrics = service.red.metrics()
+        assert metrics["key.availability"] == 1.0  # every key recovered
+        emit(
+            "service_key",
+            f"in-process fleet service, {N_CHIPS} chips enrolled, "
+            f"{N_KEYS} key regenerations per round at "
+            f"{KEY_BIT_ERROR:.0%} raw bit errors (untraced)\n"
+            f"  best round : {t * 1e3:8.2f} ms\n"
+            f"  throughput : {per_s:12,.0f} key/s  "
+            f"(floor {KEY_FLOOR_PER_S:,.0f})\n"
+            f"  p50 / p99  : {metrics['key.p50_ms']:.4f} / "
+            f"{metrics['key.p99_ms']:.4f} ms",
+            values={"wall_s": t},
+            histograms=service.red.summaries(),
+            roofline={"key_per_s": per_s},
+        )
+        assert per_s >= KEY_FLOOR_PER_S, (
+            f"untraced key path serves {per_s:,.0f} req/s; "
+            f"floor is {KEY_FLOOR_PER_S:,.0f}"
         )
 
 

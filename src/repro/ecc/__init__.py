@@ -19,6 +19,7 @@ from .galois import (
     poly_lcm_gf2,
     poly_mod_gf2,
     poly_mul_gf2,
+    poly_remainder_rows,
     poly_trim,
 )
 from .repetition import RepetitionCode
@@ -43,6 +44,7 @@ __all__ = [
     "poly_lcm_gf2",
     "poly_mod_gf2",
     "poly_mul_gf2",
+    "poly_remainder_rows",
     "poly_trim",
     "repetition_decoder_area",
     "standard_codes",

@@ -7,10 +7,18 @@ Everything is built from first principles on :mod:`repro.ecc.galois`:
   ``alpha, alpha^2, ..., alpha^{2t}``;
 * **encoding** — systematic cyclic encoding (message in the high-order
   positions, parity = remainder of ``msg * x^{n-k}`` modulo the
-  generator);
-* **decoding** — syndrome computation, Berlekamp–Massey to find the error
-  locator polynomial, and a Chien search for its roots.  Binary BCH needs
-  no error-magnitude (Forney) step: located bits are simply flipped.
+  generator).  Division by the generator is linear, so each code keeps a
+  remainder table ``x^i mod g`` (:func:`~repro.ecc.galois.poly_remainder_rows`,
+  shape ``n x (n-k)``): parity is the XOR of the rows at the set message
+  positions, and a word is a codeword when the XOR of its rows is zero;
+* **decoding** — syndromes ``S_j = r(alpha^j)`` from a second table,
+  ``alpha^{(i*j) mod (2^m-1)}`` of shape ``2t x n_full`` (one gather of
+  the set positions, one XOR-reduce per syndrome), Berlekamp–Massey to
+  find the error locator polynomial, and a Chien search for its roots.
+  Binary BCH needs no error-magnitude (Forney) step: located bits are
+  simply flipped.
+
+Both tables are built on first use, once per code object.
 
 Shortened codes (``BchCode.shortened``) are supported because key
 generators rarely need the full natural length.
@@ -19,12 +27,19 @@ generators rarely need the full natural length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Tuple
 
 import numpy as np
 
 from .. import telemetry
-from .galois import GF2m, poly_degree, poly_lcm_gf2, poly_mod_gf2
+from .galois import (
+    GF2m,
+    poly_degree,
+    poly_lcm_gf2,
+    poly_mod_rows,
+    poly_remainder_rows,
+)
 
 
 class BchDecodingError(ValueError):
@@ -119,11 +134,10 @@ class BchCode:
         Positions ``0 .. n-k-1`` carry parity, ``n-k .. n-1`` the message.
         """
         msg = _as_bits(message, self.k, "message")
-        shifted = np.zeros(self.n_parity + self.k, dtype=np.uint8)
-        shifted[self.n_parity :] = msg
-        parity = poly_mod_gf2(shifted, self.generator)
         codeword = np.empty(self.n, dtype=np.uint8)
-        codeword[: self.n_parity] = parity[: self.n_parity]
+        codeword[: self.n_parity] = poly_mod_rows(
+            self._remainder_rows, msg, self.n_parity
+        )
         codeword[self.n_parity :] = msg
         return codeword
 
@@ -135,24 +149,30 @@ class BchCode:
     def is_codeword(self, word) -> bool:
         """True when ``word`` is divisible by the generator polynomial."""
         w = _as_bits(word, self.n, "word")
-        rem = poly_mod_gf2(w, self.generator)
-        return not np.any(rem)
+        return not poly_mod_rows(self._remainder_rows, w).any()
+
+    @cached_property
+    def _remainder_rows(self) -> np.ndarray:
+        """``x^i mod g`` for every position ``i < n``, shape ``(n, n-k)``."""
+        return poly_remainder_rows(self.generator, self.n)
 
     # ------------------------------------------------------------------
     # decoding
     # ------------------------------------------------------------------
 
+    @cached_property
+    def _syndrome_powers(self) -> np.ndarray:
+        """``alpha^{(i*j) mod (2^m-1)}`` at row ``j-1``, column ``i``:
+        shape ``(2t, n_full)``."""
+        field = self.field
+        j = np.arange(1, 2 * self.t + 1)[:, np.newaxis]
+        i = np.arange(self.n_full)
+        return field.exp[(i * j) % field.order]
+
     def _syndromes(self, received: np.ndarray) -> List[int]:
         """``S_j = r(alpha^j)`` for ``j = 1 .. 2t``."""
-        field = self.field
-        ones = np.nonzero(received)[0]
-        syndromes = []
-        for j in range(1, 2 * self.t + 1):
-            s = 0
-            for i in ones:
-                s ^= field.alpha_pow(int(i) * j)
-            syndromes.append(s)
-        return syndromes
+        powers = self._syndrome_powers[:, np.flatnonzero(received)]
+        return np.bitwise_xor.reduce(powers, axis=1).tolist()
 
     def _berlekamp_massey(self, syndromes: List[int]) -> List[int]:
         """Error-locator polynomial (coefficients lowest-first)."""
@@ -217,9 +237,8 @@ class BchCode:
         """
         telemetry.count("ecc.bch_decodes")
         rec = _as_bits(received, self.n, "received")
-        full = np.zeros(self.n_full, dtype=np.uint8)
-        full[: self.n] = rec  # shortened positions beyond n are known zeros
-        syndromes = self._syndromes(full)
+        # shortened positions beyond n are known zeros: they add nothing
+        syndromes = self._syndromes(rec)
         if not any(syndromes):
             telemetry.count("ecc.bch_clean_words")
             return rec.copy(), 0
@@ -244,7 +263,7 @@ class BchCode:
             )
         corrected = rec.copy()
         corrected[roots] ^= 1
-        if not self.is_codeword(corrected):
+        if poly_mod_rows(self._remainder_rows, corrected).any():
             telemetry.count("ecc.bch_decode_failures")
             raise BchDecodingError("correction did not land on a codeword")
         telemetry.count("ecc.bch_corrected_bits", n_errors)

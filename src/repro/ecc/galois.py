@@ -8,7 +8,8 @@ fields.  This module provides:
 * cyclotomic cosets and minimal polynomials, the ingredients of the BCH
   generator polynomial;
 * dense polynomial arithmetic over GF(2) (coefficients as 0/1 numpy
-  arrays, lowest degree first), enough for systematic cyclic encoding.
+  arrays, lowest degree first), plus :func:`poly_remainder_rows`, the
+  ``x^i mod g`` table that systematic cyclic encoding runs on.
 
 Primitive polynomials follow the standard tables (Lin & Costello).
 """
@@ -231,6 +232,40 @@ def poly_mod_gf2(a: np.ndarray, mod: np.ndarray) -> np.ndarray:
     out = np.zeros(dm, dtype=np.uint8)
     out[: a.size] = a if poly_degree(a) >= 0 else 0
     return out
+
+
+def poly_remainder_rows(mod: np.ndarray, n: int) -> np.ndarray:
+    """``x^i mod m`` for ``i = 0 .. n-1``, one 0/1 row per power.
+
+    Shape ``(n, deg m)``; row ``i`` equals ``poly_mod_gf2(x^i, m)``.  The
+    rows come from the LFSR recurrence ``r_{i+1} = x * r_i``, reduced by
+    ``m`` whenever the shift carries into degree ``deg m``.  Division is
+    linear over GF(2), so the remainder of any word is the XOR of the rows
+    at its set bits — the table cyclic codes encode and check with.
+    """
+    mod = poly_trim(mod)
+    dm = poly_degree(mod)
+    if dm < 1:
+        raise ValueError("modulus must have degree >= 1")
+    rows = np.zeros((n, dm), dtype=np.uint8)
+    rows[:1, 0] = 1  # x^0 = 1 (no row at all when n == 0)
+    low = mod[:dm]
+    for i in range(1, n):
+        prev = rows[i - 1]
+        rows[i, 1:] = prev[:-1]
+        if prev[-1]:
+            rows[i] ^= low
+    return rows
+
+
+def poly_mod_rows(
+    rows: np.ndarray, bits: np.ndarray, offset: int = 0
+) -> np.ndarray:
+    """``(bits * x^offset) mod m`` given ``rows = poly_remainder_rows(m, n)``:
+    the XOR of the rows at the set positions of ``bits``, shifted up by
+    ``offset``."""
+    picked = rows[offset + np.flatnonzero(bits)]
+    return np.bitwise_xor.reduce(picked, axis=0)
 
 
 def poly_lcm_gf2(polys: Sequence[np.ndarray]) -> np.ndarray:

@@ -5,13 +5,19 @@ key-generation literature (Bosch et al.'s reference constructions use it
 as the outer code), so the design-space search deserves it in the palette
 next to the BCH family.
 
+Encoding and syndromes run on one remainder table, ``x^i mod g`` for the
+23 positions (:func:`~repro.ecc.galois.poly_remainder_rows`): the parity
+of a message, and the 11-bit syndrome of a word, are the XOR of the rows
+at its set bits.
+
 Being *perfect*, the 2^11 syndromes are in exact one-to-one
 correspondence with the error patterns of weight <= 3
 (``1 + 23 + C(23,2) + C(23,3) = 2048``), so decoding is a syndrome table
-lookup — built once at construction by enumerating those patterns.  The
-flip side of perfection: there are no detectable failures.  Any received
-word decodes to *some* codeword; four or more errors silently miscorrect.
-The key-failure model (binomial tail beyond t) already accounts for that.
+lookup — built once per process by XOR-ing the remainder rows of each of
+those patterns.  The flip side of perfection: there are no detectable
+failures.  Any received word decodes to *some* codeword; four or more
+errors silently miscorrect.  The key-failure model (binomial tail beyond
+t) already accounts for that.
 
 The interface mirrors :class:`repro.ecc.bch.BchCode` (``n``, ``k``,
 ``t``, ``encode``, ``decode``, ``extract_message``, ``is_codeword``,
@@ -21,13 +27,15 @@ accepts either family as the outer code.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
 
-from .galois import poly_mod_gf2
+from .bch import BchDecodingError
+from .galois import poly_mod_rows, poly_remainder_rows
 
 #: generator polynomial x^11 + x^10 + x^6 + x^5 + x^4 + x^2 + 1,
 #: lowest-degree-first coefficient array
@@ -41,33 +49,41 @@ T = 3
 N_PARITY = 11
 
 
+#: packs an 11-bit remainder into its integer syndrome key
+_KEY_WEIGHTS = 1 << np.arange(N_PARITY)
+
+
+@functools.lru_cache(maxsize=None)
+def _remainder_rows() -> np.ndarray:
+    """``x^i mod g`` for ``i < 23``, shape ``(23, 11)``; built on first use."""
+    return poly_remainder_rows(GOLAY_GENERATOR, N)
+
+
 def _syndrome_key(word: np.ndarray) -> int:
-    rem = poly_mod_gf2(word, GOLAY_GENERATOR)
-    return int(sum(int(b) << i for i, b in enumerate(rem)))
+    return int(poly_mod_rows(_remainder_rows(), word) @ _KEY_WEIGHTS)
 
 
-_TABLE_CACHE: Dict[int, Tuple[int, ...]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _build_syndrome_table() -> Dict[int, Tuple[int, ...]]:
     """Map every syndrome to its unique weight-<=3 error pattern.
 
-    Built once per process (module-level cache): the table is a property
-    of the code, not of any instance.
+    Built once per process (cached): the table is a property of the code,
+    not of any instance.  A pattern's syndrome is the XOR of the remainder
+    rows at its positions.
     """
-    if _TABLE_CACHE:
-        return _TABLE_CACHE
+    row_keys = (_remainder_rows() @ _KEY_WEIGHTS).tolist()
+    table: Dict[int, Tuple[int, ...]] = {}
     for weight in range(T + 1):
         for positions in itertools.combinations(range(N), weight):
-            err = np.zeros(N, dtype=np.uint8)
-            err[list(positions)] = 1
-            key = _syndrome_key(err)
-            if key in _TABLE_CACHE:  # pragma: no cover - perfection
+            key = 0
+            for p in positions:
+                key ^= row_keys[p]
+            if key in table:  # pragma: no cover - perfection
                 raise AssertionError("syndrome collision: code is not perfect")
-            _TABLE_CACHE[key] = positions
-    if len(_TABLE_CACHE) != 2**N_PARITY:  # pragma: no cover
+            table[key] = positions
+    if len(table) != 2**N_PARITY:  # pragma: no cover
         raise AssertionError("syndrome table does not fill the space")
-    return _TABLE_CACHE
+    return table
 
 
 @dataclass(frozen=True)
@@ -126,11 +142,8 @@ class GolayCode:
             raise ValueError(f"message must have shape ({self.k},)")
         if not np.all((msg == 0) | (msg == 1)):
             raise ValueError("message must be a 0/1 bit vector")
-        shifted = np.zeros(self.n, dtype=np.uint8)
-        shifted[N_PARITY:] = msg
-        parity = poly_mod_gf2(shifted, GOLAY_GENERATOR)
-        codeword = np.zeros(self.n, dtype=np.uint8)
-        codeword[: parity.size] = parity
+        codeword = np.empty(self.n, dtype=np.uint8)
+        codeword[:N_PARITY] = poly_mod_rows(_remainder_rows(), msg, N_PARITY)
         codeword[N_PARITY:] = msg
         return codeword
 
@@ -144,9 +157,9 @@ class GolayCode:
         w = np.asarray(word)
         if w.shape != (self.n,):
             raise ValueError(f"word must have shape ({self.n},)")
-        full = np.zeros(N, dtype=np.uint8)
-        full[: self.n] = w
-        return _syndrome_key(full) == 0
+        if not np.all((w == 0) | (w == 1)):
+            raise ValueError("word must be a 0/1 bit vector")
+        return _syndrome_key(w) == 0
 
     def decode(self, received) -> Tuple[np.ndarray, int]:
         """Correct up to three errors via the perfect syndrome table.
@@ -155,16 +168,13 @@ class GolayCode:
         means the true pattern had weight > t, which the perfect code
         cannot flag otherwise — it is reported as a decoding failure.
         """
-        from .bch import BchDecodingError
-
         rec = np.asarray(received)
         if rec.shape != (self.n,):
             raise ValueError(f"received must have shape ({self.n},)")
         if not np.all((rec == 0) | (rec == 1)):
             raise ValueError("received must be a 0/1 bit vector")
-        full = np.zeros(N, dtype=np.uint8)
-        full[: self.n] = rec
-        positions = self._table[_syndrome_key(full)]
+        # shortened positions beyond n are known zeros: they add nothing
+        positions = self._table[_syndrome_key(rec)]
         if any(p >= self.n for p in positions):
             raise BchDecodingError(
                 "error located in the shortened (always-zero) prefix"

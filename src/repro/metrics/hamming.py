@@ -14,12 +14,16 @@ def _as_bits(x) -> np.ndarray:
     return arr.astype(np.uint8)
 
 
-def hamming_distance(a, b) -> int:
-    """Number of positions where two equal-length bit vectors differ."""
-    a, b = _as_bits(a), _as_bits(b)
+def _count_differences(a: np.ndarray, b: np.ndarray) -> int:
+    """Hamming distance of two already-validated bit arrays."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return int(np.count_nonzero(a != b))
+
+
+def hamming_distance(a, b) -> int:
+    """Number of positions where two equal-length bit vectors differ."""
+    return _count_differences(_as_bits(a), _as_bits(b))
 
 
 def fractional_hd(a, b) -> float:
@@ -27,7 +31,7 @@ def fractional_hd(a, b) -> float:
     a = _as_bits(a)
     if a.size == 0:
         raise ValueError("empty responses have no Hamming distance")
-    return hamming_distance(a, b) / a.size
+    return _count_differences(a, _as_bits(b)) / a.size
 
 
 def _upper_triangle_hd(mat: np.ndarray):

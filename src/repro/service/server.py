@@ -90,11 +90,21 @@ def _pack_bits(bits: np.ndarray) -> str:
     return np.packbits(np.asarray(bits).astype(np.uint8)).tobytes().hex()
 
 
-def _unpack_bits(blob_hex: str, n_bits: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(bytes.fromhex(blob_hex), dtype=np.uint8))
-    if bits.size < n_bits:
-        raise ValueError("bit blob too short for the declared bit count")
-    return bits[:n_bits]
+def _unpack_bits(blob_hex: Any, n_bits: Any) -> np.ndarray:
+    """The ``n_bits`` bits packed in ``blob_hex``, which must hold exactly
+    ``ceil(n_bits / 8)`` bytes: no short blobs, no trailing bytes."""
+    if not isinstance(n_bits, int) or isinstance(n_bits, bool) or n_bits <= 0:
+        raise ValueError(f"'bits' must be a positive integer, got {n_bits!r}")
+    if not isinstance(blob_hex, str):
+        raise ValueError("bit blobs must be hex strings")
+    blob = bytes.fromhex(blob_hex)
+    n_bytes = -(-n_bits // 8)
+    if len(blob) != n_bytes:
+        raise ValueError(
+            f"{n_bits} bits pack into {n_bytes} bytes; "
+            f"the blob holds {len(blob)}"
+        )
+    return np.unpackbits(np.frombuffer(blob, dtype=np.uint8), count=n_bits)
 
 
 class FleetService:
@@ -278,7 +288,7 @@ class FleetService:
             return "bad_request", {
                 "error": f"response must be a {record.n_bits}-bit 0/1 vector"
             }
-        distance = fractional_hd(record.reference, resp.astype(np.uint8))
+        distance = fractional_hd(record.reference, resp)
         accepted = distance <= self.threshold
         body = {
             "accepted": bool(accepted),

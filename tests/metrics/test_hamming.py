@@ -39,6 +39,34 @@ class TestFractionalHd:
         with pytest.raises(ValueError):
             fractional_hd([], [])
 
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ([0, 2], [0, 1], "0/1"),
+            ([], [2], "empty"),
+            ([0, 1], [0, 2], "0/1"),
+            ([0, 1], [0, 1, 1], "mismatch"),
+        ],
+    )
+    def test_errors_in_operand_order(self, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            fractional_hd(a, b)
+
+    def test_each_operand_validated_once(self, monkeypatch):
+        from repro.metrics import hamming
+
+        seen = []
+        real = hamming._as_bits
+        monkeypatch.setattr(
+            hamming, "_as_bits", lambda x: seen.append(x) or real(x)
+        )
+        a, b = np.array([0, 1, 1]), np.array([1, 1, 0])
+        assert fractional_hd(a, b) == pytest.approx(2 / 3)
+        assert len(seen) == 2 and seen[0] is a and seen[1] is b
+        seen.clear()
+        assert hamming_distance(a, b) == 2
+        assert len(seen) == 2
+
 
 class TestPairwise:
     def test_count(self):

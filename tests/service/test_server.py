@@ -1,12 +1,20 @@
 """FleetService endpoints in-process: enroll/auth/key semantics + driver."""
 
 import asyncio
+import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.service import FleetService, HelperStore, majority_vote
+from repro.service import (
+    FleetService,
+    FleetSpec,
+    HelperStore,
+    SyntheticFleet,
+    majority_vote,
+)
 from repro.service.audit import AuditTrail
 from repro.telemetry import Tracer, jsonl
 
@@ -141,6 +149,77 @@ class TestKey:
         assert reply["outcome"] == "unknown_chip"
 
 
+class TestServedKeyPath:
+    """The served key path end to end, pinned to recorded values.
+
+    A seeded fleet of 6 chips is enrolled with 5 votes each, then every
+    chip asks for its key once per mission year 0..10.  The ARO fleet
+    (7.7 % of bits flipped at 10 years) keeps every key; the conventional
+    RO fleet (32 %) loses almost all of them after year 1, each one a
+    detected decoding failure.  The digest covers every served key and
+    every error message,
+    so any change to an encoded helper, a corrected word or a
+    ``BchDecodingError`` shows up here.  The values were recorded with
+    the bit-serial GF(2) encoder and syndrome loop the code tables
+    replaced.
+    """
+
+    ENROLL_DIGESTS = [
+        "1ff4d7381350eb76",
+        "ab628bbb6ceecfc5",
+        "f3d99e247db2c7e2",
+        "d0fc17d2c5ec430f",
+        "b550d4f233b3b4e9",
+        "69e00ef71bca972c",
+    ]
+
+    @pytest.mark.parametrize(
+        "design, outcomes, by_year, replies_digest",
+        [
+            ("aro-puf", {"ok": 66}, ["oooooo"] * 11, "51c853cd70e4d58e"),
+            (
+                "ro-puf",
+                {"ok": 10, "key_recovery": 56},
+                ["oooooo", "okookk", "kkkokk"] + ["kkkkkk"] * 8,
+                "4a04eab52924f6d8",
+            ),
+        ],
+    )
+    def test_keys_over_the_mission(
+        self, design, outcomes, by_year, replies_digest
+    ):
+        service = FleetService(seed=0)
+        fleet = SyntheticFleet(
+            FleetSpec(n_chips=6, seed=2014, design=design), service.response_bits
+        )
+
+        async def flow():
+            enrolled = [
+                await service.enroll(chip, fleet.measurements(chip, 5))
+                for chip in range(6)
+            ]
+            replies = [
+                [
+                    await service.key(chip, fleet.read(chip, float(year)))
+                    for chip in range(6)
+                ]
+                for year in range(11)
+            ]
+            return enrolled, replies
+
+        enrolled, replies = asyncio.run(flow())
+        assert [r["key_digest"][:16] for r in enrolled] == self.ENROLL_DIGESTS
+        flat = [r for year in replies for r in year]
+        assert dict(Counter(r["outcome"] for r in flat)) == outcomes
+        assert [
+            "".join(r["outcome"][0] for r in year) for year in replies
+        ] == by_year
+        digest = hashlib.sha256()
+        for r in flat:
+            digest.update(r.get("key", r.get("error", "")).encode())
+        assert digest.hexdigest()[:16] == replies_digest
+
+
 class TestDriver:
     def test_red_meters_every_outcome(self):
         service = FleetService(seed=0)
@@ -218,6 +297,17 @@ class TestDispatch:
             service.dispatch({"op": "auth", "chip_id": "three"})
         )
         assert reply["outcome"] == "bad_request"
+
+    def test_non_string_measurement_is_bad_request(self):
+        service = FleetService(seed=0)
+        reply = asyncio.run(
+            service.dispatch(
+                {"op": "enroll", "chip_id": 0, "bits": 8, "measurements": [255]}
+            )
+        )
+        assert reply["outcome"] == "bad_request"
+        assert "hex strings" in reply["error"]
+        assert service.red.requests == {"enroll": 1}
 
 
 class TestStoreRestart:

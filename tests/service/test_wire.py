@@ -123,6 +123,60 @@ class TestWireErrors:
 
         asyncio.run(_with_server(body))
 
+    @pytest.mark.parametrize(
+        "case, error",
+        [
+            ("trailing_bytes", "the blob holds 135"),
+            ("short_blob", "the blob holds 94"),
+            ("zero_bits", "positive integer, got 0"),
+            ("negative_bits", "positive integer, got -12"),
+            ("bool_bits", "positive integer, got True"),
+        ],
+    )
+    def test_blob_must_hold_exactly_ceil_bits_over_8_bytes(
+        self, tmp_path, case, error
+    ):
+        """``bits`` and the blob must agree byte for byte.  Each case is a
+        genuine response for an enrolled chip, so a lax unpacker would
+        answer it ``ok``; instead it is a metered, audited ``bad_request``."""
+        audit_path = tmp_path / "audit.jsonl"
+
+        async def run():
+            service = FleetService(seed=0, audit=AuditTrail(audit_path, flush_every=1))
+            server = await serve(service, port=0)
+            port = server.sockets[0].getsockname()[1]
+            bits = _golden(service)
+            n = service.response_bits
+            genuine = np.packbits(bits).tobytes().hex()
+            request = {
+                "trailing_bytes": {"bits": n, "response": genuine + "00" * 40},
+                "short_blob": {"bits": n, "response": genuine[:-2]},
+                "zero_bits": {"bits": 0, "response": genuine},
+                # one spare byte: 768 bits, of which [:-12] is the genuine 756
+                "negative_bits": {"bits": -12, "response": genuine + "00"},
+                "bool_bits": {"bits": True, "response": genuine},
+            }[case]
+            client = await ServiceClient.connect("127.0.0.1", port)
+            try:
+                assert (await client.enroll(0, [bits]))["outcome"] == "ok"
+                reply = await client.call({"op": "auth", "chip_id": 0, **request})
+            finally:
+                await client.close()
+                server.close()
+                await server.wait_closed()
+                service.audit.close()
+            return service, reply
+
+        service, reply = asyncio.run(run())
+        assert service.response_bits == 756  # 95 bytes on the wire
+        assert reply["outcome"] == "bad_request"
+        assert error in reply["error"]
+        assert service.red.requests == {"enroll": 1, "auth": 1}
+        rows, _ = jsonl.read(audit_path)
+        assert [(r["endpoint"], r["outcome"]) for r in rows] == [
+            ("enroll", "ok"),
+            ("auth", "bad_request"),
+        ]
 
     def test_oversized_line_is_metered_and_connection_survives(self, tmp_path):
         """A line over the stream limit gets a metered, audited
