@@ -8,6 +8,7 @@ abstract pins them.
 
 from __future__ import annotations
 
+from ..telemetry.anchors import DESIGN_FLIPS_10Y
 from .experiments import (
     AreaResult,
     BitflipResult,
@@ -23,8 +24,8 @@ from .tables import format_series, format_table
 
 #: anchors from the paper's abstract
 PAPER = {
-    "conv_flips_10y": 32.0,
-    "aro_flips_10y": 7.7,
+    "conv_flips_10y": DESIGN_FLIPS_10Y["ro-puf"],
+    "aro_flips_10y": DESIGN_FLIPS_10Y["aro-puf"],
     "conv_hd": 45.0,
     "aro_hd": 49.67,
     "area_ratio": 24.0,

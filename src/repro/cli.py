@@ -89,15 +89,16 @@ import dataclasses
 import pathlib
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from .parallel import ResultCache, cache_key
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from . import telemetry
 from .aging.schedule import MissionProfile
 from .analysis import experiments as exp
 from .analysis import render
-from .service.loadgen import DESIGN_FLIPS_10Y
+from .telemetry.anchors import DESIGN_FLIPS_10Y
+
+if TYPE_CHECKING:
+    from .parallel import ResultCache
 
 
 @dataclass(frozen=True)
@@ -899,7 +900,11 @@ def _result_config(config: exp.ExperimentConfig) -> Dict[str, Any]:
 
 def _open_cache(args: argparse.Namespace) -> Optional[ResultCache]:
     cache_dir = getattr(args, "cache", None)
-    return ResultCache(cache_dir) if cache_dir else None
+    if not cache_dir:
+        return None
+    from .parallel import ResultCache
+
+    return ResultCache(cache_dir)
 
 
 def _run_experiment(
@@ -911,6 +916,8 @@ def _run_experiment(
     spec = EXPERIMENTS[key]
     if cache is None:
         return spec.run(config), False
+    from .parallel import cache_key
+
     ck = cache_key(key, _result_config(config))
     payload = cache.get(ck)
     if payload is not None:

@@ -35,15 +35,12 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from .. import telemetry
+from ..telemetry.anchors import DESIGN_FLIPS_10Y
 from ..telemetry.red import RedMetrics
 from .slo import DEFAULT_SLOS, Slo, check_slos, slo_verdicts_payload
 
 #: schema version of the payload's ``service`` section
 SERVICE_SECTION_FORMAT = 1
-
-#: the paper's 10-year response flip rates, percent (abstract: 32 % of
-#: conventional RO-PUF bits flip after ten years vs 7.7 % for the ARO)
-DESIGN_FLIPS_10Y: Dict[str, float] = {"aro-puf": 7.7, "ro-puf": 32.0}
 
 #: request-log samples kept (the tail) for the payload / CI assertions
 SAMPLE_KEEP = 64

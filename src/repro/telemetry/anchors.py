@@ -179,6 +179,14 @@ PAPER_ANCHORS: Sequence[Anchor] = (
     ),
 )
 
+#: the paper's 10-year response flip rates, percent, by design: the two
+#: flip-rate anchors above, keyed by the design their metric names
+DESIGN_FLIPS_10Y: Dict[str, float] = {
+    a.metric.split(".")[1]: a.paper_value
+    for a in PAPER_ANCHORS
+    if a.name in ("conventional-flips-10y", "aro-flips-10y")
+}
+
 #: experiments a fresh anchor check has to run (the registry's sources)
 ANCHOR_EXPERIMENTS = tuple(
     dict.fromkeys(a.experiment for a in PAPER_ANCHORS if a.experiment)

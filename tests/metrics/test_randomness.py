@@ -91,6 +91,10 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             monobit_test([0, 1, 2])
 
+    def test_negative_entropy_order_rejected(self, random_bits):
+        with pytest.raises(ValueError, match="m must be non-negative"):
+            approximate_entropy_test(random_bits, m=-1)
+
     def test_short_sequence_longest_run_fallback(self):
         bits = np.random.default_rng(0).integers(0, 2, 64)
         assert 0.0 <= longest_run_test(bits) <= 1.0

@@ -1,13 +1,17 @@
-"""The CLI's import path and the served request path stay free of scipy.
+"""The CLI loads only what the command it runs needs.
 
-Only the ECC design search (E6) and the randomness battery need scipy,
-and they import it on first use.  Importing ``repro.cli`` therefore loads
-no ``scipy`` module, and neither does a ``FleetService`` answering
-enroll, auth and key requests.  The design search tabulates its binomial
-tails with a ``scipy.special`` ufunc, so it never loads ``scipy.stats``.
-Each check runs in a fresh interpreter so ``sys.modules`` starts clean;
-it asserts on loaded modules rather than on wall time, which is too
-noisy to gate.
+``import repro.cli`` loads no ``scipy`` module, and none of the serving
+and parallel machinery either (``asyncio``, ``ssl``,
+``concurrent.futures``, ``multiprocessing``, ``repro.service``): ``serve``,
+``loadgen``, ``--jobs`` and ``--cache`` import it when they run.  The
+randomness battery computes its p-values in closed form, so a whole
+``check-anchors`` run loads no ``scipy`` module, and neither does a
+``FleetService`` answering enroll, auth and key requests.  Only the
+binomial tails of the ECC design search (E6) and the key-failure model
+use scipy, through a ``scipy.special`` ufunc, so the search never loads
+``scipy.stats``.  Each check runs in a fresh interpreter so
+``sys.modules`` starts clean; it asserts on loaded modules rather than on
+wall time, which is too noisy to gate.
 """
 
 import os
@@ -41,6 +45,34 @@ def test_cli_import_loads_no_scipy():
         f"""
         import sys
         import repro.cli
+        print({SCIPY_LOADED})
+        """
+    )
+    assert loaded == "[]"
+
+
+def test_cli_import_loads_no_serving_or_parallel_machinery():
+    loaded = _run(
+        """
+        import sys
+        import repro.cli
+        heavy = ("asyncio", "ssl", "concurrent.futures", "multiprocessing",
+                 "repro.service")
+        print(sorted(m for m in sys.modules
+                     if any(m == h or m.startswith(h + ".") for h in heavy)))
+        """
+    )
+    assert loaded == "[]"
+
+
+def test_check_anchors_loads_no_scipy():
+    loaded = _run(
+        f"""
+        import contextlib, io, sys
+        from repro.cli import main
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["check-anchors", "--chips", "8", "--ros", "32"])
         print({SCIPY_LOADED})
         """
     )
