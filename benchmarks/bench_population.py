@@ -268,131 +268,6 @@ class TestTelemetryOverhead:
             f"ceiling is {self.EVENTS_OVERHEAD_CEILING:.0%}"
         )
 
-    #: forensics disabled-path budget: with no collector installed, the
-    #: margin hook in ``responses()`` must cost < 2 % of the E2 sweep —
-    #: it is one call, one module-slot read and one branch, and must
-    #: stay that way
-    FORENSICS_DISABLED_CEILING = 0.02
-
-    #: live capture does real work (one relative-margin evaluation per
-    #: responses() call); generous bound like the tracer's
-    FORENSICS_ENABLED_CEILING = 0.25
-
-    def test_forensics_disabled_path_overhead(self, monkeypatch):
-        """What the uninstalled margin hook costs is < 2 % of the E2 sweep.
-
-        The disabled hook is one call, one collector-slot read and one
-        branch.  This times exactly that call per invocation (tight
-        loop, loop overhead subtracted), multiplies by the number of
-        hook calls one sweep makes, and compares the product against the
-        measured sweep — the method of ``bench_service.py``'s
-        ``test_disabled_hook_share_of_a_request``.  A stub-vs-real A/B
-        of the whole sweep cannot resolve a sub-percent effect through
-        wall-clock noise; this ratio can.  If the disabled path ever
-        starts computing margins before checking the slot, the per-call
-        cost grows by orders of magnitude and the gate catches it.
-        """
-        from repro.forensics import hook as _forensics_hook
-
-        design = aro_design()
-        batch = make_batch_study(design, n_chips=N_CHIPS, rng=SEED)
-        years = list(DEFAULT_YEARS)
-
-        real_hook = _forensics_hook.record_response_margins
-        calls = []
-
-        def counting_hook(*args):
-            calls.append(1)
-            real_hook(*args)
-
-        with monkeypatch.context() as m:
-            m.setattr(_forensics_hook, "record_response_margins", counting_hook)
-            _sweep_batched(batch, years)
-        n_calls = len(calls)
-        assert n_calls >= 1, "the margin hook is not on the sweep path"
-
-        n = 200_000
-
-        def hook_loop():
-            for _ in range(n):
-                _forensics_hook.record_response_margins(None, None, 0.0, None)
-
-        def empty_loop():
-            for _ in range(n):
-                pass
-
-        t_hook = best_of(hook_loop, rounds=9)
-        t_empty = best_of(empty_loop, rounds=9)
-        hook_per_call = max(t_hook - t_empty, 0.0) / n
-        sweep_s = best_of(lambda: _sweep_batched(batch, years), rounds=9)
-        share = hook_per_call * n_calls / sweep_s
-        emit(
-            "forensics_disabled_overhead",
-            f"E2 batched sweep, {N_CHIPS} chips x {design.n_ros} ROs, "
-            f"{len(years)} year points (aro-puf)\n"
-            f"  hook per call   : {hook_per_call * 1e9:8.1f} ns\n"
-            f"  hook calls      : {n_calls:8d}\n"
-            f"  sweep           : {sweep_s * 1e3:8.2f} ms\n"
-            f"  hook share      : {100.0 * share:8.4f} %",
-            values={
-                "hook_ns": hook_per_call * 1e9,
-                "hook_calls": n_calls,
-                "sweep_s": sweep_s,
-                "hook_share": share,
-            },
-        )
-        assert share <= self.FORENSICS_DISABLED_CEILING, (
-            f"disabled margin hook costs {share:.2%} of the sweep "
-            f"({n_calls} x {hook_per_call * 1e9:.0f} ns of "
-            f"{sweep_s * 1e3:.2f} ms); ceiling is "
-            f"{self.FORENSICS_DISABLED_CEILING:.0%}"
-        )
-
-    def test_forensics_collector_overhead(self):
-        """Live margin capture stays within the tracer-class budget.
-
-        Also asserts the sweep is bit-identical with and without the
-        collector: capture only *reads* the frequency tensors the
-        response path already produced.
-        """
-        from repro.forensics import MarginCollector, collector_session
-
-        design = aro_design()
-        batch = make_batch_study(design, n_chips=N_CHIPS, rng=SEED)
-        years = list(DEFAULT_YEARS)
-
-        baseline = _sweep_batched(batch, years)
-        t_disabled = best_of(lambda: _sweep_batched(batch, years), rounds=15)
-        with collector_session(MarginCollector()) as collector:
-            captured = _sweep_batched(batch, years)
-            t_enabled = best_of(
-                lambda: _sweep_batched(batch, years), rounds=15
-            )
-            n_corners = len(collector)
-        assert np.array_equal(baseline[0], captured[0])
-        for a, b in zip(baseline[1], captured[1]):
-            assert np.array_equal(a.per_chip, b.per_chip)
-        overhead = t_enabled / t_disabled - 1.0
-        emit(
-            "forensics_overhead",
-            f"E2 batched sweep, {N_CHIPS} chips x {design.n_ros} ROs, "
-            f"{len(years)} year points (aro-puf)\n"
-            f"  collector absent   : {t_disabled * 1e3:8.2f} ms\n"
-            f"  collector installed: {t_enabled * 1e3:8.2f} ms\n"
-            f"  overhead           : {100.0 * overhead:8.2f} %  "
-            f"({n_corners} corner(s) on tape)",
-            values={
-                "disabled_s": t_disabled,
-                "enabled_s": t_enabled,
-                "enabled_overhead": max(overhead, 0.0),
-            },
-        )
-        assert overhead <= self.FORENSICS_ENABLED_CEILING, (
-            f"collector-enabled sweep costs {overhead:+.1%} over disabled "
-            f"({t_enabled * 1e3:.2f} ms vs {t_disabled * 1e3:.2f} ms); "
-            f"ceiling is {self.FORENSICS_ENABLED_CEILING:.0%}"
-        )
-
     #: the run-observatory disabled-path budget: with nothing installed,
     #: *every* telemetry hook on the sweep path together (spans, counters,
     #: progress, per-block latency observes) must cost < 2 % over no-op
@@ -723,7 +598,7 @@ class TestStoreOutOfCore:
     CHIPS_PER_S_FLOOR = 2_000.0
 
     #: overhead is measured where the kernels, not the store's fixed
-    #: per-corner costs (spill files, block bookkeeping), dominate — the
+    #: per-corner costs (block bookkeeping), dominate — the
     #: regime the flag exists for.  2k chips x 256 ROs is comfortably
     #: in-RAM-feasible (~40 MB/column) yet compute-bound.  The design
     #: target is < 15 %; the hard gate is looser because single-core CI

@@ -86,6 +86,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import pathlib
 import sys
 from dataclasses import dataclass
@@ -211,6 +212,19 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _years(text: str) -> float:
+    """argparse type for a time horizon: a finite, non-negative number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and non-negative, got {value}"
+        )
     return value
 
 
@@ -800,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument(
         "--horizon",
-        type=float,
+        type=_years,
         default=None,
         metavar="YEARS",
         help="forecast horizon in years (default: the paper's 10)",

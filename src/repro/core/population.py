@@ -35,9 +35,10 @@ response *bits* and aging *deltas* are identical.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,7 +47,6 @@ from .._rng import RngLike, spawn, spawn_keys
 from ..aging.schedule import IdlePolicy, MissionProfile
 from ..aging.simulator import AgingSimulator, ChipAging, PopulationAging
 from ..environment.conditions import OperatingConditions
-from ..forensics import hook as _forensics_hook
 from ..kernel.fused import (
     MarginHistogramSink,
     ResponseBlockSink,
@@ -194,16 +194,14 @@ class RamColumns:
     A column source hands :class:`BatchStudy` window-relative row access
     to the ``vth`` / ``tc_scale`` columns, the per-block aging
     subtraction, and the block structure of its rows.  In RAM every row
-    is resident, so :meth:`ensure` and :meth:`release` do nothing and
-    corners never spill.
+    is resident, so :meth:`ensure` and :meth:`release` do nothing.
 
     ``block_size`` is the source block in chips (``None``: the whole
     population is one block); the kernel's work buffer never exceeds it.
     """
 
-    #: resident by construction: pages are never released, corners never spill
+    #: resident by construction: pages are never released
     streaming = False
-    spill = None
 
     def __init__(
         self,
@@ -236,7 +234,7 @@ class RamColumns:
     def ensure(self, lo: int, hi: int, columns: Sequence[str]) -> None:
         pass
 
-    def release(self, lo: int, hi: int, columns: Sequence[str], out=None) -> None:
+    def release(self, lo: int, hi: int, columns: Sequence[str]) -> None:
         pass
 
     def subtracter(self, t: float, mechanism: Optional[str] = None):
@@ -286,9 +284,10 @@ class BatchStudy:
 
     Frequencies are memoised per ``(t_years, conditions[, mechanism])``
     (LRU), so repeated golden-response queries are free.  Memoised arrays
-    are read-only — copy before mutating.  A source that streams and
-    carries a spill cache keeps its corners on disk instead, in a
-    shallower memo whose evictions delete the bytes.
+    are read-only — copy before mutating.  A source that streams (a store
+    window over its resident budget) memoises nothing: every query runs
+    one pass, sinks take the kernel blocks directly, and
+    :meth:`frequencies` hands back a fresh in-RAM corner the caller owns.
 
     Per-chip :class:`RoPufInstance` views remain available through
     :attr:`instances` / :meth:`aged_instances` on an in-RAM source.
@@ -296,9 +295,6 @@ class BatchStudy:
 
     #: number of (t_years, conditions) corners kept in the frequency memo
     MEMO_SIZE = 32
-    #: corners kept on disk when spilling — each costs a population-sized
-    #: segment, so the memo is shallow and eviction deletes the bytes
-    SPILL_MEMO_SIZE = 4
 
     def __init__(
         self,
@@ -325,10 +321,8 @@ class BatchStudy:
         self.source = source
         self.mission = mission
         self._executor = executor
-        # (t, cond[, mechanism]) -> (read-only array, spill key or None)
-        self._freq_memo: "OrderedDict[tuple, Tuple[np.ndarray, Optional[str]]]" = (
-            OrderedDict()
-        )
+        # (t, cond[, mechanism]) -> read-only frequency corner
+        self._freq_memo: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         self._od_buf: Optional[np.ndarray] = None
         self._scratch_buf: Optional[np.ndarray] = None
         self._instances: Optional[List[RoPufInstance]] = None
@@ -376,21 +370,10 @@ class BatchStudy:
         return self.source.aging
 
     @property
-    def memo_size(self) -> int:
-        return self.SPILL_MEMO_SIZE if self._spilling else self.MEMO_SIZE
-
-    @property
-    def _spill(self):
-        if self._executor is not None or self.source is None:
-            return None
-        return self.source.spill
-
-    @property
-    def _spilling(self) -> bool:
-        # Corners go to disk only when the window actually streams: one
-        # under the resident budget keeps them in the deep in-RAM memo
-        # instead of paying file create/commit/reopen per corner.
-        return self._spill is not None and self.source.streaming
+    def _memoising(self) -> bool:
+        # A streaming window holds no population-sized corner in RAM; the
+        # coordinator of a sharded study memoises the merged replies.
+        return self._executor is not None or not self.source.streaming
 
     # ---- lifecycle ---------------------------------------------------
 
@@ -418,83 +401,37 @@ class BatchStudy:
         except Exception:
             pass
 
-    # ---- memoisation / spill -----------------------------------------
+    # ---- memoisation -------------------------------------------------
 
     @staticmethod
     def _key(t_years, conditions, mechanism: Optional[str] = None) -> tuple:
         t = float(t_years)
-        if t < 0:
-            raise ValueError("t_years must be non-negative")
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"t_years must be finite and non-negative, got {t}")
         cond = conditions or OperatingConditions.nominal()
         return (t, cond) if mechanism is None else (t, cond, mechanism)
 
     def _memo_lookup(self, key: tuple) -> Optional[np.ndarray]:
-        entry = self._freq_memo.get(key)
-        if entry is not None:
+        freqs = self._freq_memo.get(key)
+        if freqs is not None:
             self._freq_memo.move_to_end(key)
             telemetry.count("batch.corner_memo_hits")
-            return entry[0]
-        spill = self._spill
-        if spill is not None:
-            # a corner spilled by an earlier run against a persistent
-            # store directory is as good as a memo hit
-            spill_key = self.source.spill_key(key, self.design)
-            arr = spill.open_array(spill_key)
-            if arr is not None:
-                telemetry.count("batch.corner_memo_hits")
-                return self._memoise(key, arr, spill_key)
-        return None
+        return freqs
 
-    def _memoise(
-        self, key: tuple, freqs: np.ndarray, spill_key: Optional[str] = None
-    ) -> np.ndarray:
-        if not isinstance(freqs, np.memmap):
-            freqs.flags.writeable = False
-        self._freq_memo[key] = (freqs, spill_key)
-        while len(self._freq_memo) > self.memo_size:
-            _, (old, old_key) = self._freq_memo.popitem(last=False)
-            del old
-            if old_key is not None:
-                self.source.spill.discard_array(old_key)
-                telemetry.count("store.spill_evictions")
+    def _memoise(self, key: tuple, freqs: np.ndarray) -> np.ndarray:
+        freqs.flags.writeable = False
+        self._freq_memo[key] = freqs
+        while len(self._freq_memo) > self.MEMO_SIZE:
+            self._freq_memo.popitem(last=False)
         return freqs
 
     def drop_cached_corners(self) -> None:
-        """Forget every memoised corner, discarding spilled files too.
+        """Forget every memoised corner.
 
         Benchmarks call this between rounds so every sweep pays the full
-        cost (a cleared memo alone would satisfy the next lookup from the
-        spill directory).  A persistent store loses only its cached
-        corners — never its fabricated columns.
+        cost.  A persistent store keeps its fabricated columns.
         """
-        while self._freq_memo:
-            _, (arr, spill_key) = self._freq_memo.popitem(last=False)
-            del arr
-            if spill_key is not None:
-                self.source.spill.discard_array(spill_key)
-
-    def _alloc_result(self, key: tuple) -> Tuple[np.ndarray, Optional[str]]:
-        shape = (self.source.n_chips, self.design.n_ros)
-        if not self._spilling:
-            return np.empty(shape), None
-        spill_key = self.source.spill_key(key, self.design)
-        telemetry.count("store.spill_writes")
-        return self.source.spill.create_array(spill_key, shape), spill_key
-
-    def _seal_result(
-        self, out: np.ndarray, spill_key: Optional[str], meta: Dict[str, object]
-    ) -> np.ndarray:
-        """Publish a computed corner: commit + reopen read-only if spilled."""
-        if spill_key is None:
-            return out
-        out.flush()
-        del out
-        spill = self.source.spill
-        spill.commit_array(spill_key, meta=meta)
-        sealed = spill.open_array(spill_key)
-        if sealed is None:  # pragma: no cover - disk-level failure
-            raise RuntimeError("spilled corner vanished between commit and reopen")
-        return sealed
+        self._freq_memo.clear()
 
     # ---- batched evaluation ------------------------------------------
 
@@ -507,16 +444,10 @@ class BatchStudy:
 
         Shape ``(n_chips, n_ros)``; row ``i`` equals
         ``instances[i].frequencies(conditions)`` after ``t_years`` of
-        aging, to floating-point rounding (``rtol`` ~1e-12).  A spilling
-        store source returns a read-only memmap of the on-disk corner.
+        aging, to floating-point rounding (``rtol`` ~1e-12).  A streaming
+        store source returns a fresh, writable corner the caller owns.
         """
-        key = self._key(t_years, conditions)
-        cached = self._memo_lookup(key)
-        if cached is not None:
-            return cached
-        if self._executor is not None:
-            return self._memoise(key, self._executor.evaluate("frequencies", *key))
-        return self._corner_pass(key)
+        return self._corner(self._key(t_years, conditions))
 
     def mechanism_frequencies(
         self,
@@ -540,16 +471,22 @@ class BatchStudy:
         """
         if mechanism not in ("bti", "hci"):
             raise ValueError(f"mechanism must be 'bti' or 'hci', got {mechanism!r}")
-        key = self._key(t_years, conditions, mechanism)
-        cached = self._memo_lookup(key)
+        return self._corner(self._key(t_years, conditions, mechanism))
+
+    def _corner(self, key: tuple) -> np.ndarray:
+        """The frequency corner for ``key``: memo, shard workers or one pass."""
+        cached = self._memo_lookup(key) if self._memoising else None
         if cached is not None:
             return cached
-        if self._executor is not None:
+        if self._executor is None:
+            return self._corner_pass(key)
+        if len(key) > 2:
             freqs = self._executor.evaluate(
-                "mechanism_frequencies", key[0], key[1], mechanism=mechanism
+                "mechanism_frequencies", key[0], key[1], mechanism=key[2]
             )
-            return self._memoise(key, freqs)
-        return self._corner_pass(key)
+        else:
+            freqs = self._executor.evaluate("frequencies", *key)
+        return self._memoise(key, freqs)
 
     def responses(
         self,
@@ -572,21 +509,11 @@ class BatchStudy:
         telemetry.count("batch.response_passes")
         key = self._key(t_years, conditions)
         pairs = self.design.pairing.pairs(self.design.n_ros, challenge)
-        freqs = self._memo_lookup(key)
+        freqs = self._memo_lookup(key) if self._memoising else None
         if freqs is None and self._executor is not None:
-            bits = self._executor.evaluate("responses", *key, challenge=challenge)
-            # workers have their collector slot severed, so the forensics
-            # tape sees the merged grid here, once per corner
-            if _forensics_hook.active_collector() is not None:
-                freqs = self.frequencies(*key)
-        else:
-            bits = np.empty((self.n_chips, pairs.shape[0]), dtype=np.uint8)
-            freqs = self._feed(key, freqs, ResponseBlockSink(pairs, bits))
-        if freqs is not None:
-            # forensics hook: no-op (one branch) unless a collector is
-            # installed; the bits above never depend on the capture
-            _forensics_hook.record_response_margins(freqs, pairs, *key)
-            self._release(freqs)
+            return self._executor.evaluate("responses", *key, challenge=challenge)
+        bits = np.empty((self.n_chips, pairs.shape[0]), dtype=np.uint8)
+        self._feed(key, freqs, ResponseBlockSink(pairs, bits))
         return bits
 
     def flip_counts(
@@ -608,20 +535,10 @@ class BatchStudy:
         block the rows are materialised and released once, and per kernel
         block all the years are computed back to back and reduced against
         the t = 0 bits by one gather, compare and count.  No frequency
-        corner is allocated, memoised or spilled.  With a forensics
-        margin collector installed the sweep runs corner by corner
-        through :meth:`responses` instead, so the collector still sees
-        every corner.
+        corner is allocated or memoised.
         """
         keys = [self._key(t, conditions) for t in (0.0, *years)]
         cond = keys[0][1]
-        if _forensics_hook.active_collector() is not None:
-            golden = self.responses(challenge, conditions=cond)
-            counts = np.zeros((len(years), self.n_chips), dtype=np.int64)
-            for k, (t, _) in enumerate(keys[1:]):
-                aged = self.responses(challenge, t, conditions=cond)
-                counts[k] = np.count_nonzero(aged != golden, axis=1)
-            return golden, counts
         telemetry.count("batch.response_passes", len(keys))
         if self._executor is not None:
             return self._executor.evaluate(
@@ -666,7 +583,7 @@ class BatchStudy:
         shared and binning is per-element.
         """
         key = self._key(t_years, conditions)
-        freqs = self._memo_lookup(key)
+        freqs = self._memo_lookup(key) if self._memoising else None
         if freqs is None and self._executor is not None:
             edges = tuple(float(e) for e in np.asarray(edges, dtype=float))
             return self._executor.evaluate(
@@ -674,27 +591,21 @@ class BatchStudy:
             )
         pairs = self.design.pairing.pairs(self.design.n_ros, challenge)
         sink = MarginHistogramSink(pairs, edges)
-        self._release(self._feed(key, freqs, sink))
+        self._feed(key, freqs, sink)
         return sink.counts
 
-    def _feed(self, key: tuple, freqs: Optional[np.ndarray], sink) -> np.ndarray:
+    def _feed(self, key: tuple, freqs: Optional[np.ndarray], sink) -> None:
         """Run ``sink`` over the corner's rows: from the memoised tensor on
-        a hit (block by block, so a spilled corner is never faulted in
-        whole), fused into a fresh pass on a miss."""
+        a hit, fused into a fresh pass on a miss."""
         if freqs is None:
-            return self._corner_pass(key, (sink,))
+            self._corner_pass(key, (sink,))
+            return
         if self.source is None:
             blocks = [(0, freqs.shape[0])]
         else:
             blocks = self.source.blocks()
         for lo, hi in blocks:
             sink(lo, hi, freqs[None, lo:hi])
-        return freqs
-
-    def _release(self, freqs: np.ndarray) -> None:
-        """Drop a spilled corner's pages from RSS after a full pass."""
-        if self.source is not None:
-            self.source.release(0, freqs.shape[0], (), freqs)
 
     # ---- the streaming loop ------------------------------------------
 
@@ -730,15 +641,23 @@ class BatchStudy:
             self._scratch_buf = np.empty(shape)
         return self._od_buf, self._scratch_buf
 
-    def _corner_pass(self, key: tuple, sinks: tuple = ()) -> np.ndarray:
-        """Compute, seal and memoise one corner: :meth:`_stream` with a
-        single time point, its frequencies kept in the memo (or spill)."""
+    def _corner_pass(self, key: tuple, sinks: tuple = ()) -> Optional[np.ndarray]:
+        """:meth:`_stream` at one time point.
+
+        Returns the fresh ``(n_chips, n_ros)`` corner, memoised unless
+        the source streams; or ``None`` when a streaming source feeds
+        ``sinks``: they then take the kernel blocks directly and nothing
+        population-sized is allocated.
+        """
         t, cond = key[0], key[1]
         mechanism = key[2] if len(key) > 2 else None
         telemetry.count("batch.corner_memo_misses")
         if mechanism is not None:
             telemetry.count("batch.mechanism_passes")
         src = self.source
+        corner = None
+        if self._memoising or not sinks:
+            corner = np.empty((src.n_chips, src.n_ros))
         sp = telemetry.start_span(
             "batch.mechanism_frequencies" if mechanism else "batch.frequencies",
             t_years=t,
@@ -746,24 +665,16 @@ class BatchStudy:
             n_chips=src.n_chips,
             n_ros=src.n_ros,
         )
-        out, spill_key = self._alloc_result(key)
         try:
-            self._stream([t], cond, mechanism, sinks, out)
-        except Exception:
-            if spill_key is not None:
-                del out
-                src.spill.discard_array(spill_key)
+            self._stream([t], cond, mechanism, sinks, corner)
+        finally:
             telemetry.end_span(sp)
-            raise
-        meta = {"t_years": t, "temperature_k": cond.temperature_k}
-        if mechanism is not None:
-            meta["mechanism"] = mechanism
-        freqs = self._seal_result(out, spill_key, meta)
-        telemetry.end_span(sp)
         tr = telemetry.active()
         if tr is not None and sp is not None:
             tr.observe("batch.corner_s", sp.duration_ns / 1e9)
-        return self._memoise(key, freqs, spill_key)
+        if corner is None or not self._memoising:
+            return corner
+        return self._memoise(key, corner)
 
     def _stream(
         self,
@@ -787,10 +698,10 @@ class BatchStudy:
         that ``(n_chips, n_ros)`` result and sinks are fed in windows of
         :data:`_SINK_WINDOW_ELEMS` and at every source block end; without
         it they land in one kernel-block buffer that a sink call after
-        every kernel block recycles, so a year sweep allocates nothing
-        population-sized.  Sinks only save the *re-read* passes, so fused
-        and unfused evaluation orders are bit-identical, as are any two
-        block sizes.
+        every kernel block recycles, so a year sweep, or a sink-fed pass
+        over a streaming source, allocates nothing population-sized.
+        Sinks only save the *re-read* passes, so fused and unfused
+        evaluation orders are bit-identical, as are any two block sizes.
         """
         tech = self.design.tech
         src = self.source
@@ -888,9 +799,9 @@ class BatchStudy:
                             "batch.block_s",
                             (time.perf_counter_ns() - _blk0) / 1e9,
                         )
-                # a streaming source drops the block's input pages (and a
-                # spilled result's freshly written rows) from the resident set
-                src.release(blo, bhi, columns, corner)
+                # a streaming source drops the block's input pages from
+                # the resident set
+                src.release(blo, bhi, columns)
         telemetry.count("freq.kernel_blocks", n_blocks)
         if sinks:
             telemetry.count("batch.fused_passes")

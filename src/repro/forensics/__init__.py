@@ -2,23 +2,21 @@
 
 The forensics layer answers the questions the run ledger's scalars
 cannot: *which* bits flip, how much margin each comparison started with,
-and whether NBTI/PBTI or HCI ate that margin.  It hangs off a single
-hot-path hook in the batched response kernel (see
-:mod:`repro.forensics.hook`), costs one branch when disabled, and never
-changes response bits — capture reads the same frequency tensors the
-kernel already computed.
+and whether NBTI/PBTI or HCI ate that margin.  A capture asks the
+engine for frequency corners
+(:meth:`~repro.core.population.BatchStudy.frequencies`) and derives
+bits, margins and histograms from them, so it never changes response
+bits and costs nothing when nobody asks.
 
 ``repro.forensics.report`` / ``repro.forensics.export`` (text tables,
-JSON payloads, PPM heatmaps) are imported lazily by their callers rather
-than re-exported here: ``core.population`` imports this package for the
-hook, so the package root must stay clear of the analysis layer.
+JSON payloads, PPM heatmaps) are imported by their callers rather than
+re-exported here.
 """
 
 from .capture import (
     DEFAULT_FORENSICS_YEARS,
     DEFAULT_HORIZON,
     DesignForensics,
-    MarginCollector,
     capture_forensics,
 )
 from .forecast import (
@@ -34,13 +32,6 @@ from .forecast import (
     rms_drift,
     score_forecast,
 )
-from .hook import (
-    active_collector,
-    collector_session,
-    install_collector,
-    record_response_margins,
-    uninstall_collector,
-)
 
 __all__ = [
     "DEFAULT_FORENSICS_YEARS",
@@ -48,20 +39,14 @@ __all__ = [
     "DesignForensics",
     "ForecastOutcome",
     "K_DEFAULT",
-    "MarginCollector",
     "MarginForecast",
     "STATUS_AT_RISK",
     "STATUS_FLIPPED",
     "STATUS_LABELS",
     "STATUS_STABLE",
-    "active_collector",
     "capture_forensics",
     "classify_bits",
-    "collector_session",
     "forecast_at_risk",
-    "install_collector",
-    "record_response_margins",
     "rms_drift",
     "score_forecast",
-    "uninstall_collector",
 ]

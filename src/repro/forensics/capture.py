@@ -1,22 +1,20 @@
 """Margin capture: turn a population study into a per-bit provenance record.
 
-:class:`MarginCollector` is the in-memory tape behind the kernel hook in
-:mod:`repro.forensics.hook`: every response evaluation that happens while
-a collector is active deposits its signed relative margins, keyed by the
-``(t_years, corner)`` that produced them.  :func:`capture_forensics`
-drives a study through an aging grid under such a session and assembles
-the result — margins, bits, per-mechanism margin shifts and the
-enrolment-time forecast — into one :class:`DesignForensics` record.
+:func:`capture_forensics` asks the engine for one frequency corner per
+year of an aging grid and derives everything from it — the response
+bits (the same ``f[a] > f[b]`` comparison the kernel's response sink
+runs), the signed relative margins and their histograms — then adds the
+per-mechanism margin shifts and the enrolment-time forecast, and
+assembles one :class:`DesignForensics` record.
 
-The capture never alters evaluation: bits come from the engine's own
-``responses`` call (the hook runs *after* the comparison), and every
-worker count and store produces bit-identical frequency tensors, so a
-report built with ``--jobs N`` equals the serial one array for array.
+The capture only reads frequencies, so it never alters evaluation, and
+every worker count and store produces bit-identical frequency tensors:
+a report built with ``--jobs N`` or ``--store mmap`` equals the serial
+one array for array.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -29,6 +27,7 @@ from ..metrics.margins import (
     DEFAULT_HIST_LIMIT,
     MarginSummary,
     histogram_edges,
+    margin_histogram,
     relative_margins,
     summarize_margins,
 )
@@ -41,7 +40,6 @@ from .forecast import (
     rms_drift,
     score_forecast,
 )
-from .hook import collector_session
 
 #: Aging grid captured by default: a compact trajectory up to the
 #: paper's 10-year horizon (the full experiment sweep uses E2's grid).
@@ -49,71 +47,6 @@ DEFAULT_FORENSICS_YEARS: Tuple[float, ...] = (0.5, 2.0, 5.0, 10.0)
 
 #: Default forecast horizon — the paper's headline 10-year point.
 DEFAULT_HORIZON = 10.0
-
-
-def _corner_key(t_years: float, conditions: Optional[OperatingConditions]) -> tuple:
-    return (float(t_years), conditions or OperatingConditions.nominal())
-
-
-class MarginCollector:
-    """Bounded LRU tape of signed margins per ``(t_years, corner)``.
-
-    Any object with this ``record`` signature can sit in the hook slot;
-    this one computes relative margins from the frequencies the kernel
-    hands it and keeps the latest ``max_corners`` grids (re-recording a
-    corner overwrites deterministically, so memo-hit re-evaluations are
-    idempotent).
-    """
-
-    def __init__(self, max_corners: int = 64):
-        if max_corners < 1:
-            raise ValueError("max_corners must be positive")
-        self.max_corners = max_corners
-        self._tape: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-
-    def record(self, frequencies, pairs, t_years, conditions) -> None:
-        """Hook entry point: margins from one response evaluation."""
-        self.record_margins(
-            relative_margins(frequencies, pairs), t_years, conditions
-        )
-
-    def record_margins(self, margins, t_years, conditions) -> None:
-        """Deposit a pre-computed margin grid (the parallel path's entry)."""
-        grid = np.array(margins, dtype=float)  # own copy
-        grid.flags.writeable = False
-        key = _corner_key(t_years, conditions)
-        self._tape[key] = grid
-        self._tape.move_to_end(key)
-        if len(self._tape) > self.max_corners:
-            self._tape.popitem(last=False)
-
-    def margins(
-        self,
-        t_years: float = 0.0,
-        conditions: Optional[OperatingConditions] = None,
-    ) -> np.ndarray:
-        """The recorded margin grid for a corner (read-only)."""
-        key = _corner_key(t_years, conditions)
-        try:
-            return self._tape[key]
-        except KeyError:
-            raise KeyError(
-                f"no margins recorded for t={key[0]} at {key[1].describe()}"
-            ) from None
-
-    def has(
-        self,
-        t_years: float = 0.0,
-        conditions: Optional[OperatingConditions] = None,
-    ) -> bool:
-        return _corner_key(t_years, conditions) in self._tape
-
-    def corners(self) -> list:
-        """Recorded ``(t_years, conditions)`` keys, oldest first."""
-        return list(self._tape)
-
-    def __len__(self) -> int:
-        return len(self._tape)
 
 
 @dataclass(frozen=True)
@@ -203,6 +136,20 @@ class DesignForensics:
         return float(self.flipped.mean())
 
 
+def _read_corner(
+    freqs: np.ndarray, pairs: np.ndarray, edges: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bits, signed margins and margin histogram of one frequency corner.
+
+    The bits run the kernel response sink's comparison (``f[a] > f[b]``),
+    never ``sign(margin)``.  The corner is not kept, so a streaming
+    study's fresh corner is freed before the next year's is computed.
+    """
+    bits = np.greater(freqs[:, pairs[:, 0]], freqs[:, pairs[:, 1]]).view(np.uint8)
+    margins = relative_margins(freqs, pairs)
+    return bits, margins, margin_histogram(margins, edges)
+
+
 def capture_forensics(
     study,
     *,
@@ -218,12 +165,13 @@ def capture_forensics(
     """Run a study through the aging grid and assemble its forensics.
 
     ``study`` is a :class:`~repro.core.population.BatchStudy` over any
-    source and worker count; the capture rides the
-    hook installed for the duration of this call, so no engine internals
-    are touched and the response bits returned to other callers are
-    unchanged.  The enrolment-time forecast consumes the fresh margins
-    plus one aggregate drift scalar (see :mod:`repro.forensics.forecast`)
-    and is scored against the actual flips at ``t_horizon``.
+    source and worker count; the capture makes one
+    :meth:`~repro.core.population.BatchStudy.frequencies` call per grid
+    year plus the two mechanism counterfactuals at the horizon, so the
+    response bits returned to other callers are unchanged.  The
+    enrolment-time forecast consumes the fresh margins plus one
+    aggregate drift scalar (see :mod:`repro.forensics.forecast`) and is
+    scored against the actual flips at ``t_horizon``.
     """
     grid = sorted({0.0, float(t_horizon), *(float(t) for t in years)})
     if grid[0] < 0.0:
@@ -237,19 +185,16 @@ def capture_forensics(
         t_horizon=float(t_horizon),
     )
     try:
-        collector = MarginCollector()
-        bits: Dict[float, np.ndarray] = {}
-        histograms: Dict[float, np.ndarray] = {}
-        with collector_session(collector):
-            for i, t in enumerate(grid):
-                bits[t] = study.responses(challenge, t, conditions=conditions)
-                histograms[t] = study.margin_histogram(
-                    edges, challenge, t, conditions=conditions
-                )
-                telemetry.progress("forensics.capture", i + 1, len(grid))
-        margins = {t: collector.margins(t, conditions) for t in grid}
-
         pairs = study.design.pairing.pairs(study.design.n_ros, challenge)
+        bits: Dict[float, np.ndarray] = {}
+        margins: Dict[float, np.ndarray] = {}
+        histograms: Dict[float, np.ndarray] = {}
+        for i, t in enumerate(grid):
+            bits[t], margins[t], histograms[t] = _read_corner(
+                study.frequencies(t, conditions), pairs, edges
+            )
+            telemetry.progress("forensics.capture", i + 1, len(grid))
+
         m0 = margins[0.0]
         m_horizon = margins[float(t_horizon)]
         bti_shift = (

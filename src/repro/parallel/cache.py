@@ -27,17 +27,6 @@ mismatch, unreadable metadata or undecodable pickle as a miss — with a
 recomputation, never to wrong numbers.  Writes go through a temp file
 and ``os.replace`` so a killed run cannot leave a half-written entry
 under a valid key.
-
-Alongside the pickle payloads the cache holds **array entries**
-(:meth:`create_array` / :meth:`open_array`): ``.npy`` files that the
-out-of-core population store fills block-by-block through a writable
-memmap and that readers reopen memory-mapped, so a population-sized
-frequency tensor never has to exist in RAM on either side.  Array
-entries keep the sidecar-last write discipline — the entry is invisible
-until :meth:`commit_array` lands its JSON sidecar — but record shape and
-dtype instead of a content hash (hashing gigabytes per corner would cost
-more than recomputing them; the addressing key is already a digest of
-everything that determines the bytes).
 """
 
 from __future__ import annotations
@@ -50,9 +39,7 @@ import pickle
 import time
 import warnings
 from datetime import datetime, timezone
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
-
-import numpy as np
+from typing import Any, Dict, Mapping, Optional, Union
 
 from .. import telemetry
 from ..telemetry.manifest import package_version
@@ -207,114 +194,6 @@ class ResultCache:
         tmp = path.with_name(path.name + f".tmp{os.getpid()}")
         tmp.write_bytes(data)
         os.replace(tmp, path)
-
-    # ---- array entries (out-of-core spill) ---------------------------
-
-    def _array_path(self, key: str) -> pathlib.Path:
-        return self.root / f"{key}.npy"
-
-    def has_array(self, key: str) -> bool:
-        """Whether a *committed* array entry exists for ``key``."""
-        if not self._array_path(key).exists():
-            return False
-        meta_path = self._meta_path(key)
-        if not meta_path.exists():
-            return False
-        try:
-            return json.loads(meta_path.read_text()).get("kind") == "array"
-        except Exception:
-            return False
-
-    def create_array(
-        self, key: str, shape: Tuple[int, ...], dtype: Any = np.float64
-    ) -> np.memmap:
-        """A writable memmap destined to become the array entry for ``key``.
-
-        The ``.npy`` file is created sparse at its final size and filled
-        in place by the caller; until :meth:`commit_array` writes the
-        sidecar the entry does not exist (:meth:`open_array` misses), so
-        a killed run leaves no half-written entry under a valid key.
-        """
-        return np.lib.format.open_memmap(
-            self._array_path(key), mode="w+", dtype=np.dtype(dtype), shape=shape
-        )
-
-    def commit_array(
-        self, key: str, *, meta: Optional[Mapping[str, Any]] = None
-    ) -> pathlib.Path:
-        """Publish the array written via :meth:`create_array`.
-
-        The caller must have flushed (or dropped) its writable memmap
-        first; shape and dtype are read back from the ``.npy`` header so
-        the sidecar always describes the bytes actually on disk.
-        """
-        path = self._array_path(key)
-        header = np.load(path, mmap_mode="r")
-        shape, dtype = header.shape, header.dtype
-        del header
-        sidecar = {
-            "format": CACHE_FORMAT,
-            "kind": "array",
-            "shape": list(shape),
-            "dtype": np.dtype(dtype).str,
-            "payload_bytes": path.stat().st_size,
-            "package_version": package_version(),
-            "created_utc": datetime.now(timezone.utc).isoformat(),
-        }
-        if meta:
-            sidecar["meta"] = dict(meta)
-        self._atomic_write(
-            self._meta_path(key),
-            (json.dumps(sidecar, indent=2, sort_keys=True, default=str) + "\n").encode(),
-        )
-        self.stores += 1
-        return path
-
-    def open_array(self, key: str) -> Optional[np.ndarray]:
-        """The committed array for ``key``, memory-mapped read-only.
-
-        Returns ``None`` on a miss; a present-but-inconsistent entry
-        (sidecar/header disagreement, unreadable file) is a miss with a
-        ``RuntimeWarning``, mirroring :meth:`get`.
-        """
-        path = self._array_path(key)
-        meta_path = self._meta_path(key)
-        if not path.exists() or not meta_path.exists():
-            self.misses += 1
-            return None
-        try:
-            meta = json.loads(meta_path.read_text())
-            if meta.get("format") != CACHE_FORMAT or meta.get("kind") != "array":
-                raise ValueError("sidecar does not describe an array entry")
-            arr = np.load(path, mmap_mode="r")
-            if list(arr.shape) != list(meta.get("shape", [])):
-                raise ValueError("stored shape does not match sidecar")
-            if arr.dtype != np.dtype(meta.get("dtype")):
-                raise ValueError("stored dtype does not match sidecar")
-        except Exception as exc:
-            warnings.warn(
-                f"array cache entry {key[:12]}… in {self.root} is unusable "
-                f"({exc}); recomputing",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self.misses += 1
-            return None
-        self.hits += 1
-        return arr
-
-    def discard_array(self, key: str) -> None:
-        """Delete the array entry for ``key`` (eviction; missing is fine).
-
-        The sidecar goes first so a crash mid-discard leaves a headerless
-        orphan (invisible to :meth:`open_array`), never a dangling
-        sidecar pointing at absent bytes.
-        """
-        for path in (self._meta_path(key), self._array_path(key)):
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
 
     # ---- reporting ---------------------------------------------------
 

@@ -38,12 +38,10 @@ from .. import telemetry
 from ..aging.simulator import AgingSimulator, PopulationAging
 from ..core.population import BatchStudy, PopulationView, RamColumns
 from ..environment.conditions import OperatingConditions
-from ..forensics import hook as _hook_mod
 from ..telemetry import events as _events_mod
 from ..telemetry import sampler as _sampler_mod
 from ..telemetry import tracer as _tracer_mod
 from ..variation.chip import ChipPopulation
-from .cache import ResultCache
 from .sharding import ShardSpec
 
 
@@ -123,19 +121,12 @@ def reset_inherited_telemetry() -> None:
     surprising behaviour.  The parent flushes after every event line, so
     no buffered bytes can be replayed from the child either way.
 
-    The forensics margin collector is severed for the same reason: shard
-    ``responses`` calls inside a worker would otherwise deposit partial
-    margin grids into a forked copy of the coordinator's tape.  Margin
-    capture for parallel runs happens coordinator-side, from the merged
-    frequency tensors.
-
     A forked resource-sampler slot is severed too: the inherited object
     holds a dead thread handle (threads do not survive ``fork``), and
     sampling in workers is a coordinator decision, not an inherited one.
     """
     _tracer_mod._active = None
     _events_mod._emitter = None
-    _hook_mod._collector = None
     _sampler_mod._sampler = None
 
 
@@ -199,8 +190,9 @@ def attach_shard(spec: ShardSpec) -> BatchStudy:
     store blocks overlapping its row window on first touch, writing into
     the *same* files every other worker maps, so a block is fabricated at
     most once per sweep across the whole pool (identical bytes if two
-    workers ever race on a boundary block).  The worker's frequency memo
-    spills next to the store, keeping worker RSS block-bounded too.
+    workers ever race on a boundary block).  A window over the resident
+    budget streams and memoises no corner, keeping worker RSS
+    block-bounded too.
     """
     from ..store.store import PopulationStore, StoreColumns
 
@@ -220,7 +212,6 @@ def attach_shard(spec: ShardSpec) -> BatchStudy:
             store,
             row_start=spec.chip_start,
             row_stop=spec.chip_start + spec.n_chips,
-            spill=ResultCache(root / "spill"),
         )
         return BatchStudy(spec.design, source, spec.mission)
 
@@ -280,11 +271,6 @@ def evaluate_shard(
                     req.t_years,
                     conditions=req.conditions,
                 )
-            if isinstance(out, np.memmap):
-                # a store-backed shard hands back a read-only memmap of
-                # its spilled corner; materialise the shard slice so the
-                # reply pickles as plain bytes
-                out = np.array(out)
             arrays.append(out)
         counters = dict(tracer.counters)
         spans = [root.to_timed_dict() for root in tracer.roots]

@@ -63,7 +63,6 @@ from ..telemetry import sampler as _sampler_mod
 from ..aging.schedule import IdlePolicy, MissionProfile
 from ..aging.simulator import AgingSimulator, CoefficientFold
 from ..core.base import PufDesign
-from ..parallel.cache import ResultCache, cache_key
 
 PathLike = Union[str, pathlib.Path]
 
@@ -612,16 +611,17 @@ class StoreColumns:
     clip can never change a byte.  The maxima are taken once per kernel
     block and shared by every year a sweep evaluates on it.
 
-    ``spill`` (a :class:`~repro.parallel.cache.ResultCache`) takes the
-    study's frequency corners to disk when the window streams; the study
-    deletes ``own_root`` on close when it owns the store directory.
+    A streaming window keeps no frequency corner: the study memoises
+    nothing over it and feeds its sinks straight from the kernel blocks.
+    :meth:`close` deletes ``own_root`` when the source owns the store
+    directory.
     """
 
     #: resident-set budget (bytes) above which the window streams: column
-    #: and result pages are flushed and madvise(DONTNEED)-released after
-    #: every block, and corners spill.  Windows that fit the budget skip
-    #: the release (the refaults would cost more than the pages) and run
-    #: at in-RAM speed.
+    #: pages are madvise(DONTNEED)-released after every block and the
+    #: study memoises no corner.  Windows that fit the budget skip the
+    #: release (the refaults would cost more than the pages) and run at
+    #: in-RAM speed.
     RESIDENT_BUDGET_BYTES = 256 * 2**20
 
     def __init__(
@@ -630,7 +630,6 @@ class StoreColumns:
         *,
         row_start: int = 0,
         row_stop: Optional[int] = None,
-        spill: Optional[ResultCache] = None,
         own_root: Optional[pathlib.Path] = None,
     ):
         row_stop = store.n_chips if row_stop is None else int(row_stop)
@@ -640,7 +639,6 @@ class StoreColumns:
                 f"0..{store.n_chips}"
             )
         self.store = store
-        self.spill = spill
         self._own_root = own_root
         self._rows = (int(row_start), row_stop)
         self._closed = False
@@ -679,16 +677,13 @@ class StoreColumns:
         r0 = self._rows[0]
         self.store.ensure_rows(r0 + lo, r0 + hi, columns)
 
-    def release(self, lo: int, hi: int, columns: Sequence[str], out=None) -> None:
-        """When streaming, drop rows ``[lo, hi)`` of the named columns and
-        of a spilled result ``out`` from the resident set."""
+    def release(self, lo: int, hi: int, columns: Sequence[str]) -> None:
+        """When streaming, drop rows ``[lo, hi)`` of the named columns
+        from the resident set."""
         if not self.streaming:
             return
         r0 = self._rows[0]
         self.store.release(columns, r0 + lo, r0 + hi)
-        if isinstance(out, np.memmap):
-            flush_rows(out, lo, hi)
-            release_rows(out, lo, hi)
 
     def subtracter(self, t: float, mechanism: Optional[str] = None):
         """``(subtract(od, scratch, lo, hi), columns)`` for one pass at ``t``.
@@ -748,21 +743,6 @@ class StoreColumns:
             self._max_memo[name] = last
         return last[1]
 
-    def spill_key(self, key: tuple, design: PufDesign) -> str:
-        """Content address of one corner of this window in the spill cache."""
-        t, cond = key[0], key[1]
-        config = {
-            "store": self.store.content_key,
-            "rows": list(self._rows),
-            "t_years": t,
-            "temperature_k": cond.temperature_k,
-            "vdd": cond.vdd,
-            "mechanism": key[2] if len(key) > 2 else None,
-            "pairing": repr(design.pairing),
-            "readout": repr(design.readout),
-        }
-        return cache_key("store.frequencies", config)
-
     def close(self) -> None:
         """Release mappings; delete the store root if this source owns it."""
         if self._closed:
@@ -790,8 +770,7 @@ def open_store_columns(
     persist in ``store_dir/<design name>``, so the designs of one run
     (RO-PUF and ARO-PUF) never share a root; a store already there is
     adopted when its content key matches and refused otherwise, which
-    makes repeated million-chip sweeps incremental.  Spilled corners
-    live next to the segments, under ``spill/``.
+    makes repeated million-chip sweeps incremental.
     """
     own_root: Optional[pathlib.Path] = None
     if store_dir is None:
@@ -807,4 +786,4 @@ def open_store_columns(
         keys=keys,
         block_size=block_size,
     )
-    return StoreColumns(store, spill=ResultCache(root / "spill"), own_root=own_root)
+    return StoreColumns(store, own_root=own_root)

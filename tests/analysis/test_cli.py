@@ -540,13 +540,24 @@ class TestExplain:
         out = capsys.readouterr().out
         assert "Margin forensics" in out
 
-    def test_no_collector_or_emitter_left_installed(self, capsys):
+    def test_no_emitter_left_installed(self, capsys):
         from repro import telemetry
-        from repro.forensics.hook import active_collector
 
         main(["explain", *self.SCALE])
-        assert active_collector() is None
         assert telemetry.active_emitter() is None
+
+    @pytest.mark.parametrize("horizon", ["-1", "nan", "inf", "soon"])
+    def test_bad_horizon_exits_2(self, capsys, horizon):
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", *self.SCALE, "--horizon", horizon])
+        assert exc.value.code == 2
+        assert "--horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", ["0", "2.5", "10"])
+    def test_good_horizon_accepted(self, capsys, horizon):
+        assert main(["explain", *self.SCALE, "--horizon", horizon]) == 0
+        out = capsys.readouterr().out
+        assert f"enrolment margins vs {horizon}-year drift" in out
 
 
 class TestVersionIdentity:

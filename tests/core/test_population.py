@@ -210,28 +210,20 @@ class TestFlipCounts:
         assert c["batch.response_passes"] == 4
         assert not fresh._freq_memo
 
-    def test_collector_sees_every_corner(self, paths):
-        from repro.forensics import hook
-
-        class Tape:
-            def __init__(self):
-                self.years = []
-
-            def record(self, frequencies, pairs, t_years, conditions):
-                self.years.append(t_years)
-
-        _, batch = paths
-        want = batch.flip_counts([5.0, 10.0])
-        with hook.collector_session(Tape()) as tape:
-            got = batch.flip_counts([5.0, 10.0])
-        assert tape.years == [0.0, 5.0, 10.0]
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
-
     def test_negative_year_rejected(self, paths):
         _, batch = paths
         with pytest.raises(ValueError, match="non-negative"):
             batch.flip_counts([1.0, -1.0])
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_year_rejected(self, paths, t):
+        _, batch = paths
+        with pytest.raises(ValueError, match="finite"):
+            batch.flip_counts([1.0, t])
+        with pytest.raises(ValueError, match="finite"):
+            batch.frequencies(t)
+        with pytest.raises(ValueError, match="finite"):
+            batch.responses(t_years=t)
 
 
 class TestPopulationView:

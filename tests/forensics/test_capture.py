@@ -1,10 +1,10 @@
-"""Margin capture: the collector tape and the assembled forensics record.
+"""Margin capture: the assembled forensics record.
 
-The bit-identity tests here are the PR's acceptance criterion: running a
-study under an active collector must change no response bit, and the
-assembled record must reconcile exactly (margins sign-match bits, the
-mechanism split sums to the total delta, histogram counts total the
-population).
+The bit-identity tests here are the capture's acceptance criterion:
+capturing must change no response bit, the derived bits and histograms
+must equal the engine's own, and the assembled record must reconcile
+exactly (margins sign-match bits, the mechanism split sums to the total
+delta, histogram counts total the population).
 """
 
 import numpy as np
@@ -12,12 +12,8 @@ import pytest
 
 from repro.core import aro_design, conventional_design, make_batch_study
 from repro.environment.conditions import OperatingConditions, celsius
-from repro.forensics import (
-    MarginCollector,
-    capture_forensics,
-    collector_session,
-)
-from repro.metrics.margins import relative_margins
+from repro.forensics import capture_forensics
+from repro.metrics.margins import histogram_edges, relative_margins
 
 SEED = 20140324
 DESIGN = aro_design(n_ros=16, n_stages=3)
@@ -32,54 +28,6 @@ def report():
     return capture_forensics(make_case(), design_label="aro-puf")
 
 
-class TestMarginCollector:
-    def test_records_margins_per_corner(self):
-        study = make_case()
-        with collector_session(MarginCollector()) as collector:
-            study.responses()
-            study.responses(t_years=10.0)
-        assert len(collector) == 2
-        assert collector.has(0.0) and collector.has(10.0)
-        pairs = study.design.pairing.pairs(study.design.n_ros, None)
-        expected = relative_margins(study.frequencies(10.0), pairs)
-        assert np.array_equal(collector.margins(10.0), expected)
-
-    def test_recorded_grids_are_read_only(self):
-        collector = MarginCollector()
-        collector.record_margins(np.zeros((2, 3)), 0.0, None)
-        with pytest.raises(ValueError):
-            collector.margins(0.0)[0, 0] = 1.0
-
-    def test_distinct_corners_are_distinct_keys(self):
-        collector = MarginCollector()
-        hot = OperatingConditions(temperature_k=celsius(85.0), vdd=1.0)
-        collector.record_margins(np.zeros((1, 2)), 0.0, None)
-        collector.record_margins(np.ones((1, 2)), 0.0, hot)
-        assert len(collector) == 2
-        assert collector.margins(0.0, hot)[0, 0] == 1.0
-
-    def test_nominal_and_none_share_a_key(self):
-        collector = MarginCollector()
-        collector.record_margins(np.ones((1, 2)), 0.0, None)
-        assert collector.has(0.0, OperatingConditions.nominal())
-
-    def test_lru_bound(self):
-        collector = MarginCollector(max_corners=2)
-        for t in (1.0, 2.0, 3.0):
-            collector.record_margins(np.zeros((1, 1)), t, None)
-        assert len(collector) == 2
-        assert not collector.has(1.0)
-        assert [t for t, _ in collector.corners()] == [2.0, 3.0]
-
-    def test_missing_corner_keyerror_names_the_corner(self):
-        with pytest.raises(KeyError, match="t=5.0"):
-            MarginCollector().margins(5.0)
-
-    def test_bad_max_corners(self):
-        with pytest.raises(ValueError, match="max_corners"):
-            MarginCollector(max_corners=0)
-
-
 class TestCaptureBitIdentity:
     def test_capture_changes_no_response_bits(self):
         """Enabling forensics must not perturb the evaluation."""
@@ -91,14 +39,78 @@ class TestCaptureBitIdentity:
         )
         for t, bits in expected.items():
             assert np.array_equal(report.bits[t], bits)
+            assert report.bits[t].dtype == bits.dtype
+        # margins come from the engine's frequencies, and each histogram
+        # equals the engine's own fused-sink histogram
+        edges = histogram_edges()
+        for t in report.years:
+            assert np.array_equal(
+                report.margins[t],
+                relative_margins(bare.frequencies(t), report.pairs),
+            )
+            assert np.array_equal(
+                report.histograms[t], bare.margin_histogram(edges, None, t)
+            )
         # and the study still answers identically after the capture
         for t, bits in expected.items():
             assert np.array_equal(captured.responses(t_years=t), bits)
 
-    def test_no_collector_left_installed(self, report):
-        from repro.forensics.hook import active_collector
 
-        assert active_collector() is None
+ENGINES = {
+    "ram": {},
+    "jobs2": {"jobs": 2},
+    "mmap": {"store": "mmap", "block_size": 4},
+}
+
+
+class TestCaptureAsksTheEngine:
+    """Every corner of the record is derived from the engine's corner."""
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize(
+        "design",
+        [DESIGN, conventional_design(n_ros=16, n_stages=3)],
+        ids=["aro-puf", "ro-puf"],
+    )
+    def test_corners_are_engine_corners(self, design, engine):
+        ram = make_case(design)
+        with make_batch_study(
+            design, 6, rng=SEED, **ENGINES[engine]
+        ) as study:
+            report = capture_forensics(study, years=(2.0,))
+        for t in report.years:
+            assert np.array_equal(
+                report.margins[t],
+                relative_margins(ram.frequencies(t), report.pairs),
+            )
+            assert np.array_equal(report.bits[t], ram.responses(t_years=t))
+        for mech, shift in (("bti", report.bti_shift), ("hci", report.hci_shift)):
+            counterfactual = relative_margins(
+                ram.mechanism_frequencies(report.t_horizon, mech), report.pairs
+            )
+            assert np.array_equal(shift, counterfactual - report.fresh_margins)
+
+    def test_corner_conditions(self):
+        cond = OperatingConditions(temperature_k=celsius(85.0), vdd=1.1)
+        study = make_case()
+        hot = capture_forensics(study, years=(5.0,), conditions=cond)
+        nominal = capture_forensics(study, years=(5.0,))
+        for t in hot.years:
+            assert np.array_equal(
+                hot.margins[t],
+                relative_margins(study.frequencies(t, cond), hot.pairs),
+            )
+            assert np.array_equal(
+                hot.bits[t], study.responses(t_years=t, conditions=cond)
+            )
+        assert not np.array_equal(hot.fresh_margins, nominal.fresh_margins)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("knob", ["years", "t_horizon"])
+    def test_non_finite_year_rejected(self, knob, t):
+        kwargs = {"years": (t,)} if knob == "years" else {"t_horizon": t}
+        with pytest.raises(ValueError, match="finite"):
+            capture_forensics(make_case(), **kwargs)
 
 
 class TestDesignForensicsRecord:

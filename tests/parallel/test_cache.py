@@ -176,27 +176,6 @@ class TestCorruptSidecar:
         cache.put(key, {"value": 123})
         assert cache.get(key) == {"value": 123}
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [("shape", [3, 3]), ("dtype", "<i4"), ("kind", "pickle"), (None, None)],
-    )
-    def test_array_sidecar(self, cache, field, value):
-        key = cache_key("spill", {"seed": 1}, version="1.0")
-        arr = cache.create_array(key, (4, 2))
-        arr[:] = np.arange(8.0).reshape(4, 2)
-        arr.flush()
-        del arr
-        cache.commit_array(key)
-        meta_path = cache.root / f"{key}.json"
-        if field is None:
-            meta_path.write_text("{broken")
-        else:
-            meta = json.loads(meta_path.read_text())
-            meta[field] = value
-            meta_path.write_text(json.dumps(meta))
-        with pytest.warns(RuntimeWarning, match="unusable"):
-            assert cache.open_array(key) is None
-
     def test_cli_recomputes_identical_tables(self, tmp_path, capsys):
         from repro.cli import main
 

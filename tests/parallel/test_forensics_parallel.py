@@ -76,13 +76,3 @@ class TestParallelMarginPrimitives:
             counts = par.margin_histogram(edges, None, 10.0)
         assert np.array_equal(counts, expected)
         assert counts.sum() == N_CHIPS * DESIGN.n_bits
-
-    def test_workers_do_not_inherit_coordinator_collector(self):
-        """Capture is coordinator-side only: a collector active in the
-        parent must not double-record via the worker processes."""
-        from repro.forensics import MarginCollector, collector_session
-
-        with make_batch_study(DESIGN, 4, rng=SEED, jobs=2) as par:
-            with collector_session(MarginCollector()) as collector:
-                par.responses(t_years=10.0)
-            assert len(collector) == 1  # exactly one grid, from the parent

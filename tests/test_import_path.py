@@ -4,6 +4,7 @@
 and parallel machinery either (``asyncio``, ``ssl``,
 ``concurrent.futures``, ``multiprocessing``, ``repro.service``): ``serve``,
 ``loadgen``, ``--jobs`` and ``--cache`` import it when they run.  The
+out-of-core store (``repro.store``) loads no ``repro.parallel`` module.  The
 randomness battery computes its p-values in closed form, so a whole
 ``check-anchors`` run loads no ``scipy`` module, and neither does a
 ``FleetService`` answering enroll, auth and key requests.  Only the
@@ -60,6 +61,18 @@ def test_cli_import_loads_no_serving_or_parallel_machinery():
                  "repro.service")
         print(sorted(m for m in sys.modules
                      if any(m == h or m.startswith(h + ".") for h in heavy)))
+        """
+    )
+    assert loaded == "[]"
+
+
+def test_store_import_loads_no_parallel_machinery():
+    loaded = _run(
+        """
+        import sys
+        import repro.store
+        print(sorted(m for m in sys.modules
+                     if m == "repro.parallel" or m.startswith("repro.parallel.")))
         """
     )
     assert loaded == "[]"
