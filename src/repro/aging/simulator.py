@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import telemetry
-from .._rng import RngLike, as_generator, spawn
+from .._rng import RngLike, as_generator, as_generators, spawn
 from ..circuit.cells import CellDescriptor
 from ..transistor.technology import TechnologyCard
 from ..variation.chip import NMOS, PMOS, Chip, ChipPopulation
@@ -166,8 +166,10 @@ class AgingSimulator:
         The one prefactor fabricator: :meth:`for_chip` (a one-row
         block), :meth:`PopulationAging.sample`, the mmap store and the
         shard workers all fill their ``(len(rngs), n_ros, n_stages, 2)``
-        tensors through it.  ``rngs[i]`` (a generator or a spawn key)
-        draws chip ``i``'s NBTI prefactors, then its HCI prefactors.
+        tensors through it.  ``rngs[i]`` (a generator or a spawn key; the
+        keys of a block are seeded together,
+        :func:`~repro._rng.as_generators`) draws chip ``i``'s NBTI
+        prefactors, then its HCI prefactors.
         """
         if nbti_out.shape != hci_out.shape or len(nbti_out) != len(rngs):
             raise ValueError(
@@ -175,8 +177,7 @@ class AgingSimulator:
                 f"{len(rngs)} streams, {nbti_out.shape} and {hci_out.shape}"
             )
         shape = nbti_out.shape[1:]
-        for i, rng in enumerate(rngs):
-            gen = as_generator(rng)
+        for i, gen in enumerate(as_generators(rngs)):
             nbti_out[i] = nbti.sample_prefactors(shape, self.tech.nbti, gen)
             hci_out[i] = hci.sample_prefactors(shape, self.tech.hci, gen)
 

@@ -28,11 +28,18 @@ which blocks were touched before it.
 Column segments are created *sparse* at final size and a per-column
 block bitmap (``<col>.flags.npy``) records which blocks hold real
 bytes; the flag for a block is raised only after its rows are written
-and flushed, so readers in other processes never observe half-written
-blocks as materialised (re-fabricating a block concurrently writes the
-same bytes — the race is benign by determinism).  Columns that an
-evaluation never reads (``tc_scale`` at nominal temperature, the aging
-coefficients at ``t = 0``) are never fabricated and never cost disk.
+(and released from the writer's resident set), so readers in other
+processes never observe half-written blocks as materialised
+(re-fabricating a block concurrently writes the same bytes — the race is
+benign by determinism).  Shard workers share the segments as file
+mappings, which are coherent without ``msync``; only a named
+(``durable``) store, which a later run can re-attach, flushes a block's
+rows and then its flag to the file.  Every segment and bitmap is
+length-checked against its ``.npy`` header before it is mapped, so a
+truncated file is refused instead of read back as zeros.  Columns that
+an evaluation never reads (``tc_scale`` at nominal temperature, the
+aging coefficients at ``t = 0``) are never fabricated and never cost
+disk.
 
 The store deliberately knows nothing about frequencies or responses —
 :class:`StoreColumns` hands a row window of it to the one engine,
@@ -58,7 +65,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .. import telemetry
-from .._rng import RngLike, spawn, spawn_keys
+from .._rng import RngLike, as_generators, spawn, spawn_keys
 from ..telemetry import sampler as _sampler_mod
 from ..aging.schedule import IdlePolicy, MissionProfile
 from ..aging.simulator import AgingSimulator, CoefficientFold
@@ -86,6 +93,13 @@ COLUMNS = FAB_COLUMNS + AGING_COLUMNS
 #: to amortise the per-block Python overhead, small enough that a
 #: handful of in-flight blocks stays far below the RSS budget
 DEFAULT_BLOCK_ELEMS = 2_000_000
+
+#: sub-block of fabrication inside a store block, in tensor elements:
+#: about the kernel's work-buffer size (``BatchStudy._BLOCK_ELEMS``), so
+#: a block is assembled sub-block by sub-block in two reused private
+#: buffers that stay cache-resident, instead of in block-sized ones that
+#: are allocated and page-faulted afresh for every block
+FAB_SUBBLOCK_ELEMS = 48_000
 
 _GRAN = _mmaplib.ALLOCATIONGRANULARITY
 
@@ -151,6 +165,38 @@ def _keys_digest(fab_keys: np.ndarray, aging_keys: np.ndarray) -> str:
     return digest.hexdigest()
 
 
+def _map_npy(path: pathlib.Path) -> np.memmap:
+    """Map a store ``.npy`` file read-write after checking its length.
+
+    ``np.load(mmap_mode="r+")`` maps what the header's shape asks for and
+    grows a short file with zeros, so a truncated segment would read
+    back as zero-valued chips.  The file must be exactly its header plus
+    the data the header describes; anything else raises ``ValueError``.
+    """
+    fmt = np.lib.format
+    with open(path, "rb") as fh:
+        actual = os.fstat(fh.fileno()).st_size
+        try:
+            version = fmt.read_magic(fh)
+            read_header = {
+                (1, 0): fmt.read_array_header_1_0,
+                (2, 0): fmt.read_array_header_2_0,
+            }[version]
+            shape, _, dtype = read_header(fh)
+        except (KeyError, ValueError) as exc:
+            raise ValueError(
+                f"{path} is {actual} bytes with no readable .npy header "
+                f"({exc}); the store is damaged"
+            ) from None
+        expected = fh.tell() + int(np.prod(shape)) * dtype.itemsize
+    if actual != expected:
+        raise ValueError(
+            f"{path} is {actual} bytes, but its .npy header describes "
+            f"{expected} bytes; the store is damaged"
+        )
+    return np.load(path, mmap_mode="r+")
+
+
 def _row_byte_span(mm: np.memmap, lo: int, hi: int) -> Tuple[int, int]:
     """Page-aligned ``(start, length)`` of rows ``[lo, hi)`` inside the
     underlying ``mmap`` buffer (which starts at the granularity-aligned
@@ -199,7 +245,10 @@ class PopulationStore:
     (maps an existing store after verifying its identity against the
     supplied design/mission).  All processes attached to one root see
     one coherent population: segments are shared file mappings and the
-    block bitmaps are only raised after a flush.
+    block bitmaps are only raised after a block's rows are written.
+    ``durable`` (recorded in ``meta.json``, so attached workers inherit
+    it) is whether the store outlives its run: only then are rows and
+    bitmaps flushed to the file.
     """
 
     def __init__(
@@ -214,6 +263,7 @@ class PopulationStore:
         fab_keys: np.ndarray,
         aging_keys: np.ndarray,
         content_key: str,
+        durable: bool,
     ):
         self.root = pathlib.Path(root)
         self.design = design
@@ -223,6 +273,7 @@ class PopulationStore:
         self.block_size = int(block_size)
         self.n_blocks = -(-self.n_chips // self.block_size)
         self.content_key = content_key
+        self.durable = bool(durable)
         self._fab_keys = fab_keys
         self._aging_keys = aging_keys
         self._model = design.variation_model()
@@ -237,6 +288,9 @@ class PopulationStore:
         self.fold = CoefficientFold(design.tech, self._simulator.stress, mission)
         self._cols: Dict[str, np.memmap] = {}
         self._flags: Dict[str, np.memmap] = {}
+        per_chip = design.n_ros * design.n_stages * 2
+        self._sub_rows = max(1, FAB_SUBBLOCK_ELEMS // per_chip)
+        self._fab_buffers: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._closed = False
         # Expose the fabrication bitmap to the resource sampler: with
         # --sample-rss an out-of-core sweep's fault-in behaviour becomes
@@ -268,6 +322,7 @@ class PopulationStore:
         rng: RngLike = None,
         keys: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
         block_size: Optional[int] = None,
+        durable: bool = True,
     ) -> "PopulationStore":
         """Create (or adopt) the store for one population at ``root``.
 
@@ -279,7 +334,9 @@ class PopulationStore:
         engine already holds them).  If ``root`` contains a store with
         the same content key it is adopted as-is, keeping its segments,
         bitmaps and block size; a mismatching store is an error, never
-        silently overwritten.
+        silently overwritten.  ``durable=False`` marks a store its owner
+        deletes at the end of the run: nobody can re-attach it, so it is
+        never flushed.
         """
         if n_chips <= 0:
             raise ValueError("n_chips must be positive")
@@ -320,6 +377,7 @@ class PopulationStore:
                 fab_keys=fab_keys,
                 aging_keys=aging_keys,
                 content_key=content_key,
+                durable=meta.get("durable", True),
             )
 
         root.mkdir(parents=True, exist_ok=True)
@@ -341,7 +399,8 @@ class PopulationStore:
                 shape=(n_blocks,),
             )
             flags[:] = 0
-            flags.flush()
+            if durable:
+                flags.flush()
             del flags
         meta = {
             "format": STORE_FORMAT,
@@ -350,6 +409,7 @@ class PopulationStore:
             "n_chips": int(n_chips),
             "block_size": int(block_size),
             "columns": list(COLUMNS),
+            "durable": bool(durable),
         }
         tmp = meta_path.with_name(meta_path.name + f".tmp{os.getpid()}")
         tmp.write_text(json.dumps(meta, indent=2, sort_keys=True, default=str) + "\n")
@@ -364,6 +424,7 @@ class PopulationStore:
             fab_keys=fab_keys,
             aging_keys=aging_keys,
             content_key=content_key,
+            durable=durable,
         )
 
     @classmethod
@@ -413,6 +474,7 @@ class PopulationStore:
             fab_keys=fab_keys,
             aging_keys=aging_keys,
             content_key=content_key,
+            durable=meta.get("durable", True),
         )
 
     # ---- segments ----------------------------------------------------
@@ -423,14 +485,14 @@ class PopulationStore:
             raise KeyError(f"unknown column {name!r}")
         mm = self._cols.get(name)
         if mm is None:
-            mm = np.load(self.root / f"{name}.npy", mmap_mode="r+")
+            mm = _map_npy(self.root / f"{name}.npy")
             self._cols[name] = mm
         return mm
 
     def _flag_map(self, name: str) -> np.memmap:
         mm = self._flags.get(name)
         if mm is None:
-            mm = np.load(self.root / f"{name}.flags.npy", mmap_mode="r+")
+            mm = _map_npy(self.root / f"{name}.flags.npy")
             self._flags[name] = mm
         return mm
 
@@ -491,19 +553,24 @@ class PopulationStore:
         """Fabricate rows ``[lo, hi)`` from their fabrication keys
         (:meth:`VariationModel.fabricate_block`).
 
-        The block is assembled in private buffers and copied in whole:
+        The block's streams are seeded once; each sub-block is assembled
+        in the reused private buffers and copied in whole:
         ``fabricate_block`` fills its outputs in several passes, and a
         worker re-fabricating a block another has already published must
         only ever write the published bytes.
         """
         cols = {name: self.column(name) for name in columns}
-        vth = self._scratch(lo, hi)
-        tc_scale = self._scratch(lo, hi) if "tc_scale" in cols else None
-        self._model.fabricate_block(self._fab_keys[lo:hi], vth, tc_scale)
-        if "vth" in cols:
-            cols["vth"][lo:hi] = vth
-        if tc_scale is not None:
-            cols["tc_scale"][lo:hi] = tc_scale
+        vth_col, tc_col = cols.get("vth"), cols.get("tc_scale")
+        gens = as_generators(self._fab_keys[lo:hi])
+        for s, e in self._sub_blocks(lo, hi):
+            vth, tc_scale = self._buffers(e - s)
+            if tc_col is None:
+                tc_scale = None
+            self._model.fabricate_block(gens[s - lo : e - lo], vth, tc_scale)
+            if vth_col is not None:
+                vth_col[s:e] = vth
+            if tc_col is not None:
+                tc_col[s:e] = tc_scale
         self._publish(cols, lo, hi)
 
     def _fabricate_aging(self, lo: int, hi: int, columns: Sequence[str]) -> None:
@@ -511,38 +578,55 @@ class PopulationStore:
         (:meth:`AgingSimulator.fabricate_block`) and fold them into the
         requested columns through :class:`CoefficientFold`, exactly as
         :class:`~repro.aging.simulator.PopulationAging` folds its tensors.
-        Each fold writes its column's final bytes in one pass.
+        Sub-block by sub-block, each fold writes its column's final bytes
+        in one pass from the private prefactor buffers.
         """
         cols = {name: self.column(name) for name in columns}
-        nbti_a, hci_b = self._scratch(lo, hi), self._scratch(lo, hi)
-        self._simulator.fabricate_block(self._aging_keys[lo:hi], nbti_a, hci_b)
-        for mech, prefactors, fold_coeff, fold_dir in (
-            ("bti", nbti_a, self.fold.bti_coeff, self.fold.bti_dir),
-            ("hci", hci_b, self.fold.hci_coeff, self.fold.hci_dir),
-        ):
-            coeff_col = cols.get(f"{mech}_coeff")
-            dir_col = cols.get(f"{mech}_dir")
-            if coeff_col is None and dir_col is None:
-                continue
-            coeff = fold_coeff(
-                prefactors, prefactors if coeff_col is None else coeff_col[lo:hi]
-            )
-            if dir_col is not None:
-                fold_dir(coeff, out=dir_col[lo:hi])
+        gens = as_generators(self._aging_keys[lo:hi])
+        for s, e in self._sub_blocks(lo, hi):
+            nbti_a, hci_b = self._buffers(e - s)
+            self._simulator.fabricate_block(gens[s - lo : e - lo], nbti_a, hci_b)
+            for mech, prefactors, fold_coeff, fold_dir in (
+                ("bti", nbti_a, self.fold.bti_coeff, self.fold.bti_dir),
+                ("hci", hci_b, self.fold.hci_coeff, self.fold.hci_dir),
+            ):
+                coeff_col = cols.get(f"{mech}_coeff")
+                dir_col = cols.get(f"{mech}_dir")
+                if coeff_col is None and dir_col is None:
+                    continue
+                coeff = fold_coeff(
+                    prefactors, prefactors if coeff_col is None else coeff_col[s:e]
+                )
+                if dir_col is not None:
+                    fold_dir(coeff, out=dir_col[s:e])
         self._publish(cols, lo, hi)
 
-    def _scratch(self, lo: int, hi: int) -> np.ndarray:
-        return np.empty((hi - lo, self.design.n_ros, self.design.n_stages, 2))
+    def _sub_blocks(self, lo: int, hi: int) -> Iterable[Tuple[int, int]]:
+        """Rows ``[lo, hi)`` in fabrication sub-blocks of ``_sub_rows``."""
+        for s in range(lo, hi, self._sub_rows):
+            yield s, min(s + self._sub_rows, hi)
+
+    def _buffers(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The first ``n`` rows of the two reused private fabrication
+        buffers (allocated on first use, ``_sub_rows`` chips each)."""
+        if self._fab_buffers is None:
+            shape = (self._sub_rows, self.design.n_ros, self.design.n_stages, 2)
+            self._fab_buffers = (np.empty(shape), np.empty(shape))
+        first, second = self._fab_buffers
+        return first[:n], second[:n]
 
     def _publish(self, cols: Dict[str, np.memmap], lo: int, hi: int) -> None:
-        """Flush fabricated rows, drop them from RSS, raise the flags."""
+        """Drop fabricated rows from RSS and raise their flags; a durable
+        store flushes the rows before and the flag after."""
         block = lo // self.block_size
         for name, mm in cols.items():
-            flush_rows(mm, lo, hi)
+            if self.durable:
+                flush_rows(mm, lo, hi)
             release_rows(mm, lo, hi)
             flags = self._flag_map(name)
             flags[block] = 1
-            flags.flush()
+            if self.durable:
+                flags.flush()
 
     # ---- read-side RSS control ---------------------------------------
 
@@ -565,6 +649,7 @@ class PopulationStore:
         _sampler_mod.unregister_probe(self._probe_name)
         self._cols.clear()
         self._flags.clear()
+        self._fab_buffers = None
 
     def __enter__(self) -> "PopulationStore":
         return self
@@ -766,7 +851,8 @@ def open_store_columns(
     """Create (or adopt) a store and return its whole-population source.
 
     Without ``store_dir`` the segments live in a temp directory owned by
-    the source and removed on :meth:`StoreColumns.close`.  With it they
+    the source and removed on :meth:`StoreColumns.close`; that store is
+    not durable, so it is never flushed.  With it they
     persist in ``store_dir/<design name>``, so the designs of one run
     (RO-PUF and ARO-PUF) never share a root; a store already there is
     adopted when its content key matches and refused otherwise, which
@@ -785,5 +871,6 @@ def open_store_columns(
         idle_policy=idle_policy,
         keys=keys,
         block_size=block_size,
+        durable=own_root is None,
     )
     return StoreColumns(store, own_root=own_root)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .._rng import RngLike, as_generator, spawn
+from .._rng import RngLike, as_generator, as_generators, spawn
 from ..transistor.technology import TechnologyCard
 from .chip import Chip, ChipPopulation, grid_positions
 from .spatial import LayoutStyle, correlated_field_sampler, effective_systematic
@@ -78,12 +78,14 @@ class VariationModel:
 
         The one process fabricator: :meth:`sample_chip`,
         :meth:`sample_population`, the mmap store and the shard workers
-        all call it.  ``rngs[i]`` (a generator or a spawn key) draws chip
-        ``i`` in a fixed order — inter-die scalar, correlated-field
-        normals, white mismatch, then the ``tc_scale`` mismatch — so a
-        chip's bytes depend only on its own stream, never on the block it
-        was fabricated in.  ``vth_out`` (and ``tc_out``, when the caller
-        wants that column) have shape ``(len(rngs), n_ros, n_stages, 2)``.
+        all call it.  ``rngs[i]`` (a generator or a spawn key; the keys of
+        a block are seeded together, :func:`~repro._rng.as_generators`)
+        draws chip ``i`` in a fixed order — inter-die scalar,
+        correlated-field normals, white mismatch, then the ``tc_scale``
+        mismatch — so a chip's bytes depend only on its own stream, never
+        on the block it was fabricated in.  ``vth_out`` (and ``tc_out``,
+        when the caller wants that column) have shape
+        ``(len(rngs), n_ros, n_stages, 2)``.
         The grid, the systematic field and the correlated-field factor are
         built once per block, and the elementwise assembly runs over the
         whole block, in place, in several passes.  Omitting ``tc_out``
@@ -103,8 +105,7 @@ class VariationModel:
         )
         inter_die = np.empty(n)
         per_ro = np.empty((n, self.n_ros))
-        for i, rng in enumerate(rngs):
-            gen = as_generator(rng)
+        for i, gen in enumerate(as_generators(rngs)):
             inter_die[i] = gen.standard_normal()
             per_ro[i] = draw_corr(gen)
             gen.standard_normal(out=vth_out[i])

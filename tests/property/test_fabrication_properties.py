@@ -11,7 +11,11 @@ coefficients element by element.  The properties draw keys, geometry
 odd stage counts, both layouts, both technology cards and block splits,
 and compare bytes: the block outputs, ``sample_chip`` /
 ``sample_population``, and every mmap store column against the in-RAM
-``PopulationView`` / ``PopulationAging`` tensors and the reference.
+``PopulationView`` / ``PopulationAging`` tensors and the reference.  The
+store assembles each block in fabrication sub-blocks, so one property
+draws store blocks around the sub-block size (one chip, one short of a
+sub-block, exactly one, one past, and more than two), serially and with
+two shard workers fabricating one shared store.
 """
 
 import tempfile
@@ -24,7 +28,7 @@ from repro._rng import as_generator, spawn, spawn_keys
 from repro.aging import hci, nbti
 from repro.aging.schedule import MissionProfile
 from repro.core import aro_design, conventional_design, make_batch_study
-from repro.store.store import COLUMNS, PopulationStore
+from repro.store.store import COLUMNS, FAB_SUBBLOCK_ELEMS, PopulationStore
 from repro.transistor import ptm45, ptm90
 from repro.variation import LayoutStyle, VariationModel
 from repro.variation.chip import NMOS, PMOS, grid_positions
@@ -102,6 +106,17 @@ def _same(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _ram_columns(study) -> dict:
+    return {
+        "vth": study.view.vth,
+        "tc_scale": study.view.tc_scale,
+        "bti_coeff": study.aging._bti_coeff,
+        "hci_coeff": study.aging._hci_coeff,
+        "bti_dir": study.aging._bti_dir,
+        "hci_dir": study.aging._hci_dir,
+    }
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     tech=st.sampled_from(sorted(TECHS)),
@@ -161,15 +176,7 @@ def test_store_columns_match_ram_tensors_and_reference(
 ):
     design = DESIGNS[design](n_ros, n_stages=n_stages, tech=TECHS[tech])
     mission = MissionProfile()
-    ram = make_batch_study(design, n_chips, rng=seed)
-    ram_columns = {
-        "vth": ram.view.vth,
-        "tc_scale": ram.view.tc_scale,
-        "bti_coeff": ram.aging._bti_coeff,
-        "hci_coeff": ram.aging._hci_coeff,
-        "bti_dir": ram.aging._bti_dir,
-        "hci_dir": ram.aging._hci_dir,
-    }
+    ram_columns = _ram_columns(make_batch_study(design, n_chips, rng=seed))
     fab_rng, aging_rng = spawn(seed, 2)
     model = design.variation_model()
     expected_chips = [reference_chip(model, k) for k in spawn_keys(fab_rng, n_chips)]
@@ -192,3 +199,42 @@ def test_store_columns_match_ram_tensors_and_reference(
             for name in COLUMNS:
                 assert _same(store.column(name), ram_columns[name]), name
                 assert _same(store.column(name), expected[name]), name
+
+
+#: the sweep geometry (128 five-stage ROs), whose fabrication sub-block
+#: is 37 chips
+SUB_N_ROS, SUB_N_STAGES = 128, 5
+SUB_ROWS = FAB_SUBBLOCK_ELEMS // (SUB_N_ROS * SUB_N_STAGES * 2)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    design=st.sampled_from(sorted(DESIGNS)),
+    seed=st.integers(0, 2**32 - 1),
+    block_size=st.sampled_from(
+        (1, SUB_ROWS - 1, SUB_ROWS, SUB_ROWS + 1, 2 * SUB_ROWS + 5)
+    ),
+    extra=st.integers(0, 2 * SUB_ROWS + 10),
+    jobs=st.sampled_from((1, 2)),
+)
+@example("conv", 0, SUB_ROWS, SUB_ROWS + 1, 1)
+@example("aro", 1, 2 * SUB_ROWS + 5, 2 * SUB_ROWS + 6, 2)
+def test_store_sub_blocks_match_ram_tensors(design, seed, block_size, extra, jobs):
+    """Store blocks around the fabrication sub-block size, serially and
+    with two workers fabricating the shared store, equal the RAM tensors."""
+    design = DESIGNS[design](SUB_N_ROS, n_stages=SUB_N_STAGES)
+    n_chips = 1 + extra
+    ram_columns = _ram_columns(make_batch_study(design, n_chips, rng=seed))
+    with make_batch_study(
+        design, n_chips, rng=seed, store="mmap", jobs=jobs, block_size=block_size
+    ) as study:
+        # the golden sweep's columns, fabricated by the workers at jobs=2
+        study.flip_counts([0.0, 10.0])
+        store = study.source.store
+        swept = ("vth", "bti_dir", "hci_dir")
+        for name in swept:
+            assert store.materialised_blocks(name) == store.n_blocks, name
+            assert _same(store.column(name), ram_columns[name]), name
+        store.ensure_rows(0, n_chips, COLUMNS)
+        for name in COLUMNS:
+            assert _same(store.column(name), ram_columns[name]), name

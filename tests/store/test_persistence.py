@@ -3,19 +3,32 @@
 A population laid down under ``store_dir`` is reattached by content key:
 the bytes read back are the bytes fabricated, a study over the reopened
 directory answers exactly like a fresh in-RAM study of the same seed,
-and a directory that is not that population is refused.
+and a directory that is not that population is refused, as is one whose
+files were truncated.  Only such a named store is flushed to its files;
+the temporary store a run owns and deletes never is.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro import MissionProfile, aro_design, conventional_design
+from repro.analysis.experiments import ExperimentConfig, aging_bitflips
 from repro.core.population import make_batch_study
 from repro.store import COLUMNS, PopulationStore
+from repro.store import store as store_mod
 
 DESIGN = aro_design(n_ros=16, n_stages=3)
+#: the designs an E2 run at 16 ROs lays down, by store subdirectory
+DESIGN_OF = {
+    design.name: design
+    for design in (aro_design(n_ros=16), conventional_design(n_ros=16))
+}
 N_CHIPS = 11
 SEED = 4242
 BLOCK = 4
@@ -124,3 +137,105 @@ class TestErrors:
         other = MissionProfile(temperature_k=358.15)
         with pytest.raises(ValueError, match="content key mismatch"):
             PopulationStore.attach(root, DESIGN, mission=other)
+
+    @pytest.mark.parametrize("name", ["vth.npy", "vth.flags.npy", "hci_dir.npy"])
+    def test_truncated_file_refused(self, tmp_path, name):
+        """A short segment or bitmap is refused, not grown back with zeros."""
+        root = tmp_path / "pop"
+        _laid_down(root)
+        path = root / name
+        full = path.stat().st_size
+        os.truncate(path, full - 1)
+        column = name.split(".")[0]
+        with PopulationStore.attach(root, DESIGN) as store:
+            mapper = store.materialised_blocks if ".flags" in name else store.column
+            with pytest.raises(ValueError) as info:
+                mapper(column)
+        message = str(info.value)
+        assert name in message
+        assert f"is {full - 1} bytes" in message and f"describes {full} bytes" in message
+        assert path.stat().st_size == full - 1
+
+    def test_truncated_header_refused(self, tmp_path):
+        root = tmp_path / "pop"
+        _laid_down(root)
+        os.truncate(root / "vth.flags.npy", 20)
+        with PopulationStore.attach(root, DESIGN) as store:
+            with pytest.raises(ValueError, match="vth.flags.npy is 20 bytes"):
+                store.materialised_blocks("vth")
+
+    def test_grown_file_refused(self, tmp_path):
+        root = tmp_path / "pop"
+        _laid_down(root)
+        with open(root / "tc_scale.npy", "ab") as fh:
+            fh.write(b"\0" * 8)
+        with PopulationStore.attach(root, DESIGN) as store:
+            with pytest.raises(ValueError, match="tc_scale.npy"):
+                store.column("tc_scale")
+
+    def test_cli_exits_nonzero_on_truncated_segment(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        argv = [
+            sys.executable, "-m", "repro.cli", "run", "e2", "--chips", "4",
+            "--ros", "16", "--store", "mmap", "--store-dir", str(tmp_path),
+        ]
+        env = dict(os.environ, PYTHONPATH=src)
+        first = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert first.returncode == 0, first.stderr
+        vth = tmp_path / "ro-puf" / "vth.npy"
+        os.truncate(vth, vth.stat().st_size // 2)
+        again = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert again.returncode != 0
+        assert "vth.npy" in again.stderr
+
+
+class TestFlushes:
+    """msync only where a later run can re-attach the store."""
+
+    @pytest.fixture
+    def flushes(self, monkeypatch):
+        calls = {"rows": 0, "flags": 0}
+        flush_rows, memmap_flush = store_mod.flush_rows, np.memmap.flush
+
+        def counted_rows(mm, lo, hi):
+            calls["rows"] += 1
+            flush_rows(mm, lo, hi)
+
+        def counted_flush(mm):
+            if mm.dtype == np.uint8:
+                calls["flags"] += 1
+            memmap_flush(mm)
+
+        monkeypatch.setattr(store_mod, "flush_rows", counted_rows)
+        monkeypatch.setattr(np.memmap, "flush", counted_flush)
+        return calls
+
+    def _e2(self, store_dir=None):
+        config = ExperimentConfig(
+            n_chips=7, n_ros=16, store="mmap", block_size=3, store_dir=store_dir
+        )
+        return aging_bitflips(config)
+
+    def test_owned_store_never_flushes(self, flushes):
+        self._e2()
+        assert flushes == {"rows": 0, "flags": 0}
+
+    def test_named_store_flushes_every_published_block(self, tmp_path, flushes):
+        self._e2(str(tmp_path))
+        designs = [p for p in tmp_path.iterdir() if (p / "meta.json").exists()]
+        assert len(designs) == 2
+        published = 0
+        for root in designs:
+            with PopulationStore.attach(root, DESIGN_OF[root.name]) as store:
+                published += sum(store.materialised_blocks(c) for c in COLUMNS)
+        # one block per published (column, block), then its bitmap; each
+        # new store also flushes its zeroed bitmaps once at creation
+        assert published == 2 * 3 * 3  # vth, bti_dir, hci_dir; 3 blocks
+        assert flushes["rows"] == published
+        assert flushes["flags"] == published + 2 * len(COLUMNS)
+        # a re-run adopts both stores and publishes nothing, so it
+        # flushes nothing
+        flushes.update(rows=0, flags=0)
+        self._e2(str(tmp_path))
+        assert flushes == {"rows": 0, "flags": 0}
+

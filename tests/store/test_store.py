@@ -184,3 +184,18 @@ class TestPageOps:
         assert np.array_equal(np.array(mm), data)
         del mm
         assert np.array_equal(np.load(path), data)
+
+    def test_release_without_flush_keeps_bytes(self, tmp_path):
+        """A temporary store never msyncs: released dirty rows stay in
+        the page cache, for this mapping and for a second one (how shard
+        workers share a segment)."""
+        path = tmp_path / "seg.npy"
+        mm = np.lib.format.open_memmap(
+            path, mode="w+", dtype=np.float64, shape=(64, 1024)
+        )
+        data = np.random.default_rng(SEED).normal(size=(64, 1024))
+        mm[:] = data
+        release_rows(mm, 0, 64)
+        other = np.load(path, mmap_mode="r")
+        assert np.array_equal(np.array(other), data)
+        assert np.array_equal(np.array(mm), data)
