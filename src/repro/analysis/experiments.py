@@ -24,7 +24,6 @@ from .._rng import DEFAULT_SEED
 from ..aging.schedule import IdlePolicy, MissionProfile
 from ..core.aro_puf import aro_design
 from ..core.base import PufDesign
-from ..core.factory import Study, make_study
 from ..core.pairing import DistantPairing, NeighborPairing
 from ..core.population import BatchStudy, make_batch_study
 from ..core.readout import compare_pairs, voted_response
@@ -38,7 +37,7 @@ from ..forensics.capture import (
     capture_forensics,
 )
 from ..forensics.forecast import K_DEFAULT
-from ..keygen.design import KeygenDesignPoint, search_design_space
+from ..keygen.design import KeygenDesignPoint, _PricedGrid
 from ..metrics.aliasing import AliasingReport, bit_aliasing
 from ..metrics.randomness import RandomnessReport, population_bits, randomness_battery
 from ..metrics.reliability import ReliabilityReport, reliability
@@ -95,6 +94,12 @@ class ExperimentConfig:
     five-stage oscillators (128 response bits via neighbour pairing) on
     the 90 nm card, with the standard 10-year consumer mission.
 
+    Every experiment that fabricates chips (all but E6 and E11) does so
+    through :func:`~repro.core.population.make_batch_study`, the one
+    engine.  Only :meth:`batch_study_for` (E1, E2, E3, E5, E13) takes the
+    execution knobs below; :meth:`study_for` (E4, E10) and the ablations
+    (E7, E8, E9, E12) build in-RAM, in-process studies.
+
     ``jobs`` shards the batched engine's chip axis over that many worker
     processes (``jobs=1`` stays in-process).  ``store`` selects the
     population backing: ``"ram"`` (default) holds the dense tensors in
@@ -102,11 +107,10 @@ class ExperimentConfig:
     :mod:`repro.store` segments with bounded RSS, under ``store_dir`` (a
     temp directory when unset).  ``block_size`` is the source block in
     chips (see :func:`~repro.core.population.make_batch_study`).  All
-    four knobs change wall-clock and memory only: every experiment that
-    goes through :meth:`batch_study_for` (E1, E2, E3, E5, E13) returns
-    bit-identical numbers for any worker count, store backing or block
-    size, so none of them is part of the result-defining config the
-    ledger and cache key digest.
+    four knobs change wall-clock and memory only: E1, E2, E3, E5 and E13
+    return bit-identical numbers for any worker count, store backing or
+    block size, so none of them is part of the result-defining config
+    the ledger and cache key digest.
     """
 
     n_chips: int = 50
@@ -138,16 +142,17 @@ class ExperimentConfig:
             "aro-puf": aro_design(self.n_ros, self.n_stages),
         }
 
-    def study_for(self, design: PufDesign) -> Study:
-        """Fabricate + prepare aging for one design (seeded)."""
-        return make_study(
+    def study_for(self, design: PufDesign) -> BatchStudy:
+        """Fabricate + prepare aging for one design (seeded), in RAM and
+        in-process whatever the execution knobs say."""
+        return make_batch_study(
             design, self.n_chips, mission=self.mission, rng=self.seed
         )
 
     def batch_study_for(self, design: PufDesign) -> BatchStudy:
-        """Batched counterpart of :meth:`study_for` (same seed, same
-        silicon: responses are bit-identical to the per-chip path),
-        built with this config's execution knobs.  Callers should
+        """:meth:`study_for` built with this config's execution knobs
+        (same seed, same silicon: responses are bit-identical for any
+        knob setting).  Callers should
         ``closing(...)`` the returned study so worker pools and owned
         store directories are released promptly.
         """
@@ -537,33 +542,22 @@ def ecc_area_experiment(
         if bch_palette is not None
         else standard_codes() + [GolayCode()]
     )
+    search = dict(
+        key_bits=key_bits,
+        failure_target=failure_target,
+        repetitions=WIDE_REPETITIONS,
+        bch_palette=palette,
+        max_raw_bits=5_000_000,
+    )
     rows: List[AreaRow] = []
     for label, p_conv, p_aro in policies:
-        conv_pts = search_design_space(
-            p_conv,
-            conventional_design(),
-            key_bits=key_bits,
-            failure_target=failure_target,
-            repetitions=WIDE_REPETITIONS,
-            bch_palette=palette,
-            max_raw_bits=5_000_000,
-        )
-        aro_pts = search_design_space(
-            p_aro,
-            aro_design(),
-            key_bits=key_bits,
-            failure_target=failure_target,
-            repetitions=WIDE_REPETITIONS,
-            bch_palette=palette,
-            max_raw_bits=5_000_000,
-        )
         rows.append(
             AreaRow(
                 policy=label,
                 p_conv=p_conv,
                 p_aro=p_aro,
-                conv=conv_pts[0] if conv_pts else None,
-                aro=aro_pts[0] if aro_pts else None,
+                conv=_PricedGrid(p_conv, conventional_design(), **search).cheapest(),
+                aro=_PricedGrid(p_aro, aro_design(), **search).cheapest(),
             )
         )
     return AreaResult(key_bits=key_bits, failure_target=failure_target, rows=rows)
@@ -608,7 +602,9 @@ def duty_ablation(
         mission = MissionProfile(
             eval_duty=duty, temperature_k=config.mission.temperature_k
         )
-        study = make_study(base, config.n_chips, mission=mission, rng=config.seed)
+        study = make_batch_study(
+            base, config.n_chips, mission=mission, rng=config.seed
+        )
         goldens = study.responses()
         aged = study.responses(t_years=t_years)
         duty_series.add(duty, reliability(goldens, aged).percent())
@@ -623,7 +619,7 @@ def duty_ablation(
         ("aro-puf / free running", base, IdlePolicy.FREE_RUNNING),
     ]
     for label, design, policy in cases:
-        study = make_study(
+        study = make_batch_study(
             design,
             config.n_chips,
             mission=config.mission,
@@ -685,7 +681,7 @@ def layout_ablation(
             )
             tech = design.tech.replace(variation=var)
             scaled = _dc.replace(design, tech=tech)
-            study = make_study(
+            study = make_batch_study(
                 scaled, config.n_chips, mission=config.mission, rng=config.seed
             )
             s.add(mult, uniqueness(study.responses()).percent())
@@ -698,7 +694,7 @@ def layout_ablation(
             (DistantPairing(), "distant"),
         ):
             d = _dc.replace(design, pairing=pairing)
-            study = make_study(
+            study = make_batch_study(
                 d, config.n_chips, mission=config.mission, rng=config.seed
             )
             pairing_rows.append(
@@ -768,7 +764,9 @@ def masking_ablation(
     rows: List[MaskingRow] = []
 
     conv = conventional_design(config.n_ros, config.n_stages)
-    study = make_study(conv, config.n_chips, mission=config.mission, rng=config.seed)
+    study = make_batch_study(
+        conv, config.n_chips, mission=config.mission, rng=config.seed
+    )
 
     for k in ks:
         margins = []
@@ -799,7 +797,7 @@ def masking_ablation(
 
     # the ARO reference: plain neighbour pairing, no helper-data selection
     aro = aro_design(config.n_ros, config.n_stages)
-    aro_study = make_study(
+    aro_study = make_batch_study(
         aro, config.n_chips, mission=config.mission, rng=config.seed
     )
     goldens = aro_study.responses()
@@ -973,7 +971,7 @@ def stage_ablation(
             ("aro-puf", aro_design),
         ):
             design = factory(config.n_ros, n_stages)
-            study = make_study(
+            study = make_batch_study(
                 design, config.n_chips, mission=config.mission, rng=config.seed
             )
             fresh = study.responses()

@@ -80,17 +80,26 @@ class PufDesign:
         population = self.variation_model().sample_population(n_chips, rng)
         return [self.instantiate(chip) for chip in population]
 
-    def puf_area(self) -> float:
+    def puf_area(self, n_ros: Optional[np.ndarray] = None):
         """PUF-block silicon area in square micrometres.
 
         Oscillator array plus readout: two counters, the pair-selection
         muxing (a 2x ``n_ros``:1 mux tree costs about one 2:1 mux per RO
         per side), and the comparator.
+
+        ``n_ros`` (an integer array) prices this design at each of those
+        array sizes instead, as a float64 array; every element takes the
+        scalar formula's operations in the same order, so it equals
+        ``with_n_ros(n).puf_area()`` bit for bit.
         """
         area = self.tech.area
-        cells = self.n_ros * self.cell.cell_area(self.tech)
+        if n_ros is None:
+            n_ros, mux_ros = self.n_ros, max(self.n_ros - 1, 1)
+        else:
+            mux_ros = np.maximum(n_ros - 1, 1)
+        cells = n_ros * self.cell.cell_area(self.tech)
         counters = 2 * self.readout.counter_bits * area.counter_bit
-        mux_tree = 2 * max(self.n_ros - 1, 1) * area.mux2
+        mux_tree = 2 * mux_ros * area.mux2
         comparator = self.readout.counter_bits * (area.xor2 + area.and2)
         return cells + counters + mux_tree + comparator
 
@@ -171,8 +180,10 @@ class RoPufInstance:
     ) -> np.ndarray:
         """Response bits for every challenge, shape ``(len(challenges), n_bits)``.
 
-        The chip's frequencies are computed once for the corner and every
-        challenge's pairs are compared against them.  With a shared
+        The pairing hands over every challenge's pairs in one
+        :meth:`~repro.core.pairing.PairingScheme.pairs_many` call, the
+        chip's frequencies are computed once for the corner, and all the
+        pairs are compared against them.  With a shared
         ``Generator`` the noisy draws are those of one :meth:`evaluate`
         call per challenge in order (oscillator ``a`` then ``b`` for each
         challenge; ``votes > 1`` spawns per challenge), so row ``i`` and
@@ -183,7 +194,7 @@ class RoPufInstance:
         design = self.design
         if len(challenges) == 0:
             raise ValueError("challenges is empty")
-        pairs = np.stack([design.pairing.pairs(design.n_ros, c) for c in challenges])
+        pairs = design.pairing.pairs_many(design.n_ros, challenges)
         check_pairs(pairs, design.n_ros, challenge_axis=True)
         freqs = self.frequencies(conditions)
         if not noisy:

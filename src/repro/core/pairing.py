@@ -13,16 +13,20 @@ The choice matters:
   the PUF literature advertises.
 
 All schemes return an integer array of shape ``(n_bits, 2)``; pairs are
-disjoint unless the scheme explicitly documents otherwise.
+disjoint unless the scheme explicitly documents otherwise.  A batch of
+challenges asks :meth:`PairingScheme.pairs_many` for all its tables at
+once.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
+
+from .._rng import seeded_generators
 
 
 class PairingScheme(abc.ABC):
@@ -38,13 +42,34 @@ class PairingScheme(abc.ABC):
         The built-in schemes override this with a closed form — the
         key-generator design-space search calls it against candidate array
         sizes in the hundreds of thousands, where materialising the pair
-        array per probe would dominate the search.
+        array per probe would dominate the search.  Their closed forms
+        also take an integer array of sizes and return the widths
+        elementwise, which is how the search bisects every candidate at
+        once.  This default materialises the pairs, once per size.
         """
+        if isinstance(n_ros, np.ndarray):
+            widths = [self.pairs(int(n)).shape[0] for n in n_ros.ravel()]
+            return np.array(widths, dtype=np.int64).reshape(n_ros.shape)
         return self.pairs(n_ros).shape[0]
 
+    def pairs_many(
+        self, n_ros: int, challenges: Sequence[Optional[int]]
+    ) -> np.ndarray:
+        """Every challenge's pair array, shape ``(len(challenges), n_bits, 2)``.
+
+        Row ``i`` is ``pairs(n_ros, challenges[i])``; this default stacks
+        exactly that.  ``challenges`` must not be empty.
+        """
+        return np.stack([self.pairs(n_ros, c) for c in challenges])
+
     @staticmethod
-    def _check(n_ros: int) -> None:
-        if n_ros < 2:
+    def _check(n_ros) -> None:
+        # n_ros may be an integer array (the design search's bisection)
+        if isinstance(n_ros, np.ndarray):
+            too_small = n_ros.size and n_ros.min() < 2
+        else:
+            too_small = n_ros < 2
+        if too_small:
             raise ValueError("need at least two oscillators to form a pair")
 
 
@@ -103,10 +128,34 @@ class RandomDisjointPairing(PairingScheme):
 
     def pairs(self, n_ros: int, challenge: Optional[int] = None) -> np.ndarray:
         self._check(n_ros)
+        seed = self._seed(challenge)
+        return self._matching(np.random.default_rng(seed), n_ros)
+
+    def pairs_many(
+        self, n_ros: int, challenges: Sequence[Optional[int]]
+    ) -> np.ndarray:
+        """Every challenge's matching, the challenge seeds hashed as one
+        block (:func:`~repro._rng.seeded_generators`): the same tables as
+        stacking :meth:`pairs`, without a ``default_rng`` per challenge.
+        Challenges of ``2**64`` and up, which block seeding does not
+        take, fall back to the stacked :meth:`pairs`."""
+        self._check(n_ros)
+        seeds = [self._seed(c) for c in challenges]
+        if any(seed >= 2**64 for seed in seeds):
+            return super().pairs_many(n_ros, challenges)
+        return np.stack(
+            [self._matching(gen, n_ros) for gen in seeded_generators(seeds)]
+        )
+
+    def _seed(self, challenge: Optional[int]) -> int:
         seed = self.default_challenge if challenge is None else int(challenge)
         if seed < 0:
             raise ValueError("challenge must be a non-negative integer")
-        perm = np.random.default_rng(seed).permutation(n_ros)
+        return seed
+
+    @staticmethod
+    def _matching(gen: np.random.Generator, n_ros: int) -> np.ndarray:
+        perm = gen.permutation(n_ros)
         n_pairs = n_ros // 2
         return perm[: 2 * n_pairs].reshape(n_pairs, 2)
 

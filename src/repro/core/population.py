@@ -35,10 +35,11 @@ response *bits* and aging *deltas* are identical.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -196,6 +197,12 @@ class RamColumns:
     subtraction, and the block structure of its rows.  In RAM every row
     is resident, so :meth:`ensure` and :meth:`release` do nothing.
 
+    ``aging`` is the population's :class:`PopulationAging`, or a
+    zero-argument callable that samples it.  A callable runs on the first
+    read of :attr:`aging` (the first aged corner, or a per-chip aging
+    view), as the store fabricates its aging columns on first touch: a
+    study that only ever evaluates fresh silicon never draws a prefactor.
+
     ``block_size`` is the source block in chips (``None``: the whole
     population is one block); the kernel's work buffer never exceeds it.
     """
@@ -206,20 +213,32 @@ class RamColumns:
     def __init__(
         self,
         view: PopulationView,
-        aging: PopulationAging,
+        aging: Union[PopulationAging, Callable[[], PopulationAging]],
         block_size: Optional[int] = None,
     ):
-        if aging.n_chips != view.n_chips:
-            raise ValueError(
-                f"aging carries {aging.n_chips} chips, population has "
-                f"{view.n_chips}"
-            )
         self.view = view
-        self.aging = aging
+        self._aging = aging
+        if isinstance(aging, PopulationAging):
+            self._check_aging(aging)
         self.block_size = block_size
         self.n_chips = view.n_chips
         self.n_ros = view.n_ros
         self.n_stages = view.n_stages
+
+    @property
+    def aging(self) -> PopulationAging:
+        """The population aging, sampled now if it was deferred."""
+        if not isinstance(self._aging, PopulationAging):
+            self._aging = self._check_aging(self._aging())
+        return self._aging
+
+    def _check_aging(self, aging: PopulationAging) -> PopulationAging:
+        if aging.n_chips != self.view.n_chips:
+            raise ValueError(
+                f"aging carries {aging.n_chips} chips, population has "
+                f"{self.view.n_chips}"
+            )
+        return aging
 
     def column(self, name: str) -> np.ndarray:
         return {"vth": self.view.vth, "tc_scale": self.view.tc_scale}[name]
@@ -900,9 +919,14 @@ def make_batch_study(
             simulator = AgingSimulator(
                 design.tech, design.cell, mission, idle_policy=idle_policy
             )
-            aging = simulator.population_aging(population, aging_rng)
+            # aging_rng feeds nothing else, so drawing it on first use
+            # yields the prefactors an eager draw would
             source = RamColumns(
-                PopulationView.from_chips(population), aging, block_size
+                PopulationView.from_chips(population),
+                functools.partial(
+                    simulator.population_aging, population, aging_rng
+                ),
+                block_size,
             )
         return BatchStudy(design, source, mission)
     # The whole population's per-chip keys, derived the way

@@ -80,17 +80,17 @@ def select_stable_pairs(
     if n_groups < 1:
         raise ValueError(f"need at least k={k} oscillators, got {freqs.size}")
 
-    table = []
-    for g in range(n_groups):
-        base = g * k
-        group = freqs[base : base + k]
-        # argmax over all distinct pairs within the group; the diagonal is
-        # masked so a fully tied group still yields two distinct devices
-        diff = np.abs(group[:, None] - group[None, :])
-        np.fill_diagonal(diff, -1.0)
-        i, j = np.unravel_index(np.argmax(diff), diff.shape)
-        table.append((base + int(i), base + int(j)))
-    return StaticPairing(pair_table=tuple(table))
+    groups = freqs[: n_groups * k].reshape(n_groups, k)
+    # argmax over all distinct pairs within each group (row-major over its
+    # k x k gap matrix, first maximum wins); the diagonal is masked so a
+    # fully tied group still yields two distinct devices
+    diff = np.abs(groups[:, :, None] - groups[:, None, :])
+    diff[:, np.arange(k), np.arange(k)] = -1.0
+    i, j = np.divmod(diff.reshape(n_groups, k * k).argmax(axis=1), k)
+    base = np.arange(n_groups) * k
+    return StaticPairing(
+        pair_table=tuple(zip((base + i).tolist(), (base + j).tolist()))
+    )
 
 
 def selection_margins(frequencies: np.ndarray, pairing: StaticPairing) -> np.ndarray:

@@ -16,7 +16,9 @@ the two optima is the paper's ~24x result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from ..core.base import PufDesign
 from ..ecc.area import keygen_area, repetition_decoder_area
@@ -56,19 +58,143 @@ class KeygenDesignPoint:
         )
 
 
-def _ros_for_bits(design: PufDesign, raw_bits: int) -> int:
-    """Oscillators needed to source ``raw_bits`` response bits."""
-    # invert the pairing's bit yield; all schemes here are ~linear, so walk
-    # up from the information-theoretic minimum
-    n_ros = max(2, raw_bits)
-    low, high = 2, 4 * raw_bits + 4
-    while low < high:
+def _ros_for_raw_bits(design: PufDesign, raw_bits: np.ndarray) -> np.ndarray:
+    """Oscillators needed to source each entry of ``raw_bits`` (int64 array).
+
+    One bisection over the whole array on the pairing's bit yield: every
+    entry walks the same steps as a scalar bisection of
+    ``[2, 4 * raw_bits + 4]`` would, the built-in schemes' ``n_bits``
+    answering all the probes of a step in one call.  An entry the pairing
+    cannot source even at the bound (a :class:`StaticPairing` yields a
+    fixed number of bits at any size) comes back as -1.
+    """
+    raw = np.asarray(raw_bits, dtype=np.int64)
+    low = np.full(raw.shape, 2, dtype=np.int64)
+    high = 4 * raw + 4
+    active = low < high
+    while active.any():
         mid = (low + high) // 2
-        if design.pairing.n_bits(mid) >= raw_bits:
-            high = mid
-        else:
-            low = mid + 1
-    return low
+        enough = np.asarray(design.pairing.n_bits(mid)) >= raw
+        high = np.where(active & enough, mid, high)
+        low = np.where(active & ~enough, mid + 1, low)
+        active = low < high
+    return np.where(np.asarray(design.pairing.n_bits(low)) >= raw, low, -1)
+
+
+def _ros_for_bits(design: PufDesign, raw_bits: int) -> int:
+    """Oscillators needed to source ``raw_bits`` response bits (raises
+    ``ValueError`` when the pairing never yields that many)."""
+    n_ros = int(_ros_for_raw_bits(design, np.array([raw_bits]))[0])
+    if n_ros < 0:
+        raise ValueError(
+            f"{type(design.pairing).__name__} cannot source {raw_bits} bits "
+            "at any array size"
+        )
+    return n_ros
+
+
+class _PricedGrid:
+    """The whole (repetition x outer code) grid, priced as float64 arrays.
+
+    Every cell's key-failure probability, raw-bit count, array size and
+    PUF / ECC / total area are computed once, with the same IEEE
+    operations in the same order as :func:`~repro.ecc.area.keygen_area`
+    and :meth:`PufDesign.puf_area` on one design point, so each array
+    entry is bit-identical to costing its cell alone.  ``order`` lists
+    the feasible cells (flat, row-major ``(repetition, palette)``
+    indices) by total area, ties in grid order; :meth:`point` builds one
+    :class:`KeygenDesignPoint`, so a caller that wants only the cheapest
+    (:func:`best_design`, experiment E6) builds only that one.
+    """
+
+    def __init__(
+        self,
+        p: float,
+        design: PufDesign,
+        *,
+        key_bits: int = 128,
+        failure_target: float = 1.0e-6,
+        repetitions: Sequence[int] = DEFAULT_REPETITIONS,
+        bch_palette: Optional[List[BchCode]] = None,
+        max_raw_bits: int = 200_000,
+    ):
+        if not 0.0 <= p < 0.5:
+            raise ValueError("raw bit-error probability must be in [0, 0.5)")
+        if not 0.0 < failure_target <= 1.0:
+            raise ValueError(
+                f"failure_target must be in (0, 1], got {failure_target}"
+            )
+        palette = bch_palette if bch_palette is not None else standard_codes()
+        tech = design.tech
+        self.key_bits = key_bits
+        self.inners = [RepetitionCode(r) for r in repetitions]
+        self.palette = list(palette)
+        self.failures = np.array(
+            key_failure_probabilities(p, repetitions, self.palette, key_bits),
+            dtype=float,
+        ).reshape(len(self.inners), len(self.palette))
+
+        # the ECC area splits into an outer-code part and a repetition
+        # part; summing them in AreaBreakdown.total's field order keeps
+        # every total bit-identical to keygen_area(codec, tech).total
+        heads, helpers, encoders, outer_bits = [], [], [], []
+        for outer in self.palette:
+            base = KeyCodec(
+                code=ConcatenatedCode(outer=outer, inner=RepetitionCode(1)),
+                key_bits=key_bits,
+            )
+            area = keygen_area(base, tech)
+            heads.append(area.syndrome + area.berlekamp_massey + area.chien)
+            helpers.append(area.helper_xor)
+            encoders.append(area.encoder)
+            outer_bits.append(base.raw_bits)
+        rep_areas = np.array(
+            [repetition_decoder_area(inner, tech) for inner in self.inners],
+            dtype=float,
+        )[:, None]
+        self.ecc_area = (
+            (np.array(heads, dtype=float)[None, :] + rep_areas)
+            + np.array(helpers, dtype=float)[None, :]
+        ) + np.array(encoders, dtype=float)[None, :]
+        self.raw_bits = (
+            np.array(outer_bits, dtype=np.int64)[None, :]
+            * np.array(repetitions, dtype=np.int64).reshape(-1, 1)
+        )
+
+        # NaN-safe: a cell is dropped only by a comparison that holds
+        feasible = ~(
+            (self.raw_bits > max_raw_bits) | (self.failures > failure_target)
+        )
+        # the PUF side depends only on the raw-bit count, which repeats a
+        # lot: size every distinct feasible count once
+        self.n_ros = np.full(self.raw_bits.shape, -1, dtype=np.int64)
+        distinct, where = np.unique(self.raw_bits[feasible], return_inverse=True)
+        self.n_ros[feasible] = _ros_for_raw_bits(design, distinct)[where]
+        feasible &= self.n_ros >= 0
+        self.puf_area = np.zeros(self.raw_bits.shape)
+        self.puf_area[feasible] = design.puf_area(self.n_ros[feasible])
+        total = self.puf_area + self.ecc_area
+        cells = np.flatnonzero(feasible)
+        self.order = cells[np.argsort(total.ravel()[cells], kind="stable")]
+
+    def point(self, cell: int) -> KeygenDesignPoint:
+        """The design point of one flat grid cell."""
+        i, j = divmod(int(cell), len(self.palette))
+        return KeygenDesignPoint(
+            codec=KeyCodec(
+                code=ConcatenatedCode(outer=self.palette[j], inner=self.inners[i]),
+                key_bits=self.key_bits,
+            ),
+            key_failure=float(self.failures[i, j]),
+            raw_bits=int(self.raw_bits[i, j]),
+            n_ros=int(self.n_ros[i, j]),
+            puf_area=float(self.puf_area[i, j]),
+            ecc_area=float(self.ecc_area[i, j]),
+        )
+
+    def cheapest(self) -> Optional[KeygenDesignPoint]:
+        """The minimum-area feasible point, or ``None`` if there is none."""
+        return self.point(self.order[0]) if self.order.size else None
 
 
 def search_design_space(
@@ -83,69 +209,31 @@ def search_design_space(
 ) -> List[KeygenDesignPoint]:
     """All feasible design points, sorted by total area (best first).
 
-    ``design`` supplies the oscillator cell, readout and technology used to
-    cost the PUF array (it is resized per candidate via
-    :meth:`PufDesign.with_n_ros`).
+    ``design`` supplies the oscillator cell, readout, pairing and
+    technology used to cost the PUF array (priced at each candidate size
+    as :meth:`PufDesign.with_n_ros` would).  ``failure_target`` must be in
+    ``(0, 1]``.
 
-    The key-failure probability of the whole (repetition x outer code)
-    grid comes from one call to
-    :func:`~repro.ecc.concatenated.key_failure_probabilities`; only the
-    feasible points are then costed.  Points come out in
-    (repetition, palette) order before the stable area sort, so ties keep
-    that order.
+    The whole (repetition x outer code) grid is priced once as arrays
+    (:class:`_PricedGrid`): one
+    :func:`~repro.ecc.concatenated.key_failure_probabilities` call, one
+    bisection for every feasible raw-bit count and one
+    :meth:`PufDesign.puf_area` over the resulting array sizes.  A cell is
+    feasible when its raw bits fit ``max_raw_bits``, its key-failure
+    probability meets the target and the pairing can source its raw bits
+    at all.  Points come out in (repetition, palette) order before the
+    stable area sort, so ties keep that order.
     """
-    if not 0.0 <= p < 0.5:
-        raise ValueError("raw bit-error probability must be in [0, 0.5)")
-    if failure_target <= 0:
-        raise ValueError("failure_target must be positive")
-    palette = bch_palette if bch_palette is not None else standard_codes()
-    inners = [RepetitionCode(r) for r in repetitions]
-    failures = key_failure_probabilities(p, repetitions, palette, key_bits)
-
-    # the ECC area splits into an outer-code part and a repetition part;
-    # summing them in AreaBreakdown.total's field order keeps every total
-    # bit-identical to keygen_area(codec, tech).total
-    outer_parts = []
-    for outer in palette:
-        base = KeyCodec(
-            code=ConcatenatedCode(outer=outer, inner=RepetitionCode(1)),
-            key_bits=key_bits,
-        )
-        area = keygen_area(base, design.tech)
-        head = area.syndrome + area.berlekamp_massey + area.chien
-        outer_parts.append(
-            (outer, base.raw_bits, head, area.helper_xor, area.encoder)
-        )
-    # the PUF side depends only on the raw-bit count, which repeats a lot
-    puf_side: Dict[int, Tuple[int, float]] = {}
-
-    points: List[KeygenDesignPoint] = []
-    for inner, row in zip(inners, failures):
-        rep_area = repetition_decoder_area(inner, design.tech)
-        for (outer, bits, head, helper, encoder), pf in zip(outer_parts, row):
-            raw_bits = bits * inner.r
-            if raw_bits > max_raw_bits or pf > failure_target:
-                continue
-            if raw_bits not in puf_side:
-                n_ros = _ros_for_bits(design, raw_bits)
-                sized = design.with_n_ros(n_ros)
-                puf_side[raw_bits] = (n_ros, sized.puf_area())
-            n_ros, puf_area = puf_side[raw_bits]
-            points.append(
-                KeygenDesignPoint(
-                    codec=KeyCodec(
-                        code=ConcatenatedCode(outer=outer, inner=inner),
-                        key_bits=key_bits,
-                    ),
-                    key_failure=pf,
-                    raw_bits=raw_bits,
-                    n_ros=n_ros,
-                    puf_area=puf_area,
-                    ecc_area=head + rep_area + helper + encoder,
-                )
-            )
-    points.sort(key=lambda pt: pt.total_area)
-    return points
+    grid = _PricedGrid(
+        p,
+        design,
+        key_bits=key_bits,
+        failure_target=failure_target,
+        repetitions=repetitions,
+        bch_palette=bch_palette,
+        max_raw_bits=max_raw_bits,
+    )
+    return [grid.point(cell) for cell in grid.order]
 
 
 def best_design(
@@ -156,13 +244,16 @@ def best_design(
     failure_target: float = 1.0e-6,
     **kwargs,
 ) -> KeygenDesignPoint:
-    """The minimum-area feasible configuration (raises if none exists)."""
-    points = search_design_space(
+    """The minimum-area feasible configuration (raises if none exists).
+
+    Prices the same grid as :func:`search_design_space` and builds only
+    its first point."""
+    point = _PricedGrid(
         p, design, key_bits=key_bits, failure_target=failure_target, **kwargs
-    )
-    if not points:
+    ).cheapest()
+    if point is None:
         raise ValueError(
             f"no feasible key generator at p={p} within the searched space; "
             "widen the repetition/BCH palette or relax the target"
         )
-    return points[0]
+    return point

@@ -26,6 +26,7 @@ initializer (and again, defensively, at the top of every task).
 
 from __future__ import annotations
 
+import functools
 import pathlib
 import time
 from collections import OrderedDict
@@ -153,7 +154,8 @@ def fabricate_shard(spec: ShardSpec) -> BatchStudy:
     The shard's rows go through the same block fabricators as the serial
     path — :meth:`VariationModel.fabricate_block` on the chips'
     fabrication streams, then :meth:`PopulationAging.sample` (NBTI before
-    HCI) on their aging streams — so responses and deltas of the shard
+    HCI) on their aging streams, deferred to the shard's first aged
+    corner as in a serial RAM study — so responses and deltas of the shard
     rows are bit-identical to the same rows of a whole-population study
     under the same root seed.
     """
@@ -173,8 +175,8 @@ def fabricate_shard(spec: ShardSpec) -> BatchStudy:
         simulator = AgingSimulator(
             design.tech, design.cell, mission, idle_policy=spec.idle_policy
         )
-        aging = PopulationAging.sample(
-            simulator, population, children=spec.aging_keys
+        aging = functools.partial(
+            PopulationAging.sample, simulator, population, children=spec.aging_keys
         )
         source = RamColumns(
             PopulationView.from_chips(population), aging, spec.block_size

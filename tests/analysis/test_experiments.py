@@ -9,14 +9,19 @@ import pytest
 from repro.analysis import (
     ExperimentConfig,
     aging_bitflips,
+    authentication_experiment,
     duty_ablation,
     ecc_area_experiment,
     environmental_reliability,
+    experiments,
     frequency_degradation,
     layout_ablation,
+    masking_ablation,
     randomness_experiment,
+    stage_ablation,
     uniqueness_experiment,
 )
+from repro.core import make_study
 from repro.ecc import standard_codes
 
 
@@ -229,3 +234,37 @@ class TestMarginForensics:
         serial = margin_forensics(config, years=(5.0,)).ledger_scalars()
         sharded = margin_forensics(parallel, years=(5.0,)).ledger_scalars()
         assert serial == sharded
+
+
+class TestOneEngine:
+    """E4, E7, E8, E9, E10 and E12 fabricate through ``make_batch_study``.
+    With the per-chip ``make_study`` put back in its place every ledger
+    scalar must come out the same, bit for bit."""
+
+    EXPERIMENTS = {
+        "e4": randomness_experiment,
+        "e7": duty_ablation,
+        "e8": layout_ablation,
+        "e9": masking_ablation,
+        "e10": authentication_experiment,
+        "e12": stage_ablation,
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_ledger_scalars_match_per_chip_studies(self, config, monkeypatch, name):
+        run = self.EXPERIMENTS[name]
+        batched = run(config).ledger_scalars()
+
+        calls = []
+
+        def per_chip(design, n_chips, *, mission=None, idle_policy=None, rng=None):
+            calls.append(design.name)
+            return make_study(
+                design, n_chips, mission=mission, idle_policy=idle_policy, rng=rng
+            )
+
+        monkeypatch.setattr(experiments, "make_batch_study", per_chip)
+        per_chip_scalars = run(config).ledger_scalars()
+        assert calls
+        assert batched
+        assert batched == per_chip_scalars

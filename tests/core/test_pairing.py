@@ -9,6 +9,7 @@ from repro.core import (
     NeighborPairing,
     RandomDisjointPairing,
 )
+from repro.core.pairing import PairingScheme
 
 
 class TestNeighborPairing:
@@ -96,3 +97,82 @@ class TestCommon:
     def test_too_few_ros_rejected(self, scheme):
         with pytest.raises(ValueError):
             scheme.pairs(1)
+
+
+ALL_SCHEMES = [
+    NeighborPairing(),
+    ChainPairing(),
+    RandomDisjointPairing(),
+    RandomDisjointPairing(default_challenge=7),
+    DistantPairing(),
+]
+#: 20 challenges: enough for block seeding (12 and up), with the None
+#: default and both ends of the CRP challenge space
+BLOCK = [None, 0, 2**31 - 2, 5, None, *range(100, 115)]
+
+
+def _stacked(scheme, n_ros, challenges):
+    return np.stack([scheme.pairs(n_ros, c) for c in challenges])
+
+
+class TestPairsMany:
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    @pytest.mark.parametrize(
+        "challenges",
+        [
+            [None],
+            [None, 3, None, 0],  # under 12: seeded by default_rng
+            BLOCK,
+            np.arange(40, dtype=np.int64) * 7919,
+            [2**64, 3, 2**70 + 5, *range(20)],  # past 2**64: stacked pairs
+        ],
+        ids=["none", "short", "block", "int64-array", "past-2**64"],
+    )
+    @pytest.mark.parametrize("n_ros", [2, 33, 256])
+    def test_equals_stacked_pairs(self, scheme, challenges, n_ros):
+        got = scheme.pairs_many(n_ros, challenges)
+        want = _stacked(scheme, n_ros, challenges)
+        assert got.dtype == want.dtype
+        assert got.shape == (len(challenges), scheme.n_bits(n_ros), 2)
+        assert np.array_equal(got, want)
+
+    def test_default_challenge_fills_none(self):
+        scheme = RandomDisjointPairing(default_challenge=7)
+        tables = scheme.pairs_many(64, BLOCK)
+        assert np.array_equal(tables[0], RandomDisjointPairing().pairs(64, 7))
+        assert np.array_equal(tables[0], tables[4])
+
+    @pytest.mark.parametrize("challenges", [[3, -1], [*range(20), -5]])
+    def test_negative_challenge_rejected(self, challenges):
+        with pytest.raises(ValueError, match="non-negative"):
+            RandomDisjointPairing().pairs_many(16, challenges)
+
+    def test_too_few_ros_rejected(self):
+        with pytest.raises(ValueError):
+            RandomDisjointPairing().pairs_many(1, BLOCK)
+
+
+class TestArrayWidths:
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_n_bits_elementwise(self, scheme):
+        sizes = np.array([[2, 3, 17], [256, 1001, 400_004]], dtype=np.int64)
+        widths = scheme.n_bits(sizes)
+        assert widths.shape == sizes.shape
+        assert widths.tolist() == [[scheme.n_bits(int(n)) for n in row] for row in sizes]
+
+    def test_default_counts_pairs_per_size(self):
+        """A scheme that only defines ``pairs`` still answers an array of
+        sizes (the design search bisects with one)."""
+
+        class PairsOnly(PairingScheme):
+            def pairs(self, n_ros, challenge=None):
+                return ChainPairing().pairs(n_ros)
+
+        sizes = np.array([2, 9, 64], dtype=np.int64)
+        assert PairsOnly().n_bits(sizes).tolist() == [1, 8, 63]
+        assert PairsOnly().n_bits(9) == 8
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_array_with_too_few_ros_rejected(self, scheme):
+        with pytest.raises(ValueError):
+            scheme.n_bits(np.array([4, 1]))

@@ -277,6 +277,51 @@ class TestBatchedReadout:
         assert fast.mean_flip_fraction == slow.mean_flip_fraction
 
 
+class TestLazyAging:
+    """The RAM source draws the aging prefactors on the first aged
+    corner: a fresh-only study never samples one."""
+
+    @pytest.fixture
+    def prefactor_draws(self, monkeypatch):
+        from repro.aging.simulator import AgingSimulator
+
+        calls = []
+        draw = AgingSimulator.fabricate_block
+
+        def counted(self, rngs, nbti_out, hci_out):
+            calls.append(len(rngs))
+            return draw(self, rngs, nbti_out, hci_out)
+
+        monkeypatch.setattr(AgingSimulator, "fabricate_block", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    def test_fresh_only_study_samples_no_prefactors(self, prefactor_draws, name):
+        batch = make_batch_study(FACTORIES[name](n_ros=N_ROS), N_CHIPS, rng=SEED)
+        batch.responses()
+        batch.frequencies(conditions=OperatingConditions(temperature_k=celsius(85.0)))
+        batch.instances[0].evaluate(noisy=True, rng=1)
+        assert prefactor_draws == []
+
+    def test_first_aged_corner_samples_once(self, prefactor_draws, paths):
+        study, eager = paths
+        batch = make_batch_study(study.design, N_CHIPS, rng=SEED)
+        aged = batch.responses(t_years=10.0)
+        batch.responses(t_years=5.0)
+        assert prefactor_draws == [N_CHIPS]
+        assert np.array_equal(aged, eager.responses(t_years=10.0))
+        assert np.array_equal(batch.aging.nbti_a, eager.aging.nbti_a)
+        assert np.array_equal(batch.aging.hci_b, eager.aging.hci_b)
+
+    def test_deferred_aging_is_checked_against_the_view(self, paths):
+        study, batch = paths
+        source = RamColumns(
+            batch.view, lambda: PopulationAging.from_agings(study.agings[:3])
+        )
+        with pytest.raises(ValueError, match="chips"):
+            source.aging
+
+
 class TestValidation:
     def test_batch_study_rejects_foreign_aging(self, paths):
         study, batch = paths

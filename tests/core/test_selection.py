@@ -100,3 +100,27 @@ class TestStaticPairing:
         for seed in range(10):
             noisy = masked_inst.evaluate(noisy=True, rng=seed)
             assert np.array_equal(noisy, golden)
+
+
+def _selection_loop(freqs, k):
+    """The per-group selection: one argmax over each group's gap matrix."""
+    table = []
+    for g in range(freqs.size // k):
+        group = freqs[g * k : (g + 1) * k]
+        diff = np.abs(group[:, None] - group[None, :])
+        np.fill_diagonal(diff, -1.0)
+        i, j = np.unravel_index(np.argmax(diff), diff.shape)
+        table.append((g * k + int(i), g * k + int(j)))
+    return tuple(table)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 8, 16])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_vectorised_selection_matches_the_group_loop(k, seed):
+    """Ties included: rounding the frequencies to a coarse grid makes
+    equal gaps common, and the first maximum in row-major order wins."""
+    freqs = np.random.default_rng(seed).normal(1.0e9, 1.0e7, 259)
+    for values in (freqs, np.round(freqs, -7)):
+        got = select_stable_pairs(values, k).pair_table
+        assert got == _selection_loop(values, k)
+        assert all(type(v) is int for pair in got for v in pair)

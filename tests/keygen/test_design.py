@@ -1,10 +1,15 @@
 """Key-generator design-space search."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.core import aro_design, conventional_design
+from repro.core.selection import select_stable_pairs
 from repro.ecc import standard_codes
 from repro.keygen import best_design, search_design_space
+from repro.keygen.design import _ros_for_bits
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +59,54 @@ class TestSearch:
             search_design_space(
                 0.1, aro_design(), bch_palette=palette, failure_target=0.0
             )
+
+
+class TestFailureTarget:
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), 0.0, -1.0, 1.5])
+    def test_outside_unit_interval_rejected(self, target):
+        palette = standard_codes()[:20]
+        with pytest.raises(ValueError, match="failure_target"):
+            search_design_space(
+                0.08, aro_design(), bch_palette=palette, failure_target=target
+            )
+        with pytest.raises(ValueError, match="failure_target"):
+            best_design(0.08, aro_design(), bch_palette=palette, failure_target=target)
+
+    def test_one_admits_every_cell(self):
+        """``failure_target=1`` is the loosest valid target: every cell
+        within ``max_raw_bits`` is feasible."""
+        palette = standard_codes()[:20]
+        points = search_design_space(
+            0.08, aro_design(), bch_palette=palette, failure_target=1.0
+        )
+        assert len(points) == len(palette) * 14
+        assert len(points) > len(
+            search_design_space(0.08, aro_design(), bch_palette=palette)
+        )
+
+
+class TestUnreachableRawBits:
+    """A pairing whose bit yield never reaches a cell's raw bits (a
+    :class:`StaticPairing` yields its table's width at any array size)
+    makes that cell infeasible instead of costing it at the bisection
+    bound."""
+
+    @pytest.fixture(scope="class")
+    def static_design(self):
+        freqs = np.random.default_rng(3).normal(1.0e9, 1.0e7, 64)
+        return dataclasses.replace(
+            conventional_design(64, 5), pairing=select_stable_pairs(freqs, 4)
+        )
+
+    def test_ros_for_bits_raises(self, static_design):
+        assert _ros_for_bits(static_design, 16) == 2
+        with pytest.raises(ValueError, match="cannot source 17 bits"):
+            _ros_for_bits(static_design, 17)
+
+    def test_best_design_finds_nothing(self, static_design):
+        with pytest.raises(ValueError, match="no feasible"):
+            best_design(0.05, static_design)
+        assert search_design_space(0.05, static_design) == []
 
 
 class TestDesignPoint:

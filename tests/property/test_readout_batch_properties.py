@@ -135,3 +135,21 @@ def test_binom_sf_falls_back_without_the_private_ufunc(monkeypatch):
     )
     assert binom_sf(3, 7, 0.3) == "sf"
     assert calls == [(3, 7, 0.3)]
+
+
+@pytest.mark.parametrize("votes", [1, 3])
+@pytest.mark.parametrize("design", sorted(INSTANCES))
+def test_block_seeded_tables_keep_the_noisy_stream(design, votes):
+    """A batch of 12 or more challenges gets its pair tables block-seeded
+    (``RandomDisjointPairing.pairs_many``); the noisy readout must still
+    equal the per-challenge loop and leave the shared generator where the
+    loop leaves it."""
+    inst = INSTANCES[design]
+    challenges = np.array([0, 2**31 - 2, *range(7, 7 + 18 * 5, 5)], dtype=np.int64)
+    batch_gen, loop_gen = np.random.default_rng(5), np.random.default_rng(5)
+    batch = inst.evaluate_many(challenges, noisy=True, votes=votes, rng=batch_gen)
+    loop = np.stack(
+        [inst.evaluate(c, noisy=True, votes=votes, rng=loop_gen) for c in challenges]
+    )
+    assert batch.tobytes() == loop.tobytes()
+    assert batch_gen.bit_generator.state == loop_gen.bit_generator.state

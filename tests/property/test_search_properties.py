@@ -7,17 +7,25 @@ search, and a depth-first search per pair for the sorting attack.  Every
 float is compared by ``float.hex``, so "equal" means bit-identical.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from repro.core import aro_design, conventional_design
-from repro.core.pairing import RandomDisjointPairing
+from repro.core.pairing import (
+    ChainPairing,
+    DistantPairing,
+    NeighborPairing,
+    RandomDisjointPairing,
+)
 from repro.ecc import BchCode, GolayCode, KeyCodec, keygen_area
 from repro.ecc.concatenated import ConcatenatedCode
 from repro.ecc.repetition import RepetitionCode
-from repro.keygen import search_design_space
+from repro.keygen import best_design, search_design_space
 from repro.keygen.design import _ros_for_bits
 from repro.protocol import CrpTable, build_attack_model, sorting_attack
 
@@ -30,6 +38,12 @@ PALETTE = [
     GolayCode(),
 ]
 DESIGNS = {"ro-puf": conventional_design(), "aro-puf": aro_design()}
+PAIRINGS = {
+    "neighbour": NeighborPairing(),
+    "chain": ChainPairing(),
+    "distant": DistantPairing(),
+    "random": RandomDisjointPairing(default_challenge=3),
+}
 ODD = [1, 3, 5, 7, 9, 11, 15, 21, 33, 65, 101]
 
 
@@ -103,6 +117,44 @@ class TestDesignSearch:
         # the scalar views read the same grid
         for pt in got:
             assert pt.codec.key_failure_probability(p).hex() == pt.key_failure.hex()
+
+    @given(
+        p=st.floats(0.0, 0.5, exclude_max=True),
+        design=st.sampled_from(sorted(DESIGNS)),
+        pairing=st.sampled_from(sorted(PAIRINGS)),
+        key_bits=st.integers(1, 300),
+        failure_target=st.floats(1e-12, 1.0),
+        repetitions=st.lists(st.sampled_from(ODD), max_size=6, unique=True),
+        palette=st.lists(
+            st.sampled_from(range(len(PALETTE))), max_size=4, unique=True
+        ),
+        max_raw_bits=st.integers(1, 200_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_best_design_is_the_head_of_the_search(
+        self, p, design, pairing, key_bits, failure_target, repetitions,
+        palette, max_raw_bits,
+    ):
+        """``best_design`` builds only the cheapest point of the same
+        priced grid: it equals ``search_design_space(...)[0]``, and raises
+        exactly when that list is empty."""
+        puf = dataclasses.replace(DESIGNS[design], pairing=PAIRINGS[pairing])
+        kwargs = dict(
+            key_bits=key_bits,
+            failure_target=failure_target,
+            repetitions=repetitions,
+            bch_palette=[PALETTE[i] for i in palette],
+            max_raw_bits=max_raw_bits,
+        )
+        points = search_design_space(p, puf, **kwargs)
+        if not points:
+            with pytest.raises(ValueError, match="no feasible"):
+                best_design(p, puf, **kwargs)
+            return
+        best = best_design(p, puf, **kwargs)
+        assert best == points[0]
+        assert best.total_area.hex() == points[0].total_area.hex()
+        assert puf.with_n_ros(best.n_ros).n_bits >= best.raw_bits
 
     @given(
         p=st.floats(0.0, 1.0),

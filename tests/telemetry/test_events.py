@@ -248,7 +248,10 @@ class TestInstrumentedLoops:
         with telemetry.emitter_session(
             tmp_path / "ev.jsonl", min_interval_s=0.0, clock=clock
         ) as e:
-            make_batch_study(aro_design(16), n_chips=3, rng=1)
+            # the RAM source draws prefactors on the first aged corner
+            make_batch_study(aro_design(16), n_chips=3, rng=1).responses(
+                t_years=10.0
+            )
             assert e.n_events > 0
         recs = read_events(tmp_path / "ev.jsonl")
         aging = [r for r in recs if r["stage"] == "aging.sample_prefactors"]
