@@ -1,18 +1,16 @@
-"""Shared plumbing for the benchmark harness.
+"""Shared plumbing for the performance benchmarks.
 
-Each ``bench_*.py`` module regenerates one table or figure of the paper
-(the experiment index lives in DESIGN.md §4).  The pattern:
+``bench_population.py`` (engine speed-ups, telemetry and store overhead,
+out-of-core memory) and ``bench_service.py`` (served throughput and the
+instrumentation budget) time their kernels with :func:`best_of` and
+persist what they measured with :func:`emit`.  The paper's tables are
+not produced here: ``repro run eN`` / ``run all`` prints them.
 
-* a module-scoped fixture runs the experiment once at paper scale,
-* a ``test_table_*`` prints the paper-style rows **and writes them to**
-  ``benchmarks/results/<name>.txt`` so the harness leaves artefacts even
-  when pytest captures stdout,
-* ``test_perf_*`` benchmarks the experiment's hot kernel with
-  pytest-benchmark (small, representative, repeatable).
-
-Passing ``values`` to :func:`emit` additionally writes the headline
-numbers to ``benchmarks/results/<name>.json`` so that result sets from
-two checkouts can be diffed mechanically with ``tools/bench_compare.py``.
+:func:`emit` writes the table to ``benchmarks/results/<name>.txt`` so the
+harness leaves artefacts even when pytest captures stdout.  Passing
+``values`` additionally writes the headline numbers to
+``benchmarks/results/<name>.json`` so that result sets from two
+checkouts can be diffed mechanically with ``tools/bench_compare.py``.
 Every JSON artefact carries a :class:`repro.telemetry.RunManifest`
 (provenance: package version, git SHA, numpy/platform) so a results
 directory stays auditable long after the checkout is gone; passing
@@ -23,7 +21,7 @@ just flagging it.
 
 Run everything with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/
 """
 
 from __future__ import annotations
@@ -164,22 +162,3 @@ def emit(
         _write_payload(name, values, counters, memory, histograms, roofline)
     print(f"\n{text}\n")
 
-
-def emit_benchmark_stats(name: str, benchmark) -> None:
-    """Persist a pytest-benchmark fixture's timing stats as JSON.
-
-    Call after the ``benchmark(...)`` run; records the statistics that
-    matter for regression tracking (min is the least noisy on shared CI
-    boxes, mean/stddev document the spread).
-    """
-    stats = benchmark.stats.stats
-    RESULTS_DIR.mkdir(exist_ok=True)
-    _write_payload(
-        name,
-        {
-            "min_s": float(stats.min),
-            "mean_s": float(stats.mean),
-            "stddev_s": float(stats.stddev),
-            "rounds": float(stats.rounds),
-        },
-    )

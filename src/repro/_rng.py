@@ -38,7 +38,7 @@ from numpy.random.bit_generator import ISeedSequence
 RngLike = Union[int, np.random.Generator, np.random.SeedSequence, None]
 
 #: Default root seed used when an experiment does not specify one.  Fixed so
-#: that the benchmark harness regenerates the same tables run after run.
+#: that ``repro run`` regenerates the same tables run after run.
 DEFAULT_SEED = 20140324  # DATE 2014 publication date
 
 

@@ -1,10 +1,10 @@
-"""The paper's evaluation, experiment by experiment (E1 .. E8).
+"""The paper's evaluation, experiment by experiment (E1 .. E13).
 
 Each function regenerates the data behind one table or figure of the
 paper's evaluation section (DESIGN.md §4 maps IDs to paper artefacts) and
-returns a structured result object; the ``benchmarks/`` modules are thin
-wrappers that call these and print the rows, and EXPERIMENTS.md records
-paper-vs-measured numbers.
+returns a structured result object; ``repro run eN`` calls these and
+prints the rows (``repro.analysis.render``), and EXPERIMENTS.md quotes
+that output as paper-vs-measured numbers.
 
 Everything is seeded: the same config reproduces the same tables.
 """
@@ -532,7 +532,7 @@ def ecc_area_experiment(
     Each policy fixes the raw bit-error probability the ECC must survive
     (conventional, ARO); the defaults are the measured E2/E5 figures.  The
     paper's single ~24x number corresponds to sizing for the worst case —
-    the bench prints all three policies so the dependence is explicit.
+    ``run e6`` prints all three policies so the dependence is explicit.
     """
     from ..ecc.bch import standard_codes
     from ..ecc.golay import GolayCode

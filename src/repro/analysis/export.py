@@ -1,6 +1,6 @@
 """CSV export of experiment results (for external plotting tools).
 
-The benchmark harness writes human-readable tables; this module writes
+``repro run`` prints human-readable tables; this module writes
 machine-readable CSVs with one row per data point, so the paper's figures
 can be replotted with any toolchain.  Every exporter returns the list of
 files it wrote.

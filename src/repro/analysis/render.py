@@ -1,7 +1,7 @@
 """Paper-style text rendering for each experiment's result object.
 
-One ``render_*`` function per experiment (E1 .. E8), shared by the
-benchmark harness and the command-line runner so the tables look the same
+One ``render_*`` function per experiment (E1 .. E13), shared by
+``repro run`` and ``repro report`` so the tables look the same
 everywhere.  Paper reference numbers are embedded in the titles where the
 abstract pins them.
 """

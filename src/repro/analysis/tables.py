@@ -1,6 +1,6 @@
-"""Plain-text table/series rendering for the benchmark harness.
+"""Plain-text table/series rendering for the experiment tables.
 
-The benches print paper-style rows; these helpers keep the formatting in
+``repro run`` prints paper-style rows; these helpers keep the formatting in
 one place (fixed-width ASCII so output diffs cleanly run to run).
 """
 

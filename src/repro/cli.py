@@ -27,9 +27,9 @@ bit.  ``--json`` writes the schema-checked payload, ``--heatmap`` a
 chips-by-bits oriented-margin PPM (blue = holding, red = flipped).
 
 ``run`` executes the experiment(s) at the requested Monte-Carlo scale and
-prints the same paper-style tables the benchmark harness produces (the
-benchmark harness additionally asserts the paper-anchored bands and times
-the kernels — use ``pytest benchmarks/ --benchmark-only`` for that).
+prints the paper-style tables.  At the default scale, ``run all`` prints
+the tables EXPERIMENTS.md quotes, and ``report`` writes the same tables
+into REPORT.md.
 
 Telemetry flags (``run``, ``report`` and ``check-anchors``):
 

@@ -2,7 +2,7 @@
 
 Most experiments need the same bundle: a design, a population of chips,
 and each chip's aging trajectory under a mission.  :func:`make_study`
-builds all three with one seeded call so that benchmark modules stay thin.
+builds all three with one seeded call so that callers stay thin.
 """
 
 from __future__ import annotations

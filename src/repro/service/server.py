@@ -347,7 +347,7 @@ class FleetService:
         if op == "status":
             return await self.status()
         chip_id = request.get("chip_id")
-        if not isinstance(chip_id, int):
+        if not isinstance(chip_id, int) or isinstance(chip_id, bool):
             return await self._bad(op, None, "chip_id must be an integer")
         try:
             if op == "enroll":
@@ -380,7 +380,9 @@ class FleetService:
 
         A line longer than :data:`MAX_LINE_BYTES` is answered with a
         metered, audited ``bad_request``; the rest of it is discarded up
-        to its newline, so the connection stays usable.
+        to its newline, so the connection stays usable.  A line that does
+        not decode (bad JSON, invalid UTF-8, nesting too deep to parse)
+        is answered the same way.
         """
         try:
             while True:
@@ -402,7 +404,9 @@ class FleetService:
                 else:
                     try:
                         request = json.loads(line)
-                    except json.JSONDecodeError:
+                    except (ValueError, RecursionError):
+                        # ValueError covers undecodable UTF-8 as well as bad
+                        # JSON; RecursionError is a too-deeply nested value
                         reply = await self._bad("wire", None, "malformed JSON")
                     else:
                         reply = await self.dispatch(request)

@@ -1,7 +1,9 @@
 """Experiment harness: structure and qualitative shape at small scale.
 
-Quantitative anchors at paper scale are asserted (with bands) in
-tests/integration/test_paper_anchors.py and recorded in EXPERIMENTS.md.
+Quantitative anchors are asserted (with bands) in
+tests/integration/test_paper_anchors.py; the paper-scale tables are what
+``repro run eN`` prints, pinned byte for byte by
+bench/golden/paper_suite.txt and quoted in EXPERIMENTS.md.
 """
 
 import pytest
@@ -86,6 +88,16 @@ class TestRandomness:
             assert set(section) == {"ro-puf", "aro-puf"}
         assert 0.2 < res.uniformity["aro-puf"].mean < 0.8
         assert len(res.battery["aro-puf"].p_values) == 7
+
+    def test_aro_aliasing_spread_tighter_at_paper_scale(self):
+        """Per-bit aliasing spread is the systematic component's
+        fingerprint.  ``run e4`` prints only the mean and the worst bias,
+        so the spread is asserted here, at 50 chips x 256 ROs."""
+        res = randomness_experiment(ExperimentConfig())
+        assert (
+            res.aliasing["aro-puf"].per_bit.std()
+            < res.aliasing["ro-puf"].per_bit.std()
+        )
 
 
 class TestEnvironmental:

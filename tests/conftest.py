@@ -1,7 +1,8 @@
 """Shared fixtures: small-but-meaningful populations for fast tests.
 
 Statistical assertions in this suite use deliberately wide bands; the
-paper-scale runs live in ``benchmarks/`` and EXPERIMENTS.md.
+paper-scale tables are what ``repro run all`` prints, quoted in
+EXPERIMENTS.md.
 """
 
 from __future__ import annotations

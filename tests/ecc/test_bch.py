@@ -95,6 +95,19 @@ class TestDecoding:
             assert found == n_errors
             assert np.array_equal(corrected, cw)
 
+    def test_e6_outer_code_corrects_exactly_t(self):
+        """BCH(255,131,t=18), the outer code of E6's conventional key
+        generators, corrects a word carrying its full 18 errors."""
+        code = BchCode.design(8, 18)
+        assert (code.n, code.k, code.t) == (255, 131, 18)
+        rng = np.random.default_rng(0)
+        cw = code.encode(rng.integers(0, 2, code.k).astype(np.uint8))
+        rx = cw.copy()
+        rx[rng.choice(code.n, size=18, replace=False)] ^= 1
+        corrected, found = code.decode(rx)
+        assert found == 18
+        assert np.array_equal(corrected, cw)
+
     def test_beyond_capacity_detected_or_wrong(self, bch_31_3):
         """> t errors either raise or land on a *different* codeword —
         never silently return a non-codeword."""

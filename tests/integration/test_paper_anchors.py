@@ -1,6 +1,6 @@
 """Statistical anchors from the paper's abstract, at reduced scale.
 
-The full 50-chip runs live in the benchmark harness; here a 25-chip
+The full 50-chip runs are ``repro run e2`` / ``run e3``; here a 25-chip
 population (seeded) must land inside generous bands around the abstract's
 numbers.  These are the tests that fail if a refactor silently breaks the
 physics calibration.

@@ -22,7 +22,8 @@ from repro.core.pairing import (
     NeighborPairing,
     RandomDisjointPairing,
 )
-from repro.ecc import BchCode, GolayCode, KeyCodec, keygen_area
+from repro.analysis.experiments import WIDE_REPETITIONS
+from repro.ecc import BchCode, GolayCode, KeyCodec, keygen_area, standard_codes
 from repro.ecc.concatenated import ConcatenatedCode
 from repro.ecc.repetition import RepetitionCode
 from repro.keygen import best_design, search_design_space
@@ -54,11 +55,11 @@ def reference_search(
     points = []
     for r in repetitions:
         inner = RepetitionCode(r)
+        q = p if r == 1 else float(stats.binom.sf((r - 1) // 2, r, p))
         for outer in palette:
             codec = KeyCodec(ConcatenatedCode(outer=outer, inner=inner), key_bits)
             if codec.raw_bits > max_raw_bits:
                 continue
-            q = p if r == 1 else float(stats.binom.sf((r - 1) // 2, r, p))
             p_block = float(stats.binom.sf(outer.t, outer.n, q))
             pf = float(1.0 - (1.0 - p_block) ** codec.n_blocks)
             if pf > failure_target:
@@ -117,6 +118,34 @@ class TestDesignSearch:
         # the scalar views read the same grid
         for pt in got:
             assert pt.codec.key_failure_probability(p).hex() == pt.key_failure.hex()
+
+    def test_full_e6_width_matches_scalar_reference(self):
+        """E6's own search width: the default palette (every standard BCH
+        code plus Golay), ``WIDE_REPETITIONS`` and the worst-case policy's
+        conventional error rate."""
+        args = (
+            0.45, DESIGNS["ro-puf"], 128, 1e-6, WIDE_REPETITIONS,
+            standard_codes() + [GolayCode()], 5_000_000,
+        )
+        p, design, key_bits, failure_target, repetitions, palette, max_raw = args
+        got = search_design_space(
+            p,
+            design,
+            key_bits=key_bits,
+            failure_target=failure_target,
+            repetitions=repetitions,
+            bch_palette=palette,
+            max_raw_bits=max_raw,
+        )
+        want = reference_search(*args)
+        assert want
+        assert [
+            signature(
+                pt.codec, pt.key_failure, pt.raw_bits, pt.n_ros, pt.puf_area,
+                pt.ecc_area,
+            )
+            for pt in got
+        ] == [signature(*pt) for pt in want]
 
     @given(
         p=st.floats(0.0, 0.5, exclude_max=True),

@@ -298,6 +298,29 @@ class TestDispatch:
         )
         assert reply["outcome"] == "bad_request"
 
+    def test_bool_chip_id_is_bad_request(self):
+        """``True`` is an ``int`` to Python but not a chip id on the wire:
+        it must not reach chip 1's enrollment."""
+        service = FleetService(seed=0)
+        n = service.response_bits
+        bits = np.random.default_rng(3).integers(0, 2, n, dtype=np.uint8)
+        blob = np.packbits(bits).tobytes().hex()
+
+        async def run():
+            enrolled = await service.dispatch(
+                {"op": "enroll", "chip_id": 1, "bits": n, "measurements": [blob]}
+            )
+            authed = await service.dispatch(
+                {"op": "auth", "chip_id": True, "bits": n, "response": blob}
+            )
+            return enrolled, authed
+
+        enrolled, authed = asyncio.run(run())
+        assert enrolled["outcome"] == "ok"
+        assert authed["outcome"] == "bad_request"
+        assert authed["error"] == "chip_id must be an integer"
+        assert service.red.requests == {"enroll": 1, "auth": 1}
+
     def test_non_string_measurement_is_bad_request(self):
         service = FleetService(seed=0)
         reply = asyncio.run(

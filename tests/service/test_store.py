@@ -105,3 +105,15 @@ class TestHelperStore:
         reopened = HelperStore(path)
         assert reopened.chip_ids() == [1]
         assert reopened.n_skipped == 2
+
+    def test_too_deeply_nested_line_skipped_not_fatal(self, enrolled, tmp_path):
+        """A line nested past the JSON decoder's recursion limit is one
+        skipped line, so the store (and ``repro serve``) still opens."""
+        path = tmp_path / "helpers.jsonl"
+        HelperStore(path).put(_record(enrolled, chip_id=1))
+        with path.open("a") as fh:
+            fh.write("[" * 20_000 + "]" * 20_000 + "\n")
+        HelperStore(path).put(_record(enrolled, chip_id=2))
+        reopened = HelperStore(path)
+        assert reopened.chip_ids() == [1, 2]
+        assert reopened.n_skipped == 1

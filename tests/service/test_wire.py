@@ -15,6 +15,7 @@ from repro.service import (
     serve,
 )
 from repro.service.audit import AuditTrail
+from repro.service.server import MAX_LINE_BYTES
 from repro.telemetry import jsonl
 
 
@@ -209,6 +210,62 @@ class TestWireErrors:
         assert service.red.requests["wire"] == 1
         rows, _ = jsonl.read(audit_path)
         assert [r["outcome"] for r in rows if r["endpoint"] == "wire"] == ["bad_request"]
+
+
+class _Sink:
+    """A ``StreamWriter`` stand-in that keeps what the handler writes."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def write(self, data):
+        self.data += data
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
+
+
+class TestUndecodableLines:
+    """A line ``json.loads`` cannot decode is a metered, audited
+    ``bad_request``, and the connection goes on to the next line."""
+
+    LINES = [
+        b'{"op": "status\xff"}',  # invalid UTF-8
+        b"[" * 20_000 + b"]" * 20_000,  # nests past the recursion limit
+        b"{not json",
+        json.dumps({"op": "status"}).encode(),
+    ]
+
+    def test_each_line_gets_one_reply(self, tmp_path):
+        assert all(len(line) < MAX_LINE_BYTES for line in self.LINES)
+        audit_path = tmp_path / "audit.jsonl"
+
+        async def run():
+            service = FleetService(seed=0, audit=AuditTrail(audit_path, flush_every=1))
+            reader = asyncio.StreamReader(limit=MAX_LINE_BYTES)
+            reader.feed_data(b"\n".join(self.LINES) + b"\n")
+            reader.feed_eof()
+            sink = _Sink()
+            await service.handle_connection(reader, sink)
+            service.audit.close()
+            return service, sink
+
+        service, sink = asyncio.run(run())
+        replies = [json.loads(line) for line in sink.data.splitlines()]
+        assert len(replies) == len(self.LINES)
+        assert [r["outcome"] for r in replies] == ["bad_request"] * 3 + ["ok"]
+        assert {r["error"] for r in replies[:3]} == {"malformed JSON"}
+        assert service.red.total_requests() == len(self.LINES)
+        rows, _ = jsonl.read(audit_path)
+        assert [(r["endpoint"], r["outcome"]) for r in rows] == [
+            ("wire", "bad_request")
+        ] * 3 + [("status", "ok")]
 
 
 class TestClientDisconnects:

@@ -257,6 +257,22 @@ class TestLedger:
         assert ledger.entries() == []
         assert ledger.n_skipped == 1
 
+    def test_too_deeply_nested_line_skipped_or_named(self, tmp_path, manifest):
+        """A line nested past the JSON decoder's recursion limit is one
+        skipped line; ``strict`` names it like any other bad line."""
+        path = tmp_path / "ledger.jsonl"
+        ledger = Ledger(path)
+        ledger.record("e2", {"a": 1.0}, manifest)
+        with open(path, "a") as fh:
+            fh.write("[" * 20_000 + "]" * 20_000 + "\n")
+        ledger.record("e3", {"b": 2.0}, manifest)
+        assert [e.name for e in ledger.entries()] == ["e2", "e3"]
+        assert ledger.n_skipped == 1
+        with pytest.raises(
+            ValueError, match=r"ledger\.jsonl:2: bad line: .*recursion"
+        ):
+            ledger.entries(strict=True)
+
     def test_strict_raises_with_line_number(self, tmp_path, manifest):
         path = tmp_path / "ledger.jsonl"
         ledger = Ledger(path)

@@ -2,9 +2,9 @@
 """Diff two benchmark result sets and flag regressions.
 
 Compares the machine-readable ``*.json`` artefacts that
-``benchmarks/_common.emit`` / ``emit_benchmark_stats`` drop into
-``benchmarks/results/`` — typically one directory from the baseline
-checkout and one from the candidate::
+``benchmarks/_common.emit`` drops into ``benchmarks/results/`` —
+typically one directory from the baseline checkout and one from the
+candidate::
 
     python tools/bench_compare.py baseline/results benchmarks/results
 
