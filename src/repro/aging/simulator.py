@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -207,7 +207,9 @@ class CoefficientFold:
     the mission's duty/transition powers on top — the form the hot
     frequency path multiplies by a scalar power of ``t``.  Both
     :class:`PopulationAging` and the mmap store fold through one
-    instance of this class, so their tensors are bit-identical.
+    instance of this class, so their tensors are bit-identical, and
+    :meth:`subtracter` is the one place either source's folded columns
+    are turned into a threshold shift on the frequency path.
 
     ``duty`` / ``tpy`` are the per-device stress on a ``(1, 1, n_stages,
     2)`` layout that broadcasts against the population tensor: PMOS rows
@@ -250,6 +252,75 @@ class CoefficientFold:
     def hci_dir(self, hci_coeff: np.ndarray, out: Optional[np.ndarray] = None):
         """The HCI coefficients times ``(tpy / N_ref) ** m``."""
         return np.multiply(hci_coeff, self.tpy_pow, out=out)
+
+    def subtracter(
+        self,
+        column: Callable[[str], np.ndarray],
+        t: float,
+        mechanism: Optional[str],
+        maxima: Dict[str, tuple],
+    ):
+        """``(subtract(od, scratch, lo, hi), columns)``: one aging pass at ``t``.
+
+        The frequency engine's one aging subtraction, for any column
+        source: ``subtract`` does ``od -= delta(t)[lo:hi]`` in place from
+        the folded columns ``column(name)`` returns (``columns`` names
+        them), ``scratch`` being a work buffer of ``od``'s shape.
+
+        The golden pass (``mechanism=None``) subtracts ``dir * t**n``, then
+        ``dir * t**m``, each clipped at its saturation cap — a regrouping
+        of :meth:`PopulationAging.delta` (ULP-level drift), the same on
+        every source.  A clip is skipped when the block's column maximum
+        proves it a no-op: IEEE rounding is monotone, so ``max(x) * t**n
+        <= cap`` means every ``x * t**n <= cap`` and skipping cannot
+        change a byte.  ``maxima`` remembers each column's maximum of the
+        last block asked; one dict per stream lets a sweep's years share
+        it.  A mechanism pass (``"bti"`` or ``"hci"``) subtracts that
+        mechanism alone in :meth:`ChipAging.delta`'s exact grouping,
+        ``coeff * (duty * t)**n``, always clipped.
+        """
+        tech = self.tech
+        if mechanism is None:
+            terms = [
+                (name, column(name), scale, cap)
+                for name, scale, cap in (
+                    ("bti_dir", t ** tech.nbti.n, tech.nbti.max_shift),
+                    ("hci_dir", t ** tech.hci.m, tech.hci.max_shift),
+                )
+            ]
+
+            def subtract(od, scratch, lo, hi):
+                telemetry.count("aging.subtract_blocks")
+                for name, col, scale, cap in terms:
+                    rows = col[lo:hi]
+                    np.multiply(rows, scale, out=scratch)
+                    if maxima.get(name, (None,))[0] != lo:
+                        maxima[name] = (lo, float(rows.max()))
+                    if maxima[name][1] * scale > cap:
+                        telemetry.count("aging.clip_applied")
+                        np.minimum(scratch, cap, out=scratch)
+                    else:
+                        telemetry.count("aging.clip_skipped")
+                    od -= scratch
+
+            return subtract, ("bti_dir", "hci_dir")
+        if mechanism == "bti":
+            pow_mech = np.power(self.duty * t, tech.nbti.n)
+            cap = tech.nbti.max_shift
+        elif mechanism == "hci":
+            pow_mech = np.power((self.tpy * t) / tech.hci.ref_transitions, tech.hci.m)
+            cap = tech.hci.max_shift
+        else:
+            raise ValueError(f"mechanism must be 'bti' or 'hci', got {mechanism!r}")
+        name = f"{mechanism}_coeff"
+        coeff = column(name)
+
+        def subtract(od, scratch, lo, hi):
+            np.multiply(coeff[lo:hi], pow_mech, out=scratch)
+            np.minimum(scratch, cap, out=scratch)
+            od -= scratch
+
+        return subtract, (name,)
 
 
 class PopulationAging:
@@ -310,25 +381,18 @@ class PopulationAging:
         # ---- time-independent factors, folded once -------------------
         # in ChipAging.delta's exact grouping (see CoefficientFold), so
         # the batched delta is bit-identical to the per-chip one
-        fold = CoefficientFold(tech, stress, mission)
-        self._bti_coeff = fold.bti_coeff(nbti_a, np.empty_like(nbti_a))
-        self._hci_coeff = fold.hci_coeff(hci_b, np.empty_like(hci_b))
-        self._duty = fold.duty
-        self._tpy = fold.tpy
+        self.fold = fold = CoefficientFold(tech, stress, mission)
+        self.bti_coeff = fold.bti_coeff(nbti_a, np.empty_like(nbti_a))
+        self.hci_coeff = fold.hci_coeff(hci_b, np.empty_like(hci_b))
         # per-(stage, polarity) coefficient maxima: lets delta evaluation
         # prove a clip is a no-op from a 10-element check and skip the
         # population-sized minimum pass (bitwise identical either way)
-        self._bti_max = self._bti_coeff.max(axis=(0, 1))
-        self._hci_max = self._hci_coeff.max(axis=(0, 1))
-        # fully-factored stress directions for the frequency path:
-        #   delta(t) = t**n * bti_dir + t**m * hci_dir   (clips aside)
-        # pulling the duty/transition powers out of the time loop.  This
-        # regroups the closed form (ULP-level drift), so only
-        # subtract_delta_into uses it — delta() keeps the exact grouping.
-        self._bti_dir = fold.bti_dir(self._bti_coeff)
-        self._hci_dir = fold.hci_dir(self._hci_coeff)
-        self._bti_dir_max = float(self._bti_dir.max())
-        self._hci_dir_max = float(self._hci_dir.max())
+        self._bti_max = self.bti_coeff.max(axis=(0, 1))
+        self._hci_max = self.hci_coeff.max(axis=(0, 1))
+        # the duty-folded directions the frequency path subtracts
+        # (CoefficientFold.subtracter); delta() keeps the exact grouping
+        self.bti_dir = fold.bti_dir(self.bti_coeff)
+        self.hci_dir = fold.hci_dir(self.hci_coeff)
         self._memo: "OrderedDict[float, np.ndarray]" = OrderedDict()
 
     # ---- construction ------------------------------------------------
@@ -456,17 +520,17 @@ class PopulationAging:
         )
         # t-dependent power laws on the tiny (1, 1, n_stages, 2) stress
         # arrays; everything population-sized below is multiply/clip/add.
-        pow_bti = np.power(self._duty * t, self.tech.nbti.n)
+        pow_bti = np.power(self.fold.duty * t, self.tech.nbti.n)
         pow_hci = np.power(
-            (self._tpy * t) / self.tech.hci.ref_transitions, self.tech.hci.m
+            (self.fold.tpy * t) / self.tech.hci.ref_transitions, self.tech.hci.m
         )
-        np.multiply(self._bti_coeff, pow_bti, out=out)
+        np.multiply(self.bti_coeff, pow_bti, out=out)
         if (self._bti_max * pow_bti[0, 0] > self.tech.nbti.max_shift).any():
             telemetry.count("aging.clip_applied")
             np.minimum(out, self.tech.nbti.max_shift, out=out)
         else:
             telemetry.count("aging.clip_skipped")
-        hci_part = self._hci_coeff * pow_hci
+        hci_part = self.hci_coeff * pow_hci
         if (self._hci_max * pow_hci[0, 0] > self.tech.hci.max_shift).any():
             telemetry.count("aging.clip_applied")
             np.minimum(hci_part, self.tech.hci.max_shift, out=hci_part)
@@ -475,156 +539,6 @@ class PopulationAging:
         np.add(out, hci_part, out=out)
         telemetry.end_span(sp)
         return out
-
-    def _component_terms(self, t: float, mechanism: str) -> tuple:
-        """``(coeff, pow_mech, clip, cap)`` of one mechanism at ``t``.
-
-        ``pow_mech`` is the tiny ``(1, 1, n_stages, 2)`` time power-law
-        array, ``clip`` the population-wide decision whether the
-        saturation cap is reachable (proved from the per-stage maxima, so
-        skipping the clip pass is bitwise identical to applying it).
-        The expressions match :meth:`delta_into` operation for operation.
-        """
-        if mechanism == "bti":
-            pow_mech = np.power(self._duty * t, self.tech.nbti.n)
-            cap = self.tech.nbti.max_shift
-            clip = bool((self._bti_max * pow_mech[0, 0] > cap).any())
-            return self._bti_coeff, pow_mech, clip, cap
-        if mechanism == "hci":
-            pow_mech = np.power(
-                (self._tpy * t) / self.tech.hci.ref_transitions,
-                self.tech.hci.m,
-            )
-            cap = self.tech.hci.max_shift
-            clip = bool((self._hci_max * pow_mech[0, 0] > cap).any())
-            return self._hci_coeff, pow_mech, clip, cap
-        raise ValueError(f"mechanism must be 'bti' or 'hci', got {mechanism!r}")
-
-    def delta_component(
-        self,
-        t_years: float,
-        mechanism: str,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """One mechanism's shift field at ``t_years`` (exact grouping).
-
-        ``out`` lets callers reuse a population-sized buffer across
-        captures instead of allocating a fresh tensor per call; it must
-        match the prefactor tensor's shape and dtype.  Values are
-        bit-identical to the corresponding half of
-        :meth:`delta_components`.
-        """
-        if t_years < 0:
-            raise ValueError("t_years must be non-negative")
-        coeff, pow_mech, clip, cap = self._component_terms(
-            float(t_years), mechanism
-        )
-        if out is None:
-            out = np.empty_like(coeff)
-        np.multiply(coeff, pow_mech, out=out)
-        if clip:
-            np.minimum(out, cap, out=out)
-        return out
-
-    def delta_components(self, t_years: float) -> tuple:
-        """Per-mechanism split of :meth:`delta`: ``(bti, hci)`` fields.
-
-        Each has the population tensor shape ``(n_chips, n_ros, n_stages,
-        2)``.  The grouping, clip decisions and final add mirror
-        :meth:`delta_into` operation for operation, so ``bti + hci`` is
-        *bit-identical* to ``delta(t_years)`` — the forensics layer relies
-        on that to attribute a margin shift to NBTI/PBTI vs HCI without
-        introducing a reconciliation residual of its own.  Not memoised:
-        attribution calls this once per report, never in a sweep loop.
-        Callers that need only one mechanism (the blocked
-        counterfactual-frequency path) use :meth:`delta_component` or
-        :meth:`component_subtracter` instead and skip the second
-        population-sized tensor entirely.
-        """
-        if t_years < 0:
-            raise ValueError("t_years must be non-negative")
-        t = float(t_years)
-        telemetry.count("aging.mechanism_splits")
-        return (
-            self.delta_component(t, "bti"),
-            self.delta_component(t, "hci"),
-        )
-
-    def component_subtracter(self, t_years: float, mechanism: str):
-        """A per-block ``od -= delta_component(t_years, mechanism)[rows]``.
-
-        The blocked counterfactual-frequency path subtracts one
-        mechanism's field block by block through this closure instead of
-        materialising the full :meth:`delta_components` pair — same
-        coefficient grouping, same population-wide clip decision, so the
-        result is bit-identical to the full-tensor subtraction while
-        allocating nothing population-sized.
-        """
-        if t_years < 0:
-            raise ValueError("t_years must be non-negative")
-        coeff, pow_mech, clip, cap = self._component_terms(
-            float(t_years), mechanism
-        )
-
-        def subtract(od, scratch, rows):
-            np.multiply(coeff[rows], pow_mech, out=scratch)
-            if clip:
-                np.minimum(scratch, cap, out=scratch)
-            od -= scratch
-
-        return subtract
-
-    def subtract_delta_into(
-        self,
-        t_years: float,
-        od: np.ndarray,
-        scratch: np.ndarray,
-        rows: slice = slice(None),
-    ) -> np.ndarray:
-        """``od -= delta(t_years)[rows]`` with the fewest memory passes.
-
-        The hot kernel of the batched frequency sweep.  The BTI and HCI
-        terms are subtracted separately from factored direction tensors
-        (one scalar multiply + one subtract each), which regroups the
-        closed form relative to :meth:`delta` — results differ from
-        subtracting :meth:`delta` only in the last few ULPs, so callers
-        that need the bit-exact per-chip grouping use :meth:`delta`
-        instead.  Clips are applied exactly: a cheap maximum check proves
-        when the population cannot reach the cap and the clip pass is
-        skipped.
-
-        ``rows`` selects a chip-axis block, letting the caller chunk the
-        evaluation so the work buffers stay cache-resident.
-        """
-        if t_years < 0:
-            raise ValueError("t_years must be non-negative")
-        t = float(t_years)
-        telemetry.count("aging.subtract_blocks")
-        # Factored closed form: delta(t) = t**n * bti_dir + t**m * hci_dir
-        # (clips aside), so the hot loop pays two *scalar* broadcasts
-        # instead of two (n_stages, 2) broadcasts — measurably cheaper.
-        bti_t = t ** self.tech.nbti.n
-        hci_t = t ** self.tech.hci.m
-        np.multiply(self._bti_dir[rows], bti_t, out=scratch)
-        if self._bti_dir_max * bti_t > self.tech.nbti.max_shift:
-            telemetry.count("aging.clip_applied")
-            np.minimum(scratch, self.tech.nbti.max_shift, out=scratch)
-        else:
-            telemetry.count("aging.clip_skipped")
-        od -= scratch
-        np.multiply(self._hci_dir[rows], hci_t, out=scratch)
-        if self._hci_dir_max * hci_t > self.tech.hci.max_shift:
-            telemetry.count("aging.clip_applied")
-            np.minimum(scratch, self.tech.hci.max_shift, out=scratch)
-        else:
-            telemetry.count("aging.clip_skipped")
-        od -= scratch
-        return od
-
-    def delta_grid(self, years: Sequence[float]) -> np.ndarray:
-        """Deltas over a full year grid, shape
-        ``(len(years), n_chips, n_ros, n_stages, 2)``."""
-        return np.stack([self.delta(t) for t in years])
 
     def chip_aging(self, index: int, chip: Chip) -> ChipAging:
         """Per-chip :class:`ChipAging` view of row ``index`` (thin slice,

@@ -46,7 +46,12 @@ import numpy as np
 from .. import telemetry
 from .._rng import RngLike, spawn, spawn_keys
 from ..aging.schedule import IdlePolicy, MissionProfile
-from ..aging.simulator import AgingSimulator, ChipAging, PopulationAging
+from ..aging.simulator import (
+    AgingSimulator,
+    ChipAging,
+    CoefficientFold,
+    PopulationAging,
+)
 from ..environment.conditions import OperatingConditions
 from ..kernel.fused import (
     MarginHistogramSink,
@@ -193,9 +198,11 @@ class RamColumns:
     """The in-RAM column source: a :class:`PopulationView` plus its aging.
 
     A column source hands :class:`BatchStudy` window-relative row access
-    to the ``vth`` / ``tc_scale`` columns, the per-block aging
-    subtraction, and the block structure of its rows.  In RAM every row
-    is resident, so :meth:`ensure` and :meth:`release` do nothing.
+    to its six columns (``vth`` / ``tc_scale`` and the aging's four
+    folded tensors), the :class:`CoefficientFold` that turns the aging
+    columns into a threshold shift, and the block structure of its rows.
+    In RAM every row is resident, so :meth:`ensure` and :meth:`release`
+    do nothing.
 
     ``aging`` is the population's :class:`PopulationAging`, or a
     zero-argument callable that samples it.  A callable runs on the first
@@ -240,8 +247,17 @@ class RamColumns:
             )
         return aging
 
+    @property
+    def fold(self) -> CoefficientFold:
+        """The aging's :class:`CoefficientFold` (samples a deferred aging)."""
+        return self.aging.fold
+
     def column(self, name: str) -> np.ndarray:
-        return {"vth": self.view.vth, "tc_scale": self.view.tc_scale}[name]
+        if name in ("vth", "tc_scale"):
+            return getattr(self.view, name)
+        if name in ("bti_coeff", "hci_coeff", "bti_dir", "hci_dir"):
+            return getattr(self.aging, name)
+        raise KeyError(f"unknown column {name!r}")
 
     def blocks(self) -> List[Tuple[int, int]]:
         step = self.block_size or self.n_chips
@@ -255,30 +271,6 @@ class RamColumns:
 
     def release(self, lo: int, hi: int, columns: Sequence[str]) -> None:
         pass
-
-    def subtracter(self, t: float, mechanism: Optional[str] = None):
-        """``(subtract(od, scratch, lo, hi), columns)`` for one pass at ``t``.
-
-        The golden path is always the factored
-        :meth:`~PopulationAging.subtract_delta_into` — the grouping the
-        store and the shard workers compute — so a frequency never
-        depends on which deltas an earlier call memoised; a mechanism
-        pass subtracts one mechanism's field in the exact
-        :meth:`~PopulationAging.delta_components` grouping.
-        """
-        aging = self.aging
-        if mechanism is not None:
-            component = aging.component_subtracter(t, mechanism)
-
-            def subtract(od, scratch, lo, hi):
-                component(od, scratch, slice(lo, hi))
-
-            return subtract, ()
-
-        def subtract(od, scratch, lo, hi):
-            aging.subtract_delta_into(t, od, scratch, rows=slice(lo, hi))
-
-        return subtract, ()
 
     def close(self) -> None:
         pass
@@ -483,10 +475,11 @@ class BatchStudy:
         attribute each bit's margin loss to a mechanism.
 
         The same streaming pass as :meth:`frequencies`, subtracting only
-        the requested mechanism's component per block in the exact
-        :meth:`~repro.aging.simulator.PopulationAging.delta_components`
-        grouping, so nothing population-sized is allocated beyond the
-        result.  Memoised alongside :meth:`frequencies`, read-only.
+        the requested mechanism's component per block in
+        :meth:`~repro.aging.simulator.ChipAging.delta`'s exact grouping
+        (:meth:`~repro.aging.simulator.CoefficientFold.subtracter`), so
+        nothing population-sized is allocated beyond the result.
+        Memoised alongside :meth:`frequencies`, read-only.
         """
         if mechanism not in ("bti", "hci"):
             raise ValueError(f"mechanism must be 'bti' or 'hci', got {mechanism!r}")
@@ -745,10 +738,13 @@ class BatchStudy:
             columns.append("tc_scale")
             tc = src.column("tc_scale")
         subtracts = []
+        maxima: dict = {}
         for t in ts:
             subtract = None
             if t > 0.0:
-                subtract, aging_columns = src.subtracter(t, mechanism)
+                subtract, aging_columns = src.fold.subtracter(
+                    src.column, t, mechanism, maxima
+                )
                 columns.extend(c for c in aging_columns if c not in columns)
             subtracts.append(subtract)
         # The overdrive tensor is assembled block-by-block along the chip
@@ -788,6 +784,8 @@ class BatchStudy:
                     vth_rows = vth[lo:hi]
                     tc_rows = tc[lo:hi] if tc is not None else None
                     for k, subtract in enumerate(subtracts):
+                        if subtract is not None:
+                            subtract = functools.partial(subtract, lo=lo, hi=hi)
                         period_rows = periods[k, lo - base : hi - base]
                         frequency_block_kernel(
                             od_buf[: hi - lo],
@@ -799,13 +797,7 @@ class BatchStudy:
                             period_out=period_rows,
                             tc_rows=tc_rows,
                             tc_coeff=tc_coeff,
-                            subtract_aging=(
-                                None
-                                if subtract is None
-                                else lambda od, scratch, s=subtract, lo=lo, hi=hi: s(
-                                    od, scratch, lo, hi
-                                )
-                            ),
+                            subtract_aging=subtract,
                         )
                         finalize_period_block(period_rows)
                     if sinks and (hi - flush_lo >= window or hi == bhi):

@@ -58,11 +58,11 @@ def frequency_block_kernel(
     matvec — that :class:`~repro.core.population.BatchStudy` runs over
     every column source, so in-RAM and out-of-core rows are
     bit-identical by construction.  ``subtract_aging(od, scratch)``
-    performs ``od -= delta`` for this block; the column source owns the
-    grouping choice.  Must run inside ``np.errstate(invalid="ignore",
-    divide="ignore")``; ``period_out`` holds *periods* — the caller checks
-    finiteness and takes the reciprocal (see
-    :func:`finalize_period_block`).
+    performs ``od -= delta`` for this block
+    (:meth:`~repro.aging.simulator.CoefficientFold.subtracter`).  Must
+    run inside ``np.errstate(invalid="ignore", divide="ignore")``;
+    ``period_out`` holds *periods* — the caller checks finiteness and
+    takes the reciprocal (see :func:`finalize_period_block`).
     """
     np.subtract(vdd, vth_rows, out=od)
     if tc_rows is not None:

@@ -178,9 +178,35 @@ def load_slo_spec(path: PathLike) -> List[Slo]:
 
     Each entry carries the :class:`Slo` fields (``unit``/``note``
     optional); unknown keys are rejected so a typo'd band name cannot
-    silently disable an objective.
+    silently disable an objective, and band values must be finite real
+    numbers (``NaN``, ``Infinity`` and ``true`` are not).  Every refusal
+    is a :class:`ValueError` that names the file and, for an entry at
+    fault, its ``slos[i]``.
     """
-    payload = json.loads(pathlib.Path(path).read_text())
+    try:
+        payload = json.loads(pathlib.Path(path).read_text())
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    try:
+        return _parse_slo_spec(payload)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _band(entry: Mapping[str, Any], key: str) -> float:
+    """``entry[key]`` as a band bound: a finite real number, not a bool."""
+    value = entry[key]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            bound = float(value)
+        except OverflowError:
+            bound = math.inf
+        if math.isfinite(bound):
+            return bound
+    raise ValueError(f"{key} must be a finite number, got {value!r}")
+
+
+def _parse_slo_spec(payload: Any) -> List[Slo]:
     if not isinstance(payload, dict):
         raise ValueError("SLO spec must be a JSON object")
     fmt = payload.get("format")
@@ -205,12 +231,14 @@ def load_slo_spec(path: PathLike) -> List[Slo]:
                     name=str(entry["name"]),
                     metric=str(entry["metric"]),
                     bound=str(entry["bound"]),
-                    pass_at=float(entry["pass_at"]),
-                    fail_at=float(entry["fail_at"]),
+                    pass_at=_band(entry, "pass_at"),
+                    fail_at=_band(entry, "fail_at"),
                     unit=str(entry.get("unit", "")),
                     note=str(entry.get("note", "")),
                 )
             )
         except KeyError as exc:
-            raise ValueError(f"slos[{i}] is missing required key {exc}") from exc
+            raise ValueError(f"slos[{i}] is missing required key {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"slos[{i}]: {exc}") from None
     return slos

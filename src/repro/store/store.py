@@ -11,8 +11,8 @@ A :class:`PopulationStore` is the on-disk form of what
   tensors of :class:`~repro.aging.simulator.PopulationAging` (prefactor
   x Arrhenius x polarity factor), same shape;
 * ``bti_dir`` / ``hci_dir`` — the coefficients further folded with the
-  mission's duty/transition powers (``PopulationAging``'s ``_bti_dir`` /
-  ``_hci_dir``), the form the hot frequency path multiplies by a scalar
+  mission's duty/transition powers (``PopulationAging``'s ``bti_dir`` /
+  ``hci_dir``), the form the hot frequency path multiplies by a scalar
   of ``t`` — stored so a sweep pays the folding once at fabrication,
   exactly like the in-RAM engine, instead of once per corner
 
@@ -165,6 +165,32 @@ def _keys_digest(fab_keys: np.ndarray, aging_keys: np.ndarray) -> str:
     return digest.hexdigest()
 
 
+def _read_meta(path: pathlib.Path) -> dict:
+    """A store's parsed ``meta.json``, refused unless it is well formed.
+
+    Every refusal is a :class:`ValueError` naming the file: undecodable
+    JSON, a non-object, a wrong ``format``, or an ``n_chips`` /
+    ``block_size`` that is missing or not a positive integer.
+    """
+    try:
+        meta = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path} holds a {type(meta).__name__}, not an object")
+    if meta.get("format") != STORE_FORMAT:
+        raise ValueError(
+            f"{path}: store format {meta.get('format')!r} != {STORE_FORMAT}"
+        )
+    for key in ("n_chips", "block_size"):
+        value = meta.get(key)
+        if type(value) is not int or value < 1:
+            raise ValueError(
+                f"{path}: {key} must be a positive integer, got {value!r}"
+            )
+    return meta
+
+
 def _map_npy(path: pathlib.Path) -> np.memmap:
     """Map a store ``.npy`` file read-write after checking its length.
 
@@ -281,10 +307,7 @@ class PopulationStore:
             design.tech, design.cell, mission, idle_policy=idle_policy
         )
         # the coefficient folding PopulationAging.__init__ applies, so the
-        # stored columns are bit-identical to the in-RAM tensors; its
-        # unfolded ``duty`` / ``tpy`` back the mechanism path's
-        # ``(duty * t)**n``, the exact grouping of
-        # PopulationAging.delta_components
+        # stored columns are bit-identical to the in-RAM tensors
         self.fold = CoefficientFold(design.tech, self._simulator.stress, mission)
         self._cols: Dict[str, np.memmap] = {}
         self._flags: Dict[str, np.memmap] = {}
@@ -360,25 +383,12 @@ class PopulationStore:
         root = pathlib.Path(root)
         meta_path = root / "meta.json"
         if meta_path.exists():
-            meta = json.loads(meta_path.read_text())
-            if meta.get("content_key") != content_key:
+            if _read_meta(meta_path).get("content_key") != content_key:
                 raise ValueError(
                     f"{root} already holds a different population "
                     f"(content key mismatch); refusing to overwrite"
                 )
-            block_size = int(meta["block_size"])
-            return cls(
-                root,
-                design=design,
-                mission=mission,
-                idle_policy=idle_policy,
-                n_chips=n_chips,
-                block_size=block_size,
-                fab_keys=fab_keys,
-                aging_keys=aging_keys,
-                content_key=content_key,
-                durable=meta.get("durable", True),
-            )
+            return cls.attach(root, design, mission=mission, idle_policy=idle_policy)
 
         root.mkdir(parents=True, exist_ok=True)
         np.save(root / "fab_keys.npy", fab_keys)
@@ -448,13 +458,9 @@ class PopulationStore:
         meta_path = root / "meta.json"
         if not meta_path.exists():
             raise FileNotFoundError(f"no population store at {root}")
-        meta = json.loads(meta_path.read_text())
-        if meta.get("format") != STORE_FORMAT:
-            raise ValueError(
-                f"store format {meta.get('format')!r} != {STORE_FORMAT}"
-            )
+        meta = _read_meta(meta_path)
         mission = mission or MissionProfile()
-        n_chips = int(meta["n_chips"])
+        n_chips = meta["n_chips"]
         fab_keys = np.load(root / "fab_keys.npy")
         aging_keys = np.load(root / "aging_keys.npy")
         fingerprint = _design_fingerprint(design, mission, idle_policy, n_chips)
@@ -470,7 +476,7 @@ class PopulationStore:
             mission=mission,
             idle_policy=idle_policy,
             n_chips=n_chips,
-            block_size=int(meta["block_size"]),
+            block_size=meta["block_size"],
             fab_keys=fab_keys,
             aging_keys=aging_keys,
             content_key=content_key,
@@ -685,16 +691,12 @@ class StoreColumns:
     tensor.
 
     Bit-identity with the in-RAM source holds by construction: the store
-    fabricates from the same spawn keys with the same draw order, the
-    kernel is the same function, and the aging subtraction uses the same
-    factored grouping as
-    :meth:`~repro.aging.simulator.PopulationAging.subtract_delta_into`
-    (coefficient x duty-power, then the scalar time power).  A golden
-    pass skips a saturation clip when the kernel block's column maximum
-    proves it a no-op: IEEE rounding is monotone, so ``max(x) * t**n <=
-    cap`` means every ``x * t**n <= cap``, and skipping vs applying the
-    clip can never change a byte.  The maxima are taken once per kernel
-    block and shared by every year a sweep evaluates on it.
+    fabricates from the same spawn keys with the same draw order and
+    folds through the same
+    :class:`~repro.aging.simulator.CoefficientFold`, whose
+    :meth:`~repro.aging.simulator.CoefficientFold.subtracter` is the
+    aging subtraction of both sources, and the kernel is the same
+    function.
 
     A streaming window keeps no frequency corner: the study memoises
     nothing over it and feeds its sinks straight from the kernel blocks.
@@ -724,10 +726,10 @@ class StoreColumns:
                 f"0..{store.n_chips}"
             )
         self.store = store
+        self.fold = store.fold
         self._own_root = own_root
         self._rows = (int(row_start), row_stop)
         self._closed = False
-        self._max_memo: Dict[str, tuple] = {}
         self.n_chips = row_stop - int(row_start)
         self.n_ros = store.design.n_ros
         self.n_stages = store.design.n_stages
@@ -769,64 +771,6 @@ class StoreColumns:
             return
         r0 = self._rows[0]
         self.store.release(columns, r0 + lo, r0 + hi)
-
-    def subtracter(self, t: float, mechanism: Optional[str] = None):
-        """``(subtract(od, scratch, lo, hi), columns)`` for one pass at ``t``.
-
-        The golden path reads the duty-folded ``*_dir`` columns; a
-        mechanism pass reads one raw ``*_coeff`` column and applies the
-        exact :meth:`~repro.aging.simulator.PopulationAging.delta_components`
-        grouping ``coeff * (duty * t)**n``.
-        """
-        tech = self.store.design.tech
-        if mechanism is None:
-            terms = [
-                (name, self.column(name), scale, cap)
-                for name, scale, cap in (
-                    ("bti_dir", t ** tech.nbti.n, tech.nbti.max_shift),
-                    ("hci_dir", t ** tech.hci.m, tech.hci.max_shift),
-                )
-            ]
-
-            def subtract(od, scratch, lo, hi):
-                for name, column, scale, cap in terms:
-                    rows = column[lo:hi]
-                    np.multiply(rows, scale, out=scratch)
-                    if self._block_max(name, rows, lo, hi) * scale > cap:
-                        telemetry.count("aging.clip_applied")
-                        np.minimum(scratch, cap, out=scratch)
-                    else:
-                        telemetry.count("aging.clip_skipped")
-                    od -= scratch
-
-            return subtract, ("bti_dir", "hci_dir")
-        if mechanism == "bti":
-            pow_mech = np.power(self.store.fold.duty * t, tech.nbti.n)
-            cap = tech.nbti.max_shift
-        else:
-            pow_mech = np.power(
-                (self.store.fold.tpy * t) / tech.hci.ref_transitions, tech.hci.m
-            )
-            cap = tech.hci.max_shift
-        name = f"{mechanism}_coeff"
-        coeff = self.column(name)
-
-        def subtract(od, scratch, lo, hi):
-            np.multiply(coeff[lo:hi], pow_mech, out=scratch)
-            np.minimum(scratch, cap, out=scratch)
-            od -= scratch
-
-        return subtract, (name,)
-
-    def _block_max(self, name: str, rows: np.ndarray, lo: int, hi: int) -> float:
-        """Maximum of ``rows`` (column ``name`` over ``[lo, hi)``),
-        remembered for the last block asked per column: a sweep asks once
-        per year, and a materialised block never changes."""
-        last = self._max_memo.get(name)
-        if last is None or last[0] != (lo, hi):
-            last = ((lo, hi), float(rows.max()))
-            self._max_memo[name] = last
-        return last[1]
 
     def close(self) -> None:
         """Release mappings; delete the store root if this source owns it."""

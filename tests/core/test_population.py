@@ -58,13 +58,6 @@ class TestAgingEquivalence:
         for i, aging in enumerate(study.agings):
             assert np.array_equal(delta[i], aging.delta(t))
 
-    def test_delta_grid_stacks_the_memo(self, paths):
-        _, batch = paths
-        grid = batch.aging.delta_grid([1.0, 3.0])
-        assert grid.shape == (2, N_CHIPS, N_ROS, 5, 2)
-        assert np.array_equal(grid[0], batch.aging.delta(1.0))
-        assert np.array_equal(grid[1], batch.aging.delta(3.0))
-
     @pytest.mark.parametrize("t", [t for t in YEARS if t > 0])
     def test_aged_instances_bit_identical(self, paths, t):
         study, batch = paths
@@ -214,6 +207,8 @@ class TestFlipCounts:
         _, batch = paths
         with pytest.raises(ValueError, match="non-negative"):
             batch.flip_counts([1.0, -1.0])
+        with pytest.raises(ValueError, match="non-negative"):
+            batch.mechanism_frequencies(-1.0, "bti")
 
     @pytest.mark.parametrize("t", [float("nan"), float("inf")])
     def test_non_finite_year_rejected(self, paths, t):
@@ -224,6 +219,8 @@ class TestFlipCounts:
             batch.frequencies(t)
         with pytest.raises(ValueError, match="finite"):
             batch.responses(t_years=t)
+        with pytest.raises(ValueError, match="finite"):
+            batch.mechanism_frequencies(t, "hci")
 
 
 class TestPopulationView:

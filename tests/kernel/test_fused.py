@@ -154,22 +154,3 @@ class TestEngineIdentity:
                 assert np.array_equal(bits, store.responses(t_years=t))
                 freqs = serial.frequencies(t)
                 assert np.array_equal(freqs, np.asarray(store.frequencies(t)))
-
-
-class TestDeltaComponents:
-    """The forensics mechanism split reuses the component kernels."""
-
-    def test_components_sum_to_delta(self):
-        design = aro_design(n_ros=N_ROS)
-        batch = make_batch_study(design, N_CHIPS, rng=SEED)
-        bti, hci = batch.aging.delta_components(10.0)
-        assert np.array_equal(bti + hci, batch.aging.delta(10.0))
-
-    def test_delta_component_out_reuse(self):
-        design = aro_design(n_ros=N_ROS)
-        batch = make_batch_study(design, N_CHIPS, rng=SEED)
-        fresh = batch.aging.delta_component(10.0, "bti")
-        buf = np.empty_like(fresh)
-        reused = batch.aging.delta_component(10.0, "bti", out=buf)
-        assert reused is buf
-        assert np.array_equal(reused, fresh)

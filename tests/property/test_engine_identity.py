@@ -2,14 +2,15 @@
 
 Draws a design, a population size (including counts that neither the
 worker count nor the block size divides), a block size, ``jobs`` and
-``store``, and a year / corner / mechanism, and asserts that responses,
-margin-histogram counts, single-mechanism and golden-path frequencies
-equal those of the ``jobs=1, store="ram"`` study byte for byte — the
-golden path also against a RAM study whose aging deltas were memoised
-first.  A second property draws a year list and asserts that the
-one-stream ``flip_counts`` sweep equals per-corner ``responses`` plus an
-XOR count.  Every ``jobs=2`` example submits to one module-wide process
-pool, so the properties cost seconds, not a pool start-up per example.
+``store``, and a year / corner / mechanism / challenge, and asserts
+that responses, margin-histogram counts, single-mechanism and
+golden-path frequencies equal those of the ``jobs=1, store="ram"``
+study byte for byte — the golden path also against a RAM study whose
+aging deltas were memoised first.  A second property draws a year list
+and asserts that the one-stream ``flip_counts`` sweep equals per-corner
+``responses`` plus an XOR count.  Every ``jobs=2`` example submits to
+one module-wide process pool, so the properties cost seconds, not a pool
+start-up per example.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -82,9 +83,11 @@ def shared_pool():
     year=st.just(0.0) | st.floats(0.0, 15.0),
     corner=st.sampled_from(range(len(CORNERS))),
     mechanism=st.sampled_from(["bti", "hci"]),
+    challenge=st.none() | st.integers(0, 3),
 )
 def test_every_configuration_matches_serial_ram(
-    shared_pool, design, n_chips, seed, block_size, jobs, store, year, corner, mechanism
+    shared_pool, design, n_chips, seed, block_size, jobs, store, year, corner,
+    mechanism, challenge,
 ):
     reference = _reference(design, n_chips, seed)
     cond = CORNERS[corner]
@@ -97,14 +100,14 @@ def test_every_configuration_matches_serial_ram(
         block_size=block_size,
     ) as study:
         got = (
-            study.responses(t_years=year, conditions=cond),
-            study.margin_histogram(EDGES, t_years=year, conditions=cond),
+            study.responses(challenge, year, conditions=cond),
+            study.margin_histogram(EDGES, challenge, year, conditions=cond),
             study.mechanism_frequencies(year, mechanism, cond),
             study.frequencies(year, cond),
         )
         want = (
-            reference.responses(t_years=year, conditions=cond),
-            reference.margin_histogram(EDGES, t_years=year, conditions=cond),
+            reference.responses(challenge, year, conditions=cond),
+            reference.margin_histogram(EDGES, challenge, year, conditions=cond),
             reference.mechanism_frequencies(year, mechanism, cond),
             reference.frequencies(year, cond),
         )
@@ -168,14 +171,15 @@ def test_flip_counts_equal_per_corner_responses(
     _assert_same(got, _xor_counts(reference, years, challenge, cond))
 
 
+@pytest.mark.parametrize("store", ["ram", "mmap"])
 @pytest.mark.parametrize("block_size", [1, 4])
-def test_flip_counts_through_both_bti_clip_branches(block_size):
-    """Conventional silicon at large t: some store blocks reach the BTI
+def test_flip_counts_through_both_bti_clip_branches(block_size, store):
+    """Conventional silicon at large t: some source blocks reach the BTI
     cap and clip, others are proved below it and skip the pass."""
     design, n_chips, years = "ro-puf", 9, (0.5, 15.0, 60.0)
     with telemetry.session() as tr:
         with make_batch_study(
-            DESIGNS[design], n_chips, rng=0, store="mmap", block_size=block_size
+            DESIGNS[design], n_chips, rng=0, store=store, block_size=block_size
         ) as study:
             got = study.flip_counts(years)
     assert tr.counters["aging.clip_applied"] > 0

@@ -107,14 +107,7 @@ def _same(a, b) -> bool:
 
 
 def _ram_columns(study) -> dict:
-    return {
-        "vth": study.view.vth,
-        "tc_scale": study.view.tc_scale,
-        "bti_coeff": study.aging._bti_coeff,
-        "hci_coeff": study.aging._hci_coeff,
-        "bti_dir": study.aging._bti_dir,
-        "hci_dir": study.aging._hci_dir,
-    }
+    return {name: study.source.column(name) for name in COLUMNS}
 
 
 @settings(max_examples=40, deadline=None)

@@ -162,3 +162,67 @@ class TestLoadSpec:
         path = self._write(tmp_path, {"format": 1, "slos": []})
         with pytest.raises(ValueError, match="non-empty"):
             load_slo_spec(path)
+
+    BANDS = {
+        "nan": "NaN",
+        "inf": "Infinity",
+        "overflow": "1e999",
+        "huge-int": "1" + "0" * 400,
+        "true": "true",
+        "list": "[1]",
+        "string": '"x"',
+        "null": "null",
+    }
+
+    def _spec_text(self, pass_at):
+        return (
+            '{"format": 1, "slos": [{"name": "ok", "metric": "m", '
+            '"bound": "upper", "pass_at": 1, "fail_at": 2}, {"name": "bad", '
+            '"metric": "m", "bound": "upper", "pass_at": ' + pass_at + ', '
+            '"fail_at": 5}]}'
+        )
+
+    @pytest.mark.parametrize("band", sorted(BANDS))
+    def test_non_finite_or_non_number_band_rejected(self, tmp_path, band):
+        path = tmp_path / "slo.json"
+        path.write_text(self._spec_text(self.BANDS[band]))
+        with pytest.raises(ValueError) as info:
+            load_slo_spec(path)
+        message = str(info.value)
+        assert str(path) in message
+        assert "slos[1]" in message and "pass_at" in message
+
+    def test_bad_bound_names_the_file_and_entry(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            {
+                "format": 1,
+                "slos": [
+                    {"name": "x", "metric": "m", "bound": "up",
+                     "pass_at": 1, "fail_at": 2}
+                ],
+            },
+        )
+        with pytest.raises(ValueError, match=r"slo\.json: slos\[0\]: slo 'x'"):
+            load_slo_spec(path)
+
+    @pytest.mark.parametrize(
+        "text", ["[" * 20000, '{"format": 1, "slos": [', "[]"],
+        ids=["deep", "truncated", "not-an-object"],
+    )
+    def test_malformed_json_names_the_file(self, tmp_path, text):
+        path = tmp_path / "slo.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_slo_spec(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("band", ["[1]", "NaN", "true"])
+    def test_loadgen_exits_2_on_a_bad_band(self, tmp_path, capsys, band):
+        from repro.cli import main
+
+        path = tmp_path / "slo.json"
+        path.write_text(self._spec_text(band))
+        assert main(["loadgen", "--slo-spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad SLO spec" in err and "slos[1]" in err

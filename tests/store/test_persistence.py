@@ -116,6 +116,44 @@ class TestErrors:
         with pytest.raises(ValueError, match="store format 99"):
             PopulationStore.attach(root, DESIGN)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"format": 1, "n_chips": ', "is not valid JSON"),
+            ("[" * 20000, "is not valid JSON"),
+            ("\xff", "is not valid JSON"),
+            ("[]", "holds a list, not an object"),
+            ("null", "holds a NoneType, not an object"),
+            ('{"n_chips": 11, "block_size": 4}', "store format None"),
+            ('{"format": 1, "block_size": 4}', "n_chips must be a positive"),
+            ('{"format": 1, "n_chips": 11, "block_size": 0}', "block_size must"),
+            ('{"format": 1, "n_chips": 11, "block_size": "4"}', "block_size must"),
+            ('{"format": 1, "n_chips": 11.0, "block_size": 4}', "n_chips must"),
+            ('{"format": 1, "n_chips": true, "block_size": 4}', "n_chips must"),
+        ],
+        ids=[
+            "truncated", "deep", "undecodable", "list", "null", "no-format",
+            "no-n-chips", "zero-block", "string-block", "float-chips",
+            "bool-chips",
+        ],
+    )
+    @pytest.mark.parametrize("opener", ["attach", "create"])
+    def test_corrupt_meta_refused_naming_the_file(
+        self, tmp_path, text, message, opener
+    ):
+        root = tmp_path / "pop"
+        _laid_down(root)
+        (root / "meta.json").write_bytes(text.encode("latin-1"))
+        with pytest.raises(ValueError) as info:
+            if opener == "attach":
+                PopulationStore.attach(root, DESIGN)
+            else:
+                PopulationStore.create(
+                    root, DESIGN, N_CHIPS, rng=SEED, block_size=BLOCK
+                )
+        assert str(root / "meta.json") in str(info.value)
+        assert message in str(info.value)
+
     def test_missing_key_file(self, tmp_path):
         root = tmp_path / "pop"
         _laid_down(root)
@@ -187,6 +225,23 @@ class TestErrors:
         again = subprocess.run(argv, env=env, capture_output=True, text=True)
         assert again.returncode != 0
         assert "vth.npy" in again.stderr
+
+    def test_cli_exits_nonzero_naming_a_corrupt_meta(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        argv = [
+            sys.executable, "-m", "repro.cli", "run", "e2", "--chips", "4",
+            "--ros", "16", "--store", "mmap", "--store-dir", str(tmp_path),
+        ]
+        env = dict(os.environ, PYTHONPATH=src)
+        first = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert first.returncode == 0, first.stderr
+        meta = tmp_path / "ro-puf" / "meta.json"
+        fields = json.loads(meta.read_text())
+        fields["block_size"] = 0
+        meta.write_text(json.dumps(fields))
+        again = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert again.returncode != 0
+        assert f"{meta}: block_size must be a positive integer" in again.stderr
 
 
 class TestFlushes:
