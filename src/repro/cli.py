@@ -1618,63 +1618,74 @@ def main(argv: Optional[list] = None) -> int:
     cache_summary: Optional[Dict[str, Any]] = None
 
     try:
-        if args.command == "check-anchors":
-            return _check_anchors_command(args, config)
+        # one fabrication per population for the whole command
+        with config.run_context():
+            if args.command == "check-anchors":
+                return _check_anchors_command(args, config)
 
-        if args.command == "explain":
-            return _explain_command(args, config)
+            if args.command == "explain":
+                return _explain_command(args, config)
 
-        ledger = telemetry.Ledger(args.ledger) if args.ledger else None
+            ledger = telemetry.Ledger(args.ledger) if args.ledger else None
 
-        if args.command == "report":
-            from .analysis.report import ALL_EXPERIMENTS, generate_report
+            if args.command == "report":
+                from .analysis.report import ALL_EXPERIMENTS, generate_report
 
-            manifest = _collect_manifest(args, config) if ledger else None
-            selected = args.experiments or list(ALL_EXPERIMENTS)
-            unknown = [key for key in selected if key not in EXPERIMENTS]
-            if unknown:
-                return _unknown_experiment_error(unknown)
-            generate_report(
-                config,
-                experiments=selected,
-                path=args.path,
-                ledger=ledger,
-                manifest=manifest,
+                manifest = _collect_manifest(args, config) if ledger else None
+                selected = args.experiments or list(ALL_EXPERIMENTS)
+                unknown = [key for key in selected if key not in EXPERIMENTS]
+                if unknown:
+                    return _unknown_experiment_error(unknown)
+                generate_report(
+                    config,
+                    experiments=selected,
+                    path=args.path,
+                    ledger=ledger,
+                    manifest=manifest,
+                )
+                print(f"report written to {args.path}")
+                return 0
+
+            if args.experiment != "all" and args.experiment not in EXPERIMENTS:
+                return _unknown_experiment_error(args.experiment)
+            selected = (
+                sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
             )
-            print(f"report written to {args.path}")
+            cache = _open_cache(args)
+            hits: List[str] = []
+            misses: List[str] = []
+            chunks = []
+            results = []
+            for key in selected:
+                result, hit = _run_experiment(key, config, cache)
+                (hits if hit else misses).append(key)
+                results.append((key, result))
+                chunks.append(EXPERIMENTS[key].render(result))
+            cache_summary = _cache_summary(cache, hits, misses)
+            if ledger is not None:
+                manifest = _collect_manifest(args, config, cache_summary)
+                for key, result in results:
+                    ledger.record(key, result.ledger_scalars(), manifest)
+            text = "\n\n".join(chunks)
+            print(text)
+            if cache is not None:
+                print(f"cache: {len(hits)} hit(s), {len(misses)} miss(es) in {cache.root}")
+            if ledger is not None:
+                print(f"ledger: {len(selected)} entries appended to {ledger.path}")
+            if args.out is not None:
+                out_path = pathlib.Path(args.out)
+                out_path.parent.mkdir(parents=True, exist_ok=True)
+                out_path.write_text(text + "\n")
             return 0
+    except ValueError as exc:
+        # a damaged or foreign --store-dir is a usage error, like a bad
+        # --slo-spec: one line naming the file, not a traceback
+        from .store.store import StoreError
 
-        if args.experiment != "all" and args.experiment not in EXPERIMENTS:
-            return _unknown_experiment_error(args.experiment)
-        selected = (
-            sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-        )
-        cache = _open_cache(args)
-        hits: List[str] = []
-        misses: List[str] = []
-        chunks = []
-        results = []
-        for key in selected:
-            result, hit = _run_experiment(key, config, cache)
-            (hits if hit else misses).append(key)
-            results.append((key, result))
-            chunks.append(EXPERIMENTS[key].render(result))
-        cache_summary = _cache_summary(cache, hits, misses)
-        if ledger is not None:
-            manifest = _collect_manifest(args, config, cache_summary)
-            for key, result in results:
-                ledger.record(key, result.ledger_scalars(), manifest)
-        text = "\n\n".join(chunks)
-        print(text)
-        if cache is not None:
-            print(f"cache: {len(hits)} hit(s), {len(misses)} miss(es) in {cache.root}")
-        if ledger is not None:
-            print(f"ledger: {len(selected)} entries appended to {ledger.path}")
-        if args.out is not None:
-            out_path = pathlib.Path(args.out)
-            out_path.parent.mkdir(parents=True, exist_ok=True)
-            out_path.write_text(text + "\n")
-        return 0
+        if not isinstance(exc, StoreError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         _finish_telemetry(args, config, cache_summary)
 

@@ -181,20 +181,40 @@ class RoPufInstance:
         """Response bits for every challenge, shape ``(len(challenges), n_bits)``.
 
         The pairing hands over every challenge's pairs in one
-        :meth:`~repro.core.pairing.PairingScheme.pairs_many` call, the
-        chip's frequencies are computed once for the corner, and all the
-        pairs are compared against them.  With a shared
-        ``Generator`` the noisy draws are those of one :meth:`evaluate`
-        call per challenge in order (oscillator ``a`` then ``b`` for each
-        challenge; ``votes > 1`` spawns per challenge), so row ``i`` and
-        the generator's final state match that loop bit for bit.  With
-        ``rng=None``, an int or a ``SeedSequence`` the batch draws *one*
-        stream from it, where separate calls would each restart it.
+        :meth:`~repro.core.pairing.PairingScheme.pairs_many` call and
+        :meth:`evaluate_pairs` reads them.
         """
-        design = self.design
         if len(challenges) == 0:
             raise ValueError("challenges is empty")
-        pairs = design.pairing.pairs_many(design.n_ros, challenges)
+        pairs = self.design.pairing.pairs_many(self.design.n_ros, challenges)
+        return self.evaluate_pairs(
+            pairs, conditions=conditions, noisy=noisy, votes=votes, rng=rng
+        )
+
+    def evaluate_pairs(
+        self,
+        pairs: np.ndarray,
+        *,
+        conditions: Optional[OperatingConditions] = None,
+        noisy: bool = False,
+        votes: int = 1,
+        rng: RngLike = None,
+    ) -> np.ndarray:
+        """Response bits for explicit pair tables, one row per challenge.
+
+        ``pairs`` has shape ``(k, n_bits, 2)``, any integer dtype (a
+        verifier replays the tables it stored at enrolment).  The chip's
+        frequencies are computed once for the corner, and all the pairs
+        are compared against them.  With a shared ``Generator`` the noisy
+        draws are those of one :meth:`evaluate` call per challenge in
+        order (oscillator ``a`` then ``b`` for each challenge; ``votes >
+        1`` spawns per challenge), so row ``i`` and the generator's final
+        state match that loop bit for bit.  With ``rng=None``, an int or
+        a ``SeedSequence`` the batch draws *one* stream from it, where
+        separate calls would each restart it.
+        """
+        design = self.design
+        pairs = np.asarray(pairs)
         check_pairs(pairs, design.n_ros, challenge_axis=True)
         freqs = self.frequencies(conditions)
         if not noisy:

@@ -18,7 +18,9 @@ Everything is built from first principles on :mod:`repro.ecc.galois`:
   Binary BCH needs no error-magnitude (Forney) step: located bits are
   simply flipped.
 
-Both tables are built on first use, once per code object.
+Both tables, and the generator itself, are built on first use, once per
+code object: ``k`` comes from the cyclotomic cosets, so a design search
+that prices codes by ``(n, k, t)`` builds no generator.
 
 Shortened codes (``BchCode.shortened``) are supported because key
 generators rarely need the full natural length.
@@ -27,7 +29,7 @@ generators rarely need the full natural length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import List, Tuple
 
 import numpy as np
@@ -35,7 +37,6 @@ import numpy as np
 from .. import telemetry
 from .galois import (
     GF2m,
-    poly_degree,
     poly_lcm_gf2,
     poly_mod_rows,
     poly_remainder_rows,
@@ -57,6 +58,17 @@ def _as_bits(x, length: int, what: str) -> np.ndarray:
     return arr.astype(np.uint8)
 
 
+@lru_cache(maxsize=None)
+def _field(m: int) -> GF2m:
+    """The one GF(2^m) of the BCH codes of length ``2^m - 1``: a palette
+    builds dozens of codes per ``m``, and the antilog table is a Python
+    loop over the field."""
+    field = GF2m(m)
+    field.exp.flags.writeable = False
+    field.log.flags.writeable = False
+    return field
+
+
 @dataclass(frozen=True)
 class BchCode:
     """A (possibly shortened) binary BCH code.
@@ -69,7 +81,6 @@ class BchCode:
     n: int
     k: int
     t: int
-    generator: np.ndarray
     #: natural (unshortened) code length ``2^m - 1``
     n_full: int
 
@@ -79,19 +90,27 @@ class BchCode:
 
     @classmethod
     def design(cls, m: int, t: int) -> "BchCode":
-        """The t-error-correcting BCH code of length ``2^m - 1``."""
+        """The t-error-correcting BCH code of length ``2^m - 1``.
+
+        The generator is the LCM of the minimal polynomials of ``alpha ..
+        alpha^{2t}``: the product of one minimal polynomial per distinct
+        cyclotomic coset, of degree the coset's size.  So ``n - k`` is the
+        size of the union of the cosets of ``1 .. 2t``.
+        """
         if t < 1:
             raise ValueError("t must be at least 1")
-        field = GF2m(m)
+        field = _field(m)
         n = field.order
         if 2 * t >= n:
             raise ValueError(f"t={t} too large for length {n}")
-        minimals = [field.minimal_polynomial(j) for j in range(1, 2 * t + 1)]
-        gen = poly_lcm_gf2(minimals)
-        k = n - poly_degree(gen)
+        roots = set()
+        for j in range(1, 2 * t + 1):
+            if j not in roots:
+                roots.update(field.cyclotomic_coset(j))
+        k = n - len(roots)
         if k <= 0:
             raise ValueError(f"BCH(m={m}, t={t}) has no message bits")
-        return cls(field=field, n=n, k=k, t=t, generator=gen, n_full=n)
+        return cls(field=field, n=n, k=k, t=t, n_full=n)
 
     def shortened(self, n_short: int) -> "BchCode":
         """Shorten to length ``n_short`` (drops high-order message bits)."""
@@ -107,8 +126,16 @@ class BchCode:
             n=n_short,
             k=self.k - drop,
             t=self.t,
-            generator=self.generator,
             n_full=self.n_full,
+        )
+
+    @cached_property
+    def generator(self) -> np.ndarray:
+        """The generator polynomial, 0/1 coefficients lowest degree first
+        (built on first use; a shortened code has its parent's)."""
+        field = self.field
+        return poly_lcm_gf2(
+            [field.minimal_polynomial(j) for j in range(1, 2 * self.t + 1)]
         )
 
     @property

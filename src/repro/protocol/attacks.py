@@ -32,7 +32,7 @@ import numpy as np
 
 from .._rng import RngLike, as_generator
 from ..core.base import RoPufInstance
-from .crp import CRP_PAIRING, CrpTable, harvest_crps
+from .crp import CrpTable, harvest_crps
 
 
 def _reachability(comparisons: np.ndarray) -> np.ndarray:
@@ -105,8 +105,7 @@ class SortingAttackModel:
         """Bit-prediction accuracy on the CRPs of ``test``."""
         gen = as_generator(rng)
         correct = 0
-        for challenge, response in zip(test.challenges, test.responses):
-            pairs = CRP_PAIRING.pairs(self.n_ros, int(challenge))
+        for pairs, response in zip(test.challenge_pairs(self.n_ros), test.responses):
             bits, _ = self.predict_bits(pairs, rng=gen)
             correct += int(np.count_nonzero(bits == response))
         return correct / test.responses.size
@@ -115,8 +114,7 @@ class SortingAttackModel:
 def build_attack_model(table: CrpTable, n_ros: int) -> SortingAttackModel:
     """Digest disclosed CRPs into the comparison and reachability matrices."""
     comparisons = np.zeros((n_ros, n_ros), dtype=bool)
-    for challenge, response in zip(table.challenges, table.responses):
-        pairs = CRP_PAIRING.pairs(n_ros, int(challenge))
+    for pairs, response in zip(table.challenge_pairs(n_ros), table.responses):
         faster = response.astype(bool)  # f_a > f_b : b -> a
         slow = np.where(faster, pairs[:, 1], pairs[:, 0])
         fast = np.where(faster, pairs[:, 0], pairs[:, 1])
@@ -151,18 +149,10 @@ def attack_curve(
     gen = as_generator(rng)
     max_train = max(train_sizes)
     table = harvest_crps(instance, max_train + n_test, rng=gen)
-    test = CrpTable(
-        challenges=table.challenges[max_train:],
-        responses=table.responses[max_train:],
-        chip_id=table.chip_id,
-    )
+    test = table.split(max_train)[1]
     rows = []
     for n_train in train_sizes:
-        train = CrpTable(
-            challenges=table.challenges[:n_train],
-            responses=table.responses[:n_train],
-            chip_id=table.chip_id,
-        )
+        train = table.split(n_train)[0]
         model = build_attack_model(train, instance.design.n_ros)
         accuracy = model.accuracy(test, rng=gen)
         rows.append((n_train, accuracy, model.known_order_fraction()))

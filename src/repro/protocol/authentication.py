@@ -26,7 +26,7 @@ from .._rng import RngLike, as_generator, spawn
 from ..core.base import RoPufInstance
 from ..core.factory import Study
 from ..metrics.hamming import fractional_hd
-from .crp import CrpTable, crp_instance, harvest_crps
+from .crp import CrpTable, harvest_crps
 
 
 @dataclass(frozen=True)
@@ -83,17 +83,19 @@ class Verifier:
             raise RuntimeError(
                 f"chip {claimed_id}'s CRP table is exhausted; re-enrol"
             )
-        batch = table.challenges[cursor : cursor + self.batch_size]
-        enrolled = table.responses[cursor : cursor + self.batch_size]
-        self._cursor[claimed_id] = cursor + self.batch_size
+        end = cursor + self.batch_size
+        enrolled = table.responses[cursor:end]
+        self._cursor[claimed_id] = end
 
-        answers = crp_instance(device).evaluate_many(batch, noisy=True, rng=rng)
+        # the matchings the table was enrolled with, not rebuilt
+        pairs = table.challenge_pairs(device.design.n_ros, cursor, end)
+        answers = device.evaluate_pairs(pairs, noisy=True, rng=rng)
         distance = fractional_hd(enrolled.ravel(), answers.ravel())
         return AuthenticationResult(
             accepted=distance <= self.threshold,
             distance=distance,
             threshold=self.threshold,
-            challenges_used=int(batch.size),
+            challenges_used=self.batch_size,
         )
 
 

@@ -17,6 +17,7 @@ from .store import (
     STORE_FORMAT,
     PopulationStore,
     StoreColumns,
+    StoreError,
     default_block_size,
     flush_rows,
     open_store_columns,
@@ -31,6 +32,7 @@ __all__ = [
     "STORE_FORMAT",
     "PopulationStore",
     "StoreColumns",
+    "StoreError",
     "default_block_size",
     "flush_rows",
     "open_store_columns",

@@ -165,27 +165,35 @@ def _keys_digest(fab_keys: np.ndarray, aging_keys: np.ndarray) -> str:
     return digest.hexdigest()
 
 
+class StoreError(ValueError):
+    """A store on disk is malformed, damaged or holds another population.
+
+    The message names the file or directory.  ``repro run`` reports it as
+    one ``error: ...`` line and exits 2.
+    """
+
+
 def _read_meta(path: pathlib.Path) -> dict:
     """A store's parsed ``meta.json``, refused unless it is well formed.
 
-    Every refusal is a :class:`ValueError` naming the file: undecodable
+    Every refusal is a :class:`StoreError` naming the file: undecodable
     JSON, a non-object, a wrong ``format``, or an ``n_chips`` /
     ``block_size`` that is missing or not a positive integer.
     """
     try:
         meta = json.loads(path.read_text())
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}") from None
+        raise StoreError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(meta, dict):
-        raise ValueError(f"{path} holds a {type(meta).__name__}, not an object")
+        raise StoreError(f"{path} holds a {type(meta).__name__}, not an object")
     if meta.get("format") != STORE_FORMAT:
-        raise ValueError(
+        raise StoreError(
             f"{path}: store format {meta.get('format')!r} != {STORE_FORMAT}"
         )
     for key in ("n_chips", "block_size"):
         value = meta.get(key)
         if type(value) is not int or value < 1:
-            raise ValueError(
+            raise StoreError(
                 f"{path}: {key} must be a positive integer, got {value!r}"
             )
     return meta
@@ -197,7 +205,8 @@ def _map_npy(path: pathlib.Path) -> np.memmap:
     ``np.load(mmap_mode="r+")`` maps what the header's shape asks for and
     grows a short file with zeros, so a truncated segment would read
     back as zero-valued chips.  The file must be exactly its header plus
-    the data the header describes; anything else raises ``ValueError``.
+    the data the header describes; anything else raises
+    :class:`StoreError`.
     """
     fmt = np.lib.format
     with open(path, "rb") as fh:
@@ -210,13 +219,13 @@ def _map_npy(path: pathlib.Path) -> np.memmap:
             }[version]
             shape, _, dtype = read_header(fh)
         except (KeyError, ValueError) as exc:
-            raise ValueError(
+            raise StoreError(
                 f"{path} is {actual} bytes with no readable .npy header "
                 f"({exc}); the store is damaged"
             ) from None
         expected = fh.tell() + int(np.prod(shape)) * dtype.itemsize
     if actual != expected:
-        raise ValueError(
+        raise StoreError(
             f"{path} is {actual} bytes, but its .npy header describes "
             f"{expected} bytes; the store is damaged"
         )
@@ -384,7 +393,7 @@ class PopulationStore:
         meta_path = root / "meta.json"
         if meta_path.exists():
             if _read_meta(meta_path).get("content_key") != content_key:
-                raise ValueError(
+                raise StoreError(
                     f"{root} already holds a different population "
                     f"(content key mismatch); refusing to overwrite"
                 )
@@ -466,7 +475,7 @@ class PopulationStore:
         fingerprint = _design_fingerprint(design, mission, idle_policy, n_chips)
         content_key = _content_key(fingerprint, _keys_digest(fab_keys, aging_keys))
         if content_key != meta.get("content_key"):
-            raise ValueError(
+            raise StoreError(
                 f"store at {root} does not match the supplied design/mission "
                 "(content key mismatch)"
             )

@@ -616,8 +616,11 @@ class TestStoreDir:
     def test_different_population_is_refused(self, tmp_path, capsys):
         store = ["--store", "mmap", "--store-dir", str(tmp_path / "store")]
         assert main([*self.SCALE, *store]) == 0
-        with pytest.raises(ValueError, match="different population"):
-            main([*self.SCALE, *store, "--seed", "9"])
+        capsys.readouterr()
+        assert main([*self.SCALE, *store, "--seed", "9"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "different population" in err[0]
 
 
 class TestPerfGate:

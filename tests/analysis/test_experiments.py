@@ -23,6 +23,7 @@ from repro.analysis import (
     stage_ablation,
     uniqueness_experiment,
 )
+from repro import cli
 from repro.core import make_study
 from repro.ecc import standard_codes
 
@@ -280,3 +281,25 @@ class TestOneEngine:
         assert calls
         assert batched
         assert batched == per_chip_scalars
+
+
+class TestRunContext:
+    """Inside the CLI's run context every experiment takes the two default
+    populations and their prefactor draw from one fabrication; every
+    ledger scalar must equal a run that fabricates each study afresh, by
+    ``float.hex``."""
+
+    @pytest.mark.parametrize(
+        "key", sorted(k for k in cli.EXPERIMENTS if k != "e6")
+    )
+    def test_ledger_scalars_match_fresh_fabrication(self, config, key):
+        run = cli.EXPERIMENTS[key].run
+
+        def scalars():
+            return {k: float(v).hex() for k, v in run(config).ledger_scalars().items()}
+
+        fresh = scalars()
+        with config.run_context():
+            shared = scalars()
+        assert fresh
+        assert shared == fresh

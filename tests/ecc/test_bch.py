@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ecc import BchCode, BchDecodingError, standard_codes
+from repro.ecc.galois import poly_degree
 
 
 @pytest.fixture(scope="module")
@@ -172,3 +173,31 @@ class TestStandardCodes:
         palette = standard_codes(max_m=6, max_t=4)
         lengths = {code.n for code in palette}
         assert lengths == {31, 63}
+
+    def test_coset_dimension_equals_generator_degree(self):
+        """``k`` comes from the cyclotomic cosets of ``1 .. 2t``; it is the
+        dimension the generator polynomial's degree gives, for every code
+        of the E6 palette."""
+        for code in standard_codes():
+            assert code.n - poly_degree(code.generator) == code.k, str(code)
+
+    def test_building_the_palette_builds_no_generator(self):
+        palette = standard_codes()
+        assert len(palette) == 145
+        assert all("generator" not in code.__dict__ for code in palette)
+
+    def test_generator_built_on_first_encode(self):
+        """BCH(255,131,t=18): the generator is built by the first encode,
+        and the word round-trips through decode."""
+        code = BchCode.design(8, 18)
+        assert "generator" not in code.__dict__
+        rng = np.random.default_rng(1)
+        msg = rng.integers(0, 2, code.k).astype(np.uint8)
+        cw = code.encode(msg)
+        assert "generator" in code.__dict__
+        assert poly_degree(code.generator) == code.n - code.k == 124
+        corrected, found = code.decode(cw)
+        assert found == 0
+        assert np.array_equal(code.extract_message(corrected), msg)
+        short = code.shortened(200)
+        assert np.array_equal(short.generator, code.generator)

@@ -1,4 +1,4 @@
-"""Property tests: the challenge-batched readout and the binomial tail.
+"""Property tests: the challenge-batched readout.
 
 ``RoPufInstance.evaluate_many`` computes a chip's frequencies once per
 corner and compares every challenge's pairs against them.  It must equal
@@ -6,26 +6,16 @@ one ``evaluate`` call per challenge bit for bit, and leave a shared
 ``Generator`` in the state that loop leaves it in.  A restatement of the
 per-challenge readout (pairs, frequencies, ``compare_pairs`` or
 ``voted_response``) is kept here as the reference.
-
-``binom_sf`` must equal ``scipy.stats.binom.sf`` bit for bit on the key-
-generator search's grids and at the edges of the support.
 """
-
-import sys
-import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from repro.core import aro_design, conventional_design
 from repro.core.readout import compare_pairs, voted_response
-from repro.ecc import standard_codes
-from repro.ecc.repetition import binom_sf
 from repro.environment import OperatingConditions, celsius
-from repro.keygen.design import DEFAULT_REPETITIONS
 from repro.protocol.crp import crp_instance
 
 INSTANCES = {
@@ -35,7 +25,6 @@ INSTANCES = {
         "aro-puf": aro_design(n_ros=32, n_stages=3),
     }.items()
 }
-PALETTE_T, PALETTE_N = np.array([(c.t, c.n) for c in standard_codes()], dtype=np.int64).T
 CORNERS = (
     OperatingConditions.nominal(),
     OperatingConditions(temperature_k=celsius(85.0)),
@@ -101,40 +90,6 @@ def test_evaluate_many_rejects_what_evaluate_rejects():
         inst.evaluate_many([1, 2], votes=3)
     with pytest.raises(ValueError, match="votes must be at least 1"):
         inst.evaluate_many([1, 2], noisy=True, votes=0)
-
-
-def _assert_bitwise(k, n, p):
-    ours = np.asarray(binom_sf(k, n, p))
-    theirs = np.asarray(stats.binom.sf(k, n, p))
-    assert ours.shape == theirs.shape
-    assert ours.tobytes() == theirs.tobytes()
-
-
-@settings(max_examples=40, deadline=None)
-@given(p=st.floats(0.0, 0.5))
-def test_binom_sf_matches_scipy_stats_on_the_search_grid(p):
-    r = np.asarray(DEFAULT_REPETITIONS, dtype=np.int64)
-    _assert_bitwise((r - 1) // 2, r, p)
-    q = np.asarray(stats.binom.sf((r - 1) // 2, r, p))
-    _assert_bitwise(PALETTE_T, PALETTE_N, q[:, np.newaxis])
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 63, 255, 1023])
-@pytest.mark.parametrize("p", [0.0, 1e-300, 1e-12, 0.25, 0.5, 1.0])
-def test_binom_sf_matches_scipy_stats_across_the_support(n, p):
-    _assert_bitwise(np.arange(n + 1), n, p)
-
-
-def test_binom_sf_falls_back_without_the_private_ufunc(monkeypatch):
-    monkeypatch.setitem(
-        sys.modules, "scipy.special._ufuncs", types.ModuleType("scipy.special._ufuncs")
-    )
-    calls = []
-    monkeypatch.setattr(
-        stats, "binom", types.SimpleNamespace(sf=lambda *a: calls.append(a) or "sf")
-    )
-    assert binom_sf(3, 7, 0.3) == "sf"
-    assert calls == [(3, 7, 0.3)]
 
 
 @pytest.mark.parametrize("votes", [1, 3])

@@ -1,9 +1,13 @@
 """Verifier protocol and the authentication study."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from repro.core import aro_design, conventional_design, make_study
+from repro.core import aro_design, conventional_design, make_batch_study, make_study
 from repro.protocol import Verifier, authentication_study
+from repro.protocol import authentication as authentication_mod
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +99,34 @@ class TestStudy:
         assert 0.0 <= conv_eer <= 1.0
         assert aro_eer <= conv_eer
         assert 0.0 < aro_thr < 0.5
+
+
+def test_stored_pair_tables_replay_what_rebuilt_ones_read(monkeypatch):
+    """The verifier authenticates against the pair tables it enrolled
+    with.  The study result and the noisy generator's end state equal a
+    run whose tables hold no pairs, so that every round rebuilds them."""
+
+    def run():
+        studies = {
+            name: make_batch_study(design, 5, rng=4)
+            for name, design in (
+                ("ro-puf", conventional_design(n_ros=32)),
+                ("aro-puf", aro_design(n_ros=32)),
+            )
+        }
+        gen = np.random.default_rng(5)
+        result = authentication_study(
+            studies, years=(0.0, 10.0), batch_size=4, n_challenges=12, rng=gen
+        )
+        return result, gen.bit_generator.state
+
+    stored = run()
+    harvest = authentication_mod.harvest_crps
+
+    def without_pairs(*args, **kwargs):
+        return dataclasses.replace(harvest(*args, **kwargs), pairs=None)
+
+    monkeypatch.setattr(authentication_mod, "harvest_crps", without_pairs)
+    rebuilt = run()
+    assert stored[0] == rebuilt[0]
+    assert stored[1] == rebuilt[1]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import conventional_design
 from repro.protocol import CrpTable, harvest_crps
+from repro.protocol.crp import CRP_PAIRING
 
 
 @pytest.fixture(scope="module")
@@ -84,4 +85,33 @@ class TestTable:
                 challenges=np.arange(3),
                 responses=np.zeros((2, 4), dtype=np.uint8),
                 chip_id=0,
+            )
+
+
+class TestStoredPairs:
+    def test_harvest_keeps_the_compact_pair_tables(self, instance):
+        table = harvest_crps(instance, 6, rng=3)
+        assert table.pairs.dtype == np.int8  # 32 ROs
+        rebuilt = CRP_PAIRING.pairs_many(32, table.challenges)
+        assert np.array_equal(table.pairs, rebuilt)
+        assert np.array_equal(table.challenge_pairs(32, 2, 5), rebuilt[2:5])
+        for lo, hi in ((0, 4), (4, 6)):
+            part = table.split(4)[lo // 4]
+            assert np.array_equal(part.pairs, rebuilt[lo:hi])
+        wide = conventional_design(n_ros=256).sample_instances(1, rng=0)[0]
+        assert harvest_crps(wide, 2, rng=3).pairs.dtype == np.int16
+
+    def test_a_table_without_pairs_rebuilds_them(self, instance):
+        table = harvest_crps(instance, 4, rng=3)
+        bare = CrpTable(table.challenges, table.responses, table.chip_id)
+        assert bare.pairs is None
+        assert np.array_equal(bare.challenge_pairs(32, 1, 3), table.pairs[1:3])
+
+    def test_pairs_must_match_the_table(self, instance):
+        table = harvest_crps(instance, 4, rng=3)
+        with pytest.raises(ValueError, match="pairs"):
+            CrpTable(table.challenges, table.responses, 0, pairs=table.pairs[:3])
+        with pytest.raises(ValueError, match="pairs"):
+            CrpTable(
+                table.challenges, table.responses, 0, pairs=table.pairs.astype(float)
             )

@@ -243,6 +243,36 @@ class TestErrors:
         assert again.returncode != 0
         assert f"{meta}: block_size must be a positive integer" in again.stderr
 
+    @pytest.mark.parametrize("damage", ["meta", "segment"])
+    def test_cli_reports_a_damaged_store_in_one_line_and_exits_2(
+        self, tmp_path, capsys, damage
+    ):
+        """``repro run`` over a damaged ``--store-dir`` prints one
+        ``error: ...`` line naming the file and exits 2, as ``loadgen``
+        does for a bad ``--slo-spec``; no traceback escapes."""
+        from repro.cli import main
+
+        argv = [
+            "run", "e2", "--chips", "4", "--ros", "16", "--store", "mmap",
+            "--store-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        if damage == "meta":
+            path = tmp_path / "ro-puf" / "meta.json"
+            fields = json.loads(path.read_text())
+            fields["block_size"] = 0
+            path.write_text(json.dumps(fields))
+            message = f"error: {path}: block_size must be a positive integer"
+        else:
+            path = tmp_path / "ro-puf" / "vth.npy"
+            with open(path, "r+b") as fh:
+                fh.truncate(1000)
+            message = f"error: {path} is 1000 bytes"
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message), err
+
 
 class TestFlushes:
     """msync only where a later run can re-attach the store."""

@@ -7,10 +7,10 @@ and parallel machinery either (``asyncio``, ``ssl``,
 out-of-core store (``repro.store``) loads no ``repro.parallel`` module.  The
 randomness battery computes its p-values in closed form, so a whole
 ``check-anchors`` run loads no ``scipy`` module, and neither does a
-``FleetService`` answering enroll, auth and key requests.  Only the
-binomial tails of the ECC design search (E6) and the key-failure model
-use scipy, through a ``scipy.special`` ufunc, so the search never loads
-``scipy.stats``.  Each check runs in a fresh interpreter so
+``FleetService`` answering enroll, auth and key requests.  The binomial
+tails of the ECC design search (E6) and the key-failure model are numpy
+too, so a whole ``run all`` loads no ``scipy`` module either: scipy is a
+test-only oracle.  Each check runs in a fresh interpreter so
 ``sys.modules`` starts clean; it asserts on loaded modules rather than on
 wall time, which is too noisy to gate.
 """
@@ -19,8 +19,6 @@ import os
 import subprocess
 import sys
 import textwrap
-
-import pytest
 
 import repro
 
@@ -118,19 +116,19 @@ def test_service_requests_load_no_scipy():
     assert outcomes == "['ok', 'ok', 'rejected', 'ok'] []"
 
 
-def test_design_search_loads_no_scipy_stats():
-    try:
-        from scipy.special._ufuncs import _binom_sf  # noqa: F401
-    except ImportError:
-        pytest.skip("this scipy lacks _binom_sf, so binom_sf falls back to scipy.stats")
+def test_run_all_and_required_correction_load_no_scipy():
+    """The binomial tails of E6 and of the key-failure model are numpy
+    (``repro.ecc.repetition.binom_sf``): scipy is a test-only oracle."""
     loaded = _run(
-        """
-        import sys
-        from repro import aro_design
-        from repro.keygen import search_design_space
+        f"""
+        import contextlib, io, sys
+        from repro.cli import main
+        from repro.keygen import required_correction
 
-        assert search_design_space(0.05, aro_design())
-        print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["run", "all", "--chips", "8", "--ros", "32"])
+        assert required_correction(0.05, 127, 1e-6) > 0
+        print({SCIPY_LOADED})
         """
     )
     assert loaded == "[]"
