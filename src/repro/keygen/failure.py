@@ -15,7 +15,7 @@ import numpy as np
 
 from .._rng import RngLike, as_generator
 from ..ecc.concatenated import KeyCodec
-from ..ecc.repetition import binom_sf
+from ..ecc.repetition import MAX_N, binom_sf
 from .fuzzy_extractor import FuzzyExtractor, KeyRecoveryError
 
 
@@ -40,12 +40,18 @@ def required_correction(p: float, n: int, target: float) -> int:
 
     A convenience for sizing a standalone BCH code: how many errors must a
     length-``n`` block correct to meet the block-failure target.  One
-    ``binom_sf`` call tabulates the tail for every candidate ``t``.
+    ``binom_sf`` call tabulates the tail for every candidate ``t``, so
+    ``n`` is at most :data:`~repro.ecc.repetition.MAX_N`.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be a probability")
     if target <= 0:
         raise ValueError("target must be positive")
+    if not 0 <= n <= MAX_N:
+        raise ValueError(
+            f"block length n={n} is outside the binomial tail's working "
+            f"range 0..{MAX_N} on this platform"
+        )
     met = np.flatnonzero(binom_sf(np.arange(n + 1), n, p) <= target)
     return int(met[0]) if met.size else n
 
