@@ -1,23 +1,22 @@
 """Shared plumbing for the performance benchmarks.
 
-``bench_population.py`` (engine speed-ups, telemetry and store overhead,
-out-of-core memory) and ``bench_service.py`` (served throughput and the
-instrumentation budget) time their kernels with :func:`best_of` and
-persist what they measured with :func:`emit`.  The paper's tables are
-not produced here: ``repro run eN`` / ``run all`` prints them.
+``bench_population.py`` (engine speed-ups, store overhead, out-of-core
+memory), ``bench_service.py`` (served throughput and the SLO gate) and
+``bench_hooks.py`` (the telemetry hook budget) time their kernels with
+:func:`best_of` and persist what they measured with :func:`emit`.  The
+paper's tables are not produced here: ``repro run eN`` / ``run all``
+prints them.
 
 :func:`emit` writes the table to ``benchmarks/results/<name>.txt`` so the
 harness leaves artefacts even when pytest captures stdout.  Passing
 ``values`` additionally writes the headline numbers to
-``benchmarks/results/<name>.json`` so that result sets from two
-checkouts can be diffed mechanically with ``tools/bench_compare.py``.
-Every JSON artefact carries a :class:`repro.telemetry.RunManifest`
-(provenance: package version, git SHA, numpy/platform) so a results
-directory stays auditable long after the checkout is gone; passing
-``counters`` (e.g. from a ``telemetry.session()`` around the measured
-run) records the *work done* — kernel invocations, memo hit rates — next
-to the timings, letting ``bench_compare`` explain a speed diff instead of
-just flagging it.
+``benchmarks/results/<name>.json``, with a
+:class:`repro.telemetry.RunManifest` (provenance: package version, git
+SHA, numpy/platform) so an artefact stays auditable long after the
+checkout is gone.  When ``REPRO_PERF_LEDGER`` names a perf ledger, the
+values are appended to it too, and ``repro perf history|gate`` over that
+ledger is the one verdict on them.  The directory is not tracked: every
+run rewrites it.
 
 Run everything with::
 
@@ -77,7 +76,6 @@ def run_manifest() -> Dict[str, Any]:
 def _write_payload(
     name: str,
     values: Mapping[str, float],
-    counters: Optional[Mapping[str, float]] = None,
     memory: Optional[Mapping[str, float]] = None,
     histograms: Optional[Mapping[str, Mapping[str, float]]] = None,
     roofline: Optional[Mapping[str, float]] = None,
@@ -87,8 +85,6 @@ def _write_payload(
         "values": {k: float(v) for k, v in values.items()},
         "manifest": run_manifest(),
     }
-    if counters:
-        payload["counters"] = {k: float(v) for k, v in counters.items()}
     if memory:
         payload["memory"] = {k: float(v) for k, v in memory.items()}
     if histograms:
@@ -131,7 +127,6 @@ def emit(
     name: str,
     text: str,
     values: Optional[Mapping[str, float]] = None,
-    counters: Optional[Mapping[str, float]] = None,
     memory: Optional[Mapping[str, float]] = None,
     histograms: Optional[Mapping[str, Mapping[str, float]]] = None,
     roofline: Optional[Mapping[str, float]] = None,
@@ -141,24 +136,17 @@ def emit(
     ``values`` is an optional flat mapping of headline metrics (timings in
     seconds, percentages, counts — any scalar a regression check should
     watch); when given it is written alongside the table as
-    ``<name>.json`` for :mod:`tools.bench_compare`, together with the run
-    manifest.  ``counters`` is an optional telemetry counter snapshot
-    (work-done metrics), diffed informationally by ``bench_compare``
-    rather than regression-gated.  ``memory`` is an optional mapping of
-    memory metrics (``peak_rss_bytes``, chips/sec footprints from the
-    out-of-core store gates); older artefacts without the section diff as
-    ``n/a``, never as an error.  ``histograms`` is an optional mapping of
-    per-metric latency summaries (``Tracer.histogram_summaries()``
-    output); ``bench_compare`` diffs the p50/p99 quantiles
-    informationally, with the same ``n/a`` tolerance.  ``roofline`` is
-    an optional mapping of throughput metrics (``chips_years_per_s``
-    style, bigger is better); ``bench_compare`` gates a *decrease* under
-    ``--gate`` — the inverse of the ``values`` growth gate — and treats
-    artefacts without the section as ``n/a``.
+    ``<name>.json`` together with the run manifest.  ``memory`` is an
+    optional mapping of memory metrics (``peak_rss_bytes``), and
+    ``histograms`` one of per-metric latency summaries
+    (``Tracer.histogram_summaries()`` output).  ``roofline`` is an
+    optional mapping of throughput metrics (``chips_years_per_s`` style,
+    bigger is better).  The perf ledger takes each section's scalars
+    (:func:`repro.telemetry.entry_from_bench_payload`).
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     if values is not None:
-        _write_payload(name, values, counters, memory, histograms, roofline)
+        _write_payload(name, values, memory, histograms, roofline)
     print(f"\n{text}\n")
 

@@ -11,12 +11,9 @@ The sweep timing uses best-of-N wall clock (min is the least noisy
 statistic on shared boxes); the memos are cleared per round so every
 round pays the full evaluation cost.
 
-``TestTelemetryOverhead`` guards the observability budget: the batched
-sweep with *no tracer installed* (the default, single-branch disabled
-path) must stay within a few percent of itself with telemetry fully
-enabled, and the headline speedup artefact records the work-done
-counters (kernel blocks, memo traffic) so ``tools/bench_compare.py``
-can diff work alongside wall time.
+``TestTelemetryOverhead`` checks that the progress emitter's lifetime
+cap bounds its events file; what the telemetry hooks cost on this sweep
+is measured by ``benchmarks/bench_hooks.py``.
 
 ``TestParallelScaling`` measures the chip-sharded parallel engine's
 ``--jobs`` scaling curve end-to-end and enforces the >= 2x floor at four
@@ -112,10 +109,6 @@ class TestPopulationEngine:
         t_old = best_of(lambda: _sweep_per_chip(study, years), rounds=5)
         t_new = best_of(lambda: _sweep_batched(batch, years), rounds=15)
         speedup = t_old / t_new
-        # one instrumented pass (outside the timing) snapshots the work
-        # done, so the artefact records kernel traffic next to wall time
-        with telemetry.session() as tracer:
-            _sweep_batched(batch, years)
         emit(
             f"population_speedup_{name}",
             f"E2 aging sweep, {N_CHIPS} chips x {study.design.n_ros} ROs, "
@@ -128,7 +121,6 @@ class TestPopulationEngine:
                 "batched_s": t_new,
                 "speedup": speedup,
             },
-            counters=tracer.counters,
             roofline={
                 "chips_years_per_s": chips_years_per_s(
                     N_CHIPS, years, t_new
@@ -183,242 +175,11 @@ class TestFusedKernel:
 
 @pytest.mark.slow
 class TestTelemetryOverhead:
-    """The disabled-tracer instrumentation must be (near) free.
+    """The progress emitter's lifetime cap bounds its file.
 
-    The instrumented call sites in the frequency/aging kernels pay one
-    module-attribute load and one branch when no tracer is installed.
-    This benchmark measures the E2 batched sweep with telemetry disabled
-    versus fully enabled, emits both numbers, and asserts the *enabled*
-    tax stays moderate — the disabled path's absolute cost is pinned by
-    ``TestPopulationEngine.test_speedup_floor`` holding the >= 10x bar
-    on the identical sweep.
+    What the hooks cost on this sweep is measured by
+    ``benchmarks/bench_hooks.py``.
     """
-
-    #: generous bound: collection (spans + counters) may cost this much
-    ENABLED_OVERHEAD_CEILING = 0.25
-
-    def test_disabled_path_overhead(self):
-        design = aro_design()
-        batch = make_batch_study(design, n_chips=N_CHIPS, rng=SEED)
-        years = list(DEFAULT_YEARS)
-
-        t_disabled = best_of(lambda: _sweep_batched(batch, years), rounds=15)
-        tracer = telemetry.install(telemetry.Tracer())
-        try:
-            t_enabled = best_of(lambda: _sweep_batched(batch, years), rounds=15)
-        finally:
-            telemetry.uninstall()
-        overhead = t_enabled / t_disabled - 1.0
-        emit(
-            "telemetry_overhead",
-            f"E2 batched sweep, {N_CHIPS} chips x {design.n_ros} ROs, "
-            f"{len(years)} year points (aro-puf)\n"
-            f"  telemetry disabled: {t_disabled * 1e3:8.2f} ms\n"
-            f"  telemetry enabled : {t_enabled * 1e3:8.2f} ms\n"
-            f"  enabled overhead  : {100.0 * overhead:8.2f} %",
-            values={
-                "disabled_s": t_disabled,
-                "enabled_s": t_enabled,
-                "enabled_overhead": max(overhead, 0.0),
-            },
-        )
-        assert overhead <= self.ENABLED_OVERHEAD_CEILING, (
-            f"telemetry-enabled sweep costs {overhead:+.1%} over disabled "
-            f"({t_enabled * 1e3:.2f} ms vs {t_disabled * 1e3:.2f} ms); "
-            f"ceiling is {self.ENABLED_OVERHEAD_CEILING:.0%}"
-        )
-
-    #: the progress heartbeat budget from the observability PR: events
-    #: enabled must stay within 2 % of the no-emitter sweep
-    EVENTS_OVERHEAD_CEILING = 0.02
-
-    def test_events_enabled_overhead(self, tmp_path):
-        """A throttled emitter adds < 2 % to the E2 batched sweep."""
-        design = aro_design()
-        batch = make_batch_study(design, n_chips=N_CHIPS, rng=SEED)
-        years = list(DEFAULT_YEARS)
-
-        t_disabled = best_of(lambda: _sweep_batched(batch, years), rounds=15)
-        emitter = telemetry.install_emitter(
-            telemetry.ProgressEmitter(tmp_path / "events.jsonl")
-        )
-        try:
-            t_enabled = best_of(lambda: _sweep_batched(batch, years), rounds=15)
-            n_events = emitter.n_events
-        finally:
-            telemetry.uninstall_emitter()
-        overhead = t_enabled / t_disabled - 1.0
-        emit(
-            "events_overhead",
-            f"E2 batched sweep, {N_CHIPS} chips x {design.n_ros} ROs, "
-            f"{len(years)} year points (aro-puf)\n"
-            f"  events disabled: {t_disabled * 1e3:8.2f} ms\n"
-            f"  events enabled : {t_enabled * 1e3:8.2f} ms\n"
-            f"  overhead       : {100.0 * overhead:8.2f} %  "
-            f"({n_events} line(s) written)\n",
-            values={
-                "disabled_s": t_disabled,
-                "enabled_s": t_enabled,
-                "enabled_overhead": max(overhead, 0.0),
-            },
-        )
-        assert overhead <= self.EVENTS_OVERHEAD_CEILING, (
-            f"events-enabled sweep costs {overhead:+.1%} over disabled "
-            f"({t_enabled * 1e3:.2f} ms vs {t_disabled * 1e3:.2f} ms); "
-            f"ceiling is {self.EVENTS_OVERHEAD_CEILING:.0%}"
-        )
-
-    #: the run-observatory disabled-path budget: with nothing installed,
-    #: *every* telemetry hook on the sweep path together (spans, counters,
-    #: progress, per-block latency observes) must cost < 2 % over no-op
-    #: stubs — the single-branch discipline, measured as one number
-    OBSERVATORY_DISABLED_CEILING = 0.02
-
-    def test_observatory_disabled_path_overhead(self, monkeypatch):
-        """All disabled telemetry hooks add < 2 % to the E2 batched sweep.
-
-        Baseline replaces the telemetry module reference inside the
-        population engine with no-op stubs, so the measured difference is
-        exactly what the real disabled path does beyond being called:
-        module-attribute loads, ``is None`` branches, nothing else.  If
-        any hook (including the histogram ``observe`` sites) ever starts
-        doing work before checking its slot, this gate catches it.
-        """
-        from contextlib import contextmanager
-
-        import repro.core.population as pop
-
-        class _StubTelemetry:
-            @staticmethod
-            def active():
-                return None
-
-            @staticmethod
-            def enabled():
-                return False
-
-            @staticmethod
-            @contextmanager
-            def span(*args, **kwargs):
-                yield None
-
-            def __getattr__(self, name):
-                return lambda *args, **kwargs: None
-
-        design = aro_design()
-        batch = make_batch_study(design, n_chips=N_CHIPS, rng=SEED)
-        years = list(DEFAULT_YEARS)
-
-        t_hooked = best_of(lambda: _sweep_batched(batch, years), rounds=25)
-        with monkeypatch.context() as m:
-            m.setattr(pop, "telemetry", _StubTelemetry())
-            t_stubbed = best_of(
-                lambda: _sweep_batched(batch, years), rounds=25
-            )
-        overhead = t_hooked / t_stubbed - 1.0
-        emit(
-            "observatory_disabled_overhead",
-            f"E2 batched sweep, {N_CHIPS} chips x {design.n_ros} ROs, "
-            f"{len(years)} year points (aro-puf)\n"
-            f"  hooks stubbed out: {t_stubbed * 1e3:8.2f} ms\n"
-            f"  hooks disabled   : {t_hooked * 1e3:8.2f} ms\n"
-            f"  overhead         : {100.0 * overhead:8.2f} %",
-            values={
-                "stubbed_s": t_stubbed,
-                "hooked_s": t_hooked,
-                "disabled_overhead": max(overhead, 0.0),
-            },
-        )
-        assert overhead <= self.OBSERVATORY_DISABLED_CEILING, (
-            f"disabled telemetry hooks cost {overhead:+.1%} over no-op "
-            f"stubs ({t_hooked * 1e3:.2f} ms vs {t_stubbed * 1e3:.2f} ms); "
-            f"ceiling is {self.OBSERVATORY_DISABLED_CEILING:.0%}"
-        )
-
-    #: full-observatory enabled budget: tracer (spans + counters +
-    #: histograms) plus a 20 Hz resource sampler, measured where the
-    #: kernels dominate (1k chips) so per-corner span costs amortise the
-    #: way they do in a real traced run
-    OBSERVATORY_N_CHIPS = 1_000
-    OBSERVATORY_ENABLED_CEILING = 0.10
-    OBSERVATORY_ROUNDS = 7
-
-    def test_observatory_enabled_overhead(self):
-        """Tracing + RSS sampling together add < 10 % at kernel scale.
-
-        Disabled and enabled rounds *alternate* and the gated statistic
-        is the median of adjacent-pair ratios: a sweep at this scale runs
-        long enough that machine drift (thermal, scheduler) between two
-        sequential ``best_of`` blocks rivals the overhead being measured,
-        so back-to-back pairing cancels the drift instead of charging it
-        to the observatory.
-
-        The emitted artefact carries the run's histogram summaries, so
-        ``tools/bench_compare.py`` diffs the per-block latency quantiles
-        (p50/p99) across checkouts alongside the wall-clock numbers.
-        """
-        design = aro_design()
-        batch = make_batch_study(
-            design, n_chips=self.OBSERVATORY_N_CHIPS, rng=SEED
-        )
-        years = list(DEFAULT_YEARS)
-
-        _sweep_batched(batch, years)  # warmup outside any pair
-        ratios = []
-        t_dis = []
-        t_ena = []
-        tracer = None
-        for _ in range(self.OBSERVATORY_ROUNDS):
-            t_dis.append(best_of(
-                lambda: _sweep_batched(batch, years), rounds=1, warmup=0
-            ))
-            tracer = telemetry.install(telemetry.Tracer())
-            telemetry.install_sampler(
-                telemetry.ResourceSampler(20.0, echo_interval_s=None)
-            ).start()
-            try:
-                t_ena.append(best_of(
-                    lambda: _sweep_batched(batch, years), rounds=1, warmup=0
-                ))
-                n_samples = len(telemetry.active_sampler().samples)
-            finally:
-                telemetry.uninstall_sampler()
-                telemetry.uninstall()
-            ratios.append(t_ena[-1] / t_dis[-1])
-        t_disabled = min(t_dis)
-        t_enabled = min(t_ena)
-        overhead = sorted(ratios)[len(ratios) // 2] - 1.0
-        histograms = tracer.histogram_summaries()
-        emit(
-            "observatory_overhead",
-            f"E2 batched sweep, {self.OBSERVATORY_N_CHIPS} chips x "
-            f"{design.n_ros} ROs, {len(years)} year points (aro-puf)\n"
-            f"  observatory off (best): {t_disabled * 1e3:8.2f} ms\n"
-            f"  tracer + 20 Hz sampler (best): {t_enabled * 1e3:8.2f} ms\n"
-            f"  paired-median overhead: {100.0 * overhead:8.2f} %  "
-            f"({len(ratios)} alternating pair(s), {n_samples} RSS "
-            f"sample(s), {len(histograms)} histogram metric(s))",
-            values={
-                "disabled_s": t_disabled,
-                "enabled_s": t_enabled,
-                "enabled_overhead": max(overhead, 0.0),
-            },
-            histograms=histograms,
-            roofline={
-                "chips_years_per_s": chips_years_per_s(
-                    self.OBSERVATORY_N_CHIPS, years, t_enabled
-                ),
-            },
-        )
-        assert "batch.block_s" in histograms, (
-            "the traced sweep recorded no per-block latency histogram"
-        )
-        assert overhead <= self.OBSERVATORY_ENABLED_CEILING, (
-            f"tracing + sampling cost {overhead:+.1%} over disabled "
-            f"(paired median of {len(ratios)} alternating rounds; best "
-            f"{t_enabled * 1e3:.2f} ms vs {t_disabled * 1e3:.2f} ms); "
-            f"ceiling is {self.OBSERVATORY_ENABLED_CEILING:.0%}"
-        )
 
     def test_events_bounded_count(self, tmp_path):
         """Even unthrottled in time, the lifetime cap bounds the file."""
@@ -447,8 +208,9 @@ class TestParallelScaling:
     the measured ratio is the one a real ``repro run --jobs 4`` user sees
     (pool start-up and result pickling count *against* the parallel
     engine).  ``jobs=1`` goes through the same :func:`make_batch_study`
-    call, which then builds no pool — the honest baseline.  The whole curve is emitted so ``tools/bench_compare.py``
-    tracks scaling shape, not just the gated endpoint.
+    call, which then builds no pool — the honest baseline.  The whole
+    curve is emitted, so the artefact records the scaling shape, not just
+    the gated endpoint.
     """
 
     N_CHIPS_PARALLEL = 192
@@ -602,8 +364,8 @@ class TestStoreOutOfCore:
     #: regime the flag exists for.  2k chips x 256 ROs is comfortably
     #: in-RAM-feasible (~40 MB/column) yet compute-bound.  The design
     #: target is < 15 %; the hard gate is looser because single-core CI
-    #: boxes time both contenders noisily — the emitted artefact tracks
-    #: the honest number for bench_compare.
+    #: boxes time both contenders noisily — the emitted artefact records
+    #: the honest number.
     OVERHEAD_N_CHIPS = 2_000
     OVERHEAD_HARD_CEILING = 0.50
 

@@ -1,4 +1,4 @@
-"""Fleet-service observatory: auth throughput, instrumentation budget, SLO gate.
+"""Fleet-service observatory: auth and key throughput, SLO gate.
 
 The served verifier's lifetime hot path is ``auth`` — one helper-store
 lookup, one fractional-Hamming distance, one threshold decision.  This
@@ -7,22 +7,19 @@ module holds the serving-layer budgets the observability PR promises:
 * ``TestAuthThroughput`` — the in-process service must clear
   ``AUTH_FLOOR_PER_S`` authentications per second with no tracer
   installed (the deployment default).  The artefact records the RED
-  latency histograms next to the throughput so ``tools/bench_compare.py``
-  can diff tail latency alongside rate.
+  latency histograms next to the throughput, so the perf ledger tracks
+  tail latency alongside rate.
 * ``TestKeyThroughput`` — full key regeneration (repetition vote, BCH
   syndromes, Berlekamp–Massey, Chien search, SHA-256) must clear
   ``KEY_FLOOR_PER_S`` keys per second on responses with a seeded
   ``KEY_BIT_ERROR`` bit-error rate, so every block is actually decoded.
-* ``TestInstrumentationBudget`` — with no tracer installed, the
-  per-request span machinery may cost one module-slot read and one
-  ``is not None``: the measured difference against a stub with the hook
-  removed must stay under 2 %.  The traced path is measured
-  too (informational): request spans, per-request trace ids and lane
-  parking do real work and carry a real price.
 * ``TestSloGate`` — the declarative SLO spec must turn red when a
   latency regression is injected through the service's test hook, and
   stay green on the clean service; this is the bench-level mirror of
   ``repro loadgen --inject-latency-ms ... --slo-gate enforce``.
+
+What the untraced request driver pays for its tracer hook is measured
+by ``benchmarks/bench_hooks.py``.
 
 Run with::
 
@@ -53,9 +50,6 @@ AUTH_FLOOR_PER_S = 10_000.0
 N_KEYS = 400
 KEY_BIT_ERROR = 0.05
 KEY_FLOOR_PER_S = 1_600.0
-
-#: the uninstalled span hook may cost one slot read + one ``is not None``
-DISABLED_OVERHEAD_CEILING = 0.02
 
 
 def _enrolled_service(**kwargs):
@@ -157,193 +151,6 @@ class TestKeyThroughput:
         assert per_s >= KEY_FLOOR_PER_S, (
             f"untraced key path serves {per_s:,.0f} req/s; "
             f"floor is {KEY_FLOOR_PER_S:,.0f}"
-        )
-
-
-@pytest.mark.slow
-class TestInstrumentationBudget:
-    def test_disabled_hook_share_of_a_request(self):
-        """What the lean path pays for the hook is < 2 % of a request.
-
-        The disabled-path preamble is one module-slot read and one
-        ``is not None``; this measures exactly that snippet per call (tight
-        loop, loop overhead subtracted) against the measured per-request
-        cost of the untraced auth driver.  The true ratio is a fraction
-        of a percent, so the gate stays stable even on boxes whose
-        wall-clock noise makes an end-to-end A/B diff unreadable.
-        """
-        import repro.telemetry.tracer as _tracer_mod
-
-        n = 200_000
-
-        def hook_loop():
-            for _ in range(n):
-                tracer = _tracer_mod._active
-                if tracer is not None:  # pragma: no cover
-                    raise AssertionError("no tracer may be installed")
-
-        def empty_loop():
-            for _ in range(n):
-                pass
-
-        t_hook = best_of(hook_loop, rounds=9)
-        t_empty = best_of(empty_loop, rounds=9)
-        hook_per_call = max(t_hook - t_empty, 0.0) / n
-        service, bits = _enrolled_service()
-        request_s = best_of(_auth_round(service, bits), rounds=7) / N_AUTHS
-        share = hook_per_call / request_s
-        emit(
-            "service_disabled_hook",
-            f"uninstalled request hook (slot read + is not None)\n"
-            f"  hook per call   : {hook_per_call * 1e9:8.1f} ns\n"
-            f"  request per call: {request_s * 1e6:8.2f} us\n"
-            f"  hook share      : {100.0 * share:8.3f} %",
-            values={
-                "hook_ns": hook_per_call * 1e9,
-                "request_us": request_s * 1e6,
-                "hook_share": share,
-            },
-        )
-        assert share <= DISABLED_OVERHEAD_CEILING, (
-            f"disabled request hook costs {share:.2%} of an untraced "
-            f"request ({hook_per_call * 1e9:.0f} ns of "
-            f"{request_s * 1e6:.1f} us); ceiling is "
-            f"{DISABLED_OVERHEAD_CEILING:.0%}"
-        )
-
-    #: interleaved hooked/stubbed round pairs; the median of the paired
-    #: ratios is robust to sustained machine drift that best-of-N over
-    #: two separate blocks mistakes for overhead
-    N_PAIRS = 25
-
-    #: loose end-to-end ceiling: wall-clock A/B on a shared box cannot
-    #: resolve the sub-percent true effect, but it does catch the
-    #: failure this guards against — span state built before the slot
-    #: check — which costs tens of percent, not single digits
-    DRIFT_CEILING = 0.10
-
-    def test_disabled_tracer_overhead(self, monkeypatch):
-        """End-to-end drift check: the real driver vs a hook-free stub.
-
-        Baseline replaces ``_serve`` with a copy that skips the tracer
-        slot read and ``is not None`` check, so the measured difference is exactly
-        what the real disabled path does beyond being called.  If the
-        driver ever starts building span state before checking the
-        slot, this gate catches it.  Each measurement pair runs the
-        hooked and stubbed drivers back to back (shared machine state);
-        the reported overhead is the median of the paired ratios, which
-        a single noisy round cannot move.
-        """
-        import statistics
-        import time as _time
-
-        assert telemetry.active() is None
-        service, bits = _enrolled_service()
-        hooked_round = _auth_round(service, bits)
-
-        async def _serve_stub(self, endpoint, chip_id, impl):
-            t0 = _time.perf_counter()
-            outcome = "internal"
-            try:
-                if self.inject_latency_s > 0.0:
-                    await asyncio.sleep(self.inject_latency_s)
-                outcome, body = impl()
-                return {"outcome": outcome, **body}
-            finally:
-                duration_s = _time.perf_counter() - t0
-                self.red.observe(endpoint, outcome, duration_s)
-                if self.audit is not None:
-                    self.audit.append(
-                        endpoint=endpoint,
-                        outcome=outcome,
-                        duration_ms=duration_s * 1e3,
-                        chip_id=chip_id,
-                        trace_id=None,
-                    )
-
-        real_serve = FleetService._serve
-        ratios = []
-        hooked_s = []
-        stubbed_s = []
-        with monkeypatch.context() as m:
-            hooked_round()  # warm both drivers outside the timed pairs
-            m.setattr(FleetService, "_serve", _serve_stub)
-            hooked_round()
-            for _ in range(self.N_PAIRS):
-                m.setattr(FleetService, "_serve", real_serve)
-                t0 = _time.perf_counter()
-                hooked_round()
-                t_hooked = _time.perf_counter() - t0
-                m.setattr(FleetService, "_serve", _serve_stub)
-                t0 = _time.perf_counter()
-                hooked_round()
-                t_stubbed = _time.perf_counter() - t0
-                ratios.append(t_hooked / t_stubbed - 1.0)
-                hooked_s.append(t_hooked)
-                stubbed_s.append(t_stubbed)
-        overhead = statistics.median(ratios)
-        emit(
-            "service_disabled_overhead",
-            f"fleet-service auth driver, {N_AUTHS} auths per round, "
-            f"{self.N_PAIRS} interleaved pairs\n"
-            f"  hook stubbed out: {min(stubbed_s) * 1e3:8.2f} ms (best)\n"
-            f"  hook disabled   : {min(hooked_s) * 1e3:8.2f} ms (best)\n"
-            f"  median overhead : {100.0 * overhead:8.2f} %",
-            values={
-                "stubbed_s": min(stubbed_s),
-                "hooked_s": min(hooked_s),
-                "disabled_overhead": max(overhead, 0.0),
-            },
-        )
-        assert overhead <= self.DRIFT_CEILING, (
-            f"disabled request driver costs {overhead:+.1%} (median of "
-            f"{self.N_PAIRS} paired rounds) over a hook-free stub; "
-            f"drift ceiling is {self.DRIFT_CEILING:.0%}"
-        )
-
-    #: traced rounds are shorter: every request opens a span, stamps a
-    #: trace id into the reply and parks a tree on a recycled lane
-    N_TRACED = 500
-
-    def test_traced_path_price_is_informational(self):
-        """Measure (never gate) the fully-traced request driver.
-
-        Request tracing is opt-in per run, so its price is recorded for
-        ``bench_compare`` trendlines rather than gated; the test only
-        asserts the traced replies actually carry trace ids and that
-        sequential requests recycle a single export lane.
-        """
-        service, bits = _enrolled_service()
-        t_untraced = best_of(
-            _auth_round(service, bits, n=self.N_TRACED), rounds=9
-        )
-        tracer = telemetry.install(telemetry.Tracer())
-        try:
-            t_traced = best_of(
-                _auth_round(service, bits, n=self.N_TRACED), rounds=9
-            )
-
-            async def one():
-                return await service.auth(0, bits[0])
-
-            reply = asyncio.run(one())
-        finally:
-            telemetry.uninstall()
-        assert reply["trace_id"] > 0
-        assert set(tracer.remote_lanes) == {"req-0"}  # one recycled lane
-        per_s = self.N_TRACED / t_traced
-        emit(
-            "service_traced",
-            f"fleet-service auth driver, {self.N_TRACED} auths per round\n"
-            f"  untraced : {t_untraced * 1e3:8.2f} ms\n"
-            f"  traced   : {t_traced * 1e3:8.2f} ms "
-            f"({per_s:,.0f} auth/s)\n"
-            f"  price    : {t_traced / t_untraced:8.2f} x",
-            values={
-                "untraced_s": t_untraced,
-                "traced_s": t_traced,
-                "traced_auth_per_s": per_s,
-            },
         )
 
 

@@ -31,7 +31,8 @@ prints the paper-style tables.  At the default scale, ``run all`` prints
 the tables EXPERIMENTS.md quotes, and ``report`` writes the same tables
 into REPORT.md.
 
-Telemetry flags (``run``, ``report`` and ``check-anchors``):
+Telemetry flags (``run``, ``report``, ``check-anchors``, ``explain``,
+``serve`` and ``loadgen``):
 
 * ``--trace`` prints the nested span tree (wall time per engine stage)
   and the kernel counters after the tables;
@@ -45,6 +46,9 @@ Telemetry flags (``run``, ``report`` and ``check-anchors``):
   ``history`` renders and ``check-anchors --from-ledger`` gates on;
 * ``--events PATH`` streams throttled JSONL progress heartbeats (stage,
   chips done, ETA) from the batched kernels while the run is in flight;
+  ``--events-max-bytes N`` rotates that file to ``<name>.1`` before it
+  exceeds N bytes and lifts the per-run event cap, for long-lived runs
+  such as ``serve``;
 * ``--trace-out PATH`` writes the run as Chrome ``trace_event`` JSON —
   open it in Perfetto (ui.perfetto.dev); a ``--jobs N`` run renders as
   one timeline with a lane per worker shard, clock-aligned against the
@@ -1038,7 +1042,7 @@ def _finish_telemetry(
         print(f"chrome trace written to {path} (open in ui.perfetto.dev)")
     if getattr(args, "ledger", None) and tracer.histograms:
         # the run's latency quantiles as ledger scalars, so histogram
-        # drift is visible to `repro history` and bench_compare ledgers
+        # drift is visible to `repro history`
         ledger = telemetry.Ledger(args.ledger)
         ledger.record(
             "telemetry",

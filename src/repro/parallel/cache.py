@@ -1,7 +1,7 @@
 """Content-addressed on-disk cache for experiment result payloads.
 
 Repeated runs of an identical configuration — CI's anchors job, a
-``bench_compare`` baseline, a developer re-rendering tables — recompute
+baseline re-run, a developer re-rendering tables — recompute
 the same population Monte-Carlo from scratch every time.  The run ledger
 already keys measurements by config digest (same git SHA, seed and
 config = same measurement); this module turns that observation into a

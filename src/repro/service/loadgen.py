@@ -21,7 +21,7 @@ is identical whether the service is in-process or across a socket.
 shape (``values`` + ``histograms`` + manifest, METRICS_FORMAT-compatible
 sections) extended with a ``service`` section (full RED state, flat
 metrics, SLO verdicts, request-log tail) — ingestible by
-``tools/bench_compare.py``, ``tools/validate_metrics.py --service`` and
+``tools/validate_metrics.py --service`` and
 :func:`~repro.telemetry.ledger.entry_from_bench_payload`.
 """
 
@@ -260,8 +260,8 @@ def loadgen_payload(
     """The run as a benchmark-shaped artefact with a ``service`` section.
 
     ``values`` / ``histograms`` follow the ``benchmarks._common.emit``
-    payload layout (so ``bench_compare`` diffs two runs and
-    ``entry_from_bench_payload`` folds one into the perf ledger);
+    payload layout (so ``entry_from_bench_payload`` folds one into the
+    perf ledger);
     ``service`` adds the full RED state, the flat SLO-gateable metrics,
     the verdicts against ``slos`` and the request-log tail.
     """

@@ -184,7 +184,7 @@ class FleetService:
         flagged, re-raised).  With no tracer installed the request
         takes the lean branch below — one module-slot read and one
         ``is not None`` is all the span machinery may cost the untraced
-        hot path (``benchmarks/bench_service.py`` holds the bound).
+        hot path (``benchmarks/bench_hooks.py`` holds the bound).
         """
         tracer = _tracer_mod._active
         if tracer is not None:

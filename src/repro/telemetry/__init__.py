@@ -60,8 +60,10 @@ layers:
 The library is instrumented through the module-level single-branch API
 (:func:`start_span` / :func:`end_span` / :func:`count` / :func:`gauge` /
 :func:`progress`): with no tracer or emitter installed these are one
-attribute load and one branch, so the instrumented kernels stay within
-the <2 % overhead budget measured by ``benchmarks/bench_population.py``.
+attribute load and one branch.  ``benchmarks/bench_hooks.py`` charges
+each site's calls at its per-call cost: the 231 hook calls of a
+50 × 256 E2 sweep take 0.09–0.16 % of it disabled (budget 2 %) and
+0.6–1.6 % with a tracer installed (budget 25 %).
 Enable collection with::
 
     from repro import telemetry

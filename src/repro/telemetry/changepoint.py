@@ -14,10 +14,10 @@ under robust statistics; this module applies it to the repo's own data.
 * A benchmark sample is ``true cost + noise`` where the noise is
   dominated by *additive, non-negative* scheduling/thermal interference
   — which is why the benchmark harness records best-of-N minima
-  (:func:`benchmarks._common.best_of`) and the enabled-overhead gate
-  uses the alternating paired-median discipline
-  (``bench_population.py::test_observatory_enabled_overhead``).  Even
-  those minima jitter run-to-run.
+  (:func:`benchmarks._common.best_of`), and why the hook budget
+  (``benchmarks/bench_hooks.py``) multiplies per-call costs by call
+  counts instead of differencing two noisy wall times.  Even those
+  minima jitter run-to-run.
 * The rolling baseline is therefore the **median** of the trailing
   ``window`` runs, and the scale estimate is the **MAD** (median
   absolute deviation, scaled by 1.4826 for consistency with a normal

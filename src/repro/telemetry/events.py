@@ -19,7 +19,7 @@ Design constraints, in order:
    lifetime (``max_events``), so even a pathological million-block sweep
    writes a bounded number of lines and the enabled overhead on the E2
    sweep stays under the telemetry budget
-   (``benchmarks/bench_population.py::TestTelemetryOverhead``).
+   (``benchmarks/bench_hooks.py``).
 3. **Events must be self-describing.**  Every line carries the stage
    name, elapsed seconds since the emitter opened, and — when the call
    site reports ``done``/``total`` — a linear-extrapolation ETA for the

@@ -25,8 +25,8 @@ Count, sum, min and max are tracked exactly, so ``count``/``mean``/
 ``max`` (and any ``q >= 1`` query) carry no bucketing error at all.
 
 The layout is *fixed*, not adaptive: mergeability across processes (and
-across artefacts written weeks apart by ``bench_compare``-diffed runs)
-is worth more than per-run bucket tuning.
+across artefacts written weeks apart) is worth more than per-run bucket
+tuning.
 """
 
 from __future__ import annotations

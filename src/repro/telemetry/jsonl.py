@@ -14,8 +14,8 @@ torn-tail and skip policy, written once here:
 * :func:`parse` / :func:`read` return the records and the number of
   lines that did not load (a torn tail, stray garbage, a non-object
   value, one nested too deeply to decode, or one the caller's ``load``
-  rejects).  Blank lines count as neither.  An absent file reads as
-  empty.  ``strict`` raises at the first bad line instead, naming its
+  rejects, such as an integer too large for a float).  Blank lines
+  count as neither.  An absent file reads as empty.  ``strict`` raises at the first bad line instead, naming its
   line number and the reason.
 """
 
@@ -66,11 +66,11 @@ def parse(
     """``(records, n_skipped)`` for an iterable of lines.
 
     ``load`` maps each JSON object to the record kept; a ``KeyError``,
-    ``TypeError`` or ``ValueError`` from it makes the line a skipped
-    one, as does a value nested too deeply to decode
-    (``RecursionError``).  ``strict`` raises
-    ``ValueError("<origin>:<lineno>: bad line: <reason>")`` at the first
-    such line instead of skipping it.
+    ``TypeError``, ``ValueError`` or ``OverflowError`` (an integer too
+    large for a float) from it makes the line a skipped one, as does a
+    value nested too deeply to decode (``RecursionError``).  ``strict``
+    raises ``ValueError("<origin>:<lineno>: bad line: <reason>")`` at
+    the first such line instead of skipping it.
     """
     records: List[Any] = []
     skipped = 0
@@ -83,7 +83,9 @@ def parse(
             if not isinstance(record, dict):
                 raise ValueError(f"not a JSON object: {line[:40]!r}")
             records.append(record if load is None else load(record))
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        except (
+            KeyError, TypeError, ValueError, OverflowError, RecursionError
+        ) as exc:
             if strict:
                 raise ValueError(f"{origin}:{lineno}: bad line: {exc}") from exc
             skipped += 1

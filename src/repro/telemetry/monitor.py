@@ -84,48 +84,69 @@ def parse_events(
     """Fold event lines into ``state`` (a fresh one by default).
 
     Incremental by design: the CLI's follow mode keeps one state and
-    feeds only the newly appended lines of each tail round.
+    feeds only the newly appended lines of each tail round.  A line that
+    is not JSON and a record that does not fold (no ``event``, a field
+    of the wrong type, a number too large for a float) are skipped and
+    counted alike.
     """
     state = state or MonitorState()
-    records, skipped = jsonl.parse(lines)
+    _, skipped = jsonl.parse(lines, load=lambda record: _fold(state, record))
     state.n_skipped += skipped
-    for record in records:
-        if "event" not in record:
-            state.n_skipped += 1
-            continue
-        state.n_events += 1
-        elapsed = record.get("elapsed_s")
-        if isinstance(elapsed, (int, float)):
-            state.elapsed_s = max(state.elapsed_s, float(elapsed))
-        kind = record["event"]
-        if kind == "progress":
-            _fold_progress(state, record)
-        elif kind == "sample":
-            _fold_sample(state, record)
-        elif kind == "run.start":
-            state.runs_started += 1
-            state.command = record.get("command") or state.command
-            if record.get("experiment") is not None:
-                state.experiment = record.get("experiment")
-        elif kind == "run.end":
-            state.runs_ended += 1
-        # unknown lifecycle kinds (cache.hit, ...) still count as events
     return state
 
 
-def _fold_progress(state: MonitorState, record: Dict[str, Any]) -> None:
+def _fold(state: MonitorState, record: Dict[str, Any]) -> None:
+    """Fold one event into ``state``.
+
+    Every field is converted before the state changes, so a record that
+    raises leaves the state as it was.
+    """
+    kind = record["event"]
+    elapsed = float(record.get("elapsed_s") or 0.0)
+    if kind == "progress":
+        _fold_progress(state, record, elapsed)
+    elif kind == "sample":
+        _fold_sample(state, record)
+    elif kind == "run.start":
+        state.runs_started += 1
+        state.command = record.get("command") or state.command
+        if record.get("experiment") is not None:
+            state.experiment = record.get("experiment")
+    elif kind == "run.end":
+        state.runs_ended += 1
+    # unknown lifecycle kinds (cache.hit, ...) still count as events
+    state.n_events += 1
+    state.elapsed_s = max(state.elapsed_s, elapsed)
+
+
+def _number(record: Dict[str, Any], key: str, types: Any = (int, float)) -> Any:
+    """``record[key]`` when it is one of ``types`` (``None`` otherwise).
+
+    An integer too large for a float raises ``OverflowError``: the
+    dashboard divides and plots these values.
+    """
+    value = record.get(key)
+    if not isinstance(value, types) or isinstance(value, bool):
+        return None
+    float(value)
+    return value
+
+
+def _fold_progress(
+    state: MonitorState, record: Dict[str, Any], elapsed: float
+) -> None:
     stage_name = record.get("stage")
     if not isinstance(stage_name, str):
-        state.n_skipped += 1
-        return
+        raise ValueError("progress event without a stage name")
+    done = _number(record, "done", int)
+    total = _number(record, "total", int)
+    eta = _number(record, "eta_s")
     stage = state.stages.get(stage_name)
-    elapsed = float(record.get("elapsed_s") or 0.0)
     if stage is None:
         stage = state.stages[stage_name] = StageProgress(
             stage_name, first_elapsed_s=elapsed
         )
-    done = record.get("done")
-    if isinstance(done, int):
+    if done is not None:
         if done < stage.done:
             # the stage restarted (next corner of a sweep): reset the
             # rolling window so the rate reflects the current pass
@@ -133,27 +154,25 @@ def _fold_progress(state: MonitorState, record: Dict[str, Any]) -> None:
         stage.done = done
         stage.history.append((elapsed, done))
         del stage.history[:-RATE_WINDOW]
-    total = record.get("total")
-    if isinstance(total, int):
+    if total is not None:
         stage.total = total
-    eta = record.get("eta_s")
-    stage.eta_s = float(eta) if isinstance(eta, (int, float)) else None
+    stage.eta_s = None if eta is None else float(eta)
     stage.last_elapsed_s = elapsed
 
 
 def _fold_sample(state: MonitorState, record: Dict[str, Any]) -> None:
-    rss = record.get("rss_bytes")
-    if isinstance(rss, (int, float)):
+    rss = _number(record, "rss_bytes")
+    # the event-loop-lag probe (serving runs) echoes through the sampler
+    # as a flattened probe field; fold it like the RSS series
+    lag = _number(record, "loop_lag_ms")
+    if rss is not None:
         state.last_rss_bytes = float(rss)
         state.rss_series.append(float(rss))
         del state.rss_series[:-120]  # one dashboard row's worth
     span = record.get("span")
     if isinstance(span, str):
         state.current_span = span
-    # the event-loop-lag probe (serving runs) echoes through the sampler
-    # as a flattened probe field; fold it like the RSS series
-    lag = record.get("loop_lag_ms")
-    if isinstance(lag, (int, float)):
+    if lag is not None:
         state.last_loop_lag_ms = float(lag)
         state.lag_series.append(float(lag))
         del state.lag_series[:-120]

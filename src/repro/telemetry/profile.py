@@ -48,7 +48,8 @@ def lanes_from_chrome_trace(payload: Mapping[str, Any]) -> Lanes:
     parent is the innermost still-open slice that contains it.  Lane
     names come from ``thread_name`` metadata events, falling back to
     ``tid-<n>``.  Counter and metadata events carry no duration and are
-    ignored.
+    ignored, and so is an event whose ``tid``, ``ts`` or ``dur`` is not
+    a finite number.
     """
     if isinstance(payload, Mapping):
         events = payload.get("traceEvents", [])
@@ -62,22 +63,23 @@ def lanes_from_chrome_trace(payload: Mapping[str, Any]) -> Lanes:
         if not isinstance(event, Mapping):
             continue
         ph = event.get("ph")
-        tid = int(event.get("tid", 0))
+        if ph not in ("M", "X"):
+            continue
+        try:
+            tid = int(event.get("tid", 0))
+            start_ns = int(round(float(event.get("ts", 0.0)) * 1e3))
+            dur_ns = int(round(float(event.get("dur", 0.0)) * 1e3))
+        except (TypeError, ValueError, OverflowError):
+            continue
+        args = event.get("args")
+        attrs = dict(args) if isinstance(args, Mapping) else {}
         if ph == "M":
             if event.get("name") == "thread_name":
-                label = (event.get("args") or {}).get("name")
+                label = attrs.get("name")
                 if isinstance(label, str) and label:
                     names[tid] = label
             continue
-        if ph != "X":
-            continue
-        try:
-            start_ns = int(round(float(event.get("ts", 0.0)) * 1e3))
-            dur_ns = int(round(float(event.get("dur", 0.0)) * 1e3))
-        except (TypeError, ValueError):
-            continue
         name = str(event.get("name", "?"))
-        attrs = dict(event.get("args") or {})
         slices.setdefault(tid, []).append((start_ns, dur_ns, name, attrs))
     lanes: Lanes = {}
     for tid in sorted(slices):

@@ -6,13 +6,16 @@ worker count nor the block size divides), a block size, ``jobs`` and
 that responses, margin-histogram counts, single-mechanism and
 golden-path frequencies equal those of the ``jobs=1, store="ram"``
 study byte for byte — the golden path also against a RAM study whose
-aging deltas were memoised first.  A second property draws a year list
+aging deltas were memoised first.  A drawn ``reattach`` makes an
+``mmap`` study fabricate into a named store directory and a second
+study re-attach it; both must match.  A second property draws a year list
 and asserts that the one-stream ``flip_counts`` sweep equals per-corner
 ``responses`` plus an XOR count.  Every ``jobs=2`` example submits to
 one module-wide process pool, so the properties cost seconds, not a pool
 start-up per example.
 """
 
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -72,6 +75,21 @@ def shared_pool():
     pool.shutdown(wait=True)
 
 
+def _queries(study, challenge, year, cond, mechanism):
+    return (
+        study.responses(challenge, year, conditions=cond),
+        study.margin_histogram(EDGES, challenge, year, conditions=cond),
+        study.mechanism_frequencies(year, mechanism, cond),
+        study.frequencies(year, cond),
+    )
+
+
+def _assert_same(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     design=st.sampled_from(sorted(DESIGNS)),
@@ -80,40 +98,33 @@ def shared_pool():
     block_size=st.none() | st.integers(1, 5),
     jobs=st.sampled_from([1, 2]),
     store=st.sampled_from(["ram", "mmap"]),
+    reattach=st.booleans(),
     year=st.just(0.0) | st.floats(0.0, 15.0),
     corner=st.sampled_from(range(len(CORNERS))),
     mechanism=st.sampled_from(["bti", "hci"]),
     challenge=st.none() | st.integers(0, 3),
 )
 def test_every_configuration_matches_serial_ram(
-    shared_pool, design, n_chips, seed, block_size, jobs, store, year, corner,
-    mechanism, challenge,
+    shared_pool, design, n_chips, seed, block_size, jobs, store, reattach,
+    year, corner, mechanism, challenge,
 ):
-    reference = _reference(design, n_chips, seed)
     cond = CORNERS[corner]
-    with make_batch_study(
-        DESIGNS[design],
-        n_chips,
-        rng=seed,
-        jobs=jobs,
-        store=store,
-        block_size=block_size,
-    ) as study:
-        got = (
-            study.responses(challenge, year, conditions=cond),
-            study.margin_histogram(EDGES, challenge, year, conditions=cond),
-            study.mechanism_frequencies(year, mechanism, cond),
-            study.frequencies(year, cond),
-        )
-        want = (
-            reference.responses(challenge, year, conditions=cond),
-            reference.margin_histogram(EDGES, challenge, year, conditions=cond),
-            reference.mechanism_frequencies(year, mechanism, cond),
-            reference.frequencies(year, cond),
-        )
-        for a, b in zip(got, want):
-            assert a.shape == b.shape and a.dtype == b.dtype
-            assert a.tobytes() == b.tobytes()
+    want = _queries(_reference(design, n_chips, seed), challenge, year, cond, mechanism)
+    named = store == "mmap" and reattach
+    with tempfile.TemporaryDirectory() as store_dir:
+        # a named store: the first study fabricates, the second re-attaches
+        for _ in range(2 if named else 1):
+            with make_batch_study(
+                DESIGNS[design],
+                n_chips,
+                rng=seed,
+                jobs=jobs,
+                store=store,
+                block_size=block_size,
+                store_dir=store_dir if named else None,
+            ) as study:
+                got = _queries(study, challenge, year, cond, mechanism)
+            _assert_same(got, want)
     # golden-path frequencies do not depend on a memoised aging delta
     history = make_batch_study(DESIGNS[design], n_chips, rng=seed)
     history.aging.delta(year)
@@ -133,12 +144,6 @@ def _xor_counts(reference, years, challenge, cond):
         dtype=np.int64,
     ).reshape(len(years), golden.shape[0])
     return golden, counts
-
-
-def _assert_same(got, want):
-    for a, b in zip(got, want):
-        assert a.shape == b.shape and a.dtype == b.dtype
-        assert a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,6 +8,7 @@ back, and the torn line costs at most one skipped line.
 """
 
 import dataclasses
+import json
 import pathlib
 import tempfile
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.service import EnrollmentRecord, HelperStore, default_extractor
 from repro.service.audit import AuditTrail
 from repro.service.store import key_digest
@@ -180,3 +182,31 @@ class TestRead:
         path.write_text('{"a": 1}\n\n[1]\n')
         with pytest.raises(ValueError, match=r"f\.jsonl:3: bad line: not a JSON"):
             jsonl.read(path, strict=True)
+
+
+#: every command that reads a ledger through :func:`jsonl.read`
+LEDGER_READERS = {
+    "history": ["history", "--ledger"],
+    "perf-history": ["perf", "history", "--perf-ledger"],
+    "perf-gate": ["perf", "gate", "--perf-ledger"],
+    "perf-report": ["perf", "report", "--html", "report.html", "--perf-ledger"],
+    "check-anchors": ["check-anchors", "--from-ledger"],
+}
+
+
+@pytest.mark.parametrize("reader", sorted(LEDGER_READERS))
+def test_integer_too_large_for_a_float_is_one_skipped_line(
+    reader, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "ledger.jsonl"
+    _write_run(path, [1], 1.0)
+    _write_perf(path, [2], 1.0)
+    record = LedgerEntry("perf", "b3", {}, PROVENANCE).to_dict()
+    record["scalars"] = {"x": 0}
+    with open(path, "a") as fh:
+        fh.write(json.dumps(record).replace('"x": 0', '"x": ' + "9" * 400) + "\n")
+    ledger = Ledger(path)
+    assert [e.name for e in ledger.entries()] == ["e1", "b2"]
+    assert ledger.n_skipped == 1
+    assert main(LEDGER_READERS[reader] + [str(path)]) in (0, 1, 2)

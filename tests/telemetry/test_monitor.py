@@ -1,5 +1,6 @@
 """Monitor fold/render: progress bars, rates, RSS sparkline, resilience."""
 
+import copy
 import json
 
 from repro.telemetry import MonitorState, parse_events, render_monitor
@@ -51,6 +52,29 @@ class TestParse:
         )
         assert state.n_skipped == 3
         assert state.n_events == 1
+
+    def test_unfoldable_records_are_skipped_and_leave_the_state(self):
+        state = parse_events(
+            _lines(
+                _progress("chips", 10, total=50, elapsed=1.0),
+                {"event": "sample", "rss_bytes": 1048576, "span": "fab"},
+            )
+        )
+        before = copy.deepcopy(state)
+        too_large = "9" * 400
+        parse_events(
+            [
+                '{"event": "sample", "rss_bytes": %s}' % too_large,
+                '{"event": "progress", "stage": "chips", "done": %s}'
+                % too_large,
+                json.dumps(_progress("chips", 20, elapsed="abc")),
+                json.dumps(_progress("other", 1, elapsed="abc")),
+            ],
+            state,
+        )
+        assert state.n_skipped == before.n_skipped + 4
+        state.n_skipped = before.n_skipped
+        assert state == before
 
     def test_stage_restart_resets_rate_window(self):
         """done going backwards = the next corner of a sweep started; the

@@ -204,3 +204,14 @@ class TestChromeTraceRoundTrip:
         assert [s.name for s in lanes["tid-0"]] == ["work"]
         with pytest.raises(ValueError, match="traceEvents"):
             lanes_from_chrome_trace({"traceEvents": "nope"})
+
+    @pytest.mark.parametrize(
+        "bad", [{"tid": None}, {"tid": [1]}, {"ts": float("inf")}],
+        ids=["tid-null", "tid-list", "ts-inf"],
+    )
+    def test_slice_with_unusable_tid_or_ts_is_skipped(self, bad):
+        work = {"name": "work", "ph": "X", "pid": 1, "tid": 0,
+                "ts": 0.0, "dur": 5.0}
+        lanes = lanes_from_chrome_trace([work, {**work, "name": "bad", **bad}])
+        assert {label: [s.name for s in roots]
+                for label, roots in lanes.items()} == {"tid-0": ["work"]}

@@ -7,8 +7,8 @@ Summary "Measured" column and in REPORT.md's anchor table must appear in
 it, so a doc cannot quote a number the program does not print.
 
 ``pytest benchmarks/`` (the README's perf-ledger recipe and the CI perf
-jobs) must collect only the two performance modules: no paper table is
-produced there.
+jobs) must collect only the three performance modules: no paper table
+is produced there.
 """
 
 from __future__ import annotations
@@ -95,4 +95,8 @@ def test_benchmarks_collect_only_the_perf_modules():
     )
     assert run.returncode == 0, run.stdout + run.stderr
     modules = {line.split("::")[0] for line in run.stdout.splitlines() if "::" in line}
-    assert modules == {"benchmarks/bench_population.py", "benchmarks/bench_service.py"}
+    assert modules == {
+        "benchmarks/bench_hooks.py",
+        "benchmarks/bench_population.py",
+        "benchmarks/bench_service.py",
+    }
