@@ -11,7 +11,7 @@ prints them.
 harness leaves artefacts even when pytest captures stdout.  Passing
 ``values`` additionally writes the headline numbers to
 ``benchmarks/results/<name>.json``, with a
-:class:`repro.telemetry.RunManifest` (provenance: package version, git
+:class:`repro.telemetry.manifest.RunManifest` (provenance: package version, git
 SHA, numpy/platform) so an artefact stays auditable long after the
 checkout is gone.  When ``REPRO_PERF_LEDGER`` names a perf ledger, the
 values are appended to it too, and ``repro perf history|gate`` over that
@@ -65,7 +65,7 @@ def run_manifest() -> Dict[str, Any]:
     """The harness-wide provenance record (collected once per session)."""
     global _manifest_cache
     if _manifest_cache is None:
-        from repro.telemetry import RunManifest
+        from repro.telemetry.manifest import RunManifest
 
         _manifest_cache = RunManifest.collect(
             config={"harness": "benchmarks"}
@@ -113,7 +113,7 @@ def _append_perf_ledger(name: str, payload: Mapping[str, Any]) -> None:
     if not path:
         return
     try:
-        from repro.telemetry import Ledger, entry_from_bench_payload
+        from repro.telemetry.ledger import Ledger, entry_from_bench_payload
 
         Ledger(path).append(entry_from_bench_payload(name, payload))
     except Exception as exc:  # pragma: no cover - diagnostic path
@@ -142,7 +142,7 @@ def emit(
     (``Tracer.histogram_summaries()`` output).  ``roofline`` is an
     optional mapping of throughput metrics (``chips_years_per_s`` style,
     bigger is better).  The perf ledger takes each section's scalars
-    (:func:`repro.telemetry.entry_from_bench_payload`).
+    (:func:`repro.telemetry.ledger.entry_from_bench_payload`).
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")

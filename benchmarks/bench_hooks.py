@@ -45,13 +45,15 @@ from repro.analysis import DEFAULT_YEARS
 from repro.core import aro_design, make_batch_study
 from repro.service import FleetService
 from repro.telemetry import tracer as _tracer_mod
+from repro.telemetry.events import emitter_session
+from repro.telemetry.sampler import ResourceSampler
 
 #: the module-level hooks sites call, and the Tracer methods a site could
 #: call directly on the tracer ``telemetry.active()`` returned
-HOOKS = ("active", "count", "enabled", "end_span", "gauge", "observe",
-         "progress", "span", "start_span")
-TRACER_METHODS = ("count", "end_span", "gauge", "observe", "request",
-                  "span", "start_span")
+HOOKS = ("active", "count", "enabled", "end_span", "observe", "progress",
+         "span", "start_span")
+TRACER_METHODS = ("count", "end_span", "observe", "request", "span",
+                  "start_span")
 
 N_CALLS = 20_000
 ROUNDS = 7
@@ -75,7 +77,7 @@ def _direct_observe(tracer):
 
 
 def _sampler_tick(_handle):
-    sampler = telemetry.ResourceSampler(SAMPLER_HZ, echo_interval_s=None)
+    sampler = ResourceSampler(SAMPLER_HZ, echo_interval_s=None)
     return lambda: sampler.sample_once()
 
 
@@ -86,7 +88,6 @@ PROBES = {
     "active": lambda h: lambda: telemetry.active(),
     "enabled": lambda h: lambda: telemetry.enabled(),
     "count": lambda h: lambda: telemetry.count("hook.budget", 1),
-    "gauge": lambda h: lambda: telemetry.gauge("hook.budget", 1.0),
     "observe": lambda h: lambda: telemetry.observe("hook.budget", 1e-3),
     "progress": lambda h: lambda: telemetry.progress("hook.budget", 1, 2),
     "span": lambda h: _timed_span,
@@ -145,7 +146,7 @@ def _empty():
 def _installed(mode, tmp_path):
     """Install what ``mode`` runs with; yields the emitter or tracer."""
     if mode == "emitter":
-        with telemetry.emitter_session(
+        with emitter_session(
             tmp_path / "events.jsonl", max_events=EMITTER_MAX_EVENTS
         ) as emitter:
             yield emitter

@@ -39,7 +39,6 @@ import numpy as np
 import pytest
 
 from _common import best_of, emit
-from repro import telemetry
 from repro.analysis import DEFAULT_YEARS
 from repro.core import (
     aro_design,
@@ -48,6 +47,7 @@ from repro.core import (
     make_study,
 )
 from repro.metrics.reliability import reliability
+from repro.telemetry.events import emitter_session
 
 N_CHIPS = 50
 SEED = 20140324
@@ -187,7 +187,7 @@ class TestTelemetryOverhead:
         batch = make_batch_study(design, n_chips=N_CHIPS, rng=SEED)
         years = list(DEFAULT_YEARS)
         cap = 20
-        with telemetry.emitter_session(
+        with emitter_session(
             tmp_path / "events.jsonl", min_interval_s=0.0, max_events=cap
         ) as emitter:
             for _ in range(5):
@@ -305,7 +305,7 @@ from repro.analysis import DEFAULT_YEARS
 from repro.core import aro_design
 from repro.metrics.reliability import reliability
 from repro.core import make_batch_study
-from repro.telemetry import peak_rss_bytes
+from repro.telemetry.tracer import peak_rss_bytes
 
 n_chips, n_ros, block_size = (int(x) for x in sys.argv[1:4])
 design = aro_design(n_ros=n_ros)

@@ -34,7 +34,7 @@ import pytest
 from _common import best_of, emit
 from repro import telemetry
 from repro.service import DEFAULT_SLOS, FleetService, check_slos
-from repro.telemetry import worst_status
+from repro.telemetry.anchors import worst_status
 
 N_CHIPS = 16
 N_AUTHS = 5000

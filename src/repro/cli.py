@@ -7,7 +7,7 @@ Usage::
     python -m repro.cli run e6
     python -m repro.cli run all --chips 25 --out results.txt
     python -m repro.cli run e2 --trace
-    python -m repro.cli run e2 --profile --metrics-out metrics.json
+    python -m repro.cli run e2 --metrics-out metrics.json
     python -m repro.cli run e2 --ledger runs/ledger.jsonl --events runs/events.jsonl
     python -m repro.cli run e2 --jobs 4 --trace-out run.trace.json --sample-rss 10
     python -m repro.cli monitor --events runs/events.jsonl --follow
@@ -36,11 +36,10 @@ Telemetry flags (``run``, ``report``, ``check-anchors``, ``explain``,
 
 * ``--trace`` prints the nested span tree (wall time per engine stage)
   and the kernel counters after the tables;
-* ``--profile`` additionally samples per-span peak traced memory
-  (tracemalloc) — slower, opt-in;
 * ``--metrics-out PATH`` writes spans + counters + a complete
-  :class:`~repro.telemetry.RunManifest` (seed, git SHA, numpy/platform
-  versions) as JSON, the artefact CI's smoke step validates;
+  :class:`~repro.telemetry.manifest.RunManifest` (seed, git SHA,
+  numpy/platform versions) as JSON, the artefact CI's smoke step
+  validates;
 * ``--ledger PATH`` appends each experiment's headline scalars (plus the
   manifest) to an append-only JSONL run ledger — the longitudinal record
   ``history`` renders and ``check-anchors --from-ledger`` gates on;
@@ -50,9 +49,9 @@ Telemetry flags (``run``, ``report``, ``check-anchors``, ``explain``,
   exceeds N bytes and lifts the per-run event cap, for long-lived runs
   such as ``serve``;
 * ``--trace-out PATH`` writes the run as Chrome ``trace_event`` JSON —
-  open it in Perfetto (ui.perfetto.dev); a ``--jobs N`` run renders as
-  one timeline with a lane per worker shard, clock-aligned against the
-  coordinator;
+  open it in Perfetto (ui.perfetto.dev) or speedscope for a flame
+  chart; a ``--jobs N`` run renders as one timeline with a lane per
+  worker shard, clock-aligned against the coordinator;
 * ``--sample-rss HZ`` samples process RSS and registered probes (e.g.
   the store's materialised-block count) on a background thread; the
   series lands in ``--metrics-out`` and as Perfetto counter tracks.
@@ -80,7 +79,8 @@ Execution flags:
   in the run manifest.
 
 ``history`` renders per-metric trends over a ledger (sparkline, latest
-value, median+MAD movement verdict); ``check-anchors`` measures the paper's
+value, median+MAD movement verdict), and ``perf history`` / ``perf gate``
+do the same for the perf entries; ``check-anchors`` measures the paper's
 anchor experiments fresh (or judges an existing ledger via
 ``--from-ledger``) and exits non-zero when any anchor lands outside its
 fail band.
@@ -100,7 +100,33 @@ from . import telemetry
 from .aging.schedule import MissionProfile
 from .analysis import experiments as exp
 from .analysis import render
-from .telemetry.anchors import DESIGN_FLIPS_10Y
+from .telemetry.anchors import (
+    ANCHOR_EXPERIMENTS,
+    DESIGN_FLIPS_10Y,
+    check_anchors,
+    latest_scalars,
+    render_verdicts,
+    worst_status,
+)
+from .telemetry.events import (
+    ProgressEmitter,
+    active_emitter,
+    install_emitter,
+    uninstall_emitter,
+)
+from .telemetry.ledger import (
+    PERF_LEDGER_ENV,
+    Ledger,
+    LedgerEntry,
+    entry_from_bench_payload,
+)
+from .telemetry.manifest import (
+    RunManifest,
+    execution_fields,
+    host_fingerprint,
+    package_version,
+)
+from .telemetry.tracer import peak_rss_bytes
 
 if TYPE_CHECKING:
     from .parallel import ResultCache
@@ -287,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="ARO-PUF (DATE 2014) reproduction: run paper experiments.",
     )
-    execution = telemetry.execution_fields()
+    execution = execution_fields()
     parser.add_argument(
         "--version",
         action="version",
@@ -295,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         # the perf-ledger host identity so "which machine produced this
         # number" is answerable from the version string alone
         version=(
-            f"%(prog)s {telemetry.package_version()} "
+            f"%(prog)s {package_version()} "
             f"(numpy {execution['numpy_version']}, "
             f"{execution['platform_triple']}, "
             f"host {execution['host_fingerprint']})"
@@ -309,11 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         action="store_true",
         help="print the nested span tree and kernel counters after the run",
-    )
-    tgroup.add_argument(
-        "--profile",
-        action="store_true",
-        help="like --trace, plus per-span peak traced memory (slower)",
     )
     tgroup.add_argument(
         "--metrics-out",
@@ -420,17 +441,19 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SUBSTR",
         help="only metrics containing SUBSTR (repeatable; e.g. --metric e2)",
     )
+    # None defers to history.RUN_WINDOW / RUN_THRESHOLD, so parsing
+    # does not import the trend machinery
     history.add_argument(
         "--window",
         type=_positive_int,
-        default=telemetry.history.RUN_WINDOW,
-        help="trailing median window in runs (default %(default)s)",
+        default=None,
+        help="trailing median window in runs (default 5)",
     )
     history.add_argument(
         "--threshold",
         type=_positive_float,
-        default=telemetry.history.RUN_THRESHOLD,
-        help="relative noise floor vs the median (default %(default)s)",
+        default=None,
+        help="relative noise floor vs the median (default 0.1)",
     )
     history.add_argument(
         "--last",
@@ -466,8 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="the performance observatory: ledger trends, regression "
-        "gating, flame graphs and HTML reports",
+        help="the performance observatory: perf-ledger trends and "
+        "regression gating",
     )
     perf_sub = perf.add_subparsers(dest="perf_command", required=True)
 
@@ -513,48 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit non-zero when any perf metric's 'perf history' verdict "
         "is regress",
         parents=[perf_ledger_args],
-    )
-
-    perf_flame = perf_sub.add_parser(
-        "flame",
-        help="collapsed stacks (flamegraph.pl / speedscope) from a "
-        "--trace-out Chrome trace artefact",
-    )
-    perf_flame.add_argument(
-        "--trace",
-        metavar="PATH",
-        required=True,
-        help="the Chrome trace_event JSON written by run --trace-out",
-    )
-    perf_flame.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="write collapsed stacks to PATH (default: stdout)",
-    )
-    perf_flame.add_argument(
-        "--critical-path",
-        action="store_true",
-        help="also print the wall-clock-bounding span chain",
-    )
-
-    perf_report = perf_sub.add_parser(
-        "report",
-        help="single-file static HTML: sparklines, quantiles, self time",
-        parents=[perf_ledger_args],
-    )
-    perf_report.add_argument(
-        "--html",
-        metavar="PATH",
-        required=True,
-        help="output HTML file (self-contained, inline SVG sparklines)",
-    )
-    perf_report.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="optionally fold a --trace-out artefact's top self-time "
-        "table and critical path into the report",
     )
 
     serve_p = sub.add_parser(
@@ -858,7 +839,6 @@ def _telemetry_wanted(args: argparse.Namespace) -> bool:
     # span attribution and the perf-counter epoch the series is keyed to
     return bool(
         getattr(args, "trace", False)
-        or getattr(args, "profile", False)
         or getattr(args, "metrics_out", None)
         or getattr(args, "trace_out", None)
         or getattr(args, "sample_rss", None)
@@ -870,7 +850,7 @@ def _collect_manifest(
     config: exp.ExperimentConfig,
     cache_summary: Optional[Dict[str, Any]] = None,
     tracer: Optional[telemetry.Tracer] = None,
-) -> telemetry.RunManifest:
+) -> RunManifest:
     """One manifest per CLI invocation (all its ledger entries share it).
 
     ``jobs``, the store mode and the cache summary ride as top-level
@@ -880,10 +860,10 @@ def _collect_manifest(
     RSS — the number the store exists to bound — so the ledger records
     the memory high-water mark alongside the scalars it produced.
     """
-    peak = telemetry.peak_rss_bytes() if config.store == "mmap" else None
+    peak = peak_rss_bytes() if config.store == "mmap" else None
     tracer = tracer if tracer is not None else telemetry.active()
     histograms = tracer.histogram_summaries() if tracer is not None else {}
-    return telemetry.RunManifest.collect(
+    return RunManifest.collect(
         seed=config.seed,
         config={
             "command": args.command,
@@ -940,7 +920,7 @@ def _run_experiment(
     payload = cache.get(ck)
     if payload is not None:
         print(f"cache hit: {key} (key {ck[:12]})")
-        emitter = telemetry.active_emitter()
+        emitter = active_emitter()
         if emitter is not None:
             emitter.lifecycle("cache.hit", experiment=key, key=ck)
         return payload, True
@@ -965,7 +945,7 @@ def _start_telemetry(args: argparse.Namespace) -> None:
     server alike.
     """
     if _telemetry_wanted(args):
-        telemetry.install(telemetry.Tracer(memory=args.profile))
+        telemetry.install(telemetry.Tracer())
     if getattr(args, "events", None):
         max_bytes = getattr(args, "events_max_bytes", None)
         kwargs: Dict[str, Any] = {"max_bytes": max_bytes}
@@ -973,9 +953,7 @@ def _start_telemetry(args: argparse.Namespace) -> None:
             # rotation bounds the disk, so the anti-runaway event cap
             # would only truncate a deliberately long-lived run
             kwargs["max_events"] = 10**9
-        emitter = telemetry.install_emitter(
-            telemetry.ProgressEmitter(args.events, **kwargs)
-        )
+        emitter = install_emitter(ProgressEmitter(args.events, **kwargs))
         # a raising first heartbeat (unwritable path, closed pipe) must
         # not leave the emitter installed: main() only reaches its
         # finally-cleanup after _start_telemetry returns
@@ -986,16 +964,20 @@ def _start_telemetry(args: argparse.Namespace) -> None:
                 experiment=getattr(args, "experiment", None),
             )
         except BaseException:
-            telemetry.uninstall_emitter()
+            uninstall_emitter()
             raise
     if getattr(args, "sample_rss", None):
+        from .telemetry.sampler import (
+            ResourceSampler,
+            install_sampler,
+            uninstall_sampler,
+        )
+
         try:
-            telemetry.install_sampler(
-                telemetry.ResourceSampler(args.sample_rss)
-            ).start()
+            install_sampler(ResourceSampler(args.sample_rss)).start()
         except BaseException:
-            telemetry.uninstall_sampler()
-            telemetry.uninstall_emitter()
+            uninstall_sampler()
+            uninstall_emitter()
             telemetry.uninstall()
             raise
 
@@ -1011,42 +993,55 @@ def _finish_telemetry(
     emitter and read the tracer's open span), the emitter second, the
     tracer last.
     """
-    sampler = telemetry.uninstall_sampler()
-    emitter = telemetry.active_emitter()
+    sampler = None
+    if getattr(args, "sample_rss", None):
+        from .telemetry.sampler import uninstall_sampler
+
+        sampler = uninstall_sampler()
+    emitter = active_emitter()
     if emitter is not None:
         # uninstall even if the final lifecycle write raises (disk full,
         # closed pipe): a stuck emitter would poison every later install
         try:
             emitter.lifecycle("run.end", n_events=emitter.n_events + 1)
         finally:
-            telemetry.uninstall_emitter()
+            uninstall_emitter()
     tracer = telemetry.uninstall()
     if tracer is None:
         return
-    if args.trace or args.profile:
+    if args.trace:
+        from .telemetry.export import (
+            render_counters,
+            render_histograms,
+            render_span_tree,
+        )
+
         print("\n── telemetry: span tree " + "─" * 40)
-        print(telemetry.render_span_tree(tracer))
+        print(render_span_tree(tracer))
         print("\n── telemetry: counters " + "─" * 41)
-        print(telemetry.render_counters(tracer))
+        print(render_counters(tracer))
         if tracer.histograms:
             print("\n── telemetry: histograms " + "─" * 39)
-            print(telemetry.render_histograms(tracer))
+            print(render_histograms(tracer))
     if args.metrics_out:
+        from .telemetry.export import write_metrics
+
         manifest = _collect_manifest(args, config, cache_summary, tracer)
-        path = telemetry.write_metrics(
-            args.metrics_out, tracer, manifest, sampler
-        )
+        path = write_metrics(args.metrics_out, tracer, manifest, sampler)
         print(f"metrics written to {path}")
     if getattr(args, "trace_out", None):
-        path = telemetry.write_chrome_trace(args.trace_out, tracer, sampler)
+        from .telemetry.chrome import write_chrome_trace
+
+        path = write_chrome_trace(args.trace_out, tracer, sampler)
         print(f"chrome trace written to {path} (open in ui.perfetto.dev)")
     if getattr(args, "ledger", None) and tracer.histograms:
+        from .telemetry.histogram import flatten_summaries
+
         # the run's latency quantiles as ledger scalars, so histogram
         # drift is visible to `repro history`
-        ledger = telemetry.Ledger(args.ledger)
-        ledger.record(
+        Ledger(args.ledger).record(
             "telemetry",
-            telemetry.flatten_summaries(tracer.histograms),
+            flatten_summaries(tracer.histograms),
             _collect_manifest(args, config, cache_summary, tracer),
         )
 
@@ -1055,15 +1050,17 @@ def _monitor_command(args: argparse.Namespace) -> int:
     """Render the events-file dashboard, once or in a tail loop."""
     import time as _time
 
+    from .telemetry.monitor import MonitorState, parse_events, render_monitor
+
     path = pathlib.Path(args.events)
-    state = telemetry.MonitorState()
+    state = MonitorState()
     if not args.follow:
         if not path.exists():
             print(f"error: no events file at {path}", file=sys.stderr)
             return 2
         with path.open() as fh:
-            telemetry.parse_events(fh, state)
-        print(telemetry.render_monitor(state))
+            parse_events(fh, state)
+        print(render_monitor(state))
         return 0
     # follow mode: tail new lines, redraw on change, stop at run.end.
     # The file may not exist yet (monitor started before the run).
@@ -1087,7 +1084,7 @@ def _monitor_command(args: argparse.Namespace) -> int:
                             fh.seek(pos)
                             tail = fh.readlines()
                         if tail:
-                            telemetry.parse_events(tail, state)
+                            parse_events(tail, state)
                         pos = 0
                     else:
                         print(
@@ -1100,8 +1097,8 @@ def _monitor_command(args: argparse.Namespace) -> int:
                     lines = fh.readlines()
                     pos = fh.tell()
                 if lines:
-                    telemetry.parse_events(lines, state)
-            text = telemetry.render_monitor(state)
+                    parse_events(lines, state)
+            text = render_monitor(state)
             if text != last:
                 # clear screen + home, then the fresh dashboard
                 print("\x1b[2J\x1b[H" + text, flush=True)
@@ -1113,10 +1110,28 @@ def _monitor_command(args: argparse.Namespace) -> int:
         return 0
 
 
+def _read_ledger(path: str, kind: str) -> Tuple[List[LedgerEntry], bool]:
+    """The ``kind`` entries of the ledger at ``path``, and whether the
+    file has lines but none of them loads.
+
+    Prints the number of unreadable lines whenever it is non-zero: a
+    ledger that lost lines must not read as one that was never written.
+    """
+    ledger = Ledger(path)
+    entries = ledger.entries()
+    if ledger.n_skipped:
+        print(f"ledger {path}: {ledger.n_skipped} unreadable line(s) skipped")
+    lost = bool(ledger.n_skipped) and not entries
+    return [e for e in entries if e.kind == kind], lost
+
+
 def _history_command(args: argparse.Namespace) -> int:
+    from .telemetry.history import render_history
+
+    entries, _ = _read_ledger(args.ledger, "run")
     print(
-        telemetry.render_history(
-            telemetry.Ledger(args.ledger).entries(kind="run"),
+        render_history(
+            entries,
             metrics=args.metric,
             window=args.window,
             threshold=args.threshold,
@@ -1126,33 +1141,39 @@ def _history_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _perf_entries(args: argparse.Namespace) -> List[telemetry.LedgerEntry]:
-    """The perf entries of ``--perf-ledger``, filtered by ``--host``."""
-    entries = telemetry.Ledger(args.perf_ledger).entries(kind="perf")
+def _perf_entries(
+    args: argparse.Namespace,
+) -> Tuple[List[LedgerEntry], bool]:
+    """The perf entries of ``--perf-ledger``, filtered by ``--host``, and
+    whether the file lost every line."""
+    entries, lost = _read_ledger(args.perf_ledger, "perf")
     host = args.host
     if host == "this":
-        host = telemetry.host_fingerprint()
-    if host is None:
-        return entries
-    return [e for e in entries if e.host == host]
-
-
-def _perf_rows(args: argparse.Namespace) -> List[telemetry.TrendRow]:
-    """The perf trend rows every ``repro perf`` view renders."""
-    return telemetry.history_rows(_perf_entries(args), metrics=args.metric)
+        host = host_fingerprint()
+    if host is not None:
+        entries = [e for e in entries if e.host == host]
+    return entries, lost
 
 
 def _perf_history_command(args: argparse.Namespace) -> int:
-    print(
-        telemetry.render_history(
-            _perf_entries(args), metrics=args.metric, last=args.last
-        )
-    )
+    from .telemetry.history import render_history
+
+    entries, _ = _perf_entries(args)
+    print(render_history(entries, metrics=args.metric, last=args.last))
     return 0
 
 
 def _perf_gate_command(args: argparse.Namespace) -> int:
-    rows = _perf_rows(args)
+    from .telemetry.history import history_rows
+
+    entries, lost = _perf_entries(args)
+    if lost:
+        print(
+            f"error: no line of perf ledger {args.perf_ledger} could be read",
+            file=sys.stderr,
+        )
+        return 2
+    rows = history_rows(entries, metrics=args.metric)
     if not rows:
         print("perf gate: empty perf ledger, nothing to judge")
         return 0
@@ -1177,60 +1198,10 @@ def _perf_gate_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_trace_lanes(path: str):
-    import json as _json
-
-    trace_path = pathlib.Path(path)
-    if not trace_path.exists():
-        print(f"error: no trace file at {trace_path}", file=sys.stderr)
-        return None
-    try:
-        payload = _json.loads(trace_path.read_text())
-    except ValueError as exc:
-        print(f"error: {trace_path} is not JSON: {exc}", file=sys.stderr)
-        return None
-    try:
-        return telemetry.lanes_from_chrome_trace(payload)
-    except ValueError as exc:
-        print(f"error: {trace_path}: {exc}", file=sys.stderr)
-        return None
-
-
-def _perf_flame_command(args: argparse.Namespace) -> int:
-    lanes = _load_trace_lanes(args.trace)
-    if lanes is None:
-        return 2
-    stacks = telemetry.collapsed_stacks(lanes)
-    if args.out:
-        path = telemetry.write_collapsed(args.out, stacks)
-        print(f"collapsed stacks written to {path} ({len(stacks)} stacks)")
-    else:
-        print(telemetry.render_collapsed(stacks))
-    if args.critical_path:
-        print(telemetry.render_critical_path(telemetry.critical_path(lanes)))
-    return 0
-
-
-def _perf_report_command(args: argparse.Namespace) -> int:
-    from .telemetry.report import write_perf_report
-
-    rows = _perf_rows(args)
-    lanes = None
-    if args.trace:
-        lanes = _load_trace_lanes(args.trace)
-        if lanes is None:
-            return 2
-    path = write_perf_report(args.html, rows, lanes=lanes)
-    print(f"perf report written to {path}")
-    return 0
-
-
 def _perf_command(args: argparse.Namespace) -> int:
     return {
         "history": _perf_history_command,
         "gate": _perf_gate_command,
-        "flame": _perf_flame_command,
-        "report": _perf_report_command,
     }[args.perf_command](args)
 
 
@@ -1241,23 +1212,23 @@ def _check_anchors_command(
         if not pathlib.Path(args.from_ledger).exists():
             print(f"error: no such ledger: {args.from_ledger}", file=sys.stderr)
             return 2
-        entries = telemetry.Ledger(args.from_ledger).entries(kind="run")
+        entries, _ = _read_ledger(args.from_ledger, "run")
         if not entries:
             print(
                 f"error: {args.from_ledger} holds no ledger entries of kind run",
                 file=sys.stderr,
             )
             return 2
-        scalars = telemetry.latest_scalars(entries)
+        scalars = latest_scalars(entries)
         source = f"ledger {args.from_ledger} ({len(entries)} entries)"
     else:
-        ledger = telemetry.Ledger(args.ledger) if args.ledger else None
+        ledger = Ledger(args.ledger) if args.ledger else None
         cache = _open_cache(args)
         hits: List[str] = []
         misses: List[str] = []
         scalars = {}
         recorded = []
-        for key in telemetry.ANCHOR_EXPERIMENTS:
+        for key in ANCHOR_EXPERIMENTS:
             result, hit = _run_experiment(key, config, cache)
             (hits if hit else misses).append(key)
             experiment_scalars = result.ledger_scalars()
@@ -1276,10 +1247,10 @@ def _check_anchors_command(
             f"fresh run, {config.n_chips} chips x {config.n_ros} ROs, "
             f"seed {config.seed}"
         )
-    verdicts = telemetry.check_anchors(scalars)
+    verdicts = check_anchors(scalars)
     print(f"anchors vs {source}")
-    print(telemetry.render_verdicts(verdicts))
-    worst = telemetry.worst_status(
+    print(render_verdicts(verdicts))
+    worst = worst_status(
         verdicts, missing_is_fail=args.require_all or not args.from_ledger
     )
     print(f"worst status: {worst}")
@@ -1324,7 +1295,7 @@ def _explain_command(
             t_horizon=float(t_horizon),
             k=next(iter(reports.values())).forecast.k,
         )
-        ledger = telemetry.Ledger(args.ledger)
+        ledger = Ledger(args.ledger)
         ledger.record("e13", result.ledger_scalars(), _collect_manifest(args, config))
         print(f"ledger: e13 scalars appended to {ledger.path}")
     if args.json:
@@ -1378,7 +1349,9 @@ async def _serve_async(args: argparse.Namespace, service) -> None:
             loop.add_signal_handler(sig, stop.set)
         except (NotImplementedError, ValueError):  # pragma: no cover
             pass  # non-Unix loop: KeyboardInterrupt still unwinds us
-    async with telemetry.EventLoopLagProbe():
+    from .telemetry.sampler import EventLoopLagProbe
+
+    async with EventLoopLagProbe():
         await stop.wait()
     server.close()
     await server.wait_closed()
@@ -1481,7 +1454,9 @@ async def _loadgen_async(args: argparse.Namespace, n_requests: Optional[int]):
         ),
         response_bits,
     )
-    probe = telemetry.EventLoopLagProbe().start()
+    from .telemetry.sampler import EventLoopLagProbe
+
+    probe = EventLoopLagProbe().start()
     try:
         report = await run_loadgen(
             client,
@@ -1559,18 +1534,16 @@ def _loadgen_command(args: argparse.Namespace) -> int:
                 _json.dumps(payload, indent=2, sort_keys=True) + "\n"
             )
             print(f"loadgen artefact written to {out_path}")
-        ledger_path = args.perf_ledger or os.environ.get(
-            telemetry.PERF_LEDGER_ENV
-        )
+        ledger_path = args.perf_ledger or os.environ.get(PERF_LEDGER_ENV)
         if ledger_path:
-            telemetry.Ledger(ledger_path).append(
-                telemetry.entry_from_bench_payload("loadgen", payload)
+            Ledger(ledger_path).append(
+                entry_from_bench_payload("loadgen", payload)
             )
             print(f"perf ledger: loadgen entry appended to {ledger_path}")
         if args.slo_gate != "off":
             verdicts = check_slos(report.red.metrics(), slos)
             print(render_slo_verdicts(verdicts))
-            worst = telemetry.worst_status(verdicts)
+            worst = worst_status(verdicts)
             print(f"slo worst status: {worst} (gate: {args.slo_gate})")
             if args.slo_gate == "enforce" and worst == "fail":
                 return 1
@@ -1630,7 +1603,7 @@ def main(argv: Optional[list] = None) -> int:
             if args.command == "explain":
                 return _explain_command(args, config)
 
-            ledger = telemetry.Ledger(args.ledger) if args.ledger else None
+            ledger = Ledger(args.ledger) if args.ledger else None
 
             if args.command == "report":
                 from .analysis.report import ALL_EXPERIMENTS, generate_report

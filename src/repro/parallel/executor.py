@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -198,11 +198,18 @@ class ShardExecutor:
         )
         shard_span.start_ns = 0
         shard_span.end_ns = int(report.wall_s * 1e9)
-        rows = telemetry.aggregate({"worker": spans})
-        for row in sorted(rows, key=lambda r: r.label):
-            child = Span(row.label, {"calls": row.calls, "synthetic": True})
+        totals: Dict[str, List[int]] = {}
+        stack = list(spans)
+        while stack:
+            span = stack.pop()
+            row = totals.setdefault(span.name, [0, 0])
+            row[0] += 1
+            row[1] += max(0, span.end_ns - span.start_ns)
+            stack.extend(span.children)
+        for name, (calls, total_ns) in sorted(totals.items()):
+            child = Span(name, {"calls": calls, "synthetic": True})
             child.start_ns = 0
-            child.end_ns = row.total_ns
+            child.end_ns = total_ns
             child.parent = shard_span
             shard_span.children.append(child)
         if parent is not None:

@@ -109,7 +109,7 @@ class ShardReport:
     histograms: Dict[str, Dict] = field(default_factory=dict)
     #: the worker's clock handshake ``(wall_ns, perf_ns)`` read
     #: back-to-back; lets the coordinator convert worker perf timestamps
-    #: onto its own perf timeline (see ``telemetry.clock_handshake``)
+    #: onto its own perf timeline (see ``tracer.clock_handshake``)
     clock: Optional[Tuple[int, int]] = None
 
 
@@ -246,7 +246,7 @@ def evaluate_shard(
     state between processes.
     """
     reset_inherited_telemetry()
-    clock = telemetry.clock_handshake()
+    clock = _tracer_mod.clock_handshake()
     t0 = time.perf_counter()
     with telemetry.session() as tracer:
         shard = _cached_shard(token, spec)

@@ -1,8 +1,8 @@
 """Robust change-point detection: the repo's one drift detector.
 
 Every longitudinal verdict — ``repro history`` over experiment scalars,
-``repro perf history``, ``repro perf gate`` and ``repro perf report``
-over benchmark series — comes from :func:`detect`, and its one caller
+``repro perf history`` and ``repro perf gate`` over benchmark series —
+comes from :func:`detect`, and its one caller
 is :func:`repro.telemetry.history.history_rows`.  A rolling *mean*
 would not do: one outlier run (a cold cache, a noisy CI neighbour)
 both pollutes the baseline and fires the flag.  Statistic-based RO-PUF analysis (Wilde et al., arXiv

@@ -4,10 +4,10 @@ Two consumers, two formats:
 
 * :func:`render_span_tree` — the ``--trace`` terminal view: an indented
   tree with per-span wall time, share of the parent, and the hottest
-  attributes (and peak traced memory under ``--profile``);
+  attributes;
 * :func:`trace_to_dict` / :func:`write_metrics` — the ``--metrics-out``
-  artefact: one JSON object holding the nested spans, the counter and
-  gauge maps, and the :class:`~repro.telemetry.manifest.RunManifest`,
+  artefact: one JSON object holding the nested spans, the counter map,
+  the histograms and the :class:`~repro.telemetry.manifest.RunManifest`,
   validated by the same schema CI's smoke step checks.
 """
 
@@ -26,8 +26,9 @@ PathLike = Union[str, pathlib.Path]
 #: (2: top-level ``version`` string alongside the manifest, so payloads
 #: remain attributable even when filtered down to one section; 3: adds
 #: the ``histograms`` section — full mergeable bucket state per metric —
-#: and, when a resource sampler ran, ``resource_samples``)
-METRICS_FORMAT = 3
+#: and, when a resource sampler ran, ``resource_samples``; 4: drops the
+#: ``gauges`` section, which no call site ever filled)
+METRICS_FORMAT = 4
 
 
 def _fmt_duration(ns: int) -> str:
@@ -36,14 +37,6 @@ def _fmt_duration(ns: int) -> str:
     if ns >= 1_000_000:
         return f"{ns / 1e6:8.3f} ms"
     return f"{ns / 1e3:8.3f} us"
-
-
-def _fmt_bytes(n: int) -> str:
-    if n >= 1 << 20:
-        return f"{n / (1 << 20):.1f} MiB"
-    if n >= 1 << 10:
-        return f"{n / (1 << 10):.1f} KiB"
-    return f"{n} B"
 
 
 def _render_span(
@@ -57,11 +50,8 @@ def _render_span(
     if span.attrs:
         inner = ", ".join(f"{k}={v}" for k, v in span.attrs.items())
         attrs = f"  [{inner}]"
-    mem = ""
-    if span.mem_peak_bytes is not None:
-        mem = f"  peak={_fmt_bytes(span.mem_peak_bytes)}"
     lines.append(
-        f"{_fmt_duration(dur)}{share:>9}  {'  ' * indent}{span.name}{attrs}{mem}"
+        f"{_fmt_duration(dur)}{share:>9}  {'  ' * indent}{span.name}{attrs}"
     )
     for child in span.children:
         _render_span(child, lines, indent + 1, dur)
@@ -78,14 +68,13 @@ def render_span_tree(tracer: Tracer) -> str:
 
 
 def render_counters(tracer: Tracer) -> str:
-    """Counters and gauges as aligned ``name  value`` rows."""
-    rows = [(k, v, "counter") for k, v in sorted(tracer.counters.items())]
-    rows += [(k, v, "gauge") for k, v in sorted(tracer.gauges.items())]
+    """Counters as aligned ``name  value`` rows."""
+    rows = sorted(tracer.counters.items())
     if not rows:
         return "(no counters recorded)"
-    width = max(len(name) for name, _, _ in rows)
+    width = max(len(name) for name, _ in rows)
     return "\n".join(
-        f"{name:<{width}}  {value:>14g}  ({kind})" for name, value, kind in rows
+        f"{name:<{width}}  {value:>14g}  (counter)" for name, value in rows
     )
 
 
@@ -121,7 +110,6 @@ def trace_to_dict(
         "version": package_version(),
         "spans": [root.to_dict() for root in tracer.roots],
         "counters": dict(sorted(tracer.counters.items())),
-        "gauges": dict(sorted(tracer.gauges.items())),
         "histograms": {
             name: tracer.histograms[name].to_dict()
             for name in sorted(tracer.histograms)

@@ -1,9 +1,9 @@
 """Streaming log-bucket histograms: the registry's distribution metric.
 
-Counters answer "how much work", gauges "what is it now"; neither can
-answer "what is p99" — the primitive a latency SLO (the ROADMAP's fleet
-service) gates on.  :class:`Histogram` is the missing third metric type:
-a fixed-layout, log-spaced bucket histogram that
+Counters answer "how much work"; they cannot answer "what is p99" —
+the primitive a latency SLO (the fleet service) gates on.
+:class:`Histogram` is the distribution metric type: a fixed-layout,
+log-spaced bucket histogram that
 
 * streams — :meth:`observe` is O(1), no sample retention, so it can sit
   on per-block kernel call sites;
@@ -82,10 +82,6 @@ class Histogram:
             return
         idx = math.floor(math.log(value) * _INV_LOG_GROWTH)
         self.buckets[idx] = self.buckets.get(idx, 0) + 1
-
-    def observe_many(self, values: Sequence[float]) -> None:
-        for value in values:
-            self.observe(value)
 
     # ---- queries -----------------------------------------------------
 

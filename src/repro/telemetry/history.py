@@ -5,9 +5,9 @@ entries) and ``repro perf history`` (perf entries) both render through
 :func:`render_history`: one row per metric with a terminal sparkline
 over the recorded values (file order == chronological order for an
 append-only file), the latest value, and its change against the median
-of the preceding ``window`` values.  ``repro perf gate`` and ``repro
-perf report`` judge the same :func:`history_rows`, so a perf metric
-has one verdict in every view.
+of the preceding ``window`` values.  ``repro perf gate`` judges the
+same :func:`history_rows`, so a perf metric has one verdict in every
+view.
 
 Whether the latest value moved is the median+MAD change-point
 detector's call (:mod:`repro.telemetry.changepoint`): it flags only
@@ -87,8 +87,8 @@ def history_rows(
     """Trend rows for every (selected) metric of entries of one kind.
 
     The only code that turns ledger entries into verdicts: ``repro
-    history``, ``repro perf history``, ``repro perf gate`` and ``repro
-    perf report`` all render these rows.  ``metrics`` filters by
+    history``, ``repro perf history`` and ``repro perf gate`` all
+    render these rows.  ``metrics`` filters by
     substring match (so ``--metric e2`` selects every E2 scalar);
     ``last`` truncates each series to its newest N points before judging.
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import datetime
 import hashlib
-import json
 import os
 import pathlib
 import platform
@@ -249,9 +248,6 @@ class RunManifest:
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunManifest":

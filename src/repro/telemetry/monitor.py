@@ -194,6 +194,8 @@ def _fmt_rss(n_bytes: float) -> str:
 def render_monitor(state: MonitorState, spark_width: int = 40) -> str:
     """The terminal dashboard for one folded state."""
     if state.n_events == 0:
+        if state.n_skipped:
+            return f"(no readable events; {state.n_skipped} line(s) skipped)"
         return "(no events yet)"
     status = "running" if state.running else "finished"
     head = f"run: {state.command or '?'}"

@@ -311,11 +311,6 @@ class EventLoopLagProbe:
 _sampler: Optional[ResourceSampler] = None
 
 
-def active_sampler() -> Optional[ResourceSampler]:
-    """The installed sampler, or ``None`` when sampling is off."""
-    return _sampler
-
-
 def install_sampler(sampler: ResourceSampler) -> ResourceSampler:
     """Install (without starting) ``sampler`` as the process sampler."""
     global _sampler

@@ -1,4 +1,4 @@
-"""Process-local tracer: nestable spans, typed counters and gauges.
+"""Process-local tracer: nestable spans and typed counters.
 
 The design goal is a *near-zero-cost disabled path*: when no tracer is
 installed (the default), every instrumentation site in the library pays a
@@ -31,11 +31,10 @@ is the serving entry point: a root span with a fresh per-request trace
 id, parked on a recycled ``req-<k>`` lane of :attr:`Tracer.remote_lanes`
 once it finishes.
 
-Spans record wall time via :func:`time.perf_counter_ns`; a tracer created
-with ``memory=True`` additionally samples :mod:`tracemalloc` (traced peak
-per span) and the process peak RSS, for memory profiles of the population
-kernels.  Counters are monotonically accumulated floats; gauges keep the
-last written value.  Everything lives on the tracer instance — there is
+Spans record wall time via :func:`time.perf_counter_ns`; memory is the
+resource sampler's job (``--sample-rss``, :mod:`.sampler`), which charges
+RSS samples to the open span.  Counters are monotonically accumulated
+floats.  Everything lives on the tracer instance — there is
 no global mutable state beyond the single "installed tracer" slot and the
 context-local span slot, whose entries are tagged with their owning
 tracer — so tests can create, install and discard tracers freely.
@@ -51,7 +50,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 
 class Span:
-    """One timed (and optionally memory-profiled) region of a trace.
+    """One timed region of a trace.
 
     Spans form a tree: every span started while another is active becomes
     a child of that active span.  Timing uses ``perf_counter_ns`` so the
@@ -66,8 +65,6 @@ class Span:
         "start_ns",
         "end_ns",
         "error",
-        "mem_peak_bytes",
-        "_mem_start_bytes",
     )
 
     def __init__(self, name: str, attrs: Optional[Dict[str, Any]] = None):
@@ -78,8 +75,6 @@ class Span:
         self.start_ns: int = 0
         self.end_ns: Optional[int] = None
         self.error: bool = False
-        self.mem_peak_bytes: Optional[int] = None
-        self._mem_start_bytes: Optional[int] = None
 
     @property
     def duration_ns(self) -> int:
@@ -101,8 +96,6 @@ class Span:
             d["attrs"] = {k: _jsonable(v) for k, v in self.attrs.items()}
         if self.error:
             d["error"] = True
-        if self.mem_peak_bytes is not None:
-            d["mem_peak_bytes"] = self.mem_peak_bytes
         if self.children:
             d["children"] = [c.to_dict() for c in self.children]
         return d
@@ -172,24 +165,11 @@ _CURRENT: "contextvars.ContextVar[Optional[Tuple[Tracer, Span]]]" = (
 
 
 class Tracer:
-    """Collects spans, counters and gauges for one run.
+    """Collects spans, counters and histograms for one run."""
 
-    Parameters
-    ----------
-    memory:
-        When true, spans additionally record their :mod:`tracemalloc`
-        peak (the tracer starts/stops tracemalloc around its lifetime if
-        it was not already running).  Costs ~2-4x on allocation-heavy
-        code, so it is opt-in (the CLI's ``--profile``).  tracemalloc
-        peaks are process-global: under interleaved requests a span's
-        peak may include a neighbour's allocations.
-    """
-
-    def __init__(self, *, memory: bool = False):
-        self.memory = memory
+    def __init__(self):
         self.roots: List[Span] = []
         self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, "Histogram"] = {}
         #: re-based span forests from other processes, keyed by lane
         #: label (``worker-<k>``), and finished requests (``req-<k>``) —
@@ -209,13 +189,6 @@ class Tracer:
         self._free_lanes: List[int] = []
         self._n_lanes = 0
         self._trace_seq = 0
-        self._owns_tracemalloc = False
-        if memory:
-            import tracemalloc
-
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._owns_tracemalloc = True
 
     # ---- spans -------------------------------------------------------
 
@@ -232,11 +205,6 @@ class Tracer:
         self._open.add(span)
         self._latest = span
         _CURRENT.set((self, span))
-        if self.memory:
-            import tracemalloc
-
-            tracemalloc.reset_peak()
-            span._mem_start_bytes = tracemalloc.get_traced_memory()[0]
         span.start_ns = time.perf_counter_ns()
         return span
 
@@ -269,18 +237,11 @@ class Tracer:
         return span
 
     def _finish(self, spans: List[Span], end_ns: int) -> None:
-        """Stamp ``end_ns`` (and the memory peak) on the still-open
-        ``spans`` and drop them from the open set."""
-        peak = None
-        if self.memory:
-            import tracemalloc
-
-            peak = tracemalloc.get_traced_memory()[1]
+        """Stamp ``end_ns`` on the still-open ``spans`` and drop them
+        from the open set."""
         for sp in spans:
             if sp.end_ns is None:
                 sp.end_ns = end_ns
-                if peak is not None:
-                    sp.mem_peak_bytes = max(0, peak - (sp._mem_start_bytes or 0))
             self._open.discard(sp)
 
     @contextmanager
@@ -354,15 +315,11 @@ class Tracer:
             self.add_remote_lane(f"req-{lane}", [span])
             heapq.heappush(self._free_lanes, lane)
 
-    # ---- counters / gauges -------------------------------------------
+    # ---- counters ----------------------------------------------------
 
     def count(self, name: str, value: float = 1.0) -> None:
         """Accumulate ``value`` onto counter ``name`` (monotone)."""
         self.counters[name] = self.counters.get(name, 0.0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        """Record the most recent value of gauge ``name``."""
-        self.gauges[name] = float(value)
 
     # ---- histograms --------------------------------------------------
 
@@ -409,17 +366,12 @@ class Tracer:
     # ---- lifecycle ---------------------------------------------------
 
     def close(self) -> None:
-        """End every still-open span and release tracemalloc if owned."""
+        """End every still-open span."""
         self._finish(list(self._open), time.perf_counter_ns())
         self._latest = None
         entry = _CURRENT.get()
         if entry is not None and entry[0] is self:
             _CURRENT.set(None)
-        if self._owns_tracemalloc:
-            import tracemalloc
-
-            tracemalloc.stop()
-            self._owns_tracemalloc = False
 
     def peak_rss_kb(self) -> Optional[float]:
         """Process peak RSS in KiB (``ru_maxrss``), if the platform has it."""
@@ -533,9 +485,9 @@ def uninstall() -> Optional[Tracer]:
 
 
 @contextmanager
-def session(*, memory: bool = False) -> Iterator[Tracer]:
+def session() -> Iterator[Tracer]:
     """Install a fresh :class:`Tracer` for the duration of a block."""
-    tracer = install(Tracer(memory=memory))
+    tracer = install(Tracer())
     try:
         yield tracer
     finally:
@@ -571,13 +523,6 @@ def count(name: str, value: float = 1.0) -> None:
         t.count(name, value)
 
 
-def gauge(name: str, value: float) -> None:
-    """Set a gauge on the installed tracer (no-op when disabled)."""
-    t = _active
-    if t is not None:
-        t.gauge(name, value)
-
-
 def observe(name: str, value: float) -> None:
     """Fold a sample into a histogram of the installed tracer.
 
@@ -609,24 +554,3 @@ def span(name: str, **attrs: Any) -> Iterator[Optional[Span]]:
         raise
     finally:
         end_span(sp)
-
-
-def current_trace_id() -> Optional[int]:
-    """The trace id of the request the calling context is serving.
-
-    Walks from the context-local span to its root and returns the root's
-    ``trace_id`` attribute; ``None`` outside any request (or when the
-    span belongs to a tracer other than the installed one).  Survives
-    ``await`` and task fan-out because the underlying slot is a
-    contextvar.
-    """
-    entry = _CURRENT.get()
-    if entry is None or entry[0] is not _active:
-        return None
-    span: Optional[Span] = entry[1]
-    while span is not None:
-        trace_id = span.attrs.get("trace_id")
-        if trace_id is not None:
-            return int(trace_id)
-        span = span.parent
-    return None

@@ -87,7 +87,7 @@ class TestTelemetryFlags:
     def test_metrics_out_writes_valid_payload(self, tmp_path, capsys):
         import json
 
-        from repro.telemetry import validate_manifest
+        from repro.telemetry.manifest import validate_manifest
 
         out = tmp_path / "metrics.json"
         code = main(
@@ -111,11 +111,6 @@ class TestTelemetryFlags:
         validate_manifest(payload["manifest"])
         assert payload["manifest"]["seed"] == 11
         assert payload["manifest"]["config"]["n_chips"] == 3
-
-    def test_profile_records_span_memory(self, capsys):
-        code = main(["run", "e3", "--chips", "3", "--ros", "16", "--profile"])
-        assert code == 0
-        assert "peak=" in capsys.readouterr().out
 
     def test_tables_unchanged_by_tracing(self, capsys):
         main(["run", "e3", "--chips", "3", "--ros", "16"])
@@ -155,7 +150,7 @@ class TestTelemetryFlags:
 
 class TestVersionFlag:
     def test_version_prints_package_version(self, capsys):
-        from repro.telemetry import package_version
+        from repro.telemetry.manifest import package_version
 
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -165,7 +160,7 @@ class TestVersionFlag:
 
 class TestLedgerAndEvents:
     def test_run_appends_ledger_and_history_renders(self, tmp_path, capsys):
-        from repro.telemetry import Ledger
+        from repro.telemetry.ledger import Ledger
 
         ledger = tmp_path / "runs" / "ledger.jsonl"  # parent must be created
         for seed in ("1", "2"):
@@ -209,24 +204,44 @@ class TestLedgerAndEvents:
         assert main(["history", "--ledger", str(tmp_path / "none.jsonl")]) == 0
         assert "empty ledger" in capsys.readouterr().out
 
+    def test_history_counts_unreadable_lines(self, tmp_path, capsys):
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text("garbage\n")
+        assert main(["history", "--ledger", str(ledger)]) == 0
+        assert "1 unreadable line(s) skipped" in capsys.readouterr().out
+
+    def test_history_help_names_the_detector_defaults(self):
+        """``--window``/``--threshold`` default to None so parsing does
+        not import the trend machinery; the help still names the values
+        ``history_rows`` resolves None to."""
+        from repro.telemetry.history import RUN_THRESHOLD, RUN_WINDOW
+
+        parser = build_parser()
+        args = parser.parse_args(["history", "--ledger", "l.jsonl"])
+        assert args.window is None and args.threshold is None
+        sub = parser._subparsers._group_actions[0].choices["history"]
+        text = " ".join(sub.format_help().split())
+        assert f"(default {RUN_WINDOW})" in text
+        assert f"(default {RUN_THRESHOLD})" in text
+
     def test_events_lifecycle_and_cleanup(self, tmp_path, capsys):
         import json
 
-        from repro import telemetry
+        from repro.telemetry.events import active_emitter
 
         events = tmp_path / "deep" / "events.jsonl"  # parent must be created
         code = main(
             ["run", "e2", "--chips", "3", "--ros", "16", "--events", str(events)]
         )
         assert code == 0
-        assert telemetry.active_emitter() is None
+        assert active_emitter() is None
         records = [json.loads(line) for line in events.read_text().splitlines()]
         assert records[0]["event"] == "run.start"
         assert records[0]["experiment"] == "e2"
         assert records[-1]["event"] == "run.end"
 
     def test_report_records_every_experiment(self, tmp_path, capsys):
-        from repro.telemetry import Ledger
+        from repro.telemetry.ledger import Ledger
 
         ledger = tmp_path / "ledger.jsonl"
         code = main(
@@ -255,7 +270,8 @@ class TestLedgerAndEvents:
 class TestCheckAnchors:
     @staticmethod
     def synthetic_ledger(path, scalars_by_experiment):
-        from repro.telemetry import Ledger, RunManifest
+        from repro.telemetry.ledger import Ledger
+        from repro.telemetry.manifest import RunManifest
 
         manifest = RunManifest.collect(seed=1, config={"synthetic": True})
         ledger = Ledger(path)
@@ -349,7 +365,8 @@ class TestCheckAnchors:
         assert "FAIL" in out
 
     def test_fresh_run_records_to_ledger(self, tmp_path, capsys):
-        from repro.telemetry import ANCHOR_EXPERIMENTS, Ledger
+        from repro.telemetry.anchors import ANCHOR_EXPERIMENTS
+        from repro.telemetry.ledger import Ledger
 
         ledger = tmp_path / "ledger.jsonl"
         main(
@@ -458,7 +475,7 @@ class TestParallelAndCache:
         assert "inter-chip Hamming distance" in out
 
     def test_check_anchors_supports_cache(self, tmp_path, capsys):
-        from repro.telemetry import ANCHOR_EXPERIMENTS
+        from repro.telemetry.anchors import ANCHOR_EXPERIMENTS
 
         cache_dir = tmp_path / "cache"
         argv = ["check-anchors", "--chips", "3", "--ros", "16",
@@ -521,7 +538,7 @@ class TestExplain:
         assert (tmp_path / "m.ppm").exists()
 
     def test_ledger_records_e13(self, tmp_path, capsys):
-        from repro.telemetry import Ledger
+        from repro.telemetry.ledger import Ledger
 
         ledger = tmp_path / "ledger.jsonl"
         assert main(["explain", *self.SCALE, "--ledger", str(ledger)]) == 0
@@ -541,10 +558,10 @@ class TestExplain:
         assert "Margin forensics" in out
 
     def test_no_emitter_left_installed(self, capsys):
-        from repro import telemetry
+        from repro.telemetry.events import active_emitter
 
         main(["explain", *self.SCALE])
-        assert telemetry.active_emitter() is None
+        assert active_emitter() is None
 
     @pytest.mark.parametrize("horizon", ["-1", "nan", "inf", "soon"])
     def test_bad_horizon_exits_2(self, capsys, horizon):
@@ -566,7 +583,7 @@ class TestVersionIdentity:
     def test_version_includes_numpy_and_platform_triple(self, capsys):
         import numpy
 
-        from repro.telemetry import host_fingerprint, platform_triple
+        from repro.telemetry.manifest import host_fingerprint, platform_triple
 
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -579,7 +596,7 @@ class TestVersionIdentity:
 
 def synthetic_perf_ledger(path, series, bench="bench_x", metric="wall_s"):
     """Append one entry per value, all stamped with this host."""
-    from repro.telemetry import Ledger, LedgerEntry
+    from repro.telemetry.ledger import Ledger, LedgerEntry
 
     ledger = Ledger(path)
     for value in series:
@@ -687,12 +704,35 @@ class TestPerfGate:
         assert code == 0
         assert "nothing to judge" in capsys.readouterr().out
 
+    def test_ledger_that_lost_every_line_exits_two(self, tmp_path, capsys):
+        """Damage is not emptiness: a file whose lines all fail to load
+        must not pass the gate as "nothing to judge"."""
+        ledger = tmp_path / "perf.jsonl"
+        ledger.write_text("garbage\n")
+        assert main(["perf", "gate", "--perf-ledger", str(ledger)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "1 unreadable line(s) skipped" in captured.out
+
+    def test_partly_unreadable_ledger_is_judged_and_counted(
+        self, tmp_path, capsys
+    ):
+        ledger = tmp_path / "perf.jsonl"
+        synthetic_perf_ledger(ledger, self.STABLE + [1.20])
+        with open(ledger, "a") as fh:
+            fh.write("garbage\n")
+        assert main(["perf", "gate", "--perf-ledger", str(ledger)]) == 1
+        out = capsys.readouterr().out
+        assert "1 unreadable line(s) skipped" in out
+        assert "<< REGRESSION" in out
+
     def test_host_filter_this_ignores_foreign_appends(self, tmp_path, capsys):
         """A laptop's regression must not fire a CI gate when the gate
         pins --host this."""
         import dataclasses
 
-        from repro.telemetry import LedgerEntry
+        from repro.telemetry.ledger import LedgerEntry
 
         ledger = tmp_path / "perf.jsonl"
         synthetic_perf_ledger(ledger, self.STABLE + [1.0])
@@ -724,7 +764,7 @@ class TestPerfHistory:
         assert "1 metric(s) moved" in out
 
     def test_metric_filter(self, tmp_path, capsys):
-        from repro.telemetry import Ledger, LedgerEntry
+        from repro.telemetry.ledger import Ledger, LedgerEntry
 
         ledger = Ledger(tmp_path / "perf.jsonl")
         ledger.append(
@@ -751,17 +791,23 @@ class TestPerfHistory:
         )
         assert "empty ledger" in capsys.readouterr().out
 
+    def test_unreadable_lines_are_counted(self, tmp_path, capsys):
+        ledger = tmp_path / "perf.jsonl"
+        ledger.write_text("garbage\n")
+        assert main(["perf", "history", "--perf-ledger", str(ledger)]) == 0
+        assert "1 unreadable line(s) skipped" in capsys.readouterr().out
+
 
 class TestOneVerdict:
-    """``perf history``, ``perf gate`` and ``perf report`` give every
-    metric the same verdict, also under the ``--host``/``--metric``
-    filters and with a foreign host's entry in the file."""
+    """``perf history`` and ``perf gate`` give every metric the same
+    verdict, also under the ``--host``/``--metric`` filters and with a
+    foreign host's entry in the file."""
 
     @staticmethod
     def ledger(tmp_path):
         import dataclasses
 
-        from repro.telemetry import Ledger, LedgerEntry
+        from repro.telemetry.ledger import Ledger, LedgerEntry
 
         quiet = [1.00, 1.01, 0.99, 1.00, 1.02, 1.01]
         ledger = Ledger(tmp_path / "perf.jsonl")
@@ -814,17 +860,6 @@ class TestOneVerdict:
             )
         }
 
-    @staticmethod
-    def html_verdicts(text):
-        import re
-
-        return dict(
-            re.findall(
-                r'<tr><td>([^<]+)</td>.*?<td class="([a-z]+)">[a-z]+</td></tr>',
-                text,
-            )
-        )
-
     @pytest.mark.parametrize(
         "filters",
         [
@@ -833,17 +868,14 @@ class TestOneVerdict:
             ["--metric", "bench_x"],
         ],
     )
-    def test_history_gate_and_report_agree(self, tmp_path, capsys, filters):
+    def test_history_and_gate_agree(self, tmp_path, capsys, filters):
         path = self.ledger(tmp_path)
         common = ["--perf-ledger", str(path), *filters]
         assert main(["perf", "history", *common]) == 0
         history = self.history_verdicts(capsys.readouterr().out)
         code = main(["perf", "gate", *common])
         gate = self.gate_verdicts(capsys.readouterr().out)
-        html_out = tmp_path / "report.html"
-        assert main(["perf", "report", *common, "--html", str(html_out)]) == 0
-        report = self.html_verdicts(html_out.read_text())
-        assert history and history == gate == report
+        assert history and history == gate
         assert code == (1 if "regress" in gate.values() else 0)
         if filters == ["--host", "this"]:
             assert history == {
@@ -871,84 +903,6 @@ class TestTrendOptionValidation:
             main(argv)
         assert exc.value.code == 2
         assert "positive" in capsys.readouterr().err
-
-
-class TestPerfFlame:
-    def run_traced(self, tmp_path, capsys):
-        trace = tmp_path / "run.trace.json"
-        assert (
-            main(
-                ["run", "e2", "--chips", "3", "--ros", "16",
-                 "--trace-out", str(trace)]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        return trace
-
-    def test_collapsed_output_validates(self, tmp_path, capsys):
-        import sys as _sys
-
-        _sys.path.insert(0, "tools")
-        try:
-            import validate_metrics
-        finally:
-            _sys.path.pop(0)
-        trace = self.run_traced(tmp_path, capsys)
-        out = tmp_path / "flame.txt"
-        code = main(
-            ["perf", "flame", "--trace", str(trace), "--out", str(out)]
-        )
-        assert code == 0
-        assert "collapsed stacks written" in capsys.readouterr().out
-        text = out.read_text()
-        assert validate_metrics.validate_collapsed_stacks(text) == []
-        assert any(
-            line.startswith("coordinator;") for line in text.splitlines()
-        )
-
-    def test_stdout_mode_and_critical_path(self, tmp_path, capsys):
-        trace = self.run_traced(tmp_path, capsys)
-        code = main(
-            ["perf", "flame", "--trace", str(trace), "--critical-path"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "experiment.e2" in out
-        assert "critical path" in out
-
-    def test_missing_and_malformed_trace_exit_2(self, tmp_path, capsys):
-        assert (
-            main(["perf", "flame", "--trace", str(tmp_path / "no.json")])
-            == 2
-        )
-        assert "no trace file" in capsys.readouterr().err
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["perf", "flame", "--trace", str(bad)]) == 2
-        assert "not JSON" in capsys.readouterr().err
-
-
-class TestPerfReport:
-    def test_writes_html_with_trends_and_attribution(self, tmp_path, capsys):
-        ledger = tmp_path / "perf.jsonl"
-        synthetic_perf_ledger(ledger, [1.0, 1.01, 0.99, 1.0, 1.02, 1.2])
-        trace = tmp_path / "run.trace.json"
-        main(
-            ["run", "e2", "--chips", "3", "--ros", "16",
-             "--trace-out", str(trace)]
-        )
-        capsys.readouterr()
-        html_out = tmp_path / "perf.html"
-        code = main(
-            ["perf", "report", "--perf-ledger", str(ledger),
-             "--html", str(html_out), "--trace", str(trace)]
-        )
-        assert code == 0
-        text = html_out.read_text()
-        assert "bench_x:wall_s" in text
-        assert "Self-time attribution" in text
-        assert "experiment.e2" in text
 
 
 class TestMonitorTruncation:
@@ -994,7 +948,8 @@ class TestEmitterCleanupOnFailure:
         import dataclasses
         import json
 
-        from repro import cli, telemetry
+        from repro import cli
+        from repro.telemetry.events import active_emitter
 
         def boom(*args, **kwargs):
             raise RuntimeError("mid-run crash")
@@ -1010,7 +965,7 @@ class TestEmitterCleanupOnFailure:
                 ["run", "e2", "--chips", "3", "--ros", "16",
                  "--events", str(events)]
             )
-        assert telemetry.active_emitter() is None
+        assert active_emitter() is None
         records = [json.loads(l) for l in events.read_text().splitlines()]
         assert records[0]["event"] == "run.start"
         assert records[-1]["event"] == "run.end"  # flushed by the finally
@@ -1020,25 +975,26 @@ class TestEmitterCleanupOnFailure:
     ):
         """A raising run-end heartbeat must not leave the emitter stuck
         (a stuck emitter poisons every later install)."""
-        from repro import telemetry
+        from repro.telemetry.events import (
+            ProgressEmitter,
+            active_emitter,
+            install_emitter,
+            uninstall_emitter,
+        )
 
         def broken_lifecycle(self, event, **fields):
             raise OSError("disk full")
 
-        monkeypatch.setattr(
-            telemetry.ProgressEmitter, "lifecycle", broken_lifecycle
-        )
+        monkeypatch.setattr(ProgressEmitter, "lifecycle", broken_lifecycle)
         with pytest.raises(OSError, match="disk full"):
             main(
                 ["run", "e3", "--chips", "3", "--ros", "16",
                  "--events", str(tmp_path / "events.jsonl")]
             )
-        assert telemetry.active_emitter() is None
+        assert active_emitter() is None
         # and the slot is immediately reusable
-        telemetry.install_emitter(
-            telemetry.ProgressEmitter(tmp_path / "again.jsonl")
-        )
-        telemetry.uninstall_emitter()
+        install_emitter(ProgressEmitter(tmp_path / "again.jsonl"))
+        uninstall_emitter()
 
 
 class TestServeAndLoadgen:
@@ -1126,11 +1082,11 @@ class TestServeAndLoadgen:
         assert {e["tid"] for e in request_spans} <= req_tids
 
     def test_perf_ledger_ingests_service_metrics(self, tmp_path, capsys):
-        from repro import telemetry
+        from repro.telemetry.ledger import Ledger
 
         ledger_path = tmp_path / "perf.jsonl"
         assert self._loadgen("--perf-ledger", str(ledger_path)) == 0
-        (entry,) = telemetry.Ledger(ledger_path).entries(kind="perf")
+        (entry,) = Ledger(ledger_path).entries(kind="perf")
         assert entry.name == "loadgen"
         assert entry.scalars["auth_per_s"] > 0
         assert "service.auth.availability" in entry.scalars

@@ -60,7 +60,7 @@ class TestMetricsPayload:
     def test_histograms_and_samples_in_payload(self, observatory_run):
         _, metrics, _ = observatory_run
         payload = json.loads(metrics.read_text())
-        assert payload["format"] == 3
+        assert payload["format"] == 4
         # mmap-store workers report the store-path kernel latencies
         assert "batch.block_s" in payload["histograms"]
         assert "store.fabricate_block_s" in payload["histograms"]

@@ -72,7 +72,7 @@ class TestForecastRecallAnchor:
 
     def test_anchor_bands_would_pass(self, forensics):
         """The same numbers, judged through the anchors registry."""
-        from repro.telemetry import PAPER_ANCHORS, check_anchors
+        from repro.telemetry.anchors import PAPER_ANCHORS, check_anchors
 
         scalars = {
             f"e13.{k}": v for k, v in forensics.ledger_scalars().items()

@@ -16,6 +16,7 @@ from repro import aro_design, conventional_design
 from repro.core.population import make_batch_study
 from repro.environment.conditions import OperatingConditions, celsius
 from repro import telemetry
+from repro.telemetry.events import emitter_session
 
 DESIGN = aro_design(n_ros=16, n_stages=3)
 SEED = 987
@@ -139,7 +140,7 @@ class TestTelemetryFolding:
     def test_merged_progress_stream(self, tmp_path):
         """One parallel.shards heartbeat stream, emitted coordinator-side."""
         events = tmp_path / "events.jsonl"
-        with telemetry.emitter_session(events, min_interval_s=0.0):
+        with emitter_session(events, min_interval_s=0.0):
             with make_batch_study(DESIGN, 6, rng=SEED, jobs=2) as par:
                 par.responses()
         import json
@@ -163,7 +164,7 @@ class TestTelemetryFolding:
         import json
 
         events = tmp_path / "events.jsonl"
-        with telemetry.emitter_session(events, min_interval_s=0.0):
+        with emitter_session(events, min_interval_s=0.0):
             with make_batch_study(DESIGN, 6, rng=SEED, jobs=2) as par:
                 par.responses()
         lines = [json.loads(l) for l in events.read_text().splitlines()]

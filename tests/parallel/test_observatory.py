@@ -7,7 +7,8 @@ import pytest
 from repro import aro_design, telemetry
 from repro.core.population import make_batch_study
 from repro.parallel.worker import EvalRequest, evaluate_shard
-from repro.telemetry import chrome_trace_events
+from repro.telemetry.chrome import chrome_trace_events
+from repro.telemetry.histogram import flatten_summaries
 
 DESIGN = aro_design(n_ros=16, n_stages=3)
 SEED = 987
@@ -164,5 +165,5 @@ class TestMergedHistograms:
     def test_summaries_surface_through_tracer(self, traced_parallel_run):
         summaries = traced_parallel_run.histogram_summaries()
         assert summaries["batch.block_s"]["count"] >= 4.0
-        flat = telemetry.flatten_summaries(traced_parallel_run.histograms)
+        flat = flatten_summaries(traced_parallel_run.histograms)
         assert "batch.block_s.p99" in flat

@@ -14,7 +14,7 @@ from repro.service import (
     run_loadgen,
 )
 from repro.service.loadgen import DESIGN_FLIPS_10Y, SAMPLE_KEEP
-from repro.telemetry import Histogram
+from repro.telemetry.histogram import Histogram
 
 
 class TestFleetSpec:

@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.telemetry import (
+from repro.telemetry.anchors import (
     ANCHOR_EXPERIMENTS,
     Anchor,
-    LedgerEntry,
     PAPER_ANCHORS,
-    RunManifest,
     check_anchors,
     latest_scalars,
     render_verdicts,
     worst_status,
 )
+from repro.telemetry.ledger import LedgerEntry
+from repro.telemetry.manifest import RunManifest
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from repro.telemetry import Ledger
+from repro.telemetry.ledger import Ledger
 
 BENCHMARKS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
 

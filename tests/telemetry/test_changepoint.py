@@ -4,14 +4,16 @@ import math
 
 import pytest
 
-from repro.telemetry import (
+from repro.telemetry.changepoint import (
+    DEFAULT_MIN_REL,
+    DEFAULT_WINDOW,
     MAD_CONSISTENCY,
     MIN_HISTORY,
+    Z,
     classify,
     detect,
     metric_orientation,
 )
-from repro.telemetry.changepoint import DEFAULT_MIN_REL, DEFAULT_WINDOW, Z
 
 #: six quiet runs (~0.5 % jitter) — enough history to leave warm-up
 STABLE = [100.0, 100.5, 99.5, 100.2, 99.8, 100.1]

@@ -4,11 +4,10 @@ import json
 
 import pytest
 
-from repro.telemetry import (
+from repro.telemetry import Span, Tracer
+from repro.telemetry.chrome import (
     MAIN_TID,
     TRACE_PID,
-    Span,
-    Tracer,
     chrome_trace_dict,
     chrome_trace_events,
     write_chrome_trace,

@@ -5,7 +5,14 @@ import json
 import pytest
 
 from repro import telemetry
-from repro.telemetry import EVENTS_FORMAT, ProgressEmitter
+from repro.telemetry.events import (
+    EVENTS_FORMAT,
+    ProgressEmitter,
+    active_emitter,
+    emitter_session,
+    install_emitter,
+    uninstall_emitter,
+)
 
 
 class FakeClock:
@@ -197,43 +204,43 @@ class TestLifecycle:
 
 class TestInstalledSlot:
     def test_progress_is_noop_when_disabled(self):
-        assert telemetry.active_emitter() is None
+        assert active_emitter() is None
         telemetry.progress("stage", 1, 10)  # must not raise
 
     def test_install_routes_progress(self, tmp_path, clock):
-        with telemetry.emitter_session(
+        with emitter_session(
             tmp_path / "ev.jsonl", min_interval_s=0.0, clock=clock
         ) as e:
             telemetry.progress("stage", 3, 9)
-            assert telemetry.active_emitter() is e
+            assert active_emitter() is e
             assert e.n_events == 1
-        assert telemetry.active_emitter() is None
+        assert active_emitter() is None
         (rec,) = read_events(tmp_path / "ev.jsonl")
         assert rec["done"] == 3 and rec["total"] == 9
 
     def test_double_install_raises(self, tmp_path, clock):
-        with telemetry.emitter_session(tmp_path / "a.jsonl", clock=clock):
+        with emitter_session(tmp_path / "a.jsonl", clock=clock):
             with pytest.raises(RuntimeError, match="already installed"):
-                telemetry.install_emitter(
+                install_emitter(
                     ProgressEmitter(tmp_path / "b.jsonl", clock=clock)
                 )
 
     def test_uninstall_closes(self, tmp_path, clock):
-        e = telemetry.install_emitter(
+        e = install_emitter(
             ProgressEmitter(tmp_path / "ev.jsonl", clock=clock)
         )
-        assert telemetry.uninstall_emitter() is e
+        assert uninstall_emitter() is e
         assert e.closed
 
     def test_uninstall_when_disabled_is_noop(self):
-        assert telemetry.uninstall_emitter() is None
+        assert uninstall_emitter() is None
 
 
 class TestInstrumentedLoops:
     def test_batched_sweep_emits_progress(self, tmp_path, clock):
         from repro.core import aro_design, make_batch_study
 
-        with telemetry.emitter_session(
+        with emitter_session(
             tmp_path / "ev.jsonl", min_interval_s=0.0, clock=clock
         ) as e:
             batch = make_batch_study(aro_design(16), n_chips=3, rng=1)
@@ -245,7 +252,7 @@ class TestInstrumentedLoops:
     def test_aging_sampling_emits_progress(self, tmp_path, clock):
         from repro.core import aro_design, make_batch_study
 
-        with telemetry.emitter_session(
+        with emitter_session(
             tmp_path / "ev.jsonl", min_interval_s=0.0, clock=clock
         ) as e:
             # the RAM source draws prefactors on the first aged corner
@@ -266,10 +273,10 @@ class TestSessionExceptionSafety:
 
         path = tmp_path / "events.jsonl"
         with pytest.raises(RuntimeError, match="boom"):
-            with telemetry.emitter_session(path) as emitter:
+            with emitter_session(path) as emitter:
                 emitter.lifecycle("run.start")
                 raise RuntimeError("boom")
-        assert telemetry.active_emitter() is None
+        assert active_emitter() is None
         assert emitter.closed
         # every event written before the crash is on disk (per-write flush)
         records = [json.loads(l) for l in path.read_text().splitlines()]
@@ -277,7 +284,7 @@ class TestSessionExceptionSafety:
 
     def test_slot_reusable_after_crash(self, tmp_path):
         with pytest.raises(ValueError):
-            with telemetry.emitter_session(tmp_path / "a.jsonl"):
+            with emitter_session(tmp_path / "a.jsonl"):
                 raise ValueError
-        with telemetry.emitter_session(tmp_path / "b.jsonl") as emitter:
-            assert telemetry.active_emitter() is emitter
+        with emitter_session(tmp_path / "b.jsonl") as emitter:
+            assert active_emitter() is emitter

@@ -5,15 +5,15 @@ import json
 import pytest
 
 from repro import telemetry
-from repro.telemetry import (
+from repro.telemetry import Tracer
+from repro.telemetry.export import (
     METRICS_FORMAT,
-    RunManifest,
-    Tracer,
     render_counters,
     render_span_tree,
     trace_to_dict,
     write_metrics,
 )
+from repro.telemetry.manifest import RunManifest, validate_manifest
 
 
 @pytest.fixture
@@ -25,7 +25,6 @@ def traced():
         with tr.span("sweep"):
             pass
     tr.count("batch.corner_memo_hits", 3)
-    tr.gauge("memo.size", 12)
     return tr
 
 
@@ -53,7 +52,6 @@ class TestRenderTree:
     def test_counters_rendered(self, traced):
         text = render_counters(traced)
         assert "batch.corner_memo_hits" in text
-        assert "memo.size" in text
         assert "no counters" in render_counters(Tracer())
 
 
@@ -62,14 +60,14 @@ class TestTraceToDict:
         payload = trace_to_dict(traced)
         assert payload["format"] == METRICS_FORMAT
         assert payload["counters"] == {"batch.corner_memo_hits": 3.0}
-        assert payload["gauges"] == {"memo.size": 12.0}
+        assert "gauges" not in payload
         assert [s["name"] for s in payload["spans"]] == ["experiment.e2"]
 
     def test_manifest_embedded_when_given(self, traced):
         manifest = RunManifest.collect(seed=7)
         payload = trace_to_dict(traced, manifest)
         assert payload["manifest"]["seed"] == 7
-        telemetry.validate_manifest(payload["manifest"])
+        validate_manifest(payload["manifest"])
 
     def test_payload_is_json_ready(self, traced):
         json.dumps(trace_to_dict(traced, RunManifest.collect()))
@@ -82,7 +80,7 @@ class TestWriteMetrics:
         assert written == out
         payload = json.loads(out.read_text())
         assert payload["format"] == METRICS_FORMAT
-        telemetry.validate_manifest(payload["manifest"])
+        validate_manifest(payload["manifest"])
 
     def test_manifest_optional(self, traced, tmp_path):
         payload = json.loads(
@@ -92,8 +90,8 @@ class TestWriteMetrics:
 
 
 class TestHistogramSections:
-    def test_format_is_three(self):
-        assert METRICS_FORMAT == 3
+    def test_format_is_four(self):
+        assert METRICS_FORMAT == 4
 
     def test_histograms_always_present_and_sorted(self, traced):
         payload = trace_to_dict(traced)
@@ -105,7 +103,7 @@ class TestHistogramSections:
         assert payload["histograms"]["a.metric"]["count"] == 1
 
     def test_resource_samples_when_sampler_given(self, traced, tmp_path):
-        from repro.telemetry import ResourceSampler
+        from repro.telemetry.sampler import ResourceSampler
 
         sampler = ResourceSampler()
         sampler.sample_once()
@@ -118,7 +116,7 @@ class TestHistogramSections:
         assert "resource_samples" not in payload
 
     def test_render_histograms_table(self, traced):
-        from repro.telemetry import render_histograms
+        from repro.telemetry.export import render_histograms
 
         assert "no histograms" in render_histograms(traced)
         traced.observe("batch.block_s", 0.002)

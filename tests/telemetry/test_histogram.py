@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.telemetry import (
+from repro.telemetry import Tracer
+from repro.telemetry.histogram import (
     GROWTH,
-    QUANTILE_RELATIVE_ERROR,
     Histogram,
-    Tracer,
+    QUANTILE_RELATIVE_ERROR,
     flatten_summaries,
     summarise,
 )
@@ -27,7 +27,8 @@ class TestErrorBound:
         rng = np.random.default_rng(42)
         values = rng.lognormal(mean=-7.0, sigma=1.5, size=20_000)
         hist = Histogram()
-        hist.observe_many(values)
+        for value in values:
+            hist.observe(value)
         exact = float(np.percentile(values, q * 100.0))
         got = hist.quantile(q)
         assert abs(got - exact) / exact <= QUANTILE_RELATIVE_ERROR + 1e-9
@@ -36,7 +37,8 @@ class TestErrorBound:
         rng = np.random.default_rng(7)
         values = rng.lognormal(size=500)
         hist = Histogram()
-        hist.observe_many(values)
+        for value in values:
+            hist.observe(value)
         assert hist.count == len(hist) == 500
         assert hist.min == values.min()
         assert hist.max == values.max()
@@ -52,10 +54,12 @@ class TestMerge:
         rng = np.random.default_rng(3)
         values = rng.lognormal(sigma=2.0, size=4_000)
         single = Histogram()
-        single.observe_many(values)
+        for value in values:
+            single.observe(value)
         shards = [Histogram() for _ in range(4)]
         for shard, chunk in zip(shards, np.array_split(values, 4)):
-            shard.observe_many(chunk)
+            for value in chunk:
+                shard.observe(value)
         merged = Histogram()
         for shard in shards:
             merged.merge(shard)
@@ -67,14 +71,16 @@ class TestMerge:
 
     def test_merge_empty_into_live_is_identity(self):
         live = Histogram()
-        live.observe_many([1.0, 2.0, 3.0])
+        for value in [1.0, 2.0, 3.0]:
+            live.observe(value)
         before = live.to_dict()
         live.merge(Histogram())
         assert live.to_dict() == before
 
     def test_merge_live_into_empty_equals_source(self):
         src = Histogram()
-        src.observe_many([0.5, 4.0])
+        for value in [0.5, 4.0]:
+            src.observe(value)
         sink = Histogram()
         sink.merge(src)
         assert sink.to_dict() == src.to_dict()
@@ -89,8 +95,10 @@ class TestMerge:
         """A merged state must survive serialisation bit-for-bit — the
         perf ledger recomputes quantiles from exactly this round trip."""
         a, b = Histogram(), Histogram()
-        a.observe_many([1e-6, 3.0, 3.0])
-        b.observe_many([0.0, -1.0, 7.5])
+        for value in [1e-6, 3.0, 3.0]:
+            a.observe(value)
+        for value in [0.0, -1.0, 7.5]:
+            b.observe(value)
         a.merge(b)
         back = Histogram.from_dict(a.to_dict())
         assert back.to_dict() == a.to_dict()
@@ -99,8 +107,10 @@ class TestMerge:
 
     def test_merge_accepts_serialised_form_via_tracer(self):
         a, b = Histogram(), Histogram()
-        a.observe_many([1.0, 2.0])
-        b.observe_many([4.0, 8.0])
+        for value in [1.0, 2.0]:
+            a.observe(value)
+        for value in [4.0, 8.0]:
+            b.observe(value)
         tr = Tracer()
         tr.merge_histogram("m", a.to_dict())
         tr.merge_histogram("m", b.to_dict())
@@ -111,7 +121,8 @@ class TestMerge:
 class TestSerialisation:
     def test_roundtrip_exact(self):
         hist = Histogram()
-        hist.observe_many([0.0, -1.0, 1e-6, 3.5e-3, 0.2, 0.2, 7.0])
+        for value in [0.0, -1.0, 1e-6, 3.5e-3, 0.2, 0.2, 7.0]:
+            hist.observe(value)
         back = Histogram.from_dict(hist.to_dict())
         assert back.buckets == hist.buckets
         assert back.count == hist.count
@@ -137,7 +148,8 @@ class TestSerialisation:
 class TestEdgeCases:
     def test_nonpositive_values_land_in_zero_bucket(self):
         hist = Histogram()
-        hist.observe_many([0.0, -2.0, 5.0])
+        for value in [0.0, -2.0, 5.0]:
+            hist.observe(value)
         assert hist.n_zero == 2
         assert hist.count == 3
         assert hist.min == -2.0
@@ -165,7 +177,8 @@ class TestEdgeCases:
         hi = lo * (1.0 + QUANTILE_RELATIVE_ERROR)  # same bucket by design
         values = [lo, (lo + hi) / 2.0, hi]
         hist = Histogram()
-        hist.observe_many(values)
+        for value in values:
+            hist.observe(value)
         assert len(hist.buckets) == 1
         got = hist.quantile(0.5)
         for true in values:
@@ -181,7 +194,8 @@ class TestSummaries:
 
     def test_flatten_drops_non_finite(self):
         hists = {"live": Histogram(), "empty": Histogram()}
-        hists["live"].observe_many([1.0, 2.0])
+        for value in [1.0, 2.0]:
+            hists["live"].observe(value)
         flat = flatten_summaries(hists)
         assert flat["live.count"] == 2.0
         assert flat["live.p50"] > 0.0

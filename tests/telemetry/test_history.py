@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.telemetry import (
-    LedgerEntry,
-    RunManifest,
+from repro.telemetry.changepoint import DEFAULT_WINDOW
+from repro.telemetry.history import (
+    SPARK_BLOCKS,
     history_rows,
     render_history,
     sparkline,
 )
-from repro.telemetry.changepoint import DEFAULT_WINDOW
-from repro.telemetry.history import SPARK_BLOCKS
+from repro.telemetry.ledger import LedgerEntry
+from repro.telemetry.manifest import RunManifest
 
 
 @pytest.fixture(scope="module")

@@ -21,14 +21,11 @@ from repro.cli import main
 from repro.service import EnrollmentRecord, HelperStore, default_extractor
 from repro.service.audit import AuditTrail
 from repro.service.store import key_digest
-from repro.telemetry import (
-    Ledger,
-    LedgerEntry,
-    ProgressEmitter,
-    RunManifest,
-    jsonl,
-    parse_events,
-)
+from repro.telemetry import jsonl
+from repro.telemetry.events import ProgressEmitter
+from repro.telemetry.ledger import Ledger, LedgerEntry
+from repro.telemetry.manifest import RunManifest
+from repro.telemetry.monitor import parse_events
 
 # collected once: both stamp the git SHA through a subprocess
 MANIFEST = RunManifest.collect(seed=1, config={"n_chips": 4})
@@ -189,16 +186,12 @@ LEDGER_READERS = {
     "history": ["history", "--ledger"],
     "perf-history": ["perf", "history", "--perf-ledger"],
     "perf-gate": ["perf", "gate", "--perf-ledger"],
-    "perf-report": ["perf", "report", "--html", "report.html", "--perf-ledger"],
     "check-anchors": ["check-anchors", "--from-ledger"],
 }
 
 
 @pytest.mark.parametrize("reader", sorted(LEDGER_READERS))
-def test_integer_too_large_for_a_float_is_one_skipped_line(
-    reader, tmp_path, monkeypatch
-):
-    monkeypatch.chdir(tmp_path)
+def test_integer_too_large_for_a_float_is_one_skipped_line(reader, tmp_path):
     path = tmp_path / "ledger.jsonl"
     _write_run(path, [1], 1.0)
     _write_perf(path, [2], 1.0)

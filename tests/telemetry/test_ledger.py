@@ -6,15 +6,17 @@ import math
 
 import pytest
 
-from repro.telemetry import (
+from repro.telemetry.ledger import (
     LEDGER_FORMAT,
     Ledger,
     LedgerEntry,
-    RunManifest,
     entry_from_bench_payload,
+    metric_series,
+)
+from repro.telemetry.manifest import (
+    RunManifest,
     git_sha,
     host_fingerprint,
-    metric_series,
     package_version,
 )
 

@@ -6,7 +6,7 @@ import subprocess
 import pytest
 
 from repro import __version__
-from repro.telemetry import (
+from repro.telemetry.manifest import (
     MANIFEST_SCHEMA,
     RunManifest,
     execution_fields,
@@ -109,7 +109,7 @@ class TestRoundTrip:
         assert rebuilt == manifest
 
     def test_json_round_trip(self, manifest):
-        rebuilt = RunManifest.from_dict(json.loads(manifest.to_json()))
+        rebuilt = RunManifest.from_dict(json.loads(json.dumps(manifest.to_dict())))
         assert rebuilt == manifest
 
     def test_to_dict_is_json_ready(self, manifest):
@@ -180,7 +180,7 @@ class TestExecutionFields:
         m = RunManifest.collect(
             seed=1, jobs=2, cache={"dir": "/c", "hits": [], "misses": ["e1"]}
         )
-        clone = RunManifest.from_dict(json.loads(m.to_json()))
+        clone = RunManifest.from_dict(json.loads(json.dumps(m.to_dict())))
         assert clone.jobs == 2
         assert clone.cache == m.cache
 
@@ -266,7 +266,7 @@ class TestHostIdentity:
 
     def test_execution_round_trips_and_old_manifests_load(self):
         m = RunManifest.collect(seed=1)
-        clone = RunManifest.from_dict(json.loads(m.to_json()))
+        clone = RunManifest.from_dict(json.loads(json.dumps(m.to_dict())))
         assert clone.execution == m.execution
         data = m.to_dict()
         del data["execution"]  # pre-perf-ledger artefact

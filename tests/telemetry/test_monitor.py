@@ -3,7 +3,7 @@
 import copy
 import json
 
-from repro.telemetry import MonitorState, parse_events, render_monitor
+from repro.telemetry.monitor import MonitorState, parse_events, render_monitor
 
 
 def _lines(*records):
@@ -119,6 +119,12 @@ class TestParse:
 class TestRender:
     def test_empty_state(self):
         assert render_monitor(MonitorState()) == "(no events yet)"
+
+    def test_only_skipped_lines_are_not_an_empty_file(self):
+        """A file whose every line was skipped must not read as fresh."""
+        state = parse_events(["garbage", json.dumps({"event": "progress"})])
+        assert state.n_events == 0 and state.n_skipped == 2
+        assert render_monitor(state) == "(no readable events; 2 line(s) skipped)"
 
     def test_dashboard_rows(self):
         state = parse_events(

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.telemetry import Histogram, RedMetrics, Tracer
-from repro.telemetry.red import RED_FORMAT
+from repro.telemetry import Tracer
+from repro.telemetry.histogram import Histogram
+from repro.telemetry.red import RED_FORMAT, RedMetrics
 
 
 class FakeClock:

@@ -8,18 +8,17 @@ import time
 import pytest
 
 from repro import telemetry
-from repro.telemetry import (
+from repro.telemetry import Tracer
+from repro.telemetry.sampler import (
     EventLoopLagProbe,
     ResourceSampler,
-    Tracer,
-    active_sampler,
     current_rss_bytes,
     install_sampler,
     register_probe,
     uninstall_sampler,
+    _probes,
     unregister_probe,
 )
-from repro.telemetry.sampler import _probes
 
 
 @pytest.fixture(autouse=True)
@@ -174,9 +173,7 @@ class TestThreadLifecycle:
 class TestInstallSlot:
     def test_install_uninstall_roundtrip(self):
         sampler = install_sampler(ResourceSampler())
-        assert active_sampler() is sampler
         assert uninstall_sampler() is sampler
-        assert active_sampler() is None
         assert uninstall_sampler() is None  # disabled: no-op
 
     def test_double_install_rejected(self):

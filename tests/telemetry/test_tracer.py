@@ -13,8 +13,9 @@ import time
 import pytest
 
 from repro import telemetry
-from repro.telemetry import Span, Tracer, current_trace_id
+from repro.telemetry import Span, Tracer
 from repro.telemetry.chrome import chrome_trace_events
+from repro.telemetry.tracer import clock_handshake, peak_rss_bytes
 
 
 @pytest.fixture(autouse=True)
@@ -122,18 +123,10 @@ class TestCounters:
         tr.count("hits", 3)
         assert tr.counters == {"hits": 5.0}
 
-    def test_gauge_keeps_last_value(self):
-        tr = Tracer()
-        tr.gauge("rss", 10.0)
-        tr.gauge("rss", 7.5)
-        assert tr.gauges == {"rss": 7.5}
-
     def test_module_level_count_routes_to_installed(self):
         tr = telemetry.install(Tracer())
         telemetry.count("a", 2)
-        telemetry.gauge("g", 1.0)
         assert tr.counters == {"a": 2.0}
-        assert tr.gauges == {"g": 1.0}
 
 
 class TestDisabledPath:
@@ -143,7 +136,6 @@ class TestDisabledPath:
         assert telemetry.start_span("x") is None
         telemetry.end_span(None)  # must not raise
         telemetry.count("x")
-        telemetry.gauge("x", 1.0)
         with telemetry.span("y") as sp:
             assert sp is None
 
@@ -167,29 +159,6 @@ class TestDisabledPath:
         telemetry.start_span("left-open")
         telemetry.uninstall()
         assert tr.roots[0].end_ns is not None
-
-
-class TestMemoryMode:
-    def test_spans_record_peak_bytes(self):
-        with telemetry.session(memory=True) as tr:
-            with tr.span("alloc"):
-                blob = bytearray(256 * 1024)
-                del blob
-        sp = tr.roots[0]
-        assert sp.mem_peak_bytes is not None
-        # tracemalloc's accounting may be a few bytes shy of the nominal size
-        assert sp.mem_peak_bytes >= 200 * 1024
-
-    def test_non_memory_spans_have_no_peak(self):
-        with telemetry.session() as tr:
-            with tr.span("plain"):
-                pass
-        assert tr.roots[0].mem_peak_bytes is None
-
-    def test_peak_rss_reported_on_posix(self):
-        tr = Tracer()
-        rss = tr.peak_rss_kb()
-        assert rss is None or rss > 0
 
 
 class TestErrorPaths:
@@ -237,22 +206,27 @@ class TestErrorPaths:
 
 
 class TestPeakRss:
+    def test_peak_rss_reported_on_posix(self):
+        tr = Tracer()
+        rss = tr.peak_rss_kb()
+        assert rss is None or rss > 0
+
     def test_linux_reads_vmhwm(self):
-        peak = telemetry.peak_rss_bytes()
+        peak = peak_rss_bytes()
         assert peak is None or peak > 0
 
     def test_fallback_without_proc(self):
         """No /proc (macOS): ru_maxrss keeps the reading populated."""
-        peak = telemetry.peak_rss_bytes(proc_status="/nonexistent/status")
+        peak = peak_rss_bytes(proc_status="/nonexistent/status")
         assert peak is not None and peak > 0
 
     def test_darwin_unit_is_bytes_linux_is_kib(self):
         """ru_maxrss is KiB on Linux but bytes on macOS; the fallback
         must apply the platform-correct factor."""
-        as_linux = telemetry.peak_rss_bytes(
+        as_linux = peak_rss_bytes(
             proc_status="/nonexistent", platform_name="linux"
         )
-        as_darwin = telemetry.peak_rss_bytes(
+        as_darwin = peak_rss_bytes(
             proc_status="/nonexistent", platform_name="darwin"
         )
         assert as_linux == as_darwin * 1024
@@ -260,21 +234,21 @@ class TestPeakRss:
     def test_corrupt_proc_status_falls_back(self, tmp_path):
         bad = tmp_path / "status"
         bad.write_text("VmHWM: not-a-number kB\n")
-        peak = telemetry.peak_rss_bytes(proc_status=str(bad))
+        peak = peak_rss_bytes(proc_status=str(bad))
         assert peak is not None and peak > 0
 
 
 class TestClockHandshake:
     def test_pair_is_back_to_back(self):
-        wall_ns, perf_ns = telemetry.clock_handshake()
+        wall_ns, perf_ns = clock_handshake()
         assert wall_ns > 0 and perf_ns > 0
 
     def test_offset_rebases_worker_spans(self):
         """The documented alignment contract: two handshakes on the same
         host produce an offset that maps one perf timeline onto the
         other to within the read skew."""
-        coord = telemetry.clock_handshake()
-        worker = telemetry.clock_handshake()
+        coord = clock_handshake()
+        worker = clock_handshake()
         offset = (worker[0] - worker[1]) - (coord[0] - coord[1])
         rebased = worker[1] + offset
         # the "worker" handshake happened just after the coordinator's,
@@ -304,6 +278,13 @@ class TestSpanToDict:
         assert isinstance(d["attrs"]["t"], float)
 
 
+def _root(span):
+    """The root of ``span``'s tree: a request's root carries its trace id."""
+    while span.parent is not None:
+        span = span.parent
+    return span
+
+
 def _lane_events(events, label):
     """The X events on the lane whose thread_name metadata is ``label``."""
     tid = next(
@@ -324,11 +305,11 @@ class TestContextIsolation:
         async def handler(i):
             with tracer.request("auth", idx=i) as span:
                 tid = span.attrs["trace_id"]
-                assert current_trace_id() == tid
+                assert _root(tracer.active_span).attrs["trace_id"] == tid
                 with tracer.span(f"inner-{i}"):
                     # suspend mid-span so neighbours interleave here
                     await asyncio.sleep(0.001 * (i % 3))
-                    assert current_trace_id() == tid
+                    assert _root(tracer.active_span).attrs["trace_id"] == tid
                 await asyncio.sleep(0)
             return span
 
@@ -405,19 +386,6 @@ class TestContextIsolation:
         serve = tracer.roots[0]
         assert req.parent is None
         assert [c.name for c in serve.children] == ["post"]
-
-    def test_current_trace_id_outside_request_is_none(self):
-        tracer = telemetry.install(Tracer())
-        assert current_trace_id() is None
-        with tracer.span("ambient"):
-            assert current_trace_id() is None
-
-    def test_current_trace_id_none_for_foreign_tracer(self):
-        stale = Tracer()
-        with stale.request("auth"):
-            # a *different* tracer now owns the installed slot
-            telemetry.install(Tracer())
-            assert current_trace_id() is None
 
     def test_error_marks_request_span(self):
         tracer = telemetry.install(Tracer())

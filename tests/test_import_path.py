@@ -10,7 +10,9 @@ randomness battery computes its p-values in closed form, so a whole
 ``FleetService`` answering enroll, auth and key requests.  The binomial
 tails of the ECC design search (E6) and the key-failure model are numpy
 too, so a whole ``run all`` loads no ``scipy`` module either: scipy is a
-test-only oracle.  Each check runs in a fresh interpreter so
+test-only oracle.  ``repro.telemetry`` exports only the instrumentation
+hooks, so ``import repro.cli`` and a ``check-anchors`` run load none of
+the ledger-trend and dashboard modules, ``statistics`` or ``html``.  Each check runs in a fresh interpreter so
 ``sys.modules`` starts clean; it asserts on loaded modules rather than on
 wall time, which is too noisy to gate.
 """
@@ -62,6 +64,33 @@ def test_cli_import_loads_no_serving_or_parallel_machinery():
         """
     )
     assert loaded == "[]"
+
+
+TREND_OR_HTML = (
+    "repro.telemetry.history", "repro.telemetry.changepoint",
+    "repro.telemetry.monitor", "statistics", "html",
+)
+TREND_OR_HTML_LOADED = (
+    f"sorted(m for m in sys.modules if any(m == h or m.startswith(h + '.') "
+    f"for h in {TREND_OR_HTML!r}))"
+)
+
+
+def test_cli_loads_no_ledger_trend_or_html_code():
+    """``repro.telemetry`` exports only the hooks: ``history``, ``monitor``
+    and ``perf`` import the trend machinery when they run, and nothing a
+    ``check-anchors`` run does pulls in ``statistics`` or ``html``."""
+    loaded = _run(
+        f"""
+        import contextlib, io, sys
+        import repro.cli
+        print({TREND_OR_HTML_LOADED})
+        with contextlib.redirect_stdout(io.StringIO()):
+            repro.cli.main(["check-anchors", "--chips", "8", "--ros", "32"])
+        print({TREND_OR_HTML_LOADED})
+        """
+    )
+    assert loaded == "[]\n[]"
 
 
 def test_store_import_loads_no_parallel_machinery():

@@ -16,7 +16,8 @@ import pathlib
 import pytest
 
 from repro.cli import main
-from repro.telemetry import Ledger, LedgerEntry, RunManifest
+from repro.telemetry.ledger import Ledger, LedgerEntry
+from repro.telemetry.manifest import RunManifest
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 DATA = pathlib.Path(__file__).parent / "data"

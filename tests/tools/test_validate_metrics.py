@@ -327,10 +327,11 @@ class TestHistogramSection:
         return payload
 
     def test_well_formed_histogram_clean(self, metrics_file):
-        from repro.telemetry import Histogram
+        from repro.telemetry.histogram import Histogram
 
         h = Histogram()
-        h.observe_many([0.001, 0.002, 0.0])
+        for value in [0.001, 0.002, 0.0]:
+            h.observe(value)
         payload = self._payload_with_hist(
             metrics_file, json.loads(json.dumps(h.to_dict()))
         )
@@ -346,7 +347,7 @@ class TestHistogramSection:
         )
 
     def test_count_invariant_flagged(self, metrics_file):
-        from repro.telemetry import GROWTH
+        from repro.telemetry.histogram import GROWTH
 
         payload = self._payload_with_hist(
             metrics_file,
@@ -357,7 +358,7 @@ class TestHistogramSection:
         )
 
     def test_boolean_count_flagged(self, metrics_file):
-        from repro.telemetry import GROWTH
+        from repro.telemetry.histogram import GROWTH
 
         payload = self._payload_with_hist(
             metrics_file,
@@ -416,75 +417,6 @@ class TestTraceMode:
             "tid" in p
             for p in validate_metrics.validate_trace_events(payload)
         )
-
-
-class TestFlameMode:
-    @pytest.fixture(scope="class")
-    def flame_file(self, tmp_path_factory):
-        """A real collapsed-stack artefact via run --trace-out -> perf flame."""
-        root = tmp_path_factory.mktemp("flame")
-        trace = root / "run.trace.json"
-        assert (
-            cli_main(
-                ["run", "e2", "--chips", "3", "--ros", "16",
-                 "--trace-out", str(trace)]
-            )
-            == 0
-        )
-        out = root / "flame.txt"
-        assert (
-            cli_main(
-                ["perf", "flame", "--trace", str(trace), "--out", str(out)]
-            )
-            == 0
-        )
-        return out
-
-    def test_real_flame_output_is_clean(self, flame_file, capsys):
-        assert validate_metrics.main(["--flame", str(flame_file)]) == 0
-        assert "collapsed stack(s)" in capsys.readouterr().out
-
-    def test_real_flame_output_has_lane_prefixed_frames(self, flame_file):
-        lines = flame_file.read_text().splitlines()
-        assert lines
-        assert all(
-            line.rsplit(" ", 1)[0].startswith("coordinator;")
-            for line in lines
-        )
-
-    def test_missing_weight_flagged(self, tmp_path, capsys):
-        bad = tmp_path / "f.txt"
-        bad.write_text("just-one-token\n")
-        assert validate_metrics.main(["--flame", str(bad)]) == 1
-        assert "stack weight" in capsys.readouterr().err
-
-    def test_zero_and_non_integer_weights_flagged(self):
-        problems = validate_metrics.validate_collapsed_stacks(
-            "lane;a 0\nlane;b 1.5\nlane;c -3\n"
-        )
-        assert len(problems) == 3
-        assert all("positive integer" in p for p in problems)
-
-    def test_empty_frame_flagged(self):
-        problems = validate_metrics.validate_collapsed_stacks("lane;;x 5\n")
-        assert any("empty frame" in p for p in problems)
-
-    def test_empty_file_flagged(self, tmp_path, capsys):
-        empty = tmp_path / "empty.txt"
-        empty.write_text("")
-        assert validate_metrics.main(["--flame", str(empty)]) == 1
-        assert "no collapsed stacks" in capsys.readouterr().err
-
-    def test_blank_lines_tolerated(self):
-        text = "lane;a 10\n\nlane;b 20\n"
-        assert validate_metrics.validate_collapsed_stacks(text) == []
-
-    def test_flame_mode_is_not_json_parsed(self, tmp_path):
-        # collapsed stacks are plain text; '{' in a frame name must not
-        # trip a JSON decode error
-        f = tmp_path / "f.txt"
-        f.write_text("lane;run{e2} 7\n")
-        assert validate_metrics.main(["--flame", str(f)]) == 0
 
 
 @pytest.fixture(scope="module")
@@ -606,12 +538,12 @@ class TestArtefactsFromBeforeTheDtypeTierWentAway:
         assert validate_metrics.main([str(path)]) == 0
 
     def test_ledger_loads_and_validates(self):
-        from repro import telemetry
+        from repro.telemetry.ledger import Ledger, metric_series
 
         path = self.DATA / "e2_ledger_dtype_config.jsonl"
-        entries = telemetry.Ledger(path).entries(strict=True)
+        entries = Ledger(path).entries(strict=True)
         assert [e.name for e in entries] == ["e2", "telemetry"]
         assert all(e.kind == "run" for e in entries)
         assert all(e.manifest["config"]["dtype"] == "float64" for e in entries)
-        assert "e2.aro-puf.flips_at_10y_pct" in telemetry.metric_series(entries)
+        assert "e2.aro-puf.flips_at_10y_pct" in metric_series(entries)
         assert validate_metrics.main(["--ledger", str(path)]) == 0

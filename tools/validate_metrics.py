@@ -8,15 +8,16 @@ Usage::
     python tools/validate_metrics.py --ledger runs/ledger.jsonl
     python tools/validate_metrics.py --explain explain.json
     python tools/validate_metrics.py --trace run.trace.json
-    python tools/validate_metrics.py --flame flame.txt
     python tools/validate_metrics.py --service loadgen.json
 
 Default mode checks a ``--metrics-out`` payload: valid JSON, the
 expected top-level sections (``format``, ``version``, ``spans``,
-``counters``, ``gauges``, ``histograms``), well-formed span subtrees
-(name + non-negative duration), well-formed histogram states
-(matching growth factor, integer bucket counts summing to ``count``),
-and a manifest satisfying :data:`repro.telemetry.MANIFEST_SCHEMA`.
+``counters``, ``histograms``), well-formed span subtrees (name +
+non-negative duration), well-formed histogram states (matching growth
+factor, integer bucket counts summing to ``count``), and a manifest
+satisfying :data:`repro.telemetry.manifest.MANIFEST_SCHEMA`.  The format
+is ``METRICS_FORMAT`` (4); a format-3 payload, which differs only by
+an always-empty ``gauges`` section, still validates.
 
 ``--trace`` checks a ``--trace-out`` Chrome ``trace_event`` artefact:
 a non-empty ``traceEvents`` list whose events carry name/phase/pid/tid,
@@ -31,11 +32,6 @@ margin-forensics field set per design.
 
 ``--explain`` checks a ``repro explain --json`` payload against the
 schema CI's explain smoke job relies on.
-
-``--flame`` checks a ``repro perf flame`` collapsed-stack file: every
-line must be ``lane;frame;...;frame <weight>`` with non-empty frames
-and a positive integer sample weight — the grammar both
-``flamegraph.pl`` and speedscope's importer parse.
 
 ``--service`` checks a ``repro loadgen --out`` artefact's ``service``
 section: per-endpoint RED blocks (request counts, availability in
@@ -78,27 +74,27 @@ def _check_span(span, problems, path="spans"):
 
 def validate_payload(payload) -> list:
     """All problems found in one ``--metrics-out`` payload (empty = ok)."""
-    from repro.telemetry import METRICS_FORMAT, validate_manifest
+    from repro.telemetry.export import METRICS_FORMAT
+    from repro.telemetry.manifest import validate_manifest
 
     problems = []
     if not isinstance(payload, dict):
         return ["payload is not a JSON object"]
-    if payload.get("format") != METRICS_FORMAT:
+    if payload.get("format") not in (3, METRICS_FORMAT):
         problems.append(
             f"format is {payload.get('format')!r}, expected {METRICS_FORMAT}"
         )
     version = payload.get("version")
     if not isinstance(version, str) or not version:
         problems.append("missing or non-string top-level 'version' (format 2)")
-    for section in ("spans", "counters", "gauges", "histograms"):
+    for section in ("spans", "counters", "histograms"):
         if section not in payload:
             problems.append(f"missing section {section!r}")
     for i, span in enumerate(payload.get("spans", [])):
         _check_span(span, problems, f"spans[{i}]")
-    for section in ("counters", "gauges"):
-        for key, value in (payload.get(section) or {}).items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                problems.append(f"{section}[{key!r}] is not numeric")
+    for key, value in (payload.get("counters") or {}).items():
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            problems.append(f"counters[{key!r}] is not numeric")
     for name, hist in (payload.get("histograms") or {}).items():
         problems.extend(_check_histogram(name, hist))
     if "manifest" not in payload:
@@ -122,7 +118,7 @@ def _check_histogram(name, hist) -> list:
     integers, and the zero bucket plus the log buckets must account for
     every observation.
     """
-    from repro.telemetry import GROWTH
+    from repro.telemetry.histogram import GROWTH
 
     where = f"histograms[{name!r}]"
     if not isinstance(hist, dict):
@@ -328,38 +324,6 @@ def validate_ledger_entries(entries) -> list:
                     problems.append(
                         f"{where}: {design}.{field} = {value!r} outside [0, 1]"
                     )
-    return problems
-
-
-def validate_collapsed_stacks(text) -> list:
-    """All problems in a collapsed-stack (folded) file (empty = ok).
-
-    The format is line-oriented: ``stack weight``, where the stack is a
-    ``;``-joined frame list (first frame is the lane) and the weight is
-    an integer sample count — for ``repro perf flame`` output, self-time
-    in microseconds.  Zero-weight or malformed lines would be silently
-    dropped (or worse, mis-merged) by downstream flamegraph tooling, so
-    they fail validation here instead.
-    """
-    problems = []
-    stacks = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        where = f"line {lineno}"
-        stack, sep, weight = line.rstrip().rpartition(" ")
-        if not sep or not stack:
-            problems.append(f"{where}: not of the form 'stack weight'")
-            continue
-        if not weight.isdigit() or int(weight) < 1:
-            problems.append(
-                f"{where}: weight {weight!r} is not a positive integer"
-            )
-        if any(not frame for frame in stack.split(";")):
-            problems.append(f"{where}: stack {stack!r} has an empty frame")
-        stacks += 1
-    if stacks == 0:
-        problems.append("no collapsed stacks (empty file)")
     return problems
 
 
@@ -615,11 +579,6 @@ def main(argv=None) -> int:
         help="treat PATH as a '--trace-out' Chrome trace_event artefact",
     )
     mode.add_argument(
-        "--flame",
-        action="store_true",
-        help="treat PATH as a 'repro perf flame' collapsed-stack file",
-    )
-    mode.add_argument(
         "--service",
         action="store_true",
         help="treat PATH as a 'repro loadgen --out' service artefact",
@@ -634,9 +593,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        if args.flame:
-            pass  # collapsed stacks are plain text, not JSON
-        elif args.ledger:
+        if args.ledger:
             entries = [
                 json.loads(line) for line in text.splitlines() if line.strip()
             ]
@@ -646,11 +603,7 @@ def main(argv=None) -> int:
         print(f"error: {args.path} is not valid JSON: {exc}", file=sys.stderr)
         return 1
 
-    if args.flame:
-        problems = validate_collapsed_stacks(text)
-        n = sum(1 for line in text.splitlines() if line.strip())
-        summary = f"{n} collapsed stack(s), all weights positive integers"
-    elif args.ledger:
+    if args.ledger:
         problems = validate_ledger_entries(entries)
         summary = f"{len(entries)} ledger entr(ies), all scalars finite"
     elif args.explain:
