@@ -21,16 +21,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import telemetry
-from .._rng import DEFAULT_SEED
+from .._rng import DEFAULT_SEED, spawn_keys
 from ..aging.schedule import IdlePolicy, MissionProfile
 from ..core.aro_puf import aro_design
-from ..core.base import PufDesign
+from ..core.base import PufDesign, stacked_frequencies
 from ..core.pairing import DistantPairing, NeighborPairing
 from ..core.population import BatchStudy, RunContext, make_batch_study
-from ..core.readout import compare_pairs, voted_response
+from ..core.readout import read_population
 from ..core.ro_puf import conventional_design
 from ..core.selection import select_stable_pairs, selection_margins
 from ..environment.conditions import OperatingConditions, celsius
+from ..environment.noise import majority_vote
 from ..forensics.capture import (
     DEFAULT_FORENSICS_YEARS,
     DEFAULT_HORIZON,
@@ -414,43 +415,47 @@ def environmental_reliability(
     Golden responses are enrolled with majority voting at the nominal
     corner; regeneration is a single noisy evaluation at each corner.
 
-    The expensive part — re-timing every oscillator of every chip at
-    every corner — runs through the batched engine (one frequency tensor
-    per corner); only the cheap counter-noise draws stay per chip, with
-    the same per-chip seeds as the per-instance path.
+    Re-timing every oscillator of every chip at every corner runs
+    through the batched engine (one frequency tensor per corner), and
+    each corner's noisy regeneration is one population read
+    (:func:`~repro.core.readout.read_population`) with one seed key per
+    chip, the per-chip seeds of the per-instance path.  The voted
+    goldens are one read too: chip ``i``'s ``votes`` rows draw from
+    ``spawn_keys(seed + i, votes)``, as
+    :func:`~repro.core.readout.voted_response` spawns them.
     """
+    if votes < 1:
+        raise ValueError("votes must be at least 1")
     config = config or ExperimentConfig()
     temp_series: Dict[str, Series] = {}
     volt_series: Dict[str, Series] = {}
     for name, design in config.designs().items():
         with closing(config.batch_study_for(design)) as study:
+            n_chips = study.n_chips
             pairs = design.pairing.pairs(design.n_ros)
-            f_nominal = study.frequencies()
-            goldens = [
-                voted_response(
-                    f_nominal[i],
-                    pairs,
-                    design.tech,
-                    design.readout,
-                    votes=votes,
-                    rng=config.seed + i,
+
+            def read(freqs: np.ndarray, keys) -> np.ndarray:
+                return read_population(
+                    freqs, pairs, design.tech, design.readout, noisy=True, keys=keys
                 )
-                for i in range(study.n_chips)
-            ]
+
+            seeds = range(config.seed, config.seed + n_chips)
+            if votes == 1:
+                goldens = read(study.frequencies(), seeds)
+            else:
+                rounds = read(
+                    np.repeat(study.frequencies(), votes, axis=0),
+                    [key for seed in seeds for key in spawn_keys(seed, votes)],
+                )
+                goldens = majority_vote(
+                    rounds.reshape(n_chips, votes, -1).swapaxes(0, 1)
+                )
 
             def corner_report(cond: OperatingConditions, seed_base: int):
-                f_corner = study.frequencies(conditions=cond)
-                observed = [
-                    compare_pairs(
-                        f_corner[i],
-                        pairs,
-                        design.tech,
-                        design.readout,
-                        noisy=True,
-                        rng=seed_base + i,
-                    )
-                    for i in range(study.n_chips)
-                ]
+                observed = read(
+                    study.frequencies(conditions=cond),
+                    range(seed_base, seed_base + n_chips),
+                )
                 return reliability(goldens, observed)
 
             s_t = Series(name=name)
@@ -770,40 +775,47 @@ def masking_ablation(
     while the aging differential grows without bound, and every masked bit
     costs ``k`` oscillators — the circuit-level fix dominates it.
     """
-    import dataclasses as _dc
-
     config = config or ExperimentConfig()
     rows: List[MaskingRow] = []
+
+    def read(design, freqs, pairs, *, keys=None) -> np.ndarray:
+        noisy = keys is not None
+        return read_population(
+            freqs, pairs, design.tech, design.readout, noisy=noisy, keys=keys
+        )
+
+    def flip_fractions(golden: np.ndarray, observed: np.ndarray) -> np.ndarray:
+        return np.count_nonzero(golden != observed, axis=1) / golden.shape[1]
 
     conv = conventional_design(config.n_ros, config.n_stages)
     study = make_batch_study(
         conv, config.n_chips, mission=config.mission, rng=config.seed
     )
+    # each chip's frequencies in the words of its own instance's call
+    f_fresh = stacked_frequencies(study.instances)
+    f_aged = stacked_frequencies(study.aged_instances(t_years))
+    seeds = range(config.seed, config.seed + len(study.instances))
 
     for k in ks:
         margins = []
-        noise_flips = []
-        aging_flips = []
-        for idx, (inst, aging) in enumerate(zip(study.instances, study.agings)):
-            freqs = inst.frequencies()
+        tables = []
+        for freqs in f_fresh:
             pairing = select_stable_pairs(freqs, k)
             margins.append(float(selection_margins(freqs, pairing).mean()))
-            masked = _dc.replace(inst.design, pairing=pairing)
-            fresh_inst = masked.instantiate(inst.chip)
-            golden = fresh_inst.golden_response()
-            noisy = fresh_inst.evaluate(noisy=True, rng=config.seed + idx)
-            aged = masked.instantiate(aging.aged(t_years)).golden_response()
-            n_bits = golden.size
-            noise_flips.append(float(np.count_nonzero(golden != noisy)) / n_bits)
-            aging_flips.append(float(np.count_nonzero(golden != aged)) / n_bits)
+            tables.append(pairing.pairs(conv.n_ros))
+        # (n_chips, 1, n_bits, 2): one challenge per chip-specific table
+        pairs = np.stack(tables)[:, np.newaxis]
+        golden = read(conv, f_fresh, pairs)[:, 0]
+        noisy = read(conv, f_fresh, pairs, keys=seeds)[:, 0]
+        aged = read(conv, f_aged, pairs)[:, 0]
         rows.append(
             MaskingRow(
                 label=f"ro-puf / 1-of-{k} masking" if k > 2 else "ro-puf / neighbour (k=2)",
                 ros_per_bit=float(k),
                 n_bits=config.n_ros // k,
                 mean_margin_percent=100.0 * float(np.mean(margins)),
-                noise_flips_percent=100.0 * float(np.mean(noise_flips)),
-                aging_flips_percent=100.0 * float(np.mean(aging_flips)),
+                noise_flips_percent=100.0 * float(np.mean(flip_fractions(golden, noisy))),
+                aging_flips_percent=100.0 * float(np.mean(flip_fractions(golden, aged))),
             )
         )
 
@@ -814,16 +826,18 @@ def masking_ablation(
     )
     goldens = aro_study.responses()
     aged = aro_study.responses(t_years=t_years)
-    noise = [
-        inst.evaluate(noisy=True, rng=config.seed + 500 + i)
-        for i, inst in enumerate(aro_study.instances)
-    ]
-    freqs0 = aro_study.instances[0].frequencies()
+    f_aro = stacked_frequencies(aro_study.instances)
+    noise = read(
+        aro,
+        f_aro,
+        aro.pairing.pairs(aro.n_ros),
+        keys=range(config.seed + 500, config.seed + 500 + len(f_aro)),
+    )
+    freqs0 = f_aro[0]
     neighbour_margin = 100.0 * float(
         np.abs(freqs0[0::2][: len(freqs0) // 2] - freqs0[1::2][: len(freqs0) // 2]).mean()
         / freqs0.mean()
     )
-    from ..metrics.reliability import reliability as _rel
 
     rows.append(
         MaskingRow(
@@ -831,8 +845,8 @@ def masking_ablation(
             ros_per_bit=2.0,
             n_bits=aro.n_bits,
             mean_margin_percent=neighbour_margin,
-            noise_flips_percent=_rel(goldens, noise).percent(),
-            aging_flips_percent=_rel(goldens, aged).percent(),
+            noise_flips_percent=reliability(goldens, noise).percent(),
+            aging_flips_percent=reliability(goldens, aged).percent(),
         )
     )
     return MaskingAblationResult(rows=rows, t_years=t_years)

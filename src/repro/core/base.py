@@ -21,13 +21,12 @@ from .._rng import RngLike, as_generator
 from ..circuit.cells import CellDescriptor
 from ..circuit.delay import ring_frequency
 from ..environment.conditions import OperatingConditions
-from ..environment.noise import noisy_counts
 from ..transistor.technology import TechnologyCard
 from ..variation.chip import Chip
 from ..variation.process import VariationModel
 from ..variation.spatial import LayoutStyle
 from .pairing import NeighborPairing, PairingScheme
-from .readout import ReadoutConfig, check_pairs, voted_response
+from .readout import ReadoutConfig, read_population, voted_response
 
 
 @dataclass(frozen=True)
@@ -64,6 +63,30 @@ class PufDesign:
             n_stages=self.n_stages,
             layout=self.layout,
         )
+
+    def frequencies(
+        self,
+        vth: np.ndarray,
+        tc_scale: np.ndarray,
+        conditions: Optional[OperatingConditions] = None,
+    ) -> np.ndarray:
+        """True mean frequency (Hz) of oscillators with thresholds ``vth``.
+
+        ``vth`` and ``tc_scale`` are ``(..., n_ros, n_stages, 2)``; leading
+        axes (a chip axis) are batch axes and the result is ``(...,
+        n_ros)``.  Stacking chips gives each chip's frequencies in the
+        same float64 words as its own call
+        (``tests/property/test_draw_order_identities.py``).
+        """
+        cond = conditions or OperatingConditions.nominal()
+        return ring_frequency(
+            vth,
+            self.tech,
+            vdd=cond.effective_vdd(self.tech),
+            temperature_k=cond.temperature_k,
+            tc_scale=tc_scale,
+            stage0_penalty=self.cell.stage0_penalty,
+        ) / self.cell.c_load_factor
 
     def with_n_ros(self, n_ros: int) -> "PufDesign":
         """Resize the array (used by the key-generation design search)."""
@@ -138,15 +161,9 @@ class RoPufInstance:
         self, conditions: Optional[OperatingConditions] = None
     ) -> np.ndarray:
         """True mean frequency of every oscillator at the given corner (Hz)."""
-        cond = conditions or OperatingConditions.nominal()
-        return ring_frequency(
-            self.chip.vth,
-            self.design.tech,
-            vdd=cond.effective_vdd(self.design.tech),
-            temperature_k=cond.temperature_k,
-            tc_scale=self.chip.tc_scale,
-            stage0_penalty=self.design.cell.stage0_penalty,
-        ) / self.design.cell.c_load_factor
+        return self.design.frequencies(
+            self.chip.vth, self.chip.tc_scale, conditions
+        )
 
     def evaluate(
         self,
@@ -204,42 +221,68 @@ class RoPufInstance:
 
         ``pairs`` has shape ``(k, n_bits, 2)``, any integer dtype (a
         verifier replays the tables it stored at enrolment).  The chip's
-        frequencies are computed once for the corner, and all the pairs
-        are compared against them.  With a shared ``Generator`` the noisy
-        draws are those of one :meth:`evaluate` call per challenge in
-        order (oscillator ``a`` then ``b`` for each challenge; ``votes >
-        1`` spawns per challenge), so row ``i`` and the generator's final
+        frequencies are computed once for the corner and read by
+        :func:`~repro.core.readout.read_population` as a one-chip
+        population, so with a shared ``Generator`` the noisy draws are
+        those of one :meth:`evaluate` call per challenge in order
+        (oscillator ``a`` then ``b`` for each challenge; ``votes > 1``
+        spawns per challenge), and row ``i`` and the generator's final
         state match that loop bit for bit.  With ``rng=None``, an int or
         a ``SeedSequence`` the batch draws *one* stream from it, where
         separate calls would each restart it.
         """
         design = self.design
         pairs = np.asarray(pairs)
-        check_pairs(pairs, design.n_ros, challenge_axis=True)
-        freqs = self.frequencies(conditions)
-        if not noisy:
-            if votes != 1:
-                raise ValueError("votes only applies to noisy evaluation")
-            return (freqs[pairs[..., 0]] > freqs[pairs[..., 1]]).astype(np.uint8)
+        if pairs.ndim != 3:
+            raise ValueError(
+                f"pairs must have shape (k, n_bits, 2), got {pairs.shape}"
+            )
+        if not noisy and votes != 1:
+            raise ValueError("votes only applies to noisy evaluation")
         if votes < 1:
             raise ValueError("votes must be at least 1")
-        design.readout.check_no_overflow(float(freqs.max()))
+        freqs = self.frequencies(conditions)
+        if votes == 1:
+            return read_population(
+                freqs[np.newaxis],
+                pairs[np.newaxis],
+                design.tech,
+                design.readout,
+                noisy=noisy,
+                rng=rng,
+            )[0]
         gen = as_generator(rng)
-        if votes > 1:
-            return np.stack(
-                [
-                    voted_response(
-                        freqs, p, design.tech, design.readout, votes=votes, rng=gen
-                    )
-                    for p in pairs
-                ]
-            )
-        # (k, 2, n_bits): per challenge the a row, then the b row
-        counts = noisy_counts(
-            freqs[pairs.transpose(0, 2, 1)], design.readout.window_s, design.tech, gen
+        return np.stack(
+            [
+                voted_response(
+                    freqs, p, design.tech, design.readout, votes=votes, rng=gen
+                )
+                for p in pairs
+            ]
         )
-        return (counts[:, 0] > counts[:, 1]).astype(np.uint8)
 
     def golden_response(self, challenge: Optional[int] = None) -> np.ndarray:
         """The enrolment-time reference response (noiseless, nominal)."""
         return self.evaluate(challenge, conditions=OperatingConditions.nominal())
+
+
+def stacked_frequencies(
+    instances: Sequence[RoPufInstance],
+    conditions: Optional[OperatingConditions] = None,
+) -> np.ndarray:
+    """``(n_chips, n_ros)`` frequencies of instances of one design.
+
+    One :meth:`PufDesign.frequencies` call over the instances' stacked
+    thresholds; row ``i`` is ``instances[i].frequencies(conditions)``
+    word for word.
+    """
+    design = instances[0].design
+    if any(
+        inst.design is not design and inst.design != design for inst in instances
+    ):
+        raise ValueError("stacked instances must share one design")
+    return design.frequencies(
+        np.stack([inst.chip.vth for inst in instances]),
+        np.stack([inst.chip.tc_scale for inst in instances]),
+        conditions,
+    )

@@ -129,7 +129,7 @@ class RandomDisjointPairing(PairingScheme):
     def pairs(self, n_ros: int, challenge: Optional[int] = None) -> np.ndarray:
         self._check(n_ros)
         seed = self._seed(challenge)
-        return self._matching(np.random.default_rng(seed), n_ros)
+        return self._matchings([np.random.default_rng(seed)], n_ros)[0]
 
     def pairs_many(
         self, n_ros: int, challenges: Sequence[Optional[int]]
@@ -138,14 +138,14 @@ class RandomDisjointPairing(PairingScheme):
         block (:func:`~repro._rng.seeded_generators`): the same tables as
         stacking :meth:`pairs`, without a ``default_rng`` per challenge.
         Challenges of ``2**64`` and up, which block seeding does not
-        take, fall back to the stacked :meth:`pairs`."""
+        take, get a ``default_rng`` each."""
         self._check(n_ros)
         seeds = [self._seed(c) for c in challenges]
         if any(seed >= 2**64 for seed in seeds):
-            return super().pairs_many(n_ros, challenges)
-        return np.stack(
-            [self._matching(gen, n_ros) for gen in seeded_generators(seeds)]
-        )
+            gens = [np.random.default_rng(seed) for seed in seeds]
+        else:
+            gens = seeded_generators(seeds)
+        return self._matchings(gens, n_ros)
 
     def _seed(self, challenge: Optional[int]) -> int:
         seed = self.default_challenge if challenge is None else int(challenge)
@@ -154,10 +154,16 @@ class RandomDisjointPairing(PairingScheme):
         return seed
 
     @staticmethod
-    def _matching(gen: np.random.Generator, n_ros: int) -> np.ndarray:
-        perm = gen.permutation(n_ros)
+    def _matchings(gens: Sequence[np.random.Generator], n_ros: int) -> np.ndarray:
+        """One matching per generator, ``(len(gens), n_ros // 2, 2)``: each
+        row of an ``arange`` block shuffled by its generator (what
+        ``gen.permutation(n_ros)`` draws), successive indices paired."""
+        perms = np.empty((len(gens), n_ros), dtype=np.int64)
+        perms[:] = np.arange(n_ros)
+        for row, gen in zip(perms, gens):
+            gen.shuffle(row)
         n_pairs = n_ros // 2
-        return perm[: 2 * n_pairs].reshape(n_pairs, 2)
+        return perms[:, : 2 * n_pairs].reshape(len(gens), n_pairs, 2)
 
     def n_bits(self, n_ros: int) -> int:
         self._check(n_ros)

@@ -10,10 +10,11 @@ responses are enrolled).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .._rng import RngLike, as_generator, spawn
+from .._rng import RngLike, as_generator, seeded_generators, spawn
 from ..environment.noise import majority_vote, noisy_counts
 from ..transistor.technology import TechnologyCard
 
@@ -52,13 +53,77 @@ class ReadoutConfig:
             )
 
 
-def check_pairs(pairs: np.ndarray, n_ros: int, *, challenge_axis: bool = False) -> None:
-    """Raise unless ``pairs`` is ``(n_bits, 2)`` — or ``(k, n_bits, 2)``
-    with ``challenge_axis`` — and indexes only ``n_ros`` oscillators."""
-    if pairs.ndim != 2 + challenge_axis or pairs.shape[-1] != 2:
-        raise ValueError(f"pairs must have shape (n_bits, 2), got {pairs.shape}")
-    if np.any(pairs < 0) or np.any(pairs >= n_ros):
+def read_population(
+    frequencies: np.ndarray,
+    pairs: np.ndarray,
+    tech: TechnologyCard,
+    config: ReadoutConfig,
+    *,
+    noisy: bool = False,
+    rng: RngLike = None,
+    keys: Optional[Sequence[int]] = None,
+) -> np.ndarray:
+    """One readout of a population: response bits of every chip.
+
+    ``frequencies`` is ``(n_chips, n_ros)``.  ``pairs`` is either one
+    ``(n_bits, 2)`` table shared by every chip, giving ``(n_chips,
+    n_bits)`` bits, or per-chip tables ``(n_chips, k, n_bits, 2)``, any
+    integer dtype, giving ``(n_chips, k, n_bits)``.  ``bit = 1`` when the
+    first oscillator of the pair counts higher.  Noiseless mode compares
+    true frequencies; noisy mode pushes both oscillators of every pair
+    through :func:`~repro.environment.noise.noisy_counts`, oscillator
+    ``a`` then ``b`` for each table, in one ``(n_chips, [k,] 2, n_bits)``
+    array.  The noise source is one of two:
+
+    * ``rng``, one shared generator: its C-order draw is the draws of one
+      read per chip in chip order, so the bits and the generator's end
+      state equal that loop's;
+    * ``keys``, one seed key per row: row ``i`` draws from
+      ``default_rng(keys[i])``, block-seeded by
+      :func:`repro._rng.seeded_generators`, so it equals a one-chip
+      read with ``rng=keys[i]``.
+
+    The pair-range, counter-overflow and positive-frequency checks run
+    once for the whole population.
+    """
+    frequencies = np.asarray(frequencies, dtype=float)
+    pairs = np.asarray(pairs)
+    if frequencies.ndim != 2:
+        raise ValueError(
+            f"frequencies must have shape (n_chips, n_ros), got {frequencies.shape}"
+        )
+    n_chips, n_ros = frequencies.shape
+    per_chip = pairs.ndim == 4
+    if pairs.shape[-1:] != (2,) or not (pairs.ndim == 2 or per_chip):
+        raise ValueError(
+            "pairs must have shape (n_bits, 2) or (n_chips, k, n_bits, 2), "
+            f"got {pairs.shape}"
+        )
+    if per_chip and pairs.shape[0] != n_chips:
+        raise ValueError(
+            f"{pairs.shape[0]} pair tables for {n_chips} chips"
+        )
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n_ros):
         raise ValueError("pair indices out of range")
+    # (n_chips, [k,] 2, n_bits): per table the a row, then the b row
+    if per_chip:
+        rows = np.arange(n_chips).reshape(-1, 1, 1, 1)
+        f_ab = frequencies[rows, pairs.swapaxes(-1, -2)]
+    else:
+        f_ab = frequencies[:, pairs.T]
+    if noisy:
+        if keys is not None:
+            if rng is not None:
+                raise ValueError("pass rng or keys, not both")
+            if len(keys) != n_chips:
+                raise ValueError(f"{len(keys)} keys for {n_chips} chips")
+            source = seeded_generators(keys)
+        else:
+            source = as_generator(rng)
+        if frequencies.size:
+            config.check_no_overflow(float(frequencies.max()))
+        f_ab = noisy_counts(f_ab, config.window_s, tech, source)
+    return (f_ab[..., 0, :] > f_ab[..., 1, :]).astype(np.uint8)
 
 
 def compare_pairs(
@@ -81,22 +146,22 @@ def compare_pairs(
     shape ``(n_chips, n_ros)`` from a
     :class:`~repro.core.population.BatchStudy`); oscillators are indexed
     along the last axis and the result keeps the batch shape,
-    ``(..., n_bits)``.
+    ``(..., n_bits)``.  It is :func:`read_population` over the batch
+    rows in C order, so one row is a one-chip read.
     """
     frequencies = np.asarray(frequencies, dtype=float)
     pairs = np.asarray(pairs)
-    check_pairs(pairs, frequencies.shape[-1])
-
-    f_a = frequencies[..., pairs[:, 0]]
-    f_b = frequencies[..., pairs[:, 1]]
-    if not noisy:
-        return (f_a > f_b).astype(np.uint8)
-
-    config.check_no_overflow(float(frequencies.max()))
-    gen = as_generator(rng)
-    counts_a = noisy_counts(f_a, config.window_s, tech, gen)
-    counts_b = noisy_counts(f_b, config.window_s, tech, gen)
-    return (counts_a > counts_b).astype(np.uint8)
+    if pairs.ndim != 2:
+        raise ValueError(f"pairs must have shape (n_bits, 2), got {pairs.shape}")
+    bits = read_population(
+        frequencies.reshape(-1, frequencies.shape[-1]),
+        pairs,
+        tech,
+        config,
+        noisy=noisy,
+        rng=rng,
+    )
+    return bits.reshape(frequencies.shape[:-1] + bits.shape[-1:])
 
 
 def voted_response(

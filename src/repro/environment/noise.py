@@ -16,6 +16,8 @@ repeated evaluations; :func:`majority_vote` implements that.
 
 from __future__ import annotations
 
+from typing import Sequence, Union
+
 import numpy as np
 
 from .._rng import RngLike, as_generator
@@ -26,7 +28,7 @@ def noisy_counts(
     frequencies: np.ndarray,
     window_s: float,
     tech: TechnologyCard,
-    rng: RngLike = None,
+    rng: Union[RngLike, Sequence[np.random.Generator]] = None,
     *,
     quantize: bool = True,
 ) -> np.ndarray:
@@ -38,6 +40,11 @@ def noisy_counts(
         True mean oscillation frequencies (hertz), any shape.
     window_s:
         Counting window length in seconds.
+    rng:
+        One generator (or seed) for the whole array, drawn in C order; or
+        a list of generators, one per row of the first axis, row ``i``
+        drawn from ``rng[i]`` (the same numbers a call on that row alone
+        would draw).
 
     Returns
     -------
@@ -49,11 +56,21 @@ def noisy_counts(
     freqs = np.asarray(frequencies, dtype=float)
     if np.any(freqs <= 0):
         raise ValueError("frequencies must be positive")
-    gen = as_generator(rng)
-    jitter = 1.0 + tech.eval_jitter * gen.standard_normal(freqs.shape)
-    counts = freqs * jitter * window_s
+    if isinstance(rng, (list, tuple)):
+        if len(rng) != freqs.shape[0]:
+            raise ValueError(f"{len(rng)} generators for {freqs.shape[0]} rows")
+        counts = np.empty(freqs.shape)
+        for row, gen in zip(counts, rng):
+            gen.standard_normal(out=row)
+    else:
+        counts = as_generator(rng).standard_normal(freqs.shape)
+    # in place, in the grouping freqs * (1 + jitter * z) * window_s
+    counts *= tech.eval_jitter
+    counts += 1.0
+    counts *= freqs
+    counts *= window_s
     if quantize:
-        counts = np.floor(counts)
+        np.floor(counts, out=counts)
     return counts
 
 

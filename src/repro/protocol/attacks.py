@@ -86,8 +86,11 @@ class SortingAttackModel:
         """Predict ``sign(f_a > f_b)`` for every row ``(a, b)`` of ``pairs``.
 
         Returns ``(bits, was_derived)``.  Unknown orderings fall back to
-        coin flips (``was_derived=False``): one ``integers(0, 2)`` draw per
-        unknown pair, in row order, from one generator, so a shared
+        coin flips (``was_derived=False``): one sized ``integers(0, 2,
+        size=n_unknown)`` draw, in row order, from one generator.  NumPy
+        fills a sized draw with the values of as many scalar draws and
+        leaves the generator where they leave it
+        (``tests/property/test_draw_order_identities.py``), so a shared
         generator sees the draws of a pair-by-pair :meth:`predict_bit` loop.
         """
         a, b = pairs[:, 0], pairs[:, 1]
@@ -96,29 +99,27 @@ class SortingAttackModel:
         bits = up.astype(np.uint8)
         unknown = np.flatnonzero(~derived)
         if unknown.size:
-            gen = as_generator(rng)
-            for i in unknown:
-                bits[i] = gen.integers(0, 2)
+            bits[unknown] = as_generator(rng).integers(0, 2, size=unknown.size)
         return bits, derived
 
     def accuracy(self, test: CrpTable, rng: RngLike = None) -> float:
         """Bit-prediction accuracy on the CRPs of ``test``."""
-        gen = as_generator(rng)
-        correct = 0
-        for pairs, response in zip(test.challenge_pairs(self.n_ros), test.responses):
-            bits, _ = self.predict_bits(pairs, rng=gen)
-            correct += int(np.count_nonzero(bits == response))
+        # every challenge's rows in order: one predict_bits call draws
+        # what one call per challenge would
+        pairs = test.challenge_pairs(self.n_ros).reshape(-1, 2)
+        bits, _ = self.predict_bits(pairs, rng=rng)
+        correct = int(np.count_nonzero(bits == test.responses.ravel()))
         return correct / test.responses.size
 
 
 def build_attack_model(table: CrpTable, n_ros: int) -> SortingAttackModel:
     """Digest disclosed CRPs into the comparison and reachability matrices."""
     comparisons = np.zeros((n_ros, n_ros), dtype=bool)
-    for pairs, response in zip(table.challenge_pairs(n_ros), table.responses):
-        faster = response.astype(bool)  # f_a > f_b : b -> a
-        slow = np.where(faster, pairs[:, 1], pairs[:, 0])
-        fast = np.where(faster, pairs[:, 0], pairs[:, 1])
-        comparisons[slow, fast] = True
+    pairs = table.challenge_pairs(n_ros).reshape(-1, 2)
+    faster = table.responses.ravel().astype(bool)  # f_a > f_b : b -> a
+    slow = np.where(faster, pairs[:, 1], pairs[:, 0])
+    fast = np.where(faster, pairs[:, 0], pairs[:, 1])
+    comparisons[slow, fast] = True
     return SortingAttackModel(
         comparisons=comparisons,
         reachable=_reachability(comparisons),

@@ -23,9 +23,9 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .._rng import RngLike, as_generator, spawn
-from ..core.base import RoPufInstance
+from ..core.base import RoPufInstance, stacked_frequencies
 from ..core.factory import Study
-from ..metrics.hamming import fractional_hd
+from ..core.readout import read_population
 from .crp import CrpTable, harvest_crps
 
 
@@ -73,30 +73,76 @@ class Verifier:
 
         Challenges are consumed (never replayed) to deny an eavesdropper a
         replay dictionary; an exhausted table raises so the operator knows
-        to re-enrol.
+        to re-enrol.  The one-row case of :meth:`authenticate_many`.
         """
-        if claimed_id not in self._tables:
-            raise KeyError(f"chip {claimed_id} was never enrolled")
-        table = self._tables[claimed_id]
-        cursor = self._cursor[claimed_id]
-        if cursor + self.batch_size > table.n_challenges:
-            raise RuntimeError(
-                f"chip {claimed_id}'s CRP table is exhausted; re-enrol"
-            )
-        end = cursor + self.batch_size
-        enrolled = table.responses[cursor:end]
-        self._cursor[claimed_id] = end
+        return self.authenticate_many([(claimed_id, device)], rng=rng)[0]
 
-        # the matchings the table was enrolled with, not rebuilt
-        pairs = table.challenge_pairs(device.design.n_ros, cursor, end)
-        answers = device.evaluate_pairs(pairs, noisy=True, rng=rng)
-        distance = fractional_hd(enrolled.ravel(), answers.ravel())
-        return AuthenticationResult(
-            accepted=distance <= self.threshold,
-            distance=distance,
-            threshold=self.threshold,
-            challenges_used=self.batch_size,
+    def authenticate_many(
+        self,
+        claims: Sequence[Tuple[int, RoPufInstance]],
+        *,
+        rng: RngLike = None,
+    ) -> List[AuthenticationResult]:
+        """One round for each ``(claimed_id, device)`` claim, as one read.
+
+        Equals one :meth:`authenticate` call per claim in order, results,
+        cursors and the noisy generator's end state: the devices' stacked
+        frequencies and every claim's replayed pair tables go through one
+        :func:`~repro.core.readout.read_population` call, whose shared
+        draw is the per-claim draws in claim order.  A claim repeated in
+        the batch replays the next challenges, as a second call would.
+        Every identity and every table's remaining challenges are checked
+        before a cursor moves or a number is drawn, so a batch that raises
+        consumes nothing.  The devices must share one design
+        (:func:`~repro.core.base.stacked_frequencies`).
+        """
+        if not claims:
+            return []
+        cursors: Dict[int, int] = {}
+        starts = []
+        for claimed_id, _ in claims:
+            if claimed_id not in self._tables:
+                raise KeyError(f"chip {claimed_id} was never enrolled")
+            start = cursors.get(claimed_id, self._cursor[claimed_id])
+            if start + self.batch_size > self._tables[claimed_id].n_challenges:
+                raise RuntimeError(
+                    f"chip {claimed_id}'s CRP table is exhausted; re-enrol"
+                )
+            cursors[claimed_id] = start + self.batch_size
+            starts.append(start)
+        design = claims[0][1].design
+        freqs = stacked_frequencies([device for _, device in claims])
+
+        enrolled = np.stack(
+            [
+                self._tables[claimed_id].responses[start : start + self.batch_size]
+                for (claimed_id, _), start in zip(claims, starts)
+            ]
         )
+        # the matchings the tables were enrolled with, not rebuilt
+        pairs = np.stack(
+            [
+                self._tables[claimed_id].challenge_pairs(
+                    design.n_ros, start, start + self.batch_size
+                )
+                for (claimed_id, _), start in zip(claims, starts)
+            ]
+        )
+        answers = read_population(
+            freqs, pairs, design.tech, design.readout, noisy=True, rng=rng
+        )
+        self._cursor.update(cursors)
+        n_bits = enrolled[0].size
+        flips = np.count_nonzero(enrolled != answers, axis=(1, 2))
+        return [
+            AuthenticationResult(
+                accepted=distance <= self.threshold,
+                distance=distance,
+                threshold=self.threshold,
+                challenges_used=self.batch_size,
+            )
+            for distance in (int(n) / n_bits for n in flips)
+        ]
 
 
 @dataclass
@@ -181,30 +227,25 @@ def authentication_study(
         genuine_distances[name] = {}
         for t in years:
             aged = study.aged_instances(t)
-            rejects = 0
-            dists = []
-            for inst in aged:
-                result = verifier.authenticate(inst.chip_id, inst, rng=gen)
-                rejects += 0 if result.accepted else 1
-                dists.append(result.distance)
+            results = verifier.authenticate_many(
+                [(inst.chip_id, inst) for inst in aged], rng=gen
+            )
+            rejects = sum(0 if r.accepted else 1 for r in results)
             rates.append(rejects / len(aged))
-            genuine_distances[name][t] = dists
+            genuine_distances[name][t] = [r.distance for r in results]
         frr[name] = rates
 
         # impostor trials: chip j answers chip i's challenges (fresh)
-        accepts = 0
-        trials = 0
-        imp_dists = []
-        for claimed in study.instances:
-            impostor = study.instances[
-                (claimed.chip_id + 1) % len(study.instances)
-            ]
-            result = verifier.authenticate(claimed.chip_id, impostor, rng=gen)
-            accepts += 1 if result.accepted else 0
-            imp_dists.append(result.distance)
-            trials += 1
-        far[name] = accepts / trials
-        impostor_distances[name] = imp_dists
+        instances = study.instances
+        results = verifier.authenticate_many(
+            [
+                (claimed.chip_id, instances[(claimed.chip_id + 1) % len(instances)])
+                for claimed in instances
+            ],
+            rng=gen,
+        )
+        far[name] = sum(1 if r.accepted else 0 for r in results) / len(results)
+        impostor_distances[name] = [r.distance for r in results]
     return AuthenticationStudyResult(
         years=list(years),
         frr=frr,

@@ -50,7 +50,7 @@ from . import jsonl
 from .manifest import (
     RunManifest,
     execution_fields,
-    git_sha,
+    head_sha,
     host_fingerprint,
     package_version,
     validate_manifest,
@@ -122,7 +122,7 @@ class LedgerEntry:
             "created_utc": datetime.datetime.now(
                 datetime.timezone.utc
             ).isoformat(),
-            "git_sha": git_sha(),
+            "git_sha": head_sha(),
             "host": host_fingerprint(),
             "execution": execution_fields(),
         }

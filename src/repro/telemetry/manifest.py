@@ -8,14 +8,15 @@ JSON-serialisable object that the CLI writes next to its metrics and the
 benchmark harness embeds in every ``benchmarks/results/*.json`` artefact.
 
 Only the standard library is used (the git SHA comes from one
-``git rev-parse`` subprocess with a short timeout and falls back to
-``None`` outside a checkout), so collecting a manifest never makes a run
-fail.
+``git rev-parse`` subprocess per process, with a short timeout, and
+falls back to ``None`` outside a checkout), so collecting a manifest
+never makes a run fail.
 """
 
 from __future__ import annotations
 
 import datetime
+import functools
 import hashlib
 import os
 import pathlib
@@ -174,6 +175,18 @@ def git_sha(repo_dir: Optional[pathlib.Path] = None) -> Optional[str]:
     return sha or None
 
 
+@functools.lru_cache(maxsize=None)
+def head_sha() -> Optional[str]:
+    """:func:`git_sha` of this package's checkout, probed once per process.
+
+    Every manifest and perf entry of a process records the code it
+    imported, so one ``git rev-parse`` serves them all (a CLI run that
+    writes a ledger, a metrics file and a histogram entry collects three
+    manifests).  ``head_sha.cache_clear()`` forgets the answer.
+    """
+    return git_sha()
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Everything needed to re-run (or audit) one experiment run."""
@@ -232,7 +245,7 @@ class RunManifest:
             config=dict(config or {}),
             package="repro",
             package_version=package_version(),
-            git_sha=git_sha(),
+            git_sha=head_sha(),
             numpy_version=numpy_version,
             python_version=sys.version.split()[0],
             platform=platform.platform(),

@@ -191,6 +191,44 @@ class TestLedgerAndEvents:
         assert "e2.ro-puf.flips_at_10y_pct" in out
         assert "latest" in out
 
+    def test_one_run_forks_git_rev_parse_once(self, tmp_path):
+        """A run writing a ledger, a metrics file and a histogram ledger
+        entry collects three manifests; the SHA is probed once.  A fresh
+        interpreter, so no earlier test has probed it already."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        script = """
+import json, subprocess, sys
+calls = []
+run = subprocess.run
+def counting(cmd, *args, **kwargs):
+    calls.append([str(c) for c in cmd])
+    return run(cmd, *args, **kwargs)
+subprocess.run = counting
+from repro.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "calls": calls}))
+"""
+        argv = ["run", "e2", "--chips", "3", "--ros", "16", "--trace",
+                "--ledger", str(tmp_path / "L.jsonl"),
+                "--metrics-out", str(tmp_path / "M.json")]
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout.strip().splitlines()[-1])
+        assert report["code"] == 0
+        rev_parses = [c for c in report["calls"] if c[:2] == ["git", "rev-parse"]]
+        assert len(rev_parses) == 1, report["calls"]
+
     def test_history_metric_filter(self, tmp_path, capsys):
         ledger = tmp_path / "ledger.jsonl"
         main(["run", "e2", "--chips", "3", "--ros", "16", "--ledger", str(ledger)])

@@ -44,6 +44,9 @@ class TestComparePairs:
         freqs = np.array([1e9, 1e9])
         with pytest.raises(ValueError, match="shape"):
             compare_pairs(freqs, np.array([0, 1]), tech, config)
+        with pytest.raises(ValueError, match="shape"):
+            # per-chip tables are read_population's, not compare_pairs'
+            compare_pairs(freqs[None], np.array([[[[0, 1]]]]), tech, config)
         with pytest.raises(ValueError, match="range"):
             compare_pairs(freqs, np.array([[0, 5]]), tech, config)
 

@@ -94,3 +94,26 @@ class TestPopulationMetricProperties:
     @given(a=bitvec)
     def test_uniformity_complement(self, a):
         assert uniformity_of(a) == pytest.approx(1.0 - uniformity_of(1 - a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_chips=st.integers(1, 60),
+    n_bits=st.sampled_from([1, 3, 64, 128, 255]),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reliability_of_response_matrices_is_the_chip_loop(n_chips, n_bits, p, seed):
+    """E5 and E9 hand ``reliability`` response matrices (its counts fast
+    path) where they once handed lists of rows (its per-chip loop); every
+    field of the report is the same float, word for word."""
+    from repro.metrics.reliability import reliability
+
+    gen = np.random.default_rng(seed)
+    goldens = gen.integers(0, 2, size=(n_chips, n_bits), dtype=np.uint8)
+    observed = goldens ^ (gen.random((n_chips, n_bits)) < p).astype(np.uint8)
+    fast = reliability(goldens, observed)
+    loop = reliability(list(goldens), list(observed))
+    for field in ("mean_flip_fraction", "std_flip_fraction", "worst_flip_fraction"):
+        assert getattr(fast, field).hex() == getattr(loop, field).hex()
+    assert fast.per_chip.tobytes() == loop.per_chip.tobytes()

@@ -120,3 +120,34 @@ def test_attack_runs_without_networkx():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"
+
+
+@pytest.mark.parametrize("n_train", [1, 2, 8])
+def test_one_read_of_all_test_pairs_is_the_pair_by_pair_loop(instance, table, n_train):
+    """``build_attack_model`` and ``accuracy`` read every challenge in one
+    call, and ``predict_bits`` flips every unknown pair's coin in one
+    sized draw.  The reference kept here digests and predicts challenge
+    by challenge and pair by pair, one scalar coin flip per unknown
+    pair, from one generator: same model, same accuracy, same end state."""
+    train, test = table.split(n_train)
+    comparisons = np.zeros((32, 32), dtype=bool)
+    for pairs, response in zip(train.challenge_pairs(32), train.responses):
+        for (a, b), bit in zip(pairs, response):
+            comparisons[(a, b) if not bit else (b, a)] = True
+    model = build_attack_model(train, 32)
+    assert np.array_equal(model.comparisons, comparisons)
+
+    ref_gen = np.random.default_rng(9)
+    correct = 0
+    for pairs, response in zip(test.challenge_pairs(32), test.responses):
+        for (a, b), bit in zip(pairs, response):
+            if a == b or model.reachable[b, a]:
+                guess = 1
+            elif model.reachable[a, b]:
+                guess = 0
+            else:
+                guess = int(ref_gen.integers(0, 2))
+            correct += guess == bit
+    gen = np.random.default_rng(9)
+    assert model.accuracy(test, rng=gen) == correct / test.responses.size
+    assert gen.bit_generator.state == ref_gen.bit_generator.state

@@ -78,7 +78,7 @@ class TestGitShaFallback:
         monkeypatch.setattr(manifest_mod.subprocess, "run", empty)
         assert git_sha() is None
 
-    def test_collect_survives_missing_git(self, monkeypatch):
+    def test_collect_survives_missing_git(self, monkeypatch, fresh_head_sha):
         def no_git(*args, **kwargs):
             raise OSError("no git")
 
@@ -86,6 +86,33 @@ class TestGitShaFallback:
         m = RunManifest.collect(seed=1)
         assert m.git_sha is None
         validate_manifest(m.to_dict())
+
+
+@pytest.fixture()
+def fresh_head_sha():
+    """Forget the process's SHA before and after the test, so the test
+    probes git itself and leaves no answer it forced behind."""
+    manifest_mod.head_sha.cache_clear()
+    yield
+    manifest_mod.head_sha.cache_clear()
+
+
+class TestHeadShaOnce:
+    def test_manifests_of_one_process_probe_git_once(
+        self, monkeypatch, fresh_head_sha
+    ):
+        calls = []
+        run = subprocess.run
+
+        def counting(cmd, *args, **kwargs):
+            calls.append(list(cmd))
+            return run(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(manifest_mod.subprocess, "run", counting)
+        shas = {RunManifest.collect(seed=s).git_sha for s in range(3)}
+        assert shas == {git_sha()}
+        # three manifests and the direct probe above: two rev-parses
+        assert [c[:2] for c in calls] == [["git", "rev-parse"]] * 2
 
 
 class TestPackageVersion:
