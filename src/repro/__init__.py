@@ -31,6 +31,18 @@ Package map (bottom-up):
 * :mod:`repro.telemetry` — tracing spans, kernel counters, run manifests
 """
 
+import os
+
+# OpenBLAS reads this once, when numpy loads it, so it must be set before
+# the first numpy import.  By default an idle OpenBLAS worker busy-waits for
+# 2**28 cycles after it is created and after every threaded call: on a
+# 2-vCPU host that was 0.25-0.26 s of the ~0.7 s CPU of a `check-anchors`
+# process, and the worker's real work is under one 0.01 s clock tick.  At
+# 4 (2**4 cycles, the smallest value OpenBLAS accepts) the idle worker
+# sleeps at once.  The thread count, the work split and every result bit
+# are unchanged.  A value the user exported wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from . import telemetry
 from ._rng import DEFAULT_SEED, as_generator, spawn
 from .aging import AgingSimulator, IdlePolicy, MissionProfile

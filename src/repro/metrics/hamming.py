@@ -9,7 +9,12 @@ import numpy as np
 
 def _as_bits(x) -> np.ndarray:
     arr = np.asarray(x)
-    if not np.all((arr == 0) | (arr == 1)):
+    if arr.dtype.kind in "bu":
+        # unsigned and bool values are 0/1 exactly when none exceeds 1
+        ok = arr.size == 0 or arr.max() <= 1
+    else:
+        ok = np.all((arr == 0) | (arr == 1))
+    if not ok:
         raise ValueError("responses must be 0/1 bit arrays")
     return arr.astype(np.uint8)
 

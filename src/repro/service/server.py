@@ -283,12 +283,13 @@ class FleetService:
         record = self.store.get(chip_id)
         if record is None:
             return "unknown_chip", {"error": f"chip {chip_id} was never enrolled"}
-        resp = np.asarray(response)
-        if resp.shape != (record.n_bits,) or not np.all((resp == 0) | (resp == 1)):
+        try:
+            # checks the shape against the reference's and the 0/1 values
+            distance = fractional_hd(record.reference, response)
+        except ValueError:
             return "bad_request", {
                 "error": f"response must be a {record.n_bits}-bit 0/1 vector"
             }
-        distance = fractional_hd(record.reference, resp)
         accepted = distance <= self.threshold
         body = {
             "accepted": bool(accepted),

@@ -52,6 +52,32 @@ class TestFractionalHd:
         with pytest.raises(ValueError, match=message):
             fractional_hd(a, b)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([0, 2], dtype=np.uint8),
+            np.array([0, 255], dtype=np.uint8),
+            np.array([0, -1], dtype=np.int64),
+            np.array([0.0, 0.5]),
+        ],
+        ids=["uint8-2", "uint8-255", "int64-minus-1", "float-half"],
+    )
+    def test_non_bits_refused_in_every_dtype(self, bad):
+        good = np.zeros(2, dtype=bad.dtype)
+        for a, b in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="0/1"):
+                fractional_hd(a, b)
+            with pytest.raises(ValueError, match="0/1"):
+                hamming_distance(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.bool_, np.int64, np.float64])
+    def test_bits_accepted_in_every_dtype(self, dtype):
+        a = np.array([0, 1, 1, 0], dtype=dtype)
+        b = np.array([1, 1, 0, 0], dtype=dtype)
+        assert fractional_hd(a, b) == 0.5
+        # an empty operand has no maximum, but holds no non-bit either
+        assert hamming_distance(a[:0], b[:0]) == 0
+
     def test_each_operand_validated_once(self, monkeypatch):
         from repro.metrics import hamming
 

@@ -116,6 +116,17 @@ class TestAuth:
         reply = asyncio.run(service.auth(0, np.zeros(8, dtype=np.uint8)))
         assert reply["outcome"] == "bad_request"
 
+    @pytest.mark.parametrize("dtype, value", [(np.uint8, 2), (np.int64, -1)])
+    def test_non_bit_response_is_bad_request(self, service_and_chips, dtype, value):
+        service, golden = service_and_chips
+        response = golden[0].astype(dtype)
+        response[5] = value
+        before = service.red.error_count("auth")
+        reply = asyncio.run(service.auth(0, response))
+        assert reply["outcome"] == "bad_request"
+        assert "0/1" in reply["error"]
+        assert service.red.error_count("auth") == before + 1
+
 
 class TestKey:
     def test_regenerated_key_matches_enrollment_digest(self):
