@@ -62,7 +62,7 @@ from .core import (
 from .environment import OperatingConditions, celsius
 from .keygen import FuzzyExtractor, best_design
 from .transistor import TechnologyCard, get_technology, ptm45, ptm90
-from .variation import Chip, ChipPopulation, LayoutStyle, VariationModel
+from .variation import Chip, LayoutStyle, VariationModel
 
 __version__ = "1.0.0"
 
@@ -70,7 +70,6 @@ __all__ = [
     "AgingSimulator",
     "BatchStudy",
     "Chip",
-    "ChipPopulation",
     "DEFAULT_SEED",
     "ExperimentConfig",
     "FuzzyExtractor",

@@ -28,6 +28,7 @@ from typing import Union
 import numpy as np
 
 from ..transistor.technology import BOLTZMANN_EV, T_REF_K, NbtiParameters
+from .schedule import check_years
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -65,8 +66,7 @@ def bti_shift(
     duty = np.asarray(duty, dtype=float)
     if np.any(duty < 0) or np.any(duty > 1):
         raise ValueError("duty must be in [0, 1]")
-    if t_years < 0:
-        raise ValueError("t_years must be non-negative")
+    check_years(t_years)
     a = params.a_mean if prefactor is None else np.asarray(prefactor, dtype=float)
     k_t = temperature_acceleration(temperature_k, params)
     scale = params.pbti_factor if pbti else 1.0

@@ -10,10 +10,24 @@ oscillators do in between (the knob the ARO design turns).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 #: seconds in a Julian year, used for all duty/transition bookkeeping
 SECONDS_PER_YEAR = 365.25 * 86400.0
+
+
+def check_years(t_years: float) -> float:
+    """``t_years`` as a float; refused unless finite and non-negative.
+
+    The one guard on a mission time.  A NaN compares false against zero
+    and an infinite time saturates every clip, so a bare ``t < 0`` test
+    would let both through as a valid age.
+    """
+    t = float(t_years)
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t_years must be finite and non-negative, got {t}")
+    return t
 
 
 class IdlePolicy(enum.Enum):
@@ -77,8 +91,7 @@ class MissionProfile:
 
     def active_seconds(self, t_years: float) -> float:
         """Total oscillation time accumulated after ``t_years`` (seconds)."""
-        if t_years < 0:
-            raise ValueError("t_years must be non-negative")
+        check_years(t_years)
         return self.eval_duty * t_years * SECONDS_PER_YEAR
 
     def transitions(self, t_years: float) -> float:

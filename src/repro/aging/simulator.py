@@ -1,19 +1,23 @@
-"""Aging orchestration: from a fresh chip to its aged views over time.
+"""Aging orchestration: from fresh silicon to its aged views over time.
 
 :class:`AgingSimulator` binds a technology, an oscillator cell design and a
-mission profile.  For each chip it samples the per-device aging prefactors
-*once* (they are physical properties of the individual devices) and hands
-back a :class:`ChipAging` that can produce a consistent aged
-:class:`~repro.variation.chip.Chip` at any point of the mission — the
-degradation trajectory of every device is monotone and self-consistent
-across time points, which is what lets experiments sweep 0.5 .. 10 years
-and get smooth bit-flip curves.
+mission profile.  It samples per-device aging prefactors *once* (they are
+physical properties of the individual devices) and evaluates a consistent
+threshold shift at any point of the mission — the degradation trajectory
+of every device is monotone and self-consistent across time points, which
+is what lets experiments sweep 0.5 .. 10 years and get smooth bit-flip
+curves.
 
-:class:`PopulationAging` is the batched companion: one object holding the
-prefactors of a whole population as ``(n_chips, n_ros, n_stages, 2)``
-tensors, evaluating the threshold-shift field of every chip in a single
-vectorised pass per time point.  Its deltas are bit-identical to the
-per-chip :meth:`ChipAging.delta` under the same sampled prefactors.
+* :class:`PopulationAging` (:meth:`AgingSimulator.population_aging`) is the
+  engine's form: the prefactors of a whole
+  :class:`~repro.variation.chip.PopulationView` as ``(n_chips, n_ros,
+  n_stages, 2)`` tensors, evaluating the threshold-shift field of every
+  chip in a single vectorised pass per time point.
+* :class:`ChipAging` (:meth:`AgingSimulator.for_chip`) is the per-chip
+  reference: one chip's prefactors, producing an aged
+  :class:`~repro.variation.chip.Chip`.  Under the same seed both draw the
+  same prefactors, and :meth:`PopulationAging.delta` row ``i`` is
+  bit-identical to chip ``i``'s :meth:`ChipAging.delta`.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ from .. import telemetry
 from .._rng import RngLike, as_generator, as_generators, spawn
 from ..circuit.cells import CellDescriptor
 from ..transistor.technology import TechnologyCard
-from ..variation.chip import NMOS, PMOS, Chip, ChipPopulation
+from ..variation.chip import NMOS, PMOS, Chip, PopulationView
 from . import hci, nbti
-from .schedule import IdlePolicy, MissionProfile
+from .schedule import IdlePolicy, MissionProfile, check_years
 from .stress import StressProfile, compute_stress
 
 
@@ -50,8 +54,7 @@ class ChipAging:
 
         Shape matches ``chip.vth``: ``(n_ros, n_stages, 2)``.
         """
-        if t_years < 0:
-            raise ValueError("t_years must be non-negative")
+        check_years(t_years)
         shape = self.chip.vth.shape
         delta = np.zeros(shape)
         temp = self.mission.temperature_k
@@ -145,16 +148,6 @@ class AgingSimulator:
             hci_b=hci_b[0],
         )
 
-    def for_population(
-        self, population: ChipPopulation, rng: RngLike = None
-    ) -> list:
-        """Trajectories for every chip (independent child RNG per chip)."""
-        children = spawn(rng, len(population))
-        return [
-            self.for_chip(chip, child)
-            for chip, child in zip(population, children)
-        ]
-
     def fabricate_block(
         self,
         rngs: Sequence[RngLike],
@@ -182,12 +175,13 @@ class AgingSimulator:
             hci_out[i] = hci.sample_prefactors(shape, self.tech.hci, gen)
 
     def population_aging(
-        self, population: ChipPopulation, rng: RngLike = None
+        self, population: PopulationView, rng: RngLike = None
     ) -> "PopulationAging":
         """Batched trajectory of the whole population (see
-        :class:`PopulationAging`).  Consumes the RNG exactly like
-        :meth:`for_population`, so the same seed yields the same prefactors
-        on both paths.
+        :class:`PopulationAging`).  Spawns one child of ``rng`` per chip,
+        as :func:`~repro.core.factory.make_study` hands to
+        :meth:`for_chip`, so the same seed yields the same prefactors on
+        both paths.
         """
         return PopulationAging.sample(self, population, rng)
 
@@ -401,70 +395,47 @@ class PopulationAging:
     def sample(
         cls,
         simulator: AgingSimulator,
-        population: ChipPopulation,
+        population: PopulationView,
         rng: RngLike = None,
         *,
         children: Optional[Sequence[RngLike]] = None,
     ) -> "PopulationAging":
         """Sample every chip's prefactors into one stacked tensor.
 
-        Mirrors :meth:`AgingSimulator.for_population` draw for draw (one
-        spawned child generator per chip, NBTI before HCI, through
+        Draws like the per-chip path (one spawned child generator per
+        chip, NBTI before HCI, through
         :meth:`AgingSimulator.fabricate_block`), so the same seed produces
-        the same device prefactors on both paths.
+        the same device prefactors as :meth:`AgingSimulator.for_chip` on
+        each chip.
 
         ``children`` bypasses the spawn and supplies one pre-derived
         generator (or spawn key) per chip — the parallel engine's shard
         workers use this so a shard consumes exactly the child streams the
         serial path would have handed its chips.
         """
-        chips = list(population)
-        if not chips:
-            raise ValueError("population is empty")
-        shape = chips[0].vth.shape
-        for chip in chips:
-            if chip.n_stages != simulator.cell.n_stages:
-                raise ValueError(
-                    f"chip has {chip.n_stages} stages but the cell expects "
-                    f"{simulator.cell.n_stages}"
-                )
-            if chip.vth.shape != shape:
-                raise ValueError(
-                    f"chip geometry {chip.vth.shape} differs from {shape}"
-                )
-        if children is None:
-            children = spawn(rng, len(chips))
-        elif len(children) != len(chips):
+        if population.n_stages != simulator.cell.n_stages:
             raise ValueError(
-                f"got {len(children)} child streams for {len(chips)} chips"
+                f"population has {population.n_stages} stages but the cell "
+                f"expects {simulator.cell.n_stages}"
             )
-        nbti_a = np.empty((len(chips),) + shape)
+        n_chips = population.n_chips
+        if children is None:
+            children = spawn(rng, n_chips)
+        elif len(children) != n_chips:
+            raise ValueError(
+                f"got {len(children)} child streams for {n_chips} chips"
+            )
+        nbti_a = np.empty(population.vth.shape)
         hci_b = np.empty_like(nbti_a)
-        with telemetry.span("aging.sample_prefactors", n_chips=len(chips)):
+        with telemetry.span("aging.sample_prefactors", n_chips=n_chips):
             simulator.fabricate_block(children, nbti_a, hci_b)
-            telemetry.progress("aging.sample_prefactors", len(chips), len(chips))
+            telemetry.progress("aging.sample_prefactors", n_chips, n_chips)
         return cls(
             tech=simulator.tech,
             stress=simulator.stress,
             mission=simulator.mission,
             nbti_a=nbti_a,
             hci_b=hci_b,
-        )
-
-    @classmethod
-    def from_agings(cls, agings: Sequence[ChipAging]) -> "PopulationAging":
-        """Stack existing per-chip trajectories (they must share one
-        simulator, i.e. one technology/stress/mission)."""
-        agings = list(agings)
-        if not agings:
-            raise ValueError("need at least one ChipAging")
-        first = agings[0]
-        return cls(
-            tech=first.tech,
-            stress=first.stress,
-            mission=first.mission,
-            nbti_a=np.stack([a.nbti_a for a in agings]),
-            hci_b=np.stack([a.hci_b for a in agings]),
         )
 
     # ---- geometry ----------------------------------------------------
@@ -512,9 +483,7 @@ class PopulationAging:
         so that no population-sized array is allocated (and page-faulted)
         per grid point.  Returns ``out``.
         """
-        if t_years < 0:
-            raise ValueError("t_years must be non-negative")
-        t = float(t_years)
+        t = check_years(t_years)
         sp = telemetry.start_span(
             "aging.delta", t_years=t, n_chips=self.n_chips
         )
@@ -539,15 +508,3 @@ class PopulationAging:
         np.add(out, hci_part, out=out)
         telemetry.end_span(sp)
         return out
-
-    def chip_aging(self, index: int, chip: Chip) -> ChipAging:
-        """Per-chip :class:`ChipAging` view of row ``index`` (thin slice,
-        no re-sampling) bound to ``chip``."""
-        return ChipAging(
-            chip=chip,
-            tech=self.tech,
-            stress=self.stress,
-            mission=self.mission,
-            nbti_a=self.nbti_a[index],
-            hci_b=self.hci_b[index],
-        )

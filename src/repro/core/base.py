@@ -101,7 +101,7 @@ class PufDesign:
     ) -> List["RoPufInstance"]:
         """Fabricate ``n_chips`` Monte-Carlo instances of this design."""
         population = self.variation_model().sample_population(n_chips, rng)
-        return [self.instantiate(chip) for chip in population]
+        return [self.instantiate(population.chip(i)) for i in range(n_chips)]
 
     def puf_area(self, n_ros: Optional[np.ndarray] = None):
         """PUF-block silicon area in square micrometres.

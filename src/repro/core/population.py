@@ -9,8 +9,10 @@ module streams a whole population through the fused block kernel
 operating corner and time point — or, for a year sweep
 (:meth:`BatchStudy.flip_counts`), in one pass for every year at once:
 
-* :class:`PopulationView` — the stacked threshold/`tc_scale` tensors plus
-  thin per-chip :class:`~repro.variation.chip.Chip` views;
+* :class:`~repro.variation.chip.PopulationView` — the stacked
+  threshold/``tc_scale`` tensors that fabrication
+  (:meth:`~repro.variation.process.VariationModel.sample_population`)
+  returns, re-exported here; the engine reads them as they are;
 * :class:`RamColumns` — the in-RAM *column source*: a view plus its
   :class:`~repro.aging.simulator.PopulationAging`.  The out-of-core
   source, :class:`repro.store.store.StoreColumns`, reads a row window of
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import contextvars
 import functools
-import math
 import numbers
 import time
 from collections import OrderedDict
@@ -60,13 +61,8 @@ import numpy as np
 
 from .. import telemetry
 from .._rng import RngLike, spawn, spawn_keys
-from ..aging.schedule import IdlePolicy, MissionProfile
-from ..aging.simulator import (
-    AgingSimulator,
-    ChipAging,
-    CoefficientFold,
-    PopulationAging,
-)
+from ..aging.schedule import IdlePolicy, MissionProfile, check_years
+from ..aging.simulator import AgingSimulator, CoefficientFold, PopulationAging
 from ..environment.conditions import OperatingConditions
 from ..kernel.fused import (
     MarginHistogramSink,
@@ -76,10 +72,9 @@ from ..kernel.fused import (
 )
 from ..transistor.mosfet import mobility_factor
 from ..transistor.technology import T_REF_K, TechnologyCard
-from ..variation.chip import Chip, ChipPopulation
+from ..variation.chip import Chip, PopulationView
 from ..variation.process import VariationModel
 from .base import PufDesign, RoPufInstance
-from .factory import Study
 
 __all__ = [
     "PopulationView",
@@ -89,102 +84,6 @@ __all__ = [
     "make_batch_study",
     "frequency_block_kernel",
 ]
-
-
-class PopulationView:
-    """A chip population stacked into contiguous evaluation tensors.
-
-    Parameters
-    ----------
-    vth:
-        Threshold tensor, shape ``(n_chips, n_ros, n_stages, 2)``, volts.
-    tc_scale:
-        Stacked temperature-coefficient mismatch, same shape as ``vth``.
-    positions:
-        RO grid coordinates shared by every chip, shape ``(n_ros, 2)``.
-    chip_ids:
-        Monte-Carlo index of each row (defaults to ``0 .. n_chips - 1``).
-    """
-
-    def __init__(
-        self,
-        vth: np.ndarray,
-        tc_scale: np.ndarray,
-        positions: np.ndarray,
-        chip_ids: Optional[Sequence[int]] = None,
-    ):
-        vth = np.asarray(vth, dtype=float)
-        if vth.ndim != 4 or vth.shape[-1] != 2:
-            raise ValueError(
-                f"vth must have shape (n_chips, n_ros, n_stages, 2), got {vth.shape}"
-            )
-        tc_scale = np.asarray(tc_scale, dtype=float)
-        if tc_scale.shape != vth.shape:
-            raise ValueError(
-                f"tc_scale shape {tc_scale.shape} does not match vth {vth.shape}"
-            )
-        positions = np.asarray(positions, dtype=float)
-        if positions.shape != (vth.shape[1], 2):
-            raise ValueError(
-                f"positions must have shape ({vth.shape[1]}, 2), got {positions.shape}"
-            )
-        self.vth = vth
-        self.tc_scale = tc_scale
-        self.positions = positions
-        self.chip_ids = (
-            list(range(vth.shape[0])) if chip_ids is None else list(chip_ids)
-        )
-        if len(self.chip_ids) != vth.shape[0]:
-            raise ValueError("chip_ids must name every chip row")
-
-    @classmethod
-    def from_chips(
-        cls, chips: Union[ChipPopulation, Sequence[Chip]]
-    ) -> "PopulationView":
-        """Stack a population (or any chip sequence) into one view.
-
-        A population fabricated as one block hands over its tensors
-        without a copy.
-        """
-        block = chips if isinstance(chips, ChipPopulation) else None
-        chips = list(chips)
-        if not chips:
-            raise ValueError("population is empty")
-        if block is not None and block.vth is not None:
-            vth, tc_scale = block.vth, block.tc_scale
-        else:
-            vth = np.stack([c.vth for c in chips])
-            tc_scale = np.stack([c.tc_scale for c in chips])
-        return cls(
-            vth=vth,
-            tc_scale=tc_scale,
-            positions=chips[0].positions,
-            chip_ids=[c.chip_id for c in chips],
-        )
-
-    @property
-    def n_chips(self) -> int:
-        return self.vth.shape[0]
-
-    @property
-    def n_ros(self) -> int:
-        return self.vth.shape[1]
-
-    @property
-    def n_stages(self) -> int:
-        return self.vth.shape[2]
-
-    def chip(self, index: int) -> Chip:
-        """Thin per-chip :class:`Chip` view of row ``index`` (no copy)."""
-        return Chip(
-            vth=self.vth[index],
-            positions=self.positions,
-            tc_scale=self.tc_scale[index],
-            chip_id=self.chip_ids[index],
-        )
-
-    def chips(self) -> List[Chip]:
-        return [self.chip(i) for i in range(self.n_chips)]
 
 
 def _stage_weights(
@@ -223,8 +122,9 @@ class RamColumns:
 
     ``aging`` is the population's :class:`PopulationAging`, or a
     zero-argument callable that samples it.  A callable runs on the first
-    read of :attr:`aging` (the first aged corner, or a per-chip aging
-    view), as the store fabricates its aging columns on first touch: a
+    read of :attr:`aging` (the first aged corner, or
+    :meth:`BatchStudy.aged_instances`), as the store fabricates its aging
+    columns on first touch: a
     study that only ever evaluates fresh silicon never draws a prefactor.
 
     ``block_size`` is the source block in chips (``None``: the whole
@@ -355,21 +255,6 @@ class BatchStudy:
         self._scratch_buf: Optional[np.ndarray] = None
         self._instances: Optional[List[RoPufInstance]] = None
 
-    # ---- construction ------------------------------------------------
-
-    @classmethod
-    def from_study(cls, study: Study) -> "BatchStudy":
-        """Stack an existing per-chip :class:`Study` (shared chips and
-        prefactors, so both views answer identically)."""
-        return cls(
-            study.design,
-            RamColumns(
-                PopulationView.from_chips([inst.chip for inst in study.instances]),
-                PopulationAging.from_agings(study.agings),
-            ),
-            study.mission,
-        )
-
     # ---- geometry ----------------------------------------------------
 
     @property
@@ -433,9 +318,7 @@ class BatchStudy:
 
     @staticmethod
     def _key(t_years, conditions, mechanism: Optional[str] = None) -> tuple:
-        t = float(t_years)
-        if not 0.0 <= t < math.inf:
-            raise ValueError(f"t_years must be finite and non-negative, got {t}")
+        t = check_years(t_years)
         cond = conditions or OperatingConditions.nominal()
         return (t, cond) if mechanism is None else (t, cond, mechanism)
 
@@ -834,7 +717,7 @@ class BatchStudy:
         if sinks:
             telemetry.count("batch.fused_passes")
 
-    # ---- per-chip views (back-compat) --------------------------------
+    # ---- per-chip views (the protocol shared with Study) --------------
 
     @property
     def instances(self) -> List[RoPufInstance]:
@@ -845,14 +728,6 @@ class BatchStudy:
                 for i in range(self.n_chips)
             ]
         return self._instances
-
-    @property
-    def agings(self) -> List[ChipAging]:
-        """Per-chip :class:`ChipAging` views (sliced prefactors, no copy)."""
-        return [
-            self.aging.chip_aging(i, self.view.chip(i))
-            for i in range(self.n_chips)
-        ]
 
     def aged_instances(self, t_years: float) -> List[RoPufInstance]:
         """Every instance rebound to its chip aged by ``t_years``."""
@@ -929,8 +804,7 @@ class RunContext:
         if view is None:
             # the streams make_batch_study would split from the seed
             fab_rng, _ = spawn(self.seed, 2)
-            population = model.sample_population(n_chips, fab_rng)
-            view = PopulationView.from_chips(population)
+            view = model.sample_population(n_chips, fab_rng)
             view.vth.flags.writeable = False
             view.tc_scale.flags.writeable = False
             self._views[model] = view
@@ -945,7 +819,7 @@ class RunContext:
         drawn = self._prefactors.get(key)
         if drawn is None:
             _, aging_rng = spawn(self.seed, 2)
-            aging = simulator.population_aging(view.chips(), aging_rng)
+            aging = simulator.population_aging(view, aging_rng)
             aging.nbti_a.flags.writeable = False
             aging.hci_b.flags.writeable = False
             self._prefactors[key] = (aging.nbti_a, aging.hci_b)
@@ -1031,16 +905,14 @@ def make_batch_study(
             if context is not None:
                 source = context.source(design, n_chips, rng, simulator, block_size)
             if source is None:
-                population = design.variation_model().sample_population(
+                view = design.variation_model().sample_population(
                     n_chips, fab_rng
                 )
                 # aging_rng feeds nothing else, so drawing it on first use
                 # yields the prefactors an eager draw would
                 source = RamColumns(
-                    PopulationView.from_chips(population),
-                    functools.partial(
-                        simulator.population_aging, population, aging_rng
-                    ),
+                    view,
+                    functools.partial(simulator.population_aging, view, aging_rng),
                     block_size,
                 )
         return BatchStudy(design, source, mission)

@@ -54,7 +54,7 @@ def noisy_counts(
     if window_s <= 0:
         raise ValueError("window_s must be positive")
     freqs = np.asarray(frequencies, dtype=float)
-    if np.any(freqs <= 0):
+    if not np.all(freqs > 0):
         raise ValueError("frequencies must be positive")
     if isinstance(rng, (list, tuple)):
         if len(rng) != freqs.shape[0]:

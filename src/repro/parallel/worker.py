@@ -37,12 +37,12 @@ import numpy as np
 
 from .. import telemetry
 from ..aging.simulator import AgingSimulator, PopulationAging
-from ..core.population import BatchStudy, PopulationView, RamColumns
+from ..core.population import BatchStudy, RamColumns
 from ..environment.conditions import OperatingConditions
 from ..telemetry import events as _events_mod
 from ..telemetry import sampler as _sampler_mod
 from ..telemetry import tracer as _tracer_mod
-from ..variation.chip import ChipPopulation
+from ..variation.chip import PopulationView
 from .sharding import ShardSpec
 
 
@@ -169,19 +169,14 @@ def fabricate_shard(spec: ShardSpec) -> BatchStudy:
         shape = (spec.n_chips, design.n_ros, design.n_stages, 2)
         vth, tc_scale = np.empty(shape), np.empty(shape)
         model.fabricate_block(spec.fab_keys, vth, tc_scale)
-        population = ChipPopulation.from_block(
-            vth, tc_scale, model.positions, chip_ids=spec.chip_ids
-        )
+        view = PopulationView(vth, tc_scale, model.positions, chip_ids=spec.chip_ids)
         simulator = AgingSimulator(
             design.tech, design.cell, mission, idle_policy=spec.idle_policy
         )
         aging = functools.partial(
-            PopulationAging.sample, simulator, population, children=spec.aging_keys
+            PopulationAging.sample, simulator, view, children=spec.aging_keys
         )
-        source = RamColumns(
-            PopulationView.from_chips(population), aging, spec.block_size
-        )
-        return BatchStudy(design, source, mission)
+        return BatchStudy(design, RamColumns(view, aging, spec.block_size), mission)
 
 
 def attach_shard(spec: ShardSpec) -> BatchStudy:

@@ -1,7 +1,7 @@
 """Memory-mapped columnar population store (out-of-core fabrication).
 
 A :class:`PopulationStore` is the on-disk form of what
-:class:`~repro.core.population.PopulationView` plus
+:class:`~repro.variation.chip.PopulationView` plus
 :class:`~repro.aging.simulator.PopulationAging` hold in RAM: one
 ``.npy``-backed mmap segment per population column —
 

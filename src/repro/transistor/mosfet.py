@@ -72,7 +72,7 @@ def drive_current(
     vdd_eff = tech.vdd if vdd is None else float(vdd)
     vth_t = vth_at_temperature(vth, temperature_k, tech, tc_scale)
     overdrive = vdd_eff - vth_t
-    if np.any(overdrive <= 0):
+    if not np.all(overdrive > 0):
         raise ValueError(
             "non-positive gate overdrive: vdd={:.3f} V cannot turn on a "
             "device with vth up to {:.3f} V".format(vdd_eff, float(np.max(vth_t)))

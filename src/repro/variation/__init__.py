@@ -1,6 +1,6 @@
-"""Process-variation Monte-Carlo: chips, spatial fields, and the sampler."""
+"""Process-variation Monte-Carlo: populations, chips, spatial fields, and the sampler."""
 
-from .chip import NMOS, PMOS, Chip, ChipPopulation, grid_positions
+from .chip import NMOS, PMOS, Chip, PopulationView, grid_positions
 from .process import VariationModel
 from .spatial import (
     SYMMETRIC_RESIDUAL,
@@ -12,10 +12,10 @@ from .spatial import (
 
 __all__ = [
     "Chip",
-    "ChipPopulation",
     "LayoutStyle",
     "NMOS",
     "PMOS",
+    "PopulationView",
     "SYMMETRIC_RESIDUAL",
     "VariationModel",
     "correlated_field",

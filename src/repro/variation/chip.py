@@ -1,23 +1,30 @@
 """Chip data model: per-transistor threshold voltages for an RO array.
 
-A :class:`Chip` is the Monte-Carlo unit of the whole framework: it carries
-one threshold-voltage sample per transistor of every ring-oscillator stage
-on the die, plus the grid position of each RO.  Aging produces *new* chips
-via :meth:`Chip.with_delta` — chips are treated as immutable so an
-experiment can hold the fresh and the aged view of the same die
-side by side.
+* :class:`PopulationView` is the Monte-Carlo population: every chip's
+  threshold and ``tc_scale`` samples stacked into
+  ``(n_chips, n_ros, n_stages, 2)`` tensors, plus the RO grid they share.
+  Fabrication returns it and the batched engine evaluates it as is.
+* :class:`Chip` is one die of the per-chip reference path
+  (:func:`~repro.core.factory.make_study`,
+  :class:`~repro.core.base.RoPufInstance`): one threshold-voltage sample
+  per transistor of every ring-oscillator stage, plus the grid position
+  of each RO.  :meth:`PopulationView.chip` views one row as a chip.
+  Aging produces *new* chips via :meth:`Chip.with_delta` — chips are
+  treated as immutable so an experiment can hold the fresh and the aged
+  view of the same die side by side.
 
 Array layout
 ------------
-``vth`` has shape ``(n_ros, n_stages, 2)`` where the last axis indexes the
-device polarity: ``NMOS = 0`` (drives falling output transitions) and
-``PMOS = 1`` (drives rising output transitions, and is the NBTI victim).
+A chip's ``vth`` has shape ``(n_ros, n_stages, 2)`` where the last axis
+indexes the device polarity: ``NMOS = 0`` (drives falling output
+transitions) and ``PMOS = 1`` (drives rising output transitions, and is
+the NBTI victim).  A population's tensors put a chip axis in front.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,7 +62,7 @@ class Chip:
             raise ValueError(
                 f"vth must have shape (n_ros, n_stages, 2), got {vth.shape}"
             )
-        if np.any(vth <= 0):
+        if not np.all(vth > 0):
             raise ValueError("threshold magnitudes must be positive")
         positions = np.asarray(self.positions, dtype=float)
         if positions.shape != (vth.shape[0], 2):
@@ -107,53 +114,80 @@ class Chip:
         )
 
 
-@dataclass
-class ChipPopulation:
-    """A Monte-Carlo population of chips from the same design/process.
+class PopulationView:
+    """A chip population stacked into contiguous evaluation tensors.
 
-    A population fabricated as one block (:meth:`from_block`) also keeps
-    the stacked ``(n_chips, n_ros, n_stages, 2)`` tensors its chips are
-    row views of, so batched consumers take them without a restack.
+    The one stacked population type: :meth:`VariationModel.sample_population
+    <repro.variation.process.VariationModel.sample_population>` returns it,
+    and the batched engine (:mod:`repro.core.population`), the aging
+    prefactor draw and the shard workers read its tensors directly.
+
+    Parameters
+    ----------
+    vth:
+        Threshold tensor, shape ``(n_chips, n_ros, n_stages, 2)``, volts.
+    tc_scale:
+        Stacked temperature-coefficient mismatch, same shape as ``vth``.
+    positions:
+        RO grid coordinates shared by every chip, shape ``(n_ros, 2)``.
+    chip_ids:
+        Monte-Carlo index of each row (defaults to ``0 .. n_chips - 1``).
     """
 
-    chips: List[Chip] = field(default_factory=list)
-    vth: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    tc_scale: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-
-    @classmethod
-    def from_block(
-        cls,
+    def __init__(
+        self,
         vth: np.ndarray,
         tc_scale: np.ndarray,
         positions: np.ndarray,
         chip_ids: Optional[Sequence[int]] = None,
-    ) -> "ChipPopulation":
-        """Wrap stacked block tensors; chip ``i`` views row ``i``."""
-        ids = range(len(vth)) if chip_ids is None else chip_ids
-        chips = [
-            Chip(vth=vth[i], positions=positions, tc_scale=tc_scale[i], chip_id=int(cid))
-            for i, cid in enumerate(ids)
-        ]
-        return cls(chips=chips, vth=vth, tc_scale=tc_scale)
-
-    def __len__(self) -> int:
-        return len(self.chips)
-
-    def __iter__(self) -> Iterator[Chip]:
-        return iter(self.chips)
-
-    def __getitem__(self, index: int) -> Chip:
-        return self.chips[index]
-
-    def stacked_vth(self) -> np.ndarray:
-        """All thresholds stacked into ``(n_chips, n_ros, n_stages, 2)``."""
-        if not self.chips:
+    ):
+        vth = np.asarray(vth, dtype=float)
+        if vth.ndim != 4 or vth.shape[-1] != 2:
+            raise ValueError(
+                f"vth must have shape (n_chips, n_ros, n_stages, 2), got {vth.shape}"
+            )
+        if vth.shape[0] == 0:
             raise ValueError("population is empty")
-        return np.stack([c.vth for c in self.chips])
+        tc_scale = np.asarray(tc_scale, dtype=float)
+        if tc_scale.shape != vth.shape:
+            raise ValueError(
+                f"tc_scale shape {tc_scale.shape} does not match vth {vth.shape}"
+            )
+        positions = np.asarray(positions, dtype=float)
+        if positions.shape != (vth.shape[1], 2):
+            raise ValueError(
+                f"positions must have shape ({vth.shape[1]}, 2), got {positions.shape}"
+            )
+        self.vth = vth
+        self.tc_scale = tc_scale
+        self.positions = positions
+        self.chip_ids = (
+            list(range(vth.shape[0])) if chip_ids is None else list(chip_ids)
+        )
+        if len(self.chip_ids) != vth.shape[0]:
+            raise ValueError("chip_ids must name every chip row")
 
-    def map(self, fn) -> List:
-        """Apply ``fn`` to every chip and return the list of results."""
-        return [fn(chip) for chip in self.chips]
+    @property
+    def n_chips(self) -> int:
+        return self.vth.shape[0]
+
+    @property
+    def n_ros(self) -> int:
+        return self.vth.shape[1]
+
+    @property
+    def n_stages(self) -> int:
+        return self.vth.shape[2]
+
+    def chip(self, index: int) -> Chip:
+        """Per-chip :class:`Chip` view of row ``index`` (no copy), for the
+        per-chip reference path."""
+        return Chip(
+            vth=self.vth[index],
+            positions=self.positions,
+            tc_scale=self.tc_scale[index],
+            chip_id=self.chip_ids[index],
+        )
 
 
 def grid_positions(n_ros: int) -> np.ndarray:

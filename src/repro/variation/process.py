@@ -1,9 +1,11 @@
 """Monte-Carlo process-variation sampler (the virtual fab).
 
 :class:`VariationModel` turns a technology card plus an array geometry into
-:class:`~repro.variation.chip.Chip` samples.  The threshold voltage of each
-device decomposes hierarchically, matching the standard WID/D2D taxonomy
-used in the RO-PUF literature:
+a stacked :class:`~repro.variation.chip.PopulationView`
+(:meth:`~VariationModel.sample_population`) or one
+:class:`~repro.variation.chip.Chip` (:meth:`~VariationModel.sample_chip`).
+The threshold voltage of each device decomposes hierarchically, matching
+the standard WID/D2D taxonomy used in the RO-PUF literature:
 
     vth = vth_nominal
         + inter_die              (one draw per chip, common to all devices)
@@ -25,7 +27,7 @@ import numpy as np
 
 from .._rng import RngLike, as_generator, as_generators, spawn
 from ..transistor.technology import TechnologyCard
-from .chip import Chip, ChipPopulation, grid_positions
+from .chip import Chip, PopulationView, grid_positions
 from .spatial import LayoutStyle, correlated_field_sampler, effective_systematic
 
 
@@ -120,7 +122,7 @@ class VariationModel:
         vth_out *= white_sigma
         vth_out += per_ro[:, :, None, None]
         vth_out += np.array([self.tech.vth_n, self.tech.vth_p])
-        if np.any(vth_out <= 0):
+        if not np.all(vth_out > 0):
             raise ValueError("threshold magnitudes must be positive")
         if tc_out is not None:
             tc_out *= self.tech.tc_mismatch_cv
@@ -136,17 +138,15 @@ class VariationModel:
             vth=vth[0], positions=self.positions, tc_scale=tc_scale[0], chip_id=chip_id
         )
 
-    def sample_population(self, n_chips: int, rng: RngLike = None) -> ChipPopulation:
-        """Draw ``n_chips`` independent chips as one block.
+    def sample_population(self, n_chips: int, rng: RngLike = None) -> PopulationView:
+        """Draw ``n_chips`` independent chips as one stacked block.
 
         Each chip gets its own spawned child generator so that adding chips
-        to a population never perturbs the earlier chips' samples.  The
-        chips are row views of the population's stacked tensors (see
-        :meth:`ChipPopulation.from_block`).
+        to a population never perturbs the earlier chips' samples.
         """
         if n_chips <= 0:
             raise ValueError("n_chips must be positive")
         shape = (n_chips, self.n_ros, self.n_stages, 2)
         vth, tc_scale = np.empty(shape), np.empty(shape)
         self.fabricate_block(spawn(rng, n_chips), vth, tc_scale)
-        return ChipPopulation.from_block(vth, tc_scale, self.positions)
+        return PopulationView(vth, tc_scale, self.positions)

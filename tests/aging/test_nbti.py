@@ -20,6 +20,11 @@ class TestBtiShift:
     def test_zero_duty_no_shift(self, params):
         assert bti_shift(0.0, 10.0, params) == 0.0
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, params, t):
+        with pytest.raises(ValueError, match="finite"):
+            bti_shift(1.0, t, params)
+
     def test_monotone_in_time(self, params):
         shifts = [float(bti_shift(1.0, t, params)) for t in (1, 2, 5, 10)]
         assert shifts == sorted(shifts)

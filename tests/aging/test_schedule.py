@@ -38,6 +38,13 @@ class TestBookkeeping:
         with pytest.raises(ValueError):
             MissionProfile().active_seconds(-1.0)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            MissionProfile().active_seconds(t)
+        with pytest.raises(ValueError, match="finite"):
+            MissionProfile().transitions(t)
+
     def test_with_eval_duty_copies(self):
         base = MissionProfile()
         busy = base.with_eval_duty(1e-3)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro._rng import spawn
 from repro.aging import AgingSimulator, IdlePolicy, MissionProfile
 from repro.circuit import aro_cell, conventional_cell
 from repro.transistor import ptm90
@@ -112,9 +113,20 @@ class TestSimulatorApi:
         model = VariationModel(tech=ptm90(), n_ros=8, n_stages=5)
         pop = model.sample_population(3, rng=0)
         sim = AgingSimulator(ptm90(), conventional_cell(5), MissionProfile())
-        agings = sim.for_population(pop, rng=2)
-        assert len(agings) == 3
-        assert not np.array_equal(agings[0].nbti_a, agings[1].nbti_a)
+        aging = sim.population_aging(pop, rng=2)
+        assert aging.n_chips == 3
+        assert not np.array_equal(aging.nbti_a[0], aging.nbti_a[1])
+        # row i draws what the per-chip path draws from the i-th child
+        for i, child in enumerate(spawn(2, 3)):
+            ref = sim.for_chip(pop.chip(i), child)
+            assert ref.nbti_a.tobytes() == aging.nbti_a[i].tobytes()
+            assert ref.hci_b.tobytes() == aging.hci_b[i].tobytes()
+
+    def test_population_stage_mismatch_rejected(self):
+        pop = VariationModel(tech=ptm90(), n_ros=8, n_stages=5).sample_population(2)
+        sim = AgingSimulator(ptm90(), conventional_cell(7), MissionProfile())
+        with pytest.raises(ValueError, match="stages"):
+            sim.population_aging(pop, rng=0)
 
     def test_seeded_reproducibility(self, chip):
         sim = AgingSimulator(ptm90(), conventional_cell(5), MissionProfile())

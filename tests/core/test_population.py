@@ -12,9 +12,8 @@ import pytest
 
 from repro import make_batch_study, make_study
 from repro.aging import IdlePolicy
-from repro.aging.simulator import PopulationAging
 from repro.core import aro_design, compare_pairs, conventional_design
-from repro.core.population import BatchStudy, PopulationView, RamColumns
+from repro.core.population import BatchStudy, RamColumns
 from repro.environment import OperatingConditions, celsius
 from repro.metrics import reliability
 
@@ -133,23 +132,6 @@ class TestResponseEquivalence:
             assert np.array_equal(got[i], inst.evaluate(conditions=cond))
 
 
-class TestFromStudy:
-    def test_shares_the_per_chip_silicon(self, paths):
-        study, _ = paths
-        batch = BatchStudy.from_study(study)
-        assert np.array_equal(
-            batch.responses(t_years=10.0), np.stack(study.responses(t_years=10.0))
-        )
-        for i, aging in enumerate(study.agings):
-            assert np.array_equal(batch.aging.delta(5.0)[i], aging.delta(5.0))
-
-    def test_chip_aging_view_is_a_thin_slice(self, paths):
-        study, batch = paths
-        view = batch.aging.chip_aging(2, batch.view.chip(2))
-        assert np.shares_memory(view.nbti_a, batch.aging.nbti_a)
-        assert np.array_equal(view.delta(5.0), study.agings[2].delta(5.0))
-
-
 class TestMemoisation:
     def test_frequency_memo_returns_same_readonly_array(self, paths):
         _, batch = paths
@@ -223,36 +205,6 @@ class TestFlipCounts:
             batch.mechanism_frequencies(t, "hci")
 
 
-class TestPopulationView:
-    def test_from_chips_round_trips(self, paths):
-        study, _ = paths
-        view = PopulationView.from_chips([inst.chip for inst in study.instances])
-        chip = view.chip(3)
-        assert np.shares_memory(chip.vth, view.vth)
-        assert np.array_equal(chip.vth, study.instances[3].chip.vth)
-        assert len(view.chips()) == N_CHIPS
-
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(ValueError, match="n_chips"):
-            PopulationView(
-                vth=np.zeros((4, 3, 2)),
-                tc_scale=np.zeros((4, 3, 2)),
-                positions=np.zeros((4, 2)),
-            )
-
-    def test_rejects_mismatched_tc_scale(self):
-        with pytest.raises(ValueError, match="tc_scale"):
-            PopulationView(
-                vth=np.zeros((2, 4, 3, 2)),
-                tc_scale=np.zeros((2, 4, 3, 1)),
-                positions=np.zeros((4, 2)),
-            )
-
-    def test_rejects_empty_population(self):
-        with pytest.raises(ValueError, match="empty"):
-            PopulationView.from_chips([])
-
-
 class TestBatchedReadout:
     def test_compare_pairs_chip_axis_matches_row_loop(self, paths):
         study, batch = paths
@@ -311,18 +263,17 @@ class TestLazyAging:
         assert np.array_equal(batch.aging.hci_b, eager.aging.hci_b)
 
     def test_deferred_aging_is_checked_against_the_view(self, paths):
-        study, batch = paths
-        source = RamColumns(
-            batch.view, lambda: PopulationAging.from_agings(study.agings[:3])
-        )
+        _, batch = paths
+        other = make_batch_study(batch.design, 3, rng=SEED)
+        source = RamColumns(batch.view, lambda: other.aging)
         with pytest.raises(ValueError, match="chips"):
             source.aging
 
 
 class TestValidation:
     def test_batch_study_rejects_foreign_aging(self, paths):
-        study, batch = paths
-        wrong = PopulationAging.from_agings(study.agings[:3])
+        _, batch = paths
+        wrong = make_batch_study(batch.design, 3, rng=SEED).aging
         with pytest.raises(ValueError, match="chips"):
             RamColumns(batch.view, wrong)
 
@@ -330,3 +281,20 @@ class TestValidation:
         _, batch = paths
         with pytest.raises(ValueError, match="non-negative"):
             batch.aging.delta(-1.0)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_years_rejected_by_the_aging_closed_form(self, paths, t):
+        """The per-chip and the population closed form refuse a NaN or an
+        infinite age, as the frequency memo key does: NaN would read as
+        all-zero bits and infinity as the clipped maximum shift."""
+        study, batch = paths
+        with pytest.raises(ValueError, match="finite"):
+            study.responses(t_years=t)
+        with pytest.raises(ValueError, match="finite"):
+            study.agings[0].delta(t)
+        with pytest.raises(ValueError, match="finite"):
+            batch.aged_instances(t)
+        with pytest.raises(ValueError, match="finite"):
+            batch.aging.delta(t)
+        with pytest.raises(ValueError, match="finite"):
+            batch.aging.delta_into(t, np.empty_like(batch.aging.nbti_a))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ReadoutConfig, compare_pairs, voted_response
+from repro.core.readout import read_population
 from repro.transistor import ptm90
 
 
@@ -49,6 +50,14 @@ class TestComparePairs:
             compare_pairs(freqs[None], np.array([[[[0, 1]]]]), tech, config)
         with pytest.raises(ValueError, match="range"):
             compare_pairs(freqs, np.array([[0, 5]]), tech, config)
+
+    def test_noisy_read_rejects_a_nan_frequency(self, tech, config):
+        """One NaN oscillator fails the noisy read instead of reading as
+        an arbitrary bit."""
+        freqs = np.array([[1.0e9, 1.1e9, np.nan, 1.2e9]])
+        pairs = np.array([[0, 1], [2, 3]])
+        with pytest.raises(ValueError, match="positive"):
+            read_population(freqs, pairs, tech, config, noisy=True, rng=0)
 
     def test_noisy_mode_flips_near_ties(self, tech, config):
         """A pair separated by much less than the jitter flips often."""

@@ -22,6 +22,7 @@ from repro.analysis import ExperimentConfig
 from repro.core import aro_design, conventional_design
 from repro.core import population as population_mod
 from repro.core.population import RunContext, make_batch_study
+from repro.variation.chip import Chip
 from repro.variation.process import VariationModel
 
 N_CHIPS, N_ROS, SEED = 6, 32, 7
@@ -103,7 +104,7 @@ def test_shared_arrays_are_read_only():
             study.aging.nbti_a,
             study.aging.hci_b,
             study.instances[0].chip.vth,
-            study.agings[0].nbti_a,
+            study.aged_instances(1.0)[0].chip.tc_scale,
         ]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -180,3 +181,24 @@ def test_a_store_run_retains_nothing(monkeypatch, tmp_path):
          "--store-dir", str(tmp_path)],
     )
     assert created == []
+
+
+def test_the_engine_builds_no_chip(monkeypatch):
+    """Fabrication hands the engine stacked tensors: neither a CLI run
+    nor an aged in-RAM corner constructs a per-chip :class:`Chip`."""
+    built = []
+    init = Chip.__post_init__
+
+    def counted(self):
+        built.append(self.chip_id)
+        init(self)
+
+    monkeypatch.setattr(Chip, "__post_init__", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["check-anchors", "--chips", "8", "--ros", "32"])
+    study = make_batch_study(DESIGNS["aro-puf"], N_CHIPS, rng=SEED)
+    study.frequencies(10.0)
+    assert built == []
+    # the per-chip protocol still builds its chips, through the wrapper
+    assert len(study.instances) == N_CHIPS
+    assert built == list(range(N_CHIPS))

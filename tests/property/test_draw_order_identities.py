@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import aro_design, conventional_design, make_batch_study
+from repro.core import aro_design, conventional_design, make_batch_study, make_study
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -97,14 +97,20 @@ DESIGNS = {
 
 
 @pytest.fixture(scope="module", params=sorted(DESIGNS))
-def study(request):
-    # E9's and E10's scale: 50 chips of 256 oscillators
-    return make_batch_study(DESIGNS[request.param], 50, rng=20140324)
+def studies(request):
+    # E9's and E10's scale: 50 chips of 256 oscillators, with the per-chip
+    # reference that draws the same silicon from the same seed
+    design = DESIGNS[request.param]
+    return (
+        make_batch_study(design, 50, rng=20140324),
+        make_study(design, 50, rng=20140324),
+    )
 
 
 @pytest.mark.parametrize("n_chips", [1, 7, 50])
 @pytest.mark.parametrize("t_years", [0.0, 2.0, 10.0])
-def test_stacked_frequencies_are_per_chip_frequencies(study, t_years, n_chips):
+def test_stacked_frequencies_are_per_chip_frequencies(studies, t_years, n_chips):
+    study, reference = studies
     design = study.design
     vth = (study.view.vth + study.aging.delta(t_years))[:n_chips]
     stacked = design.frequencies(vth, study.view.tc_scale[:n_chips])
@@ -115,7 +121,8 @@ def test_stacked_frequencies_are_per_chip_frequencies(study, t_years, n_chips):
 
     # aged through the population's delta (E10) and the chip's own (E9)
     aged = study.aged_instances(t_years)
+    per_chip = reference.aged_instances(t_years)
     for i, row in enumerate(stacked):
         via_population = aged[i].frequencies()
-        via_chip = design.instantiate(study.agings[i].aged(t_years)).frequencies()
+        via_chip = per_chip[i].frequencies()
         assert words(row) == words(via_population) == words(via_chip)

@@ -148,9 +148,10 @@ def test_process_block_matches_per_chip_reference(
     assert _same(chip.vth, vth[0]) and _same(chip.tc_scale, tc_scale[0])
     assert chip.chip_id == 5 and _same(chip.positions, grid_positions(n_ros))
     population = model.sample_population(n_chips, rng=seed)
-    assert _same([c.vth for c in population], vth)
-    assert _same([c.tc_scale for c in population], tc_scale)
-    assert [c.chip_id for c in population] == list(range(n_chips))
+    assert _same(population.vth, vth)
+    assert _same(population.tc_scale, tc_scale)
+    assert _same(population.positions, grid_positions(n_ros))
+    assert population.chip_ids == list(range(n_chips))
 
 
 @settings(max_examples=25, deadline=None)

@@ -70,6 +70,10 @@ class TestDriveCurrent:
         with pytest.raises(ValueError, match="overdrive"):
             drive_current(tech.vdd, tech)
 
+    def test_nan_threshold_raises(self, tech):
+        with pytest.raises(ValueError, match="overdrive"):
+            drive_current(np.array([0.25, np.nan]), tech)
+
     def test_supply_override(self, tech):
         assert drive_current(0.25, tech, vdd=1.0) < drive_current(0.25, tech)
 

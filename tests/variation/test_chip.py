@@ -1,9 +1,9 @@
-"""Chip data model: validation, views, aging composition."""
+"""Chip and population data model: validation, views, aging composition."""
 
 import numpy as np
 import pytest
 
-from repro.variation import NMOS, PMOS, Chip, ChipPopulation, grid_positions
+from repro.variation import NMOS, PMOS, Chip, PopulationView, grid_positions
 
 
 def make_chip(n_ros=4, n_stages=5, chip_id=0):
@@ -28,6 +28,12 @@ class TestValidation:
     def test_nonpositive_threshold_rejected(self):
         vth = np.full((2, 3, 2), 0.25)
         vth[0, 0, 0] = 0.0
+        with pytest.raises(ValueError, match="positive"):
+            Chip(vth=vth, positions=grid_positions(2), tc_scale=np.ones_like(vth))
+
+    def test_nan_threshold_rejected(self):
+        vth = np.full((2, 3, 2), 0.25)
+        vth[1, 2, 1] = np.nan
         with pytest.raises(ValueError, match="positive"):
             Chip(vth=vth, positions=grid_positions(2), tc_scale=np.ones_like(vth))
 
@@ -80,24 +86,67 @@ class TestWithDelta:
             chip.with_delta(np.zeros((1, 1, 2)))
 
 
-class TestPopulation:
-    def test_len_iter_index(self):
-        pop = ChipPopulation(chips=[make_chip(chip_id=i) for i in range(3)])
-        assert len(pop) == 3
-        assert [c.chip_id for c in pop] == [0, 1, 2]
-        assert pop[1].chip_id == 1
+def make_view(n_chips=3, n_ros=4, n_stages=5, chip_ids=None):
+    vth = 0.25 + 0.01 * np.arange(n_chips * n_ros * n_stages * 2).reshape(
+        n_chips, n_ros, n_stages, 2
+    )
+    return PopulationView(
+        vth=vth,
+        tc_scale=np.ones_like(vth),
+        positions=grid_positions(n_ros),
+        chip_ids=chip_ids,
+    )
 
-    def test_stacked_vth(self):
-        pop = ChipPopulation(chips=[make_chip() for _ in range(3)])
-        assert pop.stacked_vth().shape == (3, 4, 5, 2)
 
-    def test_stacked_empty_raises(self):
-        with pytest.raises(ValueError):
-            ChipPopulation().stacked_vth()
+class TestPopulationView:
+    def test_geometry_and_default_ids(self):
+        view = make_view(n_chips=3, n_ros=4, n_stages=5)
+        assert (view.n_chips, view.n_ros, view.n_stages) == (3, 4, 5)
+        assert view.chip_ids == [0, 1, 2]
 
-    def test_map(self):
-        pop = ChipPopulation(chips=[make_chip(chip_id=i) for i in range(3)])
-        assert pop.map(lambda c: c.chip_id) == [0, 1, 2]
+    def test_chip_views_its_row(self):
+        view = make_view(chip_ids=[7, 8, 9])
+        chip = view.chip(1)
+        assert np.shares_memory(chip.vth, view.vth)
+        assert np.array_equal(chip.vth, view.vth[1])
+        assert np.array_equal(chip.tc_scale, view.tc_scale[1])
+        assert chip.chip_id == 8
+
+    def test_rejects_wrong_rank(self):
+        with pytest.raises(ValueError, match="n_chips"):
+            PopulationView(
+                vth=np.zeros((4, 3, 2)),
+                tc_scale=np.zeros((4, 3, 2)),
+                positions=np.zeros((4, 2)),
+            )
+
+    def test_rejects_mismatched_tc_scale(self):
+        with pytest.raises(ValueError, match="tc_scale"):
+            PopulationView(
+                vth=np.zeros((2, 4, 3, 2)),
+                tc_scale=np.zeros((2, 4, 3, 1)),
+                positions=np.zeros((4, 2)),
+            )
+
+    def test_rejects_mismatched_positions(self):
+        with pytest.raises(ValueError, match="positions"):
+            PopulationView(
+                vth=np.zeros((2, 4, 3, 2)),
+                tc_scale=np.zeros((2, 4, 3, 2)),
+                positions=np.zeros((3, 2)),
+            )
+
+    def test_rejects_empty_population(self):
+        with pytest.raises(ValueError, match="empty"):
+            PopulationView(
+                vth=np.zeros((0, 4, 3, 2)),
+                tc_scale=np.zeros((0, 4, 3, 2)),
+                positions=np.zeros((4, 2)),
+            )
+
+    def test_chip_ids_must_name_every_row(self):
+        with pytest.raises(ValueError, match="chip_ids"):
+            make_view(n_chips=3, chip_ids=[0, 1])
 
 
 class TestGridPositions:

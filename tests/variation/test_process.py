@@ -1,8 +1,11 @@
 """Monte-Carlo sampler: geometry, statistics, seeding discipline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro._rng import spawn
 from repro.transistor import ptm90
 from repro.variation import LayoutStyle, VariationModel
 
@@ -84,19 +87,32 @@ class TestLayoutStyles:
 class TestPopulation:
     def test_population_size_and_ids(self, model):
         pop = model.sample_population(5, rng=1)
-        assert len(pop) == 5
-        assert [c.chip_id for c in pop] == list(range(5))
+        assert pop.vth.shape == pop.tc_scale.shape == (5, 64, 5, 2)
+        assert pop.chip_ids == list(range(5))
+        # row i is the chip sample_chip draws from the i-th spawned child
+        for i, child in enumerate(spawn(1, 5)):
+            chip = model.sample_chip(child, chip_id=i)
+            assert chip.vth.tobytes() == pop.vth[i].tobytes()
+            assert chip.tc_scale.tobytes() == pop.tc_scale[i].tobytes()
+            assert chip.positions.tobytes() == pop.positions.tobytes()
 
     def test_chips_are_independent(self, model):
         pop = model.sample_population(3, rng=1)
-        assert not np.array_equal(pop[0].vth, pop[1].vth)
+        assert not np.array_equal(pop.vth[0], pop.vth[1])
 
     def test_prefix_stability(self, model):
         """Growing the population must not change the earlier chips."""
         small = model.sample_population(2, rng=9)
         large = model.sample_population(4, rng=9)
-        assert np.array_equal(small[0].vth, large[0].vth)
-        assert np.array_equal(small[1].vth, large[1].vth)
+        assert np.array_equal(small.vth, large.vth[:2])
+        assert np.array_equal(small.tc_scale, large.tc_scale[:2])
+
+    def test_nan_threshold_rejected(self):
+        """A NaN threshold fails the positivity check: ``NaN <= 0`` is
+        false, so only an all-positive test catches it."""
+        tech = replace(ptm90(), vth_p=float("nan"))
+        with pytest.raises(ValueError, match="positive"):
+            VariationModel(tech=tech, n_ros=4, n_stages=3).sample_population(2, rng=0)
 
     def test_rejects_nonpositive_count(self, model):
         with pytest.raises(ValueError):
