@@ -24,7 +24,7 @@ from .. import telemetry
 from .._rng import DEFAULT_SEED, spawn_keys
 from ..aging.schedule import IdlePolicy, MissionProfile
 from ..core.aro_puf import aro_design
-from ..core.base import PufDesign, stacked_frequencies
+from ..core.base import PufDesign
 from ..core.pairing import DistantPairing, NeighborPairing
 from ..core.population import BatchStudy, RunContext, make_batch_study
 from ..core.readout import read_population
@@ -98,9 +98,10 @@ class ExperimentConfig:
 
     Every experiment that fabricates chips (all but E6 and E11) does so
     through :func:`~repro.core.population.make_batch_study`, the one
-    engine.  Only :meth:`batch_study_for` (E1, E2, E3, E5, E13) takes the
-    execution knobs below; :meth:`study_for` (E4, E10) and the ablations
-    (E7, E8, E9, E12) build in-RAM, in-process studies.
+    engine, and reads its frequencies and responses.  The default-design
+    experiments (E1 to E5, E10, E13) build through :meth:`batch_study_for`
+    and take the execution knobs below; the ablations (E7, E8, E9, E12)
+    build in-RAM, in-process studies of their own variants.
 
     ``jobs`` shards the batched engine's chip axis over that many worker
     processes (``jobs=1`` stays in-process).  ``store`` selects the
@@ -109,8 +110,8 @@ class ExperimentConfig:
     :mod:`repro.store` segments with bounded RSS, under ``store_dir`` (a
     temp directory when unset).  ``block_size`` is the source block in
     chips (see :func:`~repro.core.population.make_batch_study`).  All
-    four knobs change wall-clock and memory only: E1, E2, E3, E5 and E13
-    return bit-identical numbers for any worker count, store backing or
+    four knobs change wall-clock and memory only: every experiment
+    returns bit-identical numbers for any worker count, store backing or
     block size, so none of them is part of the result-defining config
     the ledger and cache key digest.
     """
@@ -154,20 +155,13 @@ class ExperimentConfig:
             return contextlib.nullcontext()
         return RunContext(self.designs().values(), self.n_chips, self.seed)
 
-    def study_for(self, design: PufDesign) -> BatchStudy:
-        """Fabricate + prepare aging for one design (seeded), in RAM and
-        in-process whatever the execution knobs say (from the active run
-        context when it holds the population)."""
-        return make_batch_study(
-            design, self.n_chips, mission=self.mission, rng=self.seed
-        )
-
     def batch_study_for(self, design: PufDesign) -> BatchStudy:
-        """:meth:`study_for` built with this config's execution knobs
-        (same seed, same silicon: responses are bit-identical for any
-        knob setting).  Callers should
-        ``closing(...)`` the returned study so worker pools and owned
-        store directories are released promptly.
+        """Fabricate + prepare aging for one design (seeded), with this
+        config's execution knobs (same seed, same silicon: responses are
+        bit-identical for any knob setting; at the default knobs the
+        population comes from the active run context when it holds it).
+        Callers should ``closing(...)`` the returned study so worker
+        pools and owned store directories are released promptly.
         """
         return make_batch_study(
             design,
@@ -367,8 +361,8 @@ def randomness_experiment(
     battery: Dict[str, RandomnessReport] = {}
     entropy: Dict[str, EntropyReport] = {}
     for name, design in config.designs().items():
-        study = config.study_for(design)
-        goldens = study.responses()
+        with closing(config.batch_study_for(design)) as study:
+            goldens = study.responses()
         unif[name] = uniformity(goldens)
         alias[name] = bit_aliasing(goldens)
         battery[name] = randomness_battery(population_bits(goldens))
@@ -791,10 +785,9 @@ def masking_ablation(
     study = make_batch_study(
         conv, config.n_chips, mission=config.mission, rng=config.seed
     )
-    # each chip's frequencies in the words of its own instance's call
-    f_fresh = stacked_frequencies(study.instances)
-    f_aged = stacked_frequencies(study.aged_instances(t_years))
-    seeds = range(config.seed, config.seed + len(study.instances))
+    f_fresh = study.frequencies()
+    f_aged = study.frequencies(t_years)
+    seeds = range(config.seed, config.seed + study.n_chips)
 
     for k in ks:
         margins = []
@@ -826,7 +819,7 @@ def masking_ablation(
     )
     goldens = aro_study.responses()
     aged = aro_study.responses(t_years=t_years)
-    f_aro = stacked_frequencies(aro_study.instances)
+    f_aro = aro_study.frequencies()
     noise = read(
         aro,
         f_aro,
@@ -875,20 +868,20 @@ def authentication_experiment(
     from ..protocol.authentication import authentication_study
 
     config = config or ExperimentConfig()
-    studies = {
-        name: config.study_for(design)
-        for name, design in config.designs().items()
-    }
     batch = 16
-    n_challenges = batch * (len(years) + 1)
-    return authentication_study(
-        studies,
-        years=years,
-        threshold=threshold,
-        batch_size=batch,
-        n_challenges=n_challenges,
-        rng=config.seed,
-    )
+    with contextlib.ExitStack() as stack:
+        studies = {
+            name: stack.enter_context(closing(config.batch_study_for(design)))
+            for name, design in config.designs().items()
+        }
+        return authentication_study(
+            studies,
+            years=years,
+            threshold=threshold,
+            batch_size=batch,
+            n_challenges=batch * (len(years) + 1),
+            rng=config.seed,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -1014,7 +1007,7 @@ def _stage_row(
     return StageRow(
         design=name,
         n_stages=design.n_stages,
-        frequency_ghz=float(study.instances[0].frequencies().mean() / 1e9),
+        frequency_ghz=float(study.frequencies()[0].mean() / 1e9),
         uniqueness_percent=uniqueness(fresh).percent(),
         flips_percent=reliability(fresh, aged).percent(),
         cell_area_um2=design.cell.cell_area(design.tech),

@@ -198,49 +198,25 @@ class RoPufInstance:
         """Response bits for every challenge, shape ``(len(challenges), n_bits)``.
 
         The pairing hands over every challenge's pairs in one
-        :meth:`~repro.core.pairing.PairingScheme.pairs_many` call and
-        :meth:`evaluate_pairs` reads them.
+        :meth:`~repro.core.pairing.PairingScheme.pairs_many` call, the
+        chip's frequencies are computed once for the corner, and
+        :func:`~repro.core.readout.read_population` reads them as a
+        one-chip population with per-challenge tables.  So with a shared
+        ``Generator`` the noisy draws are those of one :meth:`evaluate`
+        call per challenge in order (oscillator ``a`` then ``b`` for each
+        challenge; ``votes > 1`` spawns per challenge), and row ``i`` and
+        the generator's final state match that loop bit for bit.  With
+        ``rng=None``, an int or a ``SeedSequence`` the batch draws *one*
+        stream from it, where separate calls would each restart it.
         """
         if len(challenges) == 0:
             raise ValueError("challenges is empty")
-        pairs = self.design.pairing.pairs_many(self.design.n_ros, challenges)
-        return self.evaluate_pairs(
-            pairs, conditions=conditions, noisy=noisy, votes=votes, rng=rng
-        )
-
-    def evaluate_pairs(
-        self,
-        pairs: np.ndarray,
-        *,
-        conditions: Optional[OperatingConditions] = None,
-        noisy: bool = False,
-        votes: int = 1,
-        rng: RngLike = None,
-    ) -> np.ndarray:
-        """Response bits for explicit pair tables, one row per challenge.
-
-        ``pairs`` has shape ``(k, n_bits, 2)``, any integer dtype (a
-        verifier replays the tables it stored at enrolment).  The chip's
-        frequencies are computed once for the corner and read by
-        :func:`~repro.core.readout.read_population` as a one-chip
-        population, so with a shared ``Generator`` the noisy draws are
-        those of one :meth:`evaluate` call per challenge in order
-        (oscillator ``a`` then ``b`` for each challenge; ``votes > 1``
-        spawns per challenge), and row ``i`` and the generator's final
-        state match that loop bit for bit.  With ``rng=None``, an int or
-        a ``SeedSequence`` the batch draws *one* stream from it, where
-        separate calls would each restart it.
-        """
-        design = self.design
-        pairs = np.asarray(pairs)
-        if pairs.ndim != 3:
-            raise ValueError(
-                f"pairs must have shape (k, n_bits, 2), got {pairs.shape}"
-            )
         if not noisy and votes != 1:
             raise ValueError("votes only applies to noisy evaluation")
         if votes < 1:
             raise ValueError("votes must be at least 1")
+        design = self.design
+        pairs = design.pairing.pairs_many(design.n_ros, challenges)
         freqs = self.frequencies(conditions)
         if votes == 1:
             return read_population(
@@ -265,24 +241,3 @@ class RoPufInstance:
         """The enrolment-time reference response (noiseless, nominal)."""
         return self.evaluate(challenge, conditions=OperatingConditions.nominal())
 
-
-def stacked_frequencies(
-    instances: Sequence[RoPufInstance],
-    conditions: Optional[OperatingConditions] = None,
-) -> np.ndarray:
-    """``(n_chips, n_ros)`` frequencies of instances of one design.
-
-    One :meth:`PufDesign.frequencies` call over the instances' stacked
-    thresholds; row ``i`` is ``instances[i].frequencies(conditions)``
-    word for word.
-    """
-    design = instances[0].design
-    if any(
-        inst.design is not design and inst.design != design for inst in instances
-    ):
-        raise ValueError("stacked instances must share one design")
-    return design.frequencies(
-        np.stack([inst.chip.vth for inst in instances]),
-        np.stack([inst.chip.tc_scale for inst in instances]),
-        conditions,
-    )

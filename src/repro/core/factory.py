@@ -10,9 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
 from .._rng import RngLike, spawn
 from ..aging.schedule import IdlePolicy, MissionProfile
 from ..aging.simulator import AgingSimulator, ChipAging
+from ..environment.conditions import OperatingConditions
 from .aro_puf import aro_design
 from .base import PufDesign, RoPufInstance
 from .ro_puf import conventional_design
@@ -36,7 +39,13 @@ def design_by_name(name: str, n_ros: int = 256, n_stages: int = 5) -> PufDesign:
 
 @dataclass
 class Study:
-    """A fabricated, aging-ready population of one design."""
+    """A fabricated, aging-ready population of one design.
+
+    The per-chip reference for
+    :class:`~repro.core.population.BatchStudy`: both answer ``design``,
+    ``n_chips``, :meth:`frequencies` and :meth:`responses` from the same
+    seed.
+    """
 
     design: PufDesign
     instances: List[RoPufInstance]
@@ -54,10 +63,30 @@ class Study:
             for inst, aging in zip(self.instances, self.agings)
         ]
 
+    def _at(self, t_years: float) -> List[RoPufInstance]:
+        return self.instances if t_years == 0 else self.aged_instances(t_years)
+
+    def frequencies(
+        self,
+        t_years: float = 0.0,
+        conditions: Optional[OperatingConditions] = None,
+    ) -> np.ndarray:
+        """``(n_chips, n_ros)`` frequencies after ``t_years`` (hertz).
+
+        One :meth:`PufDesign.frequencies` call over the (aged) instances'
+        stacked thresholds, so row ``i`` is chip ``i``'s own
+        :meth:`~repro.core.base.RoPufInstance.frequencies` word for word.
+        """
+        insts = self._at(t_years)
+        return self.design.frequencies(
+            np.stack([inst.chip.vth for inst in insts]),
+            np.stack([inst.chip.tc_scale for inst in insts]),
+            conditions,
+        )
+
     def responses(self, challenge: Optional[int] = None, t_years: float = 0.0):
         """Golden responses of every chip at ``t_years`` (list of arrays)."""
-        insts = self.instances if t_years == 0 else self.aged_instances(t_years)
-        return [inst.golden_response(challenge) for inst in insts]
+        return [inst.golden_response(challenge) for inst in self._at(t_years)]
 
 
 def make_study(

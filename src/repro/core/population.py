@@ -72,9 +72,9 @@ from ..kernel.fused import (
 )
 from ..transistor.mosfet import mobility_factor
 from ..transistor.technology import T_REF_K, TechnologyCard
-from ..variation.chip import Chip, PopulationView
+from ..variation.chip import PopulationView
 from ..variation.process import VariationModel
-from .base import PufDesign, RoPufInstance
+from .base import PufDesign
 
 __all__ = [
     "PopulationView",
@@ -122,10 +122,9 @@ class RamColumns:
 
     ``aging`` is the population's :class:`PopulationAging`, or a
     zero-argument callable that samples it.  A callable runs on the first
-    read of :attr:`aging` (the first aged corner, or
-    :meth:`BatchStudy.aged_instances`), as the store fabricates its aging
-    columns on first touch: a
-    study that only ever evaluates fresh silicon never draws a prefactor.
+    read of :attr:`aging` (the first aged corner), as the store fabricates
+    its aging columns on first touch: a study that only ever evaluates
+    fresh silicon never draws a prefactor.
 
     ``block_size`` is the source block in chips (``None``: the whole
     population is one block); the kernel's work buffer never exceeds it.
@@ -196,10 +195,11 @@ class RamColumns:
 class BatchStudy:
     """A fabricated, aging-ready population evaluated whole-array at once.
 
-    The batched counterpart of :class:`~repro.core.factory.Study`: the
-    same design / mission bundle, but frequencies and responses come back
-    as ``(n_chips, ...)`` arrays from one streaming pass instead of a
-    Python loop over per-chip instances.
+    The batched counterpart of :class:`~repro.core.factory.Study`, the
+    per-chip reference it shares ``design``, ``n_chips``,
+    :meth:`frequencies` and :meth:`responses` with: frequencies and
+    responses come back as ``(n_chips, ...)`` arrays from one streaming
+    pass instead of a Python loop over per-chip instances.
 
     The rows come from a column ``source`` — :class:`RamColumns` or a
     :class:`repro.store.store.StoreColumns` window of an mmap store.
@@ -216,9 +216,6 @@ class BatchStudy:
     window over its resident budget) memoises nothing: every query runs
     one pass, sinks take the kernel blocks directly, and
     :meth:`frequencies` hands back a fresh in-RAM corner the caller owns.
-
-    Per-chip :class:`RoPufInstance` views remain available through
-    :attr:`instances` / :meth:`aged_instances` on an in-RAM source.
     """
 
     #: number of (t_years, conditions) corners kept in the frequency memo
@@ -253,7 +250,6 @@ class BatchStudy:
         self._freq_memo: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         self._od_buf: Optional[np.ndarray] = None
         self._scratch_buf: Optional[np.ndarray] = None
-        self._instances: Optional[List[RoPufInstance]] = None
 
     # ---- geometry ----------------------------------------------------
 
@@ -353,10 +349,11 @@ class BatchStudy:
     ) -> np.ndarray:
         """True mean frequency of every oscillator of every chip (hertz).
 
-        Shape ``(n_chips, n_ros)``; row ``i`` equals
-        ``instances[i].frequencies(conditions)`` after ``t_years`` of
-        aging, to floating-point rounding (``rtol`` ~1e-12).  A streaming
-        store source returns a fresh, writable corner the caller owns.
+        Shape ``(n_chips, n_ros)``; row ``i`` equals row ``i`` of
+        :meth:`Study.frequencies <repro.core.factory.Study.frequencies>`
+        under the same seed to floating-point rounding (``rtol`` ~1e-12:
+        the fused kernel regroups a few products).  A streaming store
+        source returns a fresh, writable corner the caller owns.
         """
         return self._corner(self._key(t_years, conditions))
 
@@ -716,35 +713,6 @@ class BatchStudy:
         telemetry.count("freq.kernel_blocks", n_blocks)
         if sinks:
             telemetry.count("batch.fused_passes")
-
-    # ---- per-chip views (the protocol shared with Study) --------------
-
-    @property
-    def instances(self) -> List[RoPufInstance]:
-        """Thin per-chip views over the fresh population (cached)."""
-        if self._instances is None:
-            self._instances = [
-                self.design.instantiate(self.view.chip(i))
-                for i in range(self.n_chips)
-            ]
-        return self._instances
-
-    def aged_instances(self, t_years: float) -> List[RoPufInstance]:
-        """Every instance rebound to its chip aged by ``t_years``."""
-        if t_years == 0:
-            return list(self.instances)
-        delta = self.aging.delta(t_years)
-        return [
-            self.design.instantiate(
-                Chip(
-                    vth=self.view.vth[i] + delta[i],
-                    positions=self.view.positions,
-                    tc_scale=self.view.tc_scale[i],
-                    chip_id=self.view.chip_ids[i],
-                )
-            )
-            for i in range(self.n_chips)
-        ]
 
 
 class RunContext:

@@ -83,7 +83,8 @@ def read_population(
       :func:`repro._rng.seeded_generators`, so it equals a one-chip
       read with ``rng=keys[i]``.
 
-    The pair-range, counter-overflow and positive-frequency checks run
+    The pair-range and positive-frequency checks (a NaN frequency is
+    refused in either mode) and the noisy counter-overflow check run
     once for the whole population.
     """
     frequencies = np.asarray(frequencies, dtype=float)
@@ -105,6 +106,9 @@ def read_population(
         )
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n_ros):
         raise ValueError("pair indices out of range")
+    # refuses NaN too: a NaN compares False on either side of a pair
+    if not np.all(frequencies > 0):
+        raise ValueError("frequencies must be positive")
     # (n_chips, [k,] 2, n_bits): per table the a row, then the b row
     if per_chip:
         rows = np.arange(n_chips).reshape(-1, 1, 1, 1)

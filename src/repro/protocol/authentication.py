@@ -18,15 +18,16 @@ error rates over a population and a mission, producing experiment E10.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .._rng import RngLike, as_generator, spawn
-from ..core.base import RoPufInstance, stacked_frequencies
+from ..core.base import PufDesign, RoPufInstance
 from ..core.factory import Study
+from ..core.population import BatchStudy
 from ..core.readout import read_population
-from .crp import CrpTable, harvest_crps
+from .crp import CrpTable, _rows, harvest_many
 
 
 @dataclass(frozen=True)
@@ -53,10 +54,31 @@ class Verifier:
         self._cursor: Dict[int, int] = {}
 
     def enroll(self, instance: RoPufInstance, n_challenges: int = 64, rng: RngLike = None) -> None:
-        """Harvest and store a chip's CRP table (one-time, secure phase)."""
-        table = harvest_crps(instance, n_challenges, rng=rng)
-        self._tables[instance.chip_id] = table
-        self._cursor[instance.chip_id] = 0
+        """Harvest and store a chip's CRP table (one-time, secure phase):
+        the one-chip case of :meth:`enroll_many`."""
+        self.enroll_many(
+            [instance.chip_id],
+            instance.frequencies()[np.newaxis],
+            instance.design,
+            n_challenges,
+            [rng],
+        )
+
+    def enroll_many(
+        self,
+        chip_ids: Sequence[int],
+        frequencies: np.ndarray,
+        design: PufDesign,
+        n_challenges: int,
+        rngs: Sequence[RngLike],
+    ) -> None:
+        """Harvest and store the CRP table of every chip, one frequency
+        row of ``design`` per chip id, chip ``i`` drawing its challenges
+        from ``rngs[i]`` (:func:`~repro.protocol.crp.harvest_many`).  A
+        re-enrolled id gets a fresh table and a reset cursor."""
+        for table in harvest_many(chip_ids, frequencies, design, n_challenges, rngs):
+            self._tables[table.chip_id] = table
+            self._cursor[table.chip_id] = 0
 
     def enrolled_chips(self) -> List[int]:
         return sorted(self._tables)
@@ -75,32 +97,37 @@ class Verifier:
         replay dictionary; an exhausted table raises so the operator knows
         to re-enrol.  The one-row case of :meth:`authenticate_many`.
         """
-        return self.authenticate_many([(claimed_id, device)], rng=rng)[0]
+        return self.authenticate_many(
+            [claimed_id], device.frequencies()[np.newaxis], device.design, rng=rng
+        )[0]
 
     def authenticate_many(
         self,
-        claims: Sequence[Tuple[int, RoPufInstance]],
+        claimed_ids: Sequence[int],
+        frequencies: np.ndarray,
+        design: PufDesign,
         *,
         rng: RngLike = None,
     ) -> List[AuthenticationResult]:
-        """One round for each ``(claimed_id, device)`` claim, as one read.
+        """One round for each claimed id, answered by the device whose
+        frequency row (of ``design``) sits at the same index, as one read.
 
         Equals one :meth:`authenticate` call per claim in order, results,
-        cursors and the noisy generator's end state: the devices' stacked
-        frequencies and every claim's replayed pair tables go through one
+        cursors and the noisy generator's end state: the rows and every
+        claim's replayed pair tables go through one
         :func:`~repro.core.readout.read_population` call, whose shared
         draw is the per-claim draws in claim order.  A claim repeated in
         the batch replays the next challenges, as a second call would.
         Every identity and every table's remaining challenges are checked
         before a cursor moves or a number is drawn, so a batch that raises
-        consumes nothing.  The devices must share one design
-        (:func:`~repro.core.base.stacked_frequencies`).
+        consumes nothing.
         """
-        if not claims:
+        freqs = _rows(claimed_ids, frequencies, design)
+        if not len(claimed_ids):
             return []
         cursors: Dict[int, int] = {}
         starts = []
-        for claimed_id, _ in claims:
+        for claimed_id in claimed_ids:
             if claimed_id not in self._tables:
                 raise KeyError(f"chip {claimed_id} was never enrolled")
             start = cursors.get(claimed_id, self._cursor[claimed_id])
@@ -110,23 +137,14 @@ class Verifier:
                 )
             cursors[claimed_id] = start + self.batch_size
             starts.append(start)
-        design = claims[0][1].design
-        freqs = stacked_frequencies([device for _, device in claims])
-
-        enrolled = np.stack(
-            [
-                self._tables[claimed_id].responses[start : start + self.batch_size]
-                for (claimed_id, _), start in zip(claims, starts)
-            ]
-        )
+        claims = [
+            (self._tables[claimed_id], start, start + self.batch_size)
+            for claimed_id, start in zip(claimed_ids, starts)
+        ]
+        enrolled = np.stack([table.responses[lo:hi] for table, lo, hi in claims])
         # the matchings the tables were enrolled with, not rebuilt
         pairs = np.stack(
-            [
-                self._tables[claimed_id].challenge_pairs(
-                    design.n_ros, start, start + self.batch_size
-                )
-                for (claimed_id, _), start in zip(claims, starts)
-            ]
+            [table.challenge_pairs(design.n_ros, lo, hi) for table, lo, hi in claims]
         )
         answers = read_population(
             freqs, pairs, design.tech, design.readout, noisy=True, rng=rng
@@ -197,7 +215,7 @@ class AuthenticationStudyResult:
 
 
 def authentication_study(
-    studies: Dict[str, Study],
+    studies: Dict[str, Union[BatchStudy, Study]],
     years: Sequence[float] = (0.0, 2.0, 5.0, 10.0),
     *,
     threshold: float = 0.25,
@@ -210,7 +228,11 @@ def authentication_study(
     For every chip: enrol fresh, then authenticate the *aged* silicon at
     each mission point (false reject when the genuine chip is refused).
     The false-accept rate pits every chip against every other chip's
-    enrolment at t=0.
+    enrolment at t=0.  Each study is read through ``design``,
+    ``n_chips`` and ``frequencies(t)`` only, so the engine's
+    :class:`~repro.core.population.BatchStudy` and the per-chip
+    :class:`~repro.core.factory.Study` are interchangeable here; chip
+    ``i`` enrols as id ``i``.
     """
     gen = as_generator(rng)
     frr: Dict[str, List[float]] = {}
@@ -218,31 +240,26 @@ def authentication_study(
     genuine_distances: Dict[str, Dict[float, List[float]]] = {}
     impostor_distances: Dict[str, List[float]] = {}
     for name, study in studies.items():
+        design, n_chips = study.design, study.n_chips
+        ids = list(range(n_chips))
+        fresh = study.frequencies()
         verifier = Verifier(threshold=threshold, batch_size=batch_size)
-        enroll_rngs = spawn(gen, len(study.instances))
-        for inst, child in zip(study.instances, enroll_rngs):
-            verifier.enroll(inst, n_challenges=n_challenges, rng=child)
+        verifier.enroll_many(ids, fresh, design, n_challenges, spawn(gen, n_chips))
 
         rates = []
         genuine_distances[name] = {}
         for t in years:
-            aged = study.aged_instances(t)
             results = verifier.authenticate_many(
-                [(inst.chip_id, inst) for inst in aged], rng=gen
+                ids, study.frequencies(t), design, rng=gen
             )
             rejects = sum(0 if r.accepted else 1 for r in results)
-            rates.append(rejects / len(aged))
+            rates.append(rejects / n_chips)
             genuine_distances[name][t] = [r.distance for r in results]
         frr[name] = rates
 
-        # impostor trials: chip j answers chip i's challenges (fresh)
-        instances = study.instances
+        # impostor trials: chip i + 1 answers chip i's challenges (fresh)
         results = verifier.authenticate_many(
-            [
-                (claimed.chip_id, instances[(claimed.chip_id + 1) % len(instances)])
-                for claimed in instances
-            ],
-            rng=gen,
+            ids, np.roll(fresh, -1, axis=0), design, rng=gen
         )
         far[name] = sum(1 if r.accepted else 0 for r in results) / len(results)
         impostor_distances[name] = [r.distance for r in results]

@@ -3,23 +3,25 @@
 The abstract's first use case for a PUF is the *chip-specific identifier*:
 a verifier stores a table of challenge-response pairs per chip at
 enrolment and later authenticates the device by replaying challenges.
-This module produces those tables from any
-:class:`~repro.core.base.RoPufInstance` using the challenge-seeded random
-pairing (each challenge selects a fresh random disjoint matching of the
-oscillators, which is how RO-PUFs expose a large challenge space).
+This module produces those tables from a population's frequency rows
+(:func:`harvest_many`) or from one
+:class:`~repro.core.base.RoPufInstance` (:func:`harvest_crps`) using the
+challenge-seeded random pairing (each challenge selects a fresh random
+disjoint matching of the oscillators, which is how RO-PUFs expose a large
+challenge space).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .._rng import RngLike, as_generator
-from ..core.base import RoPufInstance
+from ..core.base import PufDesign, RoPufInstance
 from ..core.pairing import RandomDisjointPairing
-from ..environment.conditions import OperatingConditions
+from ..core.readout import read_population
 
 
 #: The pairing rule of every CRP: each challenge seeds its own random
@@ -38,7 +40,7 @@ class CrpTable:
 
     ``pairs``, when the table holds them, are each challenge's oscillator
     pairs as :data:`CRP_PAIRING` maps them, shape ``(n_challenges,
-    n_bits, 2)``: :func:`harvest_crps` keeps the tables it enrolled
+    n_bits, 2)``: :func:`harvest_many` keeps the tables it enrolled
     with, so replaying a challenge does not rebuild its matching.
     """
 
@@ -115,42 +117,71 @@ class CrpTable:
 
 
 def harvest_crps(
-    instance: RoPufInstance,
-    n_challenges: int,
-    *,
-    rng: RngLike = None,
-    conditions: Optional[OperatingConditions] = None,
-    noisy: bool = False,
-    votes: int = 1,
+    instance: RoPufInstance, n_challenges: int, *, rng: RngLike = None
 ) -> CrpTable:
-    """Collect a CRP table from one chip.
+    """Collect a CRP table from one chip: the one-chip case of
+    :func:`harvest_many`."""
+    return harvest_many(
+        [instance.chip_id],
+        instance.frequencies()[np.newaxis],
+        instance.design,
+        n_challenges,
+        [rng],
+    )[0]
 
-    Challenges are drawn without replacement from the 31-bit challenge
-    space; each seeds a :class:`~repro.core.pairing.RandomDisjointPairing`
-    matching, and the table keeps those matchings (:attr:`CrpTable.pairs`)
-    for the verifier to replay.  Enrolment normally uses the noiseless
-    golden path (``noisy=False``); pass ``noisy=True`` with ``votes`` for
-    a measurement-faithful enrolment.
+
+def harvest_many(
+    chip_ids: Sequence[int],
+    frequencies: np.ndarray,
+    design: PufDesign,
+    n_challenges: int,
+    rngs: Sequence[RngLike],
+) -> List[CrpTable]:
+    """Collect a CRP table from each chip of a population, as one read.
+
+    ``frequencies`` holds one ``(n_ros,)`` row of ``design`` per chip id
+    (the nominal, noiseless golden corner).  Chip ``i`` draws its
+    challenges without replacement from the 31-bit challenge space with
+    ``rngs[i]``; each challenge seeds a
+    :class:`~repro.core.pairing.RandomDisjointPairing` matching, and the
+    table keeps those matchings (:attr:`CrpTable.pairs`) for the verifier
+    to replay.  Every chip's tables are then compared in one noiseless
+    :func:`~repro.core.readout.read_population` call, so table ``i`` and
+    the end state of ``rngs[i]`` equal a one-chip harvest of row ``i``.
     """
     if n_challenges < 1:
         raise ValueError("n_challenges must be positive")
-    gen = as_generator(rng)
-    challenges = gen.choice(2**31 - 1, size=n_challenges, replace=False)
-    n_ros = instance.design.n_ros
+    frequencies = _rows(chip_ids, frequencies, design)
+    if len(rngs) != len(chip_ids):
+        raise ValueError(f"{len(rngs)} generators for {len(chip_ids)} chips")
+    challenges = np.stack(
+        [
+            as_generator(rng).choice(2**31 - 1, size=n_challenges, replace=False)
+            for rng in rngs
+        ]
+    )
+    n_ros = design.n_ros
     # kept as index data in the smallest signed dtype holding -n_ros
-    # (int16 at 256 ROs): E10 keeps 8,000 tables
-    pairs = CRP_PAIRING.pairs_many(n_ros, challenges)
-    pairs = pairs.astype(np.min_scalar_type(-n_ros))
-    responses = instance.evaluate_pairs(
-        pairs,
-        conditions=conditions,
-        noisy=noisy,
-        votes=votes if noisy else 1,
-        rng=gen if noisy else None,
+    # (int16 at 256 ROs): E10 keeps 8,000 tables.  Narrowed chip by chip,
+    # so no int64 table of the whole population is ever held
+    dtype = np.min_scalar_type(-n_ros)
+    pairs = np.stack(
+        [CRP_PAIRING.pairs_many(n_ros, c).astype(dtype) for c in challenges]
     )
-    return CrpTable(
-        challenges=challenges,
-        responses=responses,
-        chip_id=instance.chip_id,
-        pairs=pairs,
-    )
+    responses = read_population(frequencies, pairs, design.tech, design.readout)
+    return [
+        CrpTable(challenges=c, responses=r, chip_id=chip_id, pairs=p)
+        for chip_id, c, r, p in zip(chip_ids, challenges, responses, pairs)
+    ]
+
+
+def _rows(chip_ids: Sequence[int], frequencies: np.ndarray, design: PufDesign) -> np.ndarray:
+    """``frequencies`` as ``(len(chip_ids), design.n_ros)`` float rows."""
+    frequencies = np.asarray(frequencies, dtype=float)
+    want = (len(chip_ids), design.n_ros)
+    if frequencies.shape != want:
+        raise ValueError(
+            f"frequencies must have shape {want} (one row of the design's "
+            f"oscillators per chip), got {frequencies.shape}"
+        )
+    return frequencies

@@ -250,9 +250,10 @@ class TestMarginForensics:
 
 
 class TestOneEngine:
-    """E4, E7, E8, E9, E10 and E12 fabricate through ``make_batch_study``.
-    With the per-chip ``make_study`` put back in its place every ledger
-    scalar must come out the same, bit for bit."""
+    """E4, E7, E8, E9, E10 and E12 fabricate through ``make_batch_study``
+    and read only ``design``, ``n_chips``, ``frequencies`` and
+    ``responses``.  With the per-chip ``make_study`` put back in its place
+    every ledger scalar must come out the same, bit for bit."""
 
     EXPERIMENTS = {
         "e4": randomness_experiment,
@@ -270,11 +271,18 @@ class TestOneEngine:
 
         calls = []
 
-        def per_chip(design, n_chips, *, mission=None, idle_policy=None, rng=None):
+        def per_chip(
+            design, n_chips, *, mission=None, idle_policy=None, rng=None,
+            jobs=1, store="ram", block_size=None, store_dir=None,
+        ):
+            # the execution knobs never change a result, so the per-chip
+            # reference takes and ignores them, and has nothing to close
             calls.append(design.name)
-            return make_study(
+            study = make_study(
                 design, n_chips, mission=mission, idle_policy=idle_policy, rng=rng
             )
+            study.close = lambda: None
+            return study
 
         monkeypatch.setattr(experiments, "make_batch_study", per_chip)
         per_chip_scalars = run(config).ledger_scalars()

@@ -59,9 +59,12 @@ class TestAgingEquivalence:
 
     @pytest.mark.parametrize("t", [t for t in YEARS if t > 0])
     def test_aged_instances_bit_identical(self, paths, t):
+        """The aged thresholds the engine reads (view plus population
+        delta) are the per-chip aged chips' thresholds."""
         study, batch = paths
-        for fast, slow in zip(batch.aged_instances(t), study.aged_instances(t)):
-            assert np.array_equal(fast.chip.vth, slow.chip.vth)
+        aged = batch.view.vth + batch.aging.delta(t)
+        for fast, slow in zip(aged, study.aged_instances(t)):
+            assert np.array_equal(fast, slow.chip.vth)
 
     def test_idle_policy_override_matches(self):
         design = FACTORIES["ro-puf"](n_ros=N_ROS)
@@ -249,7 +252,7 @@ class TestLazyAging:
         batch = make_batch_study(FACTORIES[name](n_ros=N_ROS), N_CHIPS, rng=SEED)
         batch.responses()
         batch.frequencies(conditions=OperatingConditions(temperature_k=celsius(85.0)))
-        batch.instances[0].evaluate(noisy=True, rng=1)
+        batch.margin_histogram(np.linspace(-0.1, 0.1, 5))
         assert prefactor_draws == []
 
     def test_first_aged_corner_samples_once(self, prefactor_draws, paths):
@@ -293,7 +296,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             study.agings[0].delta(t)
         with pytest.raises(ValueError, match="finite"):
-            batch.aged_instances(t)
+            study.frequencies(t)
+        with pytest.raises(ValueError, match="finite"):
+            batch.frequencies(t)
         with pytest.raises(ValueError, match="finite"):
             batch.aging.delta(t)
         with pytest.raises(ValueError, match="finite"):

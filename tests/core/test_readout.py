@@ -59,6 +59,18 @@ class TestComparePairs:
         with pytest.raises(ValueError, match="positive"):
             read_population(freqs, pairs, tech, config, noisy=True, rng=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0e9])
+    def test_noiseless_read_rejects_a_non_positive_frequency(self, tech, config, bad):
+        """The noiseless compare refuses what the noisy path refuses: a
+        NaN compares False on either side of a pair and would read as
+        bit 0 both ways round."""
+        freqs = np.array([[1.0e9, 1.1e9, bad, 1.2e9]])
+        pairs = np.array([[2, 3], [3, 2]])
+        with pytest.raises(ValueError, match="positive"):
+            read_population(freqs, pairs, tech, config)
+        with pytest.raises(ValueError, match="positive"):
+            compare_pairs(freqs[0], pairs, tech, config)
+
     def test_noisy_mode_flips_near_ties(self, tech, config):
         """A pair separated by much less than the jitter flips often."""
         freqs = np.array([1.0e9, 1.0e9 * (1 + 1e-6)])

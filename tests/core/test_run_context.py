@@ -103,8 +103,9 @@ def test_shared_arrays_are_read_only():
             study.view.positions,
             study.aging.nbti_a,
             study.aging.hci_b,
-            study.instances[0].chip.vth,
-            study.aged_instances(1.0)[0].chip.tc_scale,
+            # memoised corners, read-only like the arrays they come from
+            study.frequencies(),
+            study.frequencies(1.0),
         ]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -184,8 +185,10 @@ def test_a_store_run_retains_nothing(monkeypatch, tmp_path):
 
 
 def test_the_engine_builds_no_chip(monkeypatch):
-    """Fabrication hands the engine stacked tensors: neither a CLI run
-    nor an aged in-RAM corner constructs a per-chip :class:`Chip`."""
+    """Fabrication hands the engine stacked tensors and every experiment
+    reads the engine's frequency rows: neither ``check-anchors`` nor an
+    aged in-RAM corner constructs a per-chip :class:`Chip`, and ``run
+    all`` builds only the one chip per design that E11 attacks."""
     built = []
     init = Chip.__post_init__
 
@@ -199,6 +202,6 @@ def test_the_engine_builds_no_chip(monkeypatch):
     study = make_batch_study(DESIGNS["aro-puf"], N_CHIPS, rng=SEED)
     study.frequencies(10.0)
     assert built == []
-    # the per-chip protocol still builds its chips, through the wrapper
-    assert len(study.instances) == N_CHIPS
-    assert built == list(range(N_CHIPS))
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["run", "all", "--chips", "6", "--ros", "16"])
+    assert len(built) <= 2

@@ -14,8 +14,9 @@ it chip by chip only because of these properties of NumPy's
   tables: ``RandomDisjointPairing`` shuffles the rows of one arange
   block and must keep drawing the tables ``permutation`` drew);
 * the frequencies of chips stacked along a leading axis are each chip's
-  own frequencies, word for word (``PufDesign.frequencies``, read by E9
-  and E10 over the whole population).
+  own frequencies, word for word (``PufDesign.frequencies``, which
+  ``Study.frequencies`` stacks: the per-chip reference that stands in
+  for the engine's rows in ``TestOneEngine``).
 
 A NumPy release that breaks one fails here, loudly, instead of silently
 moving E5, E9, E10 or E11.  Block seeding against ``default_rng`` is
@@ -98,7 +99,7 @@ DESIGNS = {
 
 @pytest.fixture(scope="module", params=sorted(DESIGNS))
 def studies(request):
-    # E9's and E10's scale: 50 chips of 256 oscillators, with the per-chip
+    # the paper's scale: 50 chips of 256 oscillators, with the per-chip
     # reference that draws the same silicon from the same seed
     design = DESIGNS[request.param]
     return (
@@ -119,10 +120,12 @@ def test_stacked_frequencies_are_per_chip_frequencies(studies, t_years, n_chips)
     def words(freqs):
         return [x.hex() for x in freqs.tolist()]
 
-    # aged through the population's delta (E10) and the chip's own (E9)
-    aged = study.aged_instances(t_years)
+    # aged through the population's delta, one row at a time, through the
+    # chip's own delta, and stacked by the per-chip reference study
     per_chip = reference.aged_instances(t_years)
+    via_study = reference.frequencies(t_years)
     for i, row in enumerate(stacked):
-        via_population = aged[i].frequencies()
+        via_population = design.frequencies(vth[i], study.view.tc_scale[i])
         via_chip = per_chip[i].frequencies()
         assert words(row) == words(via_population) == words(via_chip)
+        assert words(row) == words(via_study[i])
