@@ -63,7 +63,7 @@ sparkline — either post-hoc or live with ``--follow``.
 Execution flags:
 
 * ``--jobs N`` shards the batched engine's chip axis over N worker
-  processes (E1/E2/E3/E5); results are bit-identical for any N;
+  processes (E1 to E5, E10, E13); results are bit-identical for any N;
 * ``--store mmap`` evaluates out-of-core: the population lives in lazily
   fabricated memory-mapped column segments and is streamed block by
   block, bounding peak RSS at any chip count (million-chip sweeps in a
@@ -74,9 +74,13 @@ Execution flags:
   fabricated (``mmap``) and streamed through the kernel in, for either
   store; block boundaries never change a result;
 * ``--cache DIR`` (``run`` / ``check-anchors``) reuses stored results
-  when the content-addressed (experiment, config, version) key matches,
+  when the content-addressed (experiment, config, code) key matches,
   printing an explicit ``cache hit:`` marker and recording hits/misses
   in the run manifest.
+
+``run``, ``check-anchors`` and ``report`` share one runner, which runs
+each experiment once (or fetches it) and ledgers every result under the
+invocation's one manifest; the registry lives in :mod:`repro.analysis.render`.
 
 ``history`` renders per-metric trends over a ledger (sparkline, latest
 value, median+MAD movement verdict), and ``perf history`` / ``perf gate``
@@ -94,12 +98,12 @@ import math
 import pathlib
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import telemetry
 from .aging.schedule import MissionProfile
 from .analysis import experiments as exp
-from .analysis import render
+from .analysis.render import EXPERIMENTS, ExperimentSpec  # noqa: F401 (re-export)
 from .telemetry.anchors import (
     ANCHOR_EXPERIMENTS,
     DESIGN_FLIPS_10Y,
@@ -127,97 +131,6 @@ from .telemetry.manifest import (
     package_version,
 )
 from .telemetry.tracer import peak_rss_bytes
-
-if TYPE_CHECKING:
-    from .parallel import ResultCache
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One runnable paper experiment: compute, render, describe.
-
-    ``run`` returns the experiment's structured result object (which
-    carries ``ledger_scalars()``); ``render`` turns that object into the
-    paper-style terminal table.  Keeping the two separate is what lets
-    the CLI both print the table and record the scalars from one run.
-    """
-
-    run: Callable[[exp.ExperimentConfig], Any]
-    render: Callable[[Any], str]
-    description: str
-
-
-#: experiment id -> (run, render, one-line description)
-EXPERIMENTS: Dict[str, ExperimentSpec] = {
-    "e1": ExperimentSpec(
-        exp.frequency_degradation,
-        render.render_e1,
-        "RO frequency degradation vs years in the field",
-    ),
-    "e2": ExperimentSpec(
-        exp.aging_bitflips,
-        render.render_e2,
-        "response bit flips vs years (32 % vs 7.7 % @ 10 y)",
-    ),
-    "e3": ExperimentSpec(
-        exp.uniqueness_experiment,
-        render.render_e3,
-        "inter-chip Hamming distance (45 % vs 49.67 %)",
-    ),
-    "e4": ExperimentSpec(
-        exp.randomness_experiment,
-        render.render_e4,
-        "uniformity, bit-aliasing, randomness battery",
-    ),
-    "e5": ExperimentSpec(
-        exp.environmental_reliability,
-        render.render_e5,
-        "intra-chip HD at temperature / supply corners",
-    ),
-    "e6": ExperimentSpec(
-        # E6 is policy-driven, not population-driven; config is unused but
-        # the signature is kept uniform for the dispatch table
-        lambda config: exp.ecc_area_experiment(),
-        render.render_e6,
-        "PUF + ECC area for a 128-bit key (~24x band)",
-    ),
-    "e7": ExperimentSpec(
-        exp.duty_ablation,
-        render.render_e7,
-        "ablation: idle policy and activity duty",
-    ),
-    "e8": ExperimentSpec(
-        exp.layout_ablation,
-        render.render_e8,
-        "ablation: layout systematics and pairing",
-    ),
-    "e9": ExperimentSpec(
-        exp.masking_ablation,
-        render.render_e9,
-        "extension: 1-out-of-k masking vs the ARO fix",
-    ),
-    "e10": ExperimentSpec(
-        exp.authentication_experiment,
-        render.render_e10,
-        "extension: lifetime device authentication",
-    ),
-    "e11": ExperimentSpec(
-        exp.attack_experiment,
-        render.render_e11,
-        "extension: sorting modeling attack on CRPs",
-    ),
-    "e12": ExperimentSpec(
-        exp.stage_ablation,
-        render.render_e12,
-        "extension: ring-length design-choice study",
-    ),
-    "e13": ExperimentSpec(
-        exp.margin_forensics,
-        render.render_e13,
-        "forensics: per-bit margins, NBTI/HCI attribution, at-risk forecast",
-    ),
-}
-
 
 def _positive_int(text: str) -> int:
     """argparse type for counts: a helpful error beats a traceback."""
@@ -421,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="content-addressed result cache: reuse a stored result when "
-        "the (experiment, config, version) key matches, store it otherwise",
+        "the (experiment, config, code) key matches, store it otherwise",
     )
 
     history = sub.add_parser(
@@ -820,20 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _unknown_experiment_error(unknown) -> int:
-    """Print a helpful unknown-id message; returns the exit status."""
-    ids = ", ".join(sorted(EXPERIMENTS))
-    if isinstance(unknown, str):
-        unknown = [unknown]
-    names = ", ".join(repr(u) for u in unknown)
-    print(
-        f"error: unknown experiment id {names}\n"
-        f"valid ids: {ids} (or 'all'); see 'python -m repro.cli list'",
-        file=sys.stderr,
-    )
-    return 2
-
-
 def _telemetry_wanted(args: argparse.Namespace) -> bool:
     # --trace-out needs spans to export; --sample-rss needs a tracer for
     # span attribution and the perf-counter epoch the series is keyed to
@@ -845,13 +744,15 @@ def _telemetry_wanted(args: argparse.Namespace) -> bool:
     )
 
 
-def _collect_manifest(
+def _manifest(
     args: argparse.Namespace,
     config: exp.ExperimentConfig,
     cache_summary: Optional[Dict[str, Any]] = None,
     tracer: Optional[telemetry.Tracer] = None,
 ) -> RunManifest:
-    """One manifest per CLI invocation (all its ledger entries share it).
+    """The invocation's one manifest: collected on first use, which comes
+    after the work, and kept on ``args`` so the ledger entries, the
+    ``telemetry`` entry and ``--metrics-out`` all share it.
 
     ``jobs``, the store mode and the cache summary ride as top-level
     manifest fields, not inside ``config``: they change how the run
@@ -860,10 +761,13 @@ def _collect_manifest(
     RSS — the number the store exists to bound — so the ledger records
     the memory high-water mark alongside the scalars it produced.
     """
+    manifest = getattr(args, "manifest", None)
+    if manifest is not None:
+        return manifest
     peak = peak_rss_bytes() if config.store == "mmap" else None
     tracer = tracer if tracer is not None else telemetry.active()
     histograms = tracer.histogram_summaries() if tracer is not None else {}
-    return RunManifest.collect(
+    args.manifest = RunManifest.collect(
         seed=config.seed,
         config={
             "command": args.command,
@@ -880,6 +784,7 @@ def _collect_manifest(
         peak_rss_bytes=peak,
         histograms=histograms or None,
     )
+    return args.manifest
 
 
 def _result_config(config: exp.ExperimentConfig) -> Dict[str, Any]:
@@ -896,45 +801,63 @@ def _result_config(config: exp.ExperimentConfig) -> Dict[str, Any]:
     return cfg
 
 
-def _open_cache(args: argparse.Namespace) -> Optional[ResultCache]:
-    cache_dir = getattr(args, "cache", None)
-    if not cache_dir:
-        return None
-    from .parallel import ResultCache
+def _run_experiments(
+    keys: Sequence[str], config: exp.ExperimentConfig, args: argparse.Namespace
+) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
+    """Run each experiment in ``keys`` once, or fetch it from ``--cache``,
+    then ledger every result under the invocation's manifest.
 
-    return ResultCache(cache_dir)
+    The one runner behind ``run``, ``check-anchors`` and ``report``.
+    Returns ``{key: result}`` in ``keys`` order, and the cache summary
+    (``None`` without ``--cache``) that the manifest records and the
+    caller's ``cache:`` line reports.
+    """
+    cache = None
+    if getattr(args, "cache", None):
+        from .parallel import ResultCache, cache_key
+
+        cache = ResultCache(args.cache)
+        cfg = _result_config(config)
+    results: Dict[str, Any] = {}
+    hits: List[str] = []
+    misses: List[str] = []
+    for key in dict.fromkeys(keys):
+        spec = EXPERIMENTS[key]
+        if cache is None:
+            results[key] = spec.run(config)
+            continue
+        ck = cache_key(key, cfg)
+        result = cache.get(ck)
+        if result is not None:
+            print(f"cache hit: {key} (key {ck[:12]})")
+            emitter = active_emitter()
+            if emitter is not None:
+                emitter.lifecycle("cache.hit", experiment=key, key=ck)
+            hits.append(key)
+        else:
+            result = spec.run(config)
+            cache.put(ck, result, meta={"experiment": key, "config": cfg})
+            misses.append(key)
+        results[key] = result
+    summary = None
+    if cache is not None:
+        summary = {"dir": str(cache.root), "hits": hits, "misses": misses}
+    if args.ledger or args.metrics_out:
+        # collected now, while the cache summary is at hand
+        manifest = _manifest(args, config, summary)
+        if args.ledger:
+            ledger = Ledger(args.ledger)
+            for key, result in results.items():
+                ledger.record(key, result.ledger_scalars(), manifest)
+    return results, summary
 
 
-def _run_experiment(
-    key: str,
-    config: exp.ExperimentConfig,
-    cache: Optional[ResultCache],
-) -> Tuple[Any, bool]:
-    """Run experiment ``key`` (or fetch it); returns ``(result, hit)``."""
-    spec = EXPERIMENTS[key]
-    if cache is None:
-        return spec.run(config), False
-    from .parallel import cache_key
-
-    ck = cache_key(key, _result_config(config))
-    payload = cache.get(ck)
-    if payload is not None:
-        print(f"cache hit: {key} (key {ck[:12]})")
-        emitter = active_emitter()
-        if emitter is not None:
-            emitter.lifecycle("cache.hit", experiment=key, key=ck)
-        return payload, True
-    result = spec.run(config)
-    cache.put(ck, result, meta={"experiment": key, "config": _result_config(config)})
-    return result, False
-
-
-def _cache_summary(
-    cache: Optional[ResultCache], hits: List[str], misses: List[str]
-) -> Optional[Dict[str, Any]]:
-    if cache is None:
-        return None
-    return {"dir": str(cache.root), "hits": hits, "misses": misses}
+def _print_cache_line(summary: Optional[Dict[str, Any]]) -> None:
+    if summary is not None:
+        print(
+            f"cache: {len(summary['hits'])} hit(s), "
+            f"{len(summary['misses'])} miss(es) in {summary['dir']}"
+        )
 
 
 def _start_telemetry(args: argparse.Namespace) -> None:
@@ -982,11 +905,7 @@ def _start_telemetry(args: argparse.Namespace) -> None:
             raise
 
 
-def _finish_telemetry(
-    args: argparse.Namespace,
-    config,
-    cache_summary: Optional[Dict[str, Any]] = None,
-) -> None:
+def _finish_telemetry(args: argparse.Namespace, config) -> None:
     """Uninstall tracer/emitter/sampler and emit the requested views.
 
     The sampler stops first (its final tick may still echo through the
@@ -1026,7 +945,7 @@ def _finish_telemetry(
     if args.metrics_out:
         from .telemetry.export import write_metrics
 
-        manifest = _collect_manifest(args, config, cache_summary, tracer)
+        manifest = _manifest(args, config, tracer=tracer)
         path = write_metrics(args.metrics_out, tracer, manifest, sampler)
         print(f"metrics written to {path}")
     if getattr(args, "trace_out", None):
@@ -1042,7 +961,7 @@ def _finish_telemetry(
         Ledger(args.ledger).record(
             "telemetry",
             flatten_summaries(tracer.histograms),
-            _collect_manifest(args, config, cache_summary, tracer),
+            _manifest(args, config, tracer=tracer),
         )
 
 
@@ -1222,27 +1141,13 @@ def _check_anchors_command(
         scalars = latest_scalars(entries)
         source = f"ledger {args.from_ledger} ({len(entries)} entries)"
     else:
-        ledger = Ledger(args.ledger) if args.ledger else None
-        cache = _open_cache(args)
-        hits: List[str] = []
-        misses: List[str] = []
-        scalars = {}
-        recorded = []
-        for key in ANCHOR_EXPERIMENTS:
-            result, hit = _run_experiment(key, config, cache)
-            (hits if hit else misses).append(key)
-            experiment_scalars = result.ledger_scalars()
-            for name, value in experiment_scalars.items():
-                scalars[f"{key}.{name}"] = value
-            recorded.append((key, experiment_scalars))
-        if ledger is not None:
-            manifest = _collect_manifest(
-                args, config, _cache_summary(cache, hits, misses)
-            )
-            for key, experiment_scalars in recorded:
-                ledger.record(key, experiment_scalars, manifest)
-        if cache is not None:
-            print(f"cache: {len(hits)} hit(s), {len(misses)} miss(es) in {cache.root}")
+        results, cache_summary = _run_experiments(ANCHOR_EXPERIMENTS, config, args)
+        scalars = {
+            f"{key}.{name}": value
+            for key, result in results.items()
+            for name, value in result.ledger_scalars().items()
+        }
+        _print_cache_line(cache_summary)
         source = (
             f"fresh run, {config.n_chips} chips x {config.n_ros} ROs, "
             f"seed {config.seed}"
@@ -1296,7 +1201,7 @@ def _explain_command(
             k=next(iter(reports.values())).forecast.k,
         )
         ledger = Ledger(args.ledger)
-        ledger.record("e13", result.ledger_scalars(), _collect_manifest(args, config))
+        ledger.record("e13", result.ledger_scalars(), _manifest(args, config))
         print(f"ledger: e13 scalars appended to {ledger.path}")
     if args.json:
         payload = explain_payload(
@@ -1506,7 +1411,7 @@ def _loadgen_command(args: argparse.Namespace) -> int:
         tracer = telemetry.active()
         if tracer is not None:
             report.red.publish(tracer)
-        manifest = _collect_manifest(args, config).to_dict()
+        manifest = _manifest(args, config).to_dict()
         payload = loadgen_payload(report, slos=slos, manifest=manifest)
         print(
             f"loadgen: {report.n_requests} requests in {report.wall_s:.2f}s "
@@ -1577,22 +1482,14 @@ def main(argv: Optional[list] = None) -> int:
         return _loadgen_command(args)
 
     kwargs: Dict[str, Any] = {"n_chips": args.chips, "n_ros": args.ros}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if getattr(args, "jobs", None) is not None:
-        kwargs["jobs"] = args.jobs
-    if getattr(args, "store", None) is not None:
-        kwargs["store"] = args.store
-    if getattr(args, "block_size", None) is not None:
-        kwargs["block_size"] = args.block_size
-    if getattr(args, "store_dir", None) is not None:
-        kwargs["store_dir"] = args.store_dir
+    for name in ("seed", "jobs", "store", "block_size", "store_dir"):
+        if getattr(args, name) is not None:
+            kwargs[name] = getattr(args, name)
     if getattr(args, "eval_duty", None) is not None:
         kwargs["mission"] = MissionProfile(eval_duty=args.eval_duty)
     config = exp.ExperimentConfig(**kwargs)
 
     _start_telemetry(args)
-    cache_summary: Optional[Dict[str, Any]] = None
 
     try:
         # one fabrication per population for the whole command
@@ -1603,52 +1500,39 @@ def main(argv: Optional[list] = None) -> int:
             if args.command == "explain":
                 return _explain_command(args, config)
 
-            ledger = Ledger(args.ledger) if args.ledger else None
-
             if args.command == "report":
-                from .analysis.report import ALL_EXPERIMENTS, generate_report
+                from .analysis.report import ANCHOR_TABLE_EXPERIMENTS, generate_report
 
-                manifest = _collect_manifest(args, config) if ledger else None
-                selected = args.experiments or list(ALL_EXPERIMENTS)
-                unknown = [key for key in selected if key not in EXPERIMENTS]
-                if unknown:
-                    return _unknown_experiment_error(unknown)
-                generate_report(
-                    config,
-                    experiments=selected,
-                    path=args.path,
-                    ledger=ledger,
-                    manifest=manifest,
+                selected = args.experiments or list(EXPERIMENTS)
+                results, _ = _run_experiments(
+                    [*selected, *ANCHOR_TABLE_EXPERIMENTS], config, args
                 )
+                generate_report(config, results, selected, args.path)
                 print(f"report written to {args.path}")
                 return 0
 
             if args.experiment != "all" and args.experiment not in EXPERIMENTS:
-                return _unknown_experiment_error(args.experiment)
+                print(
+                    f"error: unknown experiment id {args.experiment!r}\n"
+                    f"valid ids: {', '.join(sorted(EXPERIMENTS))} (or 'all'); "
+                    "see 'python -m repro.cli list'",
+                    file=sys.stderr,
+                )
+                return 2
             selected = (
                 sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
             )
-            cache = _open_cache(args)
-            hits: List[str] = []
-            misses: List[str] = []
-            chunks = []
-            results = []
-            for key in selected:
-                result, hit = _run_experiment(key, config, cache)
-                (hits if hit else misses).append(key)
-                results.append((key, result))
-                chunks.append(EXPERIMENTS[key].render(result))
-            cache_summary = _cache_summary(cache, hits, misses)
-            if ledger is not None:
-                manifest = _collect_manifest(args, config, cache_summary)
-                for key, result in results:
-                    ledger.record(key, result.ledger_scalars(), manifest)
-            text = "\n\n".join(chunks)
+            results, cache_summary = _run_experiments(selected, config, args)
+            text = "\n\n".join(
+                EXPERIMENTS[key].render(result) for key, result in results.items()
+            )
             print(text)
-            if cache is not None:
-                print(f"cache: {len(hits)} hit(s), {len(misses)} miss(es) in {cache.root}")
-            if ledger is not None:
-                print(f"ledger: {len(selected)} entries appended to {ledger.path}")
+            _print_cache_line(cache_summary)
+            if args.ledger:
+                print(
+                    f"ledger: {len(results)} entries appended to "
+                    f"{pathlib.Path(args.ledger)}"
+                )
             if args.out is not None:
                 out_path = pathlib.Path(args.out)
                 out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -1664,7 +1548,7 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        _finish_telemetry(args, config, cache_summary)
+        _finish_telemetry(args, config)
 
 
 if __name__ == "__main__":

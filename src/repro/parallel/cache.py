@@ -12,9 +12,11 @@ computation gets the stored payload back bit-for-bit.
 Key discipline (what makes a hit safe):
 
 * the key digests the experiment id, the full scalar configuration
-  (chips, ROs, stages, seed, mission profile) **and the package
-  version** — a new release changes every key, so stale physics can
-  never satisfy a new binary's request;
+  (chips, ROs, stages, seed, mission profile) **and the code** — a
+  digest of the package's source (:func:`code_identity`), so a result
+  computed by other code, committed or not, never satisfies a request
+  (another numpy build or BLAS kernel, which can move low bits, still
+  hits);
 * worker count, telemetry flags and other how-it-ran knobs are
   deliberately *excluded*: the parallel engine is bit-identical across
   ``--jobs``, so a result computed with 4 workers is the correct answer
@@ -31,6 +33,7 @@ under a valid key.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -51,19 +54,33 @@ PathLike = Union[str, pathlib.Path]
 CACHE_FORMAT = 1
 
 
+@functools.lru_cache(maxsize=None)
+def code_identity() -> str:
+    """Hex SHA-256 over the relative path and bytes of every ``repro``
+    module: it names the code that runs, uncommitted edits included,
+    which a git SHA would miss.  Computed once per process, on demand."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        for part in (path.relative_to(root).as_posix().encode(), path.read_bytes()):
+            digest.update(len(part).to_bytes(8, "little") + part)
+    return digest.hexdigest()
+
+
 def cache_key(
     experiment: str,
     config: Mapping[str, Any],
     *,
-    version: Optional[str] = None,
+    code: Optional[str] = None,
 ) -> str:
-    """The content address of one ``(experiment, config, version)`` run.
+    """The content address of one ``(experiment, config, code)`` run.
 
     ``config`` must be the complete result-determining configuration
     (anything that changes the numbers must be in it; anything that only
-    changes how fast they were computed must not).  Keys are hex SHA-256
-    of the canonical JSON form, so they are stable across processes,
-    platforms and dict orderings.
+    changes how fast they were computed must not).  ``code`` defaults to
+    :func:`code_identity`.  Keys are hex SHA-256 of the canonical JSON
+    form, so they are stable across processes, platforms and dict
+    orderings.
     """
     if not experiment:
         raise ValueError("experiment id must be non-empty")
@@ -72,7 +89,7 @@ def cache_key(
             "format": CACHE_FORMAT,
             "experiment": experiment,
             "config": config,
-            "package_version": version or package_version(),
+            "code": code or code_identity(),
         },
         sort_keys=True,
         default=str,
@@ -175,6 +192,7 @@ class ResultCache:
             "payload_sha256": hashlib.sha256(raw).hexdigest(),
             "payload_bytes": len(raw),
             "package_version": package_version(),
+            "code": code_identity(),
             "created_utc": datetime.now(timezone.utc).isoformat(),
         }
         if meta:

@@ -179,13 +179,19 @@ PAPER_ANCHORS: Sequence[Anchor] = (
     ),
 )
 
-#: the paper's 10-year response flip rates, percent, by design: the two
-#: flip-rate anchors above, keyed by the design their metric names
-DESIGN_FLIPS_10Y: Dict[str, float] = {
-    a.metric.split(".")[1]: a.paper_value
-    for a in PAPER_ANCHORS
-    if a.name in ("conventional-flips-10y", "aro-flips-10y")
-}
+
+def _by_design(*names: str) -> Dict[str, float]:
+    """The named anchors' paper values, keyed by their metric's design."""
+    return {
+        a.metric.split(".")[1]: a.paper_value for a in PAPER_ANCHORS if a.name in names
+    }
+
+
+#: the paper's 10-year response flip rates, percent, by design
+DESIGN_FLIPS_10Y = _by_design("conventional-flips-10y", "aro-flips-10y")
+
+#: the paper's inter-chip Hamming distances, percent, by design
+DESIGN_UNIQUENESS = _by_design("conventional-uniqueness", "aro-uniqueness")
 
 #: experiments a fresh anchor check has to run (the registry's sources)
 ANCHOR_EXPERIMENTS = tuple(

@@ -193,8 +193,8 @@ class TestLedgerAndEvents:
 
     def test_one_run_forks_git_rev_parse_once(self, tmp_path):
         """A run writing a ledger, a metrics file and a histogram ledger
-        entry collects three manifests; the SHA is probed once.  A fresh
-        interpreter, so no earlier test has probed it already."""
+        entry probes the SHA once.  A fresh interpreter, so no earlier
+        test has probed it already."""
         import json
         import os
         import subprocess
@@ -303,6 +303,72 @@ print(json.dumps({"code": code, "calls": calls}))
         assert [e.name for e in entries] == ["e2", "e3"]
         # one CLI invocation -> one manifest -> one shared run key
         assert len({e.run_key() for e in entries}) == 1
+
+    def test_one_invocation_collects_one_manifest(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The ledger entry, the histogram ``telemetry`` entry and
+        ``--metrics-out`` share one manifest, collected after the work."""
+        import json
+
+        from repro.telemetry.ledger import Ledger
+        from repro.telemetry.manifest import RunManifest
+
+        collect = RunManifest.collect
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return collect(*args, **kwargs)
+
+        monkeypatch.setattr(RunManifest, "collect", staticmethod(counting))
+        ledger, metrics = tmp_path / "L.jsonl", tmp_path / "M.json"
+        code = main(["run", "e2", "--chips", "3", "--ros", "16",
+                     "--ledger", str(ledger), "--metrics-out", str(metrics)])
+        assert code == 0
+        assert len(calls) == 1
+        entries = Ledger(ledger).entries()
+        assert [e.name for e in entries] == ["e2", "telemetry"]
+        manifest = json.loads(metrics.read_text())["manifest"]
+        assert entries[0].manifest == entries[1].manifest == manifest
+        assert manifest["histograms"]  # collected after the kernel ran
+
+    def test_report_measures_each_experiment_once(self, tmp_path, capsys):
+        """The anchor table reads the runner's E2 and E3: one span each,
+        and every ledger entry carries the run's manifest."""
+        import json
+
+        from repro.telemetry.ledger import Ledger
+
+        ledger, metrics = tmp_path / "L.jsonl", tmp_path / "M.json"
+        code = main(["report", "--experiments", "e2", "e3",
+                     "--chips", "3", "--ros", "16",
+                     "--path", str(tmp_path / "REPORT.md"),
+                     "--ledger", str(ledger), "--metrics-out", str(metrics)])
+        assert code == 0
+        payload = json.loads(metrics.read_text())
+        roots = [span["name"] for span in payload["spans"]]
+        assert roots == ["experiment.e2", "experiment.e3"]
+        entries = Ledger(ledger).entries()
+        assert [e.name for e in entries] == ["e2", "e3", "telemetry"]
+        for entry in entries:
+            assert entry.manifest == payload["manifest"]
+        assert payload["manifest"]["histograms"]
+        assert payload["manifest"]["config"]["n_chips"] == 3
+
+    def test_report_ledgers_the_anchor_experiments_it_ran(
+        self, tmp_path, capsys
+    ):
+        from repro.telemetry.ledger import Ledger
+
+        ledger, path = tmp_path / "L.jsonl", tmp_path / "REPORT.md"
+        code = main(["report", "--experiments", "e6", "--chips", "3",
+                     "--ros", "16", "--path", str(path), "--ledger", str(ledger)])
+        assert code == 0
+        assert [e.name for e in Ledger(ledger).entries()] == ["e6", "e2", "e3"]
+        text = path.read_text()
+        assert "| Anchor | Paper | Measured |" in text
+        assert "## E6" in text and "## E2" not in text
 
 
 class TestCheckAnchors:
@@ -511,6 +577,42 @@ class TestParallelAndCache:
         out = capsys.readouterr().out
         assert "cache hit" not in out
         assert "inter-chip Hamming distance" in out
+
+    def test_edited_code_misses_the_cache(self, tmp_path):
+        """The key digests the package source, so a result cached by one
+        copy of the code is not served to an edited copy."""
+        import os
+        import shutil
+        import subprocess
+        import sys
+
+        import repro
+
+        src = tmp_path / "src"
+        shutil.copytree(
+            os.path.dirname(repro.__file__),
+            src / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        cache_dir = tmp_path / "cache"
+
+        def run():
+            out = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "run", "e3",
+                 "--chips", "3", "--ros", "16", "--cache", str(cache_dir)],
+                env=dict(os.environ, PYTHONPATH=str(src)),
+                capture_output=True, text=True, timeout=120,
+            )
+            assert out.returncode == 0, out.stderr
+            return out.stdout
+
+        assert "cache hit" not in run()
+        assert "cache hit: e3" in run()
+        with open(src / "repro" / "analysis" / "experiments.py", "a") as fh:
+            fh.write("\n# an edit that changes no result still changes the code\n")
+        edited = run()
+        assert "cache hit" not in edited
+        assert "0 hit(s), 1 miss(es)" in edited
 
     def test_check_anchors_supports_cache(self, tmp_path, capsys):
         from repro.telemetry.anchors import ANCHOR_EXPERIMENTS

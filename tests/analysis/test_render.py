@@ -82,3 +82,21 @@ class TestRenderers:
     def test_e8(self, config):
         text = render_e8(layout_ablation(config, sys_multipliers=(0.0, 1.0)))
         assert "systematic" in text and "distant" in text
+
+
+class TestPaperValues:
+    def test_abstract_numbers_come_from_the_anchor_registry(self):
+        from repro.telemetry.anchors import PAPER_ANCHORS
+
+        by_name = {a.name: a.paper_value for a in PAPER_ANCHORS}
+        assert PAPER["conv_flips_10y"] == by_name["conventional-flips-10y"]
+        assert PAPER["aro_flips_10y"] == by_name["aro-flips-10y"]
+        assert PAPER["conv_hd"] == by_name["conventional-uniqueness"]
+        assert PAPER["aro_hd"] == by_name["aro-uniqueness"]
+
+    def test_registry_descriptions_print_the_paper_values(self):
+        from repro.analysis.render import EXPERIMENTS
+
+        assert EXPERIMENTS["e2"].description.endswith("(32 % vs 7.7 % @ 10 y)")
+        assert EXPERIMENTS["e3"].description.endswith("(45 % vs 49.67 %)")
+        assert EXPERIMENTS["e6"].description.endswith("(~24x band)")

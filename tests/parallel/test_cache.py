@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.parallel import CACHE_FORMAT, ResultCache, cache_key
+from repro.parallel.cache import code_identity
 
 
 @pytest.fixture
@@ -16,22 +17,29 @@ def cache(tmp_path):
 
 class TestCacheKey:
     def test_stable_and_order_independent(self):
-        a = cache_key("e2", {"n_chips": 8, "seed": 42}, version="1.0")
-        b = cache_key("e2", {"seed": 42, "n_chips": 8}, version="1.0")
+        a = cache_key("e2", {"n_chips": 8, "seed": 42}, code="1.0")
+        b = cache_key("e2", {"seed": 42, "n_chips": 8}, code="1.0")
         assert a == b
         assert len(a) == 64 and int(a, 16) >= 0
 
     def test_sensitive_to_every_input(self):
-        base = cache_key("e2", {"seed": 42}, version="1.0")
-        assert cache_key("e3", {"seed": 42}, version="1.0") != base
-        assert cache_key("e2", {"seed": 43}, version="1.0") != base
-        assert cache_key("e2", {"seed": 42}, version="1.1") != base
+        base = cache_key("e2", {"seed": 42}, code="1.0")
+        assert cache_key("e3", {"seed": 42}, code="1.0") != base
+        assert cache_key("e2", {"seed": 43}, code="1.0") != base
+        assert cache_key("e2", {"seed": 42}, code="1.1") != base
 
     def test_version_stale_means_new_key(self, cache):
-        """A new release can never be served a previous release's physics."""
-        old = cache_key("e2", {"seed": 1}, version="0.9")
+        """Other code can never be served a result computed by this code."""
+        old = cache_key("e2", {"seed": 1}, code="0.9")
         cache.put(old, {"x": 1})
-        assert cache.get(cache_key("e2", {"seed": 1}, version="1.0")) is None
+        assert cache.get(cache_key("e2", {"seed": 1}, code="1.0")) is None
+
+    def test_default_code_is_the_source_digest(self):
+        assert cache_key("e2", {"seed": 1}) == cache_key(
+            "e2", {"seed": 1}, code=code_identity()
+        )
+        assert code_identity() is code_identity()  # computed once
+        assert len(code_identity()) == 64
 
     def test_empty_experiment_rejected(self):
         with pytest.raises(ValueError):
@@ -40,7 +48,7 @@ class TestCacheKey:
 
 class TestRoundTrip:
     def test_miss_then_hit_identical_payload(self, cache):
-        key = cache_key("e2", {"seed": 7}, version="1.0")
+        key = cache_key("e2", {"seed": 7}, code="1.0")
         assert cache.get(key) is None
         payload = {
             "responses": np.arange(24, dtype=np.uint8).reshape(4, 6),
@@ -57,7 +65,7 @@ class TestRoundTrip:
         assert cache.stats() == {"hits": 1, "misses": 1, "stores": 1}
 
     def test_sidecar_records_audit_meta(self, cache):
-        key = cache_key("e5", {"seed": 9}, version="1.0")
+        key = cache_key("e5", {"seed": 9}, code="1.0")
         path = cache.put(key, [1, 2, 3], meta={"experiment": "e5"})
         sidecar = json.loads(path.with_suffix(".json").read_text())
         assert sidecar["format"] == CACHE_FORMAT
@@ -65,7 +73,7 @@ class TestRoundTrip:
         assert sidecar["payload_bytes"] > 0
 
     def test_overwrite_updates_entry(self, cache):
-        key = cache_key("e2", {"seed": 1}, version="1.0")
+        key = cache_key("e2", {"seed": 1}, code="1.0")
         cache.put(key, "old")
         cache.put(key, "new")
         assert cache.get(key) == "new"
@@ -73,7 +81,7 @@ class TestRoundTrip:
 
 class TestCorruptionSafety:
     def _store(self, cache):
-        key = cache_key("e2", {"seed": 5}, version="1.0")
+        key = cache_key("e2", {"seed": 5}, code="1.0")
         cache.put(key, {"value": 123})
         return key
 
@@ -160,8 +168,8 @@ class TestCorruptSidecar:
         ],
     )
     def test_warns_misses_and_recompute_repairs(self, cache, corrupt):
-        key = cache_key("e2", {"seed": 5}, version="1.0")
-        other = cache_key("e2", {"seed": 6}, version="1.0")
+        key = cache_key("e2", {"seed": 5}, code="1.0")
+        other = cache_key("e2", {"seed": 6}, code="1.0")
         cache.put(key, {"value": 123})
         cache.put(other, {"value": 456})
         meta_path = cache.root / f"{key}.json"

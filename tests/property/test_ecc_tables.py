@@ -199,7 +199,11 @@ class TestBchTables:
         word = _noisy_codeword(code, code.encode, seed, n_errors)
         expected = not poly_mod_gf2(word, code.generator).any()
         assert code.is_codeword(word) == expected
-        assert expected == (n_errors == 0)
+        # the designed distance 2t + 1 only guarantees that up to 2t
+        # errors leave the code: a t = 1 code (distance 3) can turn three
+        # errors into another codeword
+        if n_errors <= 2 * code.t:
+            assert expected == (n_errors == 0)
 
     @given(code=bch_codes(), seed=seeds)
     @settings(max_examples=60, deadline=None)
